@@ -4,21 +4,16 @@
 //! oversubscribed} threads doing closed-loop acquire→CS→release cycles
 //! and reports throughput, sampled latency percentiles, and per-thread
 //! fairness. Always writes a JSON document (default
-//! `BENCH_contend.json`) via the shared report writer.
+//! `BENCH_contend.json`, git-ignored; CI uploads it as an artifact) via
+//! the shared report writer.
 //!
 //! ```text
 //! contend [--smoke] [--json <path>] [--duration-ms <n>]
 //!         [--threads <a,b,c>] [--algo <name,...>]
-//!         [--baseline <seqcst.json>] [--backoff]
 //! ```
 //!
-//! * `--smoke` — CI mode: 2 threads, short window, schema self-check.
-//! * `--baseline` — a document produced by the `--features seqcst`
-//!   build of this binary; per-algorithm throughput deltas between the
-//!   SeqCst and relaxed-ordering builds are recorded under
-//!   `relaxation` (the tentpole's before/after evidence).
-//! * `--backoff` — additionally sweep `BackoffCfg` thresholds on three
-//!   representative algorithms (justifies the library defaults).
+//! * `--smoke` — CI mode: 2 threads, short window; exits non-zero if
+//!   any algorithm makes no progress.
 //!
 //! Methodology caveats live in `EXPERIMENTS.md` E12.
 
@@ -30,8 +25,7 @@ use kex_core::native::{
     CcChainKex, DsmChainKex, FastPathKex, KAssignment, McsLock, QueueKex, RawKex, Resilient,
     SemaphoreKex, TreeKex, YangAndersonLock,
 };
-use kex_obs::json::{self, Json};
-use kex_util::{set_global_backoff, BackoffCfg};
+use kex_obs::json::Json;
 use kex_waitfree::{SlotCounter, WfQueue};
 
 /// The resiliency/admission knob for the k > 1 algorithms.
@@ -141,29 +135,24 @@ fn algorithms() -> Vec<Algo> {
 #[derive(Debug)]
 struct Options {
     smoke: bool,
-    backoff_sweep: bool,
     duration: Duration,
     threads: Vec<usize>,
     algos: Option<Vec<String>>,
-    baseline: Option<std::path::PathBuf>,
 }
 
 fn parse_args() -> Options {
     let mut opts = Options {
         smoke: false,
-        backoff_sweep: false,
         duration: Duration::from_millis(300),
         // 1, 2, 4, k, 2k, oversubscribed (the host is allowed to have
         // fewer cores than 16 — oversubscription is part of the design).
         threads: vec![1, 2, 4, K, 2 * K, 16],
         algos: None,
-        baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => opts.smoke = true,
-            "--backoff" => opts.backoff_sweep = true,
             "--json" => {
                 args.next(); // consumed by JsonSink::from_args
             }
@@ -193,12 +182,6 @@ fn parse_args() -> Options {
                 let list = args.next().unwrap_or_else(|| usage("--algo needs a list"));
                 opts.algos = Some(list.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--baseline" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("--baseline needs a path"));
-                opts.baseline = Some(path.into());
-            }
             other if other.starts_with("--json=") => {}
             other => usage(&format!("unknown argument `{other}`")),
         }
@@ -216,17 +199,9 @@ fn usage(msg: &str) -> ! {
     eprintln!("contend: {msg}");
     eprintln!(
         "usage: contend [--smoke] [--json <path>] [--duration-ms <n>] \
-         [--threads <a,b,c>] [--algo <names>] [--baseline <json>] [--backoff]"
+         [--threads <a,b,c>] [--algo <names>]"
     );
     std::process::exit(2);
-}
-
-fn ordering_build() -> &'static str {
-    if cfg!(feature = "seqcst") {
-        "seqcst"
-    } else {
-        "relaxed"
-    }
 }
 
 fn stats_json(s: &RunStats) -> Json {
@@ -245,21 +220,6 @@ fn stats_json(s: &RunStats) -> Json {
     ])
 }
 
-/// Pull `algorithms[name].runs[threads].ops_per_sec` out of a baseline
-/// document produced by the `--features seqcst` build.
-fn baseline_throughput(doc: &Json, algo: &str, threads: usize) -> Option<f64> {
-    doc.get("algorithms")?
-        .as_arr()?
-        .iter()
-        .find(|a| a.get("name").and_then(Json::as_str) == Some(algo))?
-        .get("runs")?
-        .as_arr()?
-        .iter()
-        .find(|r| r.get("threads").and_then(Json::as_u64) == Some(threads as u64))?
-        .get("ops_per_sec")?
-        .as_f64()
-}
-
 fn main() {
     let opts = parse_args();
     let mut sink = JsonSink::from_args_or_default("BENCH_contend.json");
@@ -276,24 +236,8 @@ fn main() {
         usage("--algo matched no algorithm");
     }
 
-    let baseline_doc = opts.baseline.as_ref().map(|path| {
-        let doc = json::read_file(path).unwrap_or_else(|e| {
-            eprintln!("contend: {e}");
-            std::process::exit(2);
-        });
-        let build = doc.get("ordering_build").and_then(Json::as_str);
-        if build != Some("seqcst") {
-            eprintln!(
-                "contend: --baseline document has ordering_build {build:?}, expected \"seqcst\""
-            );
-            std::process::exit(2);
-        }
-        doc
-    });
-
     println!(
-        "contend: build={} threads={:?} window={:?} cpus={}",
-        ordering_build(),
+        "contend: threads={:?} window={:?} cpus={}",
         opts.threads,
         opts.duration,
         std::thread::available_parallelism().map_or(0, |n| n.get()),
@@ -301,10 +245,8 @@ fn main() {
 
     let mut failures = 0u32;
     let mut algo_docs = Vec::new();
-    let mut deltas: Vec<(String, usize, f64, f64, f64)> = Vec::new();
     // Median of several measured windows per cell: on a small host the
-    // scheduler adds several percent of run-to-run noise, which single
-    // windows cannot separate from the ordering deltas we record.
+    // scheduler adds several percent of run-to-run noise.
     let windows: usize = if opts.smoke { 1 } else { 3 };
     for case in &cases {
         let mut runs = Vec::new();
@@ -331,15 +273,6 @@ fn main() {
                 eprintln!("  FAIL: {} T={threads} made no progress", case.name);
                 failures += 1;
             }
-            if let Some(doc) = &baseline_doc {
-                if threads > 1 {
-                    if let Some(base) = baseline_throughput(doc, case.name, threads) {
-                        let relaxed = stats.ops_per_sec();
-                        let pct = (relaxed - base) / base * 100.0;
-                        deltas.push((case.name.to_string(), threads, base, relaxed, pct));
-                    }
-                }
-            }
             runs.push(stats_json(&stats));
         }
         algo_docs.push(Json::obj(vec![
@@ -349,42 +282,7 @@ fn main() {
         ]));
     }
 
-    let mut backoff_docs = Vec::new();
-    if opts.backoff_sweep {
-        println!("\n  backoff sweep (T=8):");
-        let grid = [(0u32, 4u32), (2, 6), (4, 8), (6, 10), (8, 12), (10, 14)];
-        for &(spin_limit, yield_limit) in &grid {
-            set_global_backoff(BackoffCfg {
-                spin_limit,
-                yield_limit,
-            });
-            for name in ["fig2", "fast_path", "mcs"] {
-                let case = algorithms().into_iter().find(|a| a.name == name).unwrap();
-                let threads = if opts.smoke { 2 } else { 8 };
-                let op = (case.make)(threads);
-                let mut samples: Vec<_> = (0..windows)
-                    .map(|_| run_contended(threads, &cfg, &op))
-                    .collect();
-                samples.sort_by(|a, z| a.ops_per_sec().total_cmp(&z.ops_per_sec()));
-                let stats = samples[samples.len() / 2];
-                println!(
-                    "    spin={spin_limit:<2} yield={yield_limit:<2} {name:>9}: {:>12.0} ops/s",
-                    stats.ops_per_sec()
-                );
-                backoff_docs.push(Json::obj(vec![
-                    ("spin_limit", u64::from(spin_limit).into()),
-                    ("yield_limit", u64::from(yield_limit).into()),
-                    ("algo", name.into()),
-                    ("threads", threads.into()),
-                    ("ops_per_sec", stats.ops_per_sec().into()),
-                ]));
-            }
-        }
-        set_global_backoff(BackoffCfg::DEFAULT);
-    }
-
-    sink.put("schema", "kex-bench/contend/v1".into());
-    sink.put("ordering_build", ordering_build().into());
+    sink.put("schema", "kex-bench/contend/v2".into());
     sink.put(
         "cpus",
         std::thread::available_parallelism()
@@ -401,61 +299,6 @@ fn main() {
         Json::arr(opts.threads.iter().map(|&t| t.into()).collect()),
     );
     sink.put("algorithms", Json::arr(algo_docs));
-    if !backoff_docs.is_empty() {
-        sink.put("backoff_sweep", Json::arr(backoff_docs));
-    }
-
-    if let Some(doc) = &baseline_doc {
-        sink.put(
-            "baseline",
-            Json::obj(vec![
-                (
-                    "source",
-                    opts.baseline.as_ref().unwrap().display().to_string().into(),
-                ),
-                ("ordering_build", "seqcst".into()),
-                (
-                    "duration_ms",
-                    doc.get("duration_ms").cloned().unwrap_or(Json::Null),
-                ),
-            ]),
-        );
-        deltas.sort_by(|a, z| z.4.total_cmp(&a.4));
-        let per_algo: Vec<Json> = deltas
-            .iter()
-            .map(|(name, threads, base, relaxed, pct)| {
-                Json::obj(vec![
-                    ("algo", name.as_str().into()),
-                    ("threads", (*threads).into()),
-                    ("seqcst_ops_per_sec", (*base).into()),
-                    ("relaxed_ops_per_sec", (*relaxed).into()),
-                    ("improvement_pct", (*pct).into()),
-                ])
-            })
-            .collect();
-        if let Some((name, threads, base, relaxed, pct)) = deltas.first() {
-            println!(
-                "\n  best relaxation delta: {name} T={threads}: {base:.0} -> {relaxed:.0} ops/s ({pct:+.1}%)"
-            );
-            sink.put(
-                "relaxation",
-                Json::obj(vec![
-                    (
-                        "best",
-                        Json::obj(vec![
-                            ("algo", name.as_str().into()),
-                            ("threads", (*threads).into()),
-                            ("seqcst_ops_per_sec", (*base).into()),
-                            ("relaxed_ops_per_sec", (*relaxed).into()),
-                            ("improvement_pct", (*pct).into()),
-                        ]),
-                    ),
-                    ("per_run", Json::arr(per_algo)),
-                ]),
-            );
-        }
-    }
-
     sink.finish();
 
     if failures > 0 {

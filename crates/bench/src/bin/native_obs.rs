@@ -15,8 +15,14 @@
 //! * `--quick` — one small configuration, few cycles (CI smoke).
 //! * `--json <path>` — output path (default `BENCH_native.json`).
 //!
-//! Exits nonzero if any algorithm exceeds its bound or the occupancy
-//! gauge ever exceeds `k` — so CI can gate on it.
+//! Exits nonzero if any algorithm exceeds its bound, the occupancy
+//! gauge ever exceeds `k`, or the instrumented backend's site registry
+//! recorded an atomic call site under `crates/core/src/native/` that
+//! `docs/ordering_sites.json` does not list (or overflowed, so the
+//! inventory cannot be trusted) — so CI can gate on it. A bound counts
+//! as *exercised* only if the case's threads actually overlapped
+//! (occupancy above 1 or a spin in an entry section); the rest are
+//! reported as "bound not exercised", never as respected.
 //!
 //! ## Estimator caveats (see `docs/OBSERVABILITY.md`)
 //!
@@ -26,6 +32,8 @@
 //!   traffic the facade cannot see; their rows are baselines only and
 //!   carry no bound.
 
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::Arc;
 
 use kex_bench::JsonSink;
@@ -34,6 +42,7 @@ use kex_core::native::{
     SemaphoreKex, TreeKex, YangAndersonLock,
 };
 use kex_core::sim::tree_depth;
+use kex_lint::NATIVE_PREFIX;
 use kex_obs::json::Json;
 use kex_obs::Section;
 
@@ -188,15 +197,26 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
     ]
 }
 
+/// The `file:line` keys of `docs/ordering_sites.json`.
+fn listed_sites() -> Result<BTreeSet<String>, String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/ordering_sites.json");
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let entries =
+        kex_lint::parse_manifest(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(entries.iter().map(kex_lint::ManifestEntry::key).collect())
+}
+
 struct CaseResult {
     json: Json,
     ok: bool,
+    /// `Some(overlapped)` for a case with a theorem bound.
+    bound_exercised: Option<bool>,
 }
 
 /// Run one case: `n` threads, `cycles` acquisitions each, then snapshot
 /// and reduce. Counters are reset before the run; each case builds fresh
 /// atomics, so holder masks and DSM homes start clean.
-fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
+fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<String>) -> CaseResult {
     kex_obs::reset();
     std::thread::scope(|s| {
         for p in 0..n {
@@ -231,6 +251,9 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
         _ => k,
     };
     let occupancy_ok = occupancy_max <= k_eff as i64 && snap.occupancy.current == 0;
+    // A mean under a worst-case bound says nothing if no two threads
+    // were ever in the protocol together.
+    let overlapped = occupancy_max > 1 || entry.spins > 0;
 
     // Entry-section latency, merged across pids.
     let mut entry_hist = std::collections::BTreeMap::new();
@@ -243,23 +266,45 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
         buckets: entry_hist.into_iter().collect(),
     };
 
-    // Per-site traffic for the cross-layer drift audit (`kex-lint`):
-    // every native-layer location the instrumented backend recorded for
-    // this case, sorted for a stable committed document, plus whether
-    // the fixed-capacity site table overflowed — a truncated inventory
-    // must be reported as such, never mistaken for a clean one.
+    // Per-site traffic: every native-layer location the instrumented
+    // backend recorded for this case, plus whether the fixed-capacity
+    // site table overflowed — a truncated inventory must be reported as
+    // such, never mistaken for a clean one.
     let sites_truncated = snap.sites.iter().any(|s| s.location == "<overflow>");
-    let mut native_sites: Vec<&kex_obs::SiteSnapshot> = snap
+    // (The registry records paths as the compiler saw them; cut them
+    // down to the repo-relative form the manifest uses.)
+    let mut native_sites: Vec<(&str, &kex_obs::SiteSnapshot)> = snap
         .sites
         .iter()
-        .filter(|s| s.location.contains("src/native/"))
+        .filter_map(|s| {
+            let at = s.location.find(NATIVE_PREFIX)?;
+            Some((&s.location[at..], s))
+        })
         .collect();
-    native_sites.sort_by(|a, b| a.location.cmp(&b.location));
+    native_sites.sort_by_key(|&(loc, _)| loc);
+    // The runtime half of the site-drift audit.
+    let unlisted: Vec<&str> = native_sites
+        .iter()
+        .map(|&(loc, _)| loc)
+        .filter(|&loc| !listed.contains(loc))
+        .collect();
+    for loc in &unlisted {
+        eprintln!(
+            "  FAIL: {}: runtime registry recorded an atomic site at {loc} that docs/ordering_sites.json does not list",
+            case.name
+        );
+    }
+    if sites_truncated {
+        eprintln!(
+            "  FAIL: {}: runtime site registry overflowed — inventory truncated, cannot certify coverage",
+            case.name
+        );
+    }
     let site_docs: Vec<Json> = native_sites
         .iter()
-        .map(|s| {
+        .map(|&(loc, s)| {
             Json::obj(vec![
-                ("location", s.location.as_str().into()),
+                ("location", loc.into()),
                 ("loads", s.loads.into()),
                 ("stores", s.stores.into()),
                 ("rmws", s.rmws.into()),
@@ -309,12 +354,17 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
         ("bound_per_pair", case.bound.map_or(Json::Null, Json::U64)),
         ("mean_remote_per_pair_target", target_mean.into()),
         ("within_bound", within_bound.into()),
+        ("overlapped", overlapped.into()),
         ("sites", Json::arr(site_docs)),
         ("sites_truncated", sites_truncated.into()),
+        (
+            "unlisted_sites",
+            Json::arr(unlisted.iter().map(|&loc| loc.into()).collect()),
+        ),
     ]);
 
     println!(
-        "{:<16} {:>6} | cc {:>8.2} dsm {:>8.2} | bound {:>5} ({:<6}) {:>4} | occ {}/{} {}",
+        "{:<16} {:>6} | cc {:>8.2} dsm {:>8.2} | bound {:>5} ({:<6}) {:<19} | occ {}/{} {}",
         case.name,
         case.target_model,
         cc_mean,
@@ -323,10 +373,12 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
         case.theorem,
         if case.bound.is_none() {
             "-"
-        } else if within_bound {
-            "ok"
+        } else if !within_bound {
+            "OVER BOUND"
+        } else if overlapped {
+            "within bound"
         } else {
-            "OVER"
+            "bound not exercised"
         },
         occupancy_max,
         k_eff,
@@ -335,7 +387,8 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
 
     CaseResult {
         json,
-        ok: within_bound && occupancy_ok,
+        ok: within_bound && occupancy_ok && unlisted.is_empty() && !sites_truncated,
+        bound_exercised: case.bound.map(|_| overlapped),
     }
 }
 
@@ -344,10 +397,14 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let mut sink = JsonSink::from_args();
     if !sink.enabled() {
-        // This binary always writes its document — it exists to produce
-        // the committed BENCH_native.json.
+        // This binary always writes its document (a CI artifact; the
+        // root .gitignore keeps it out of the tree).
         sink = JsonSink::from_args_or_default("BENCH_native.json");
     }
+    let listed = listed_sites().unwrap_or_else(|e| {
+        eprintln!("native_obs: cannot read the site manifest: {e}");
+        std::process::exit(2);
+    });
 
     let (configs, cycles): (&[(usize, usize)], u64) = if quick {
         (&[(8, 2)], 50)
@@ -356,17 +413,23 @@ fn main() {
     };
 
     let mut all_ok = true;
+    let (mut exercised, mut unexercised) = (0u64, 0u64);
     let mut config_docs = Vec::new();
     for &(n, k) in configs {
         println!("=== native estimates: N = {n}, k = {k}, {cycles} cycles/thread ===");
         println!(
-            "{:<16} {:>6} | {:>11} {:>12} | {:>20} {:>6} | occupancy",
+            "{:<16} {:>6} | {:>11} {:>12} | {:>20} {:<19} | occupancy",
             "algorithm", "model", "cc mean", "dsm mean", "bound (theorem)", ""
         );
         let mut algo_docs = Vec::new();
         for case in cases(n, k) {
-            let result = run_case(&case, n, k, cycles);
+            let result = run_case(&case, n, k, cycles, &listed);
             all_ok &= result.ok;
+            match result.bound_exercised {
+                Some(true) => exercised += 1,
+                Some(false) => unexercised += 1,
+                None => {}
+            }
             algo_docs.push(result.json);
         }
         println!();
@@ -387,12 +450,19 @@ fn main() {
          under each algorithm's target model"
             .into(),
     );
+    sink.put("bounds_exercised", exercised.into());
+    sink.put("bounds_not_exercised", unexercised.into());
     sink.put("configs", Json::arr(config_docs));
     sink.finish();
 
     if !all_ok {
-        eprintln!("FAIL: a bound or occupancy check was violated (see rows above)");
+        eprintln!("FAIL: a bound, occupancy or runtime-site check was violated (see rows above)");
         std::process::exit(1);
     }
-    println!("all bounds respected; occupancy never exceeded k");
+    println!(
+        "no bound violated: {exercised} of {} bounds exercised (threads overlapped), \
+         {unexercised} not exercised; occupancy never exceeded k; every runtime site under \
+         {NATIVE_PREFIX} is listed in docs/ordering_sites.json",
+        exercised + unexercised,
+    );
 }

@@ -15,9 +15,10 @@
 //!   the host machine (via the in-tree [`microbench`] runner).
 //! * `cargo run --release -p kex-bench --bin contend` — E12:
 //!   multi-threaded contention (throughput, latency percentiles,
-//!   fairness) per native algorithm; build with `--features seqcst` and
-//!   pass that run back via `--baseline` to record the memory-ordering
-//!   relaxation delta (the committed `BENCH_contend.json`).
+//!   fairness) per native algorithm — the only wall-clock comparison
+//!   of the 11 native algorithms and the only T ≫ k cells. The
+//!   repository's performance record is `benchmark/run.sh` (see
+//!   `benchmark/README.md`); `contend` numbers are not committed.
 //!
 //! This library crate holds the shared measurement machinery.
 
@@ -27,7 +28,6 @@ pub mod contend;
 pub mod harness;
 pub mod microbench;
 pub mod report;
-pub mod store_load;
 
 pub use harness::{measure, Measurement, Workload};
 pub use report::JsonSink;

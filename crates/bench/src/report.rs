@@ -1,10 +1,10 @@
 //! Structured output for the experiment binaries.
 //!
 //! Every binary accepts `--json <path>`: alongside its human-readable
-//! tables it then writes one machine-readable JSON document, so recorded
-//! results (e.g. the committed `BENCH_native.json`) can be regenerated
-//! and diffed instead of eyeballed. The value model and writer come from
-//! `kex_obs::json` — no external serialization dependency.
+//! tables it then writes one machine-readable JSON document, so results
+//! can be regenerated and diffed instead of eyeballed. The value model
+//! and writer come from `kex_obs::json` — no external serialization
+//! dependency.
 
 use std::path::PathBuf;
 

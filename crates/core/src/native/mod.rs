@@ -22,9 +22,8 @@
 //! where a site-local pairing argument proves them sufficient, `SeqCst`
 //! where the paper's cross-variable reasoning genuinely needs the
 //! single total order (see `docs/MEMORY_ORDERING.md` for the
-//! site-by-site audit; `--features seqcst` collapses every site back to
-//! `SeqCst`). Atomics are imported through the loom-swappable facade in
-//! [`kex_util::sync`] — never `std::sync::atomic` directly. Their
+//! site-by-site audit). Atomics are imported through the loom-swappable
+//! facade in [`kex_util::sync`] — never `std::sync::atomic` directly. Their
 //! interleaving-level correctness is established three ways: exhaustively
 //! on the statement-exact simulator versions in [`crate::sim`],
 //! exhaustively on *this* code under the loom model checker

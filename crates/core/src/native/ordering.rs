@@ -2,17 +2,11 @@
 //!
 //! Every atomic call site in `crates/core/src/native/` names its
 //! ordering through these constants instead of `Ordering::*` literals.
-//! The per-site justification lives in `docs/MEMORY_ORDERING.md`; this
-//! module is the single switch that makes the audit *testable*:
-//!
-//! * **default build** — the constants are the audited orderings
-//!   (acquire/release/relaxed where a site-local argument proves them
-//!   sufficient, `SeqCst` where the paper's cross-variable reasoning
-//!   genuinely needs the single total order).
-//! * **`--features seqcst`** — every constant collapses to `SeqCst`,
-//!   restoring the uniformly sequentially consistent build the paper's
-//!   proofs assume verbatim. The `contend` benchmark builds both and
-//!   records the wall-clock delta in `BENCH_contend.json`.
+//! The per-site justification lives in `docs/MEMORY_ORDERING.md`; the
+//! constants are the audited orderings: acquire/release/relaxed where a
+//! site-local argument proves them sufficient, `SeqCst` where the
+//! paper's cross-variable reasoning genuinely needs the single total
+//! order.
 //!
 //! Relaxation policy (enforced by review + the loom suite + TSan CI):
 //!
@@ -32,68 +26,31 @@
 //!
 //! Under `cfg(loom)` the checker's memory model is sequentially
 //! consistent regardless of the ordering argument, so the loom models
-//! verify the *algorithmic* content of every site in both builds; the
-//! acquire/release pairings themselves are exercised by the TSan CI job
-//! and argued site-locally in the audit table.
+//! verify the *algorithmic* content of every site; the acquire/release
+//! pairings themselves are exercised by the TSan CI job and argued
+//! site-locally in the audit table.
 
 use kex_util::sync::atomic::Ordering;
 
 /// Spin-loop and handoff-observing loads; pairs with a [`RELEASE`] (or
 /// stronger) store named in the audit table.
-#[cfg(not(feature = "seqcst"))]
 pub(crate) const ACQUIRE: Ordering = Ordering::Acquire;
-/// `--features seqcst`: collapsed to `SeqCst`.
-#[cfg(feature = "seqcst")]
-pub(crate) const ACQUIRE: Ordering = Ordering::SeqCst;
 
 /// Wakeup/handoff stores publishing the writer's prior work (including
 /// critical-section data) to the [`ACQUIRE`] reader named in the audit
 /// table.
-#[cfg(not(feature = "seqcst"))]
 pub(crate) const RELEASE: Ordering = Ordering::Release;
-/// `--features seqcst`: collapsed to `SeqCst`.
-#[cfg(feature = "seqcst")]
-pub(crate) const RELEASE: Ordering = Ordering::SeqCst;
 
 /// Owner-private state (atomic only for `Sync`) and mutex-ordered
 /// flags; carries no synchronization of its own.
-#[cfg(not(feature = "seqcst"))]
 pub(crate) const RELAXED: Ordering = Ordering::Relaxed;
-/// `--features seqcst`: collapsed to `SeqCst`.
-#[cfg(feature = "seqcst")]
-pub(crate) const RELAXED: Ordering = Ordering::SeqCst;
 
 /// Same-location RMW chains (credit counters, queue tails) where
 /// coherence already totally orders the operations and the RMW only
 /// additionally needs to give/take the data-handoff edge.
-#[cfg(not(feature = "seqcst"))]
 pub(crate) const ACQ_REL: Ordering = Ordering::AcqRel;
-/// `--features seqcst`: collapsed to `SeqCst`.
-#[cfg(feature = "seqcst")]
-pub(crate) const ACQ_REL: Ordering = Ordering::SeqCst;
 
 /// Sites where the proof's interleaving argument runs through the
 /// sequentially consistent total order across *different* variables —
-/// never weakened in any build.
+/// never weakened.
 pub(crate) const SEQ_CST: Ordering = Ordering::SeqCst;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn seqcst_feature_collapses_everything() {
-        if cfg!(feature = "seqcst") {
-            assert_eq!(ACQUIRE, Ordering::SeqCst);
-            assert_eq!(RELEASE, Ordering::SeqCst);
-            assert_eq!(RELAXED, Ordering::SeqCst);
-            assert_eq!(ACQ_REL, Ordering::SeqCst);
-        } else {
-            assert_eq!(ACQUIRE, Ordering::Acquire);
-            assert_eq!(RELEASE, Ordering::Release);
-            assert_eq!(RELAXED, Ordering::Relaxed);
-            assert_eq!(ACQ_REL, Ordering::AcqRel);
-        }
-        assert_eq!(SEQ_CST, Ordering::SeqCst);
-    }
-}

@@ -5,10 +5,9 @@
 //! with the audited orderings of the private `ordering` module:
 //! acquire/release/relaxed where a site-local pairing argument proves
 //! them sufficient, `SeqCst` where the paper's sequentially consistent
-//! reasoning genuinely spans variables. `--features seqcst` collapses
-//! every site back to `SeqCst` for A/B benchmarking (the simulator
-//! versions in [`crate::sim`] are the reference semantics; see DESIGN.md
-//! and `docs/MEMORY_ORDERING.md` for the site-by-site audit).
+//! reasoning genuinely spans variables (the simulator versions in
+//! [`crate::sim`] are the reference semantics; see DESIGN.md and
+//! `docs/MEMORY_ORDERING.md` for the site-by-site audit).
 //!
 //! Every algorithm is parameterized by a fixed process universe `0..N`:
 //! callers hand each thread a distinct process id (see

@@ -5,26 +5,22 @@
 //! cargo run -p kex-lint --bin lint -- --json           # machine-readable report
 //! cargo run -p kex-lint --bin lint -- --assert         # exit non-zero on any finding (CI mode)
 //! cargo run -p kex-lint --bin lint -- --write-manifest # regenerate docs/ordering_sites.json
-//! cargo run -p kex-lint --features seqcst --bin lint -- --assert
-//!     # audit the collapsed-ordering build
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use kex_analyze::Config;
-use kex_lint::{audit, generate_manifest, render_json, render_text, Build, Inputs, Workspace};
+use kex_lint::{audit, generate_manifest, render_json, render_text, Inputs, Workspace};
 
-const USAGE: &str =
-    "usage: lint [--json] [--assert] [--write-manifest] [--root PATH] [--build default|seqcst]\n\
+const USAGE: &str = "usage: lint [--json] [--assert] [--write-manifest] [--root PATH]\n\
                      \n\
                      Token-level conformance lints over the workspace sources: ordering-policy\n\
                      checker (ord::* constants, docs/ordering_sites.json manifest and the\n\
                      docs/MEMORY_ORDERING.md audit table, reconciled both ways), facade-bypass\n\
                      detector, busy-wait backoff lint, the cross-layer drift audit against\n\
-                     the kex-obs runtime site registry (BENCH_native.json) and the kex-analyze\n\
-                     protocol IR, and the ordering-obligation pass (per-site roles checked\n\
-                     against the IR-derived release/acquire minimums).";
+                     the kex-analyze protocol IR, and the ordering-obligation pass (per-site\n\
+                     roles checked against the IR-derived release/acquire minimums).";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -35,7 +31,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut assert_clean = false;
     let mut write_manifest = false;
-    let mut build = Build::active();
     let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,14 +43,6 @@ fn main() -> ExitCode {
             "--root" => {
                 i += 1;
                 root = PathBuf::from(args.get(i).unwrap_or_else(|| usage()));
-            }
-            "--build" => {
-                i += 1;
-                build = match args.get(i).map(String::as_str) {
-                    Some("default") => Build::Default,
-                    Some("seqcst") => Build::SeqCst,
-                    _ => usage(),
-                };
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -76,7 +63,7 @@ fn main() -> ExitCode {
     let inputs = Inputs::load(&root);
 
     if write_manifest {
-        let text = match generate_manifest(&ws, inputs.bench.as_deref()) {
+        let text = match generate_manifest(&ws) {
             Ok(text) => text,
             Err(e) => {
                 eprintln!("lint: {e}");
@@ -92,7 +79,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let report = audit(&ws, &inputs, build, &Config::default());
+    let report = audit(&ws, &inputs, &Config::default());
     if json {
         print!("{}", render_json(&report));
     } else {

@@ -23,17 +23,18 @@
 //! workspace's own sources that machine-checks all three, plus a
 //! **cross-layer drift audit**: the same physical `file:line` inventory
 //! is maintained independently by this crate (source scan), by
-//! `docs/MEMORY_ORDERING.md` (the human audit table), by the kex-obs
-//! runtime site registry (`#[track_caller]` interning, exported into
-//! `BENCH_native.json`), and by the kex-analyze protocol IR (per-variable
-//! access summaries). The manifest `docs/ordering_sites.json` is the
-//! committed rendezvous point; the drift pass fails if any layer
-//! disagrees with it in either direction. On top of the inventory sits
-//! the **ordering-obligation pass**: every manifest site carries a
-//! derived `role` (spin / publish / handshake / counter / private),
-//! and the claimed ordering must both fit the role's policy and
-//! satisfy the per-variable minimum the kex-analyze IR derives — so a
-//! manifest row relaxing a publish or handshake participant is a hard
+//! `docs/MEMORY_ORDERING.md` (the human audit table) and by the
+//! kex-analyze protocol IR (per-variable access summaries). The manifest
+//! `docs/ordering_sites.json` is the committed rendezvous point; the
+//! drift pass fails if any layer disagrees with it in either direction.
+//! (The kex-obs runtime site registry is reconciled against the same
+//! manifest by a live run: `kex-bench`'s `native_obs` fails on any
+//! recorded native location the manifest does not list.) On top of the
+//! inventory sits the **ordering-obligation pass**: every manifest site
+//! carries a derived `role` (spin / publish / handshake / counter /
+//! private), and the claimed ordering must both fit the role's policy
+//! and satisfy the per-variable minimum the kex-analyze IR derives — so
+//! a manifest row relaxing a publish or handshake participant is a hard
 //! error, not just drift.
 //!
 //! The scanner is deliberately *token-level*, not a Rust parser: it
@@ -61,13 +62,10 @@ use kex_core::sim::build::Algorithm;
 use kex_obs::json::{self, Json};
 
 /// Schema identifier written into `docs/ordering_sites.json`.
-pub const MANIFEST_SCHEMA: &str = "kex-lint/ordering_sites/v2";
+pub const MANIFEST_SCHEMA: &str = "kex-lint/ordering_sites/v3";
 
 /// Schema identifier of the JSON findings report.
 pub const FINDINGS_SCHEMA: &str = "kex-lint/findings/v1";
-
-/// Schema identifier expected of `BENCH_native.json`.
-const BENCH_SCHEMA: &str = "kex-bench/native_obs/v1";
 
 /// Repo-relative directory roots loaded into a [`Workspace`].
 ///
@@ -87,8 +85,9 @@ const SCAN_ROOTS: &[&str] = &[
     "src",
 ];
 
-/// The audited hot-path directory.
-const NATIVE_PREFIX: &str = "crates/core/src/native/";
+/// The audited hot-path directory: every atomic site under it is in the
+/// manifest.
+pub const NATIVE_PREFIX: &str = "crates/core/src/native/";
 
 /// The one file allowed to spell `Ordering::*` literals: it *defines*
 /// the audited constants.
@@ -134,10 +133,6 @@ const FACADE_ALLOW: &[(&str, &str)] = &[
     (
         "crates/util/src/sync.rs",
         "the facade itself: re-exports std as its non-loom, non-obs backend",
-    ),
-    (
-        "crates/util/src/lib.rs",
-        "backoff tuning globals are plain std atomics on purpose; the loom build compiles them out",
     ),
     (
         "crates/util/tests/zero_cost.rs",
@@ -193,10 +188,10 @@ const IR_MAP: &[IrMapRow] = &[
 ];
 
 // ---------------------------------------------------------------------------
-// Ordering roles (manifest schema v2)
+// Ordering roles
 // ---------------------------------------------------------------------------
 
-/// The role vocabulary of manifest schema v2. Each site is classified
+/// The role vocabulary of the manifest. Each site is classified
 /// by what its ordering *does*: `spin` (the acquire side of a handoff,
 /// read in a wait loop), `publish` (the release side of a handoff
 /// write), `handshake` (a Dekker-style store/load or RMW pair that
@@ -227,8 +222,8 @@ const ROLE_EXCEPTIONS: &[(&str, &str, &str, &str)] = &[
 ];
 
 /// Derives a site's ordering role from its coordinates, op and
-/// default-build ordering. This is the single source of truth for the
-/// manifest's v2 `role` field: `generate_manifest` writes it and the
+/// ordering. This is the single source of truth for the manifest's
+/// `role` field: `generate_manifest` writes it and the
 /// obligation pass re-derives it for the consistency check.
 pub fn derive_role(file: &str, op: &str, var: &str, ordering: &str) -> &'static str {
     if let Some((_, _, _, role)) = ROLE_EXCEPTIONS
@@ -285,9 +280,9 @@ pub enum Pass {
     Facade,
     /// Busy-wait backoff lint.
     Spin,
-    /// Cross-layer site-drift audit (manifest vs runtime vs IR).
+    /// Cross-layer site-drift audit (manifest vs IR).
     Drift,
-    /// Ordering-obligation checker (v2 roles and IR-derived minimums).
+    /// Ordering-obligation checker (roles and IR-derived minimums).
     Obligation,
 }
 
@@ -311,43 +306,15 @@ impl fmt::Display for Pass {
     }
 }
 
-/// Which ordering flavour is being audited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Build {
-    /// The audited per-site orderings (no `seqcst` feature).
-    Default,
-    /// `--features seqcst`: every constant must collapse to `SeqCst`.
-    SeqCst,
-}
-
-impl Build {
-    /// The flavour this lint binary itself was compiled for.
-    pub fn active() -> Build {
-        if cfg!(feature = "seqcst") {
-            Build::SeqCst
-        } else {
-            Build::Default
-        }
-    }
-
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Build::Default => "default",
-            Build::SeqCst => "seqcst",
-        }
-    }
-}
-
 /// One conformance violation, anchored to a source coordinate.
 ///
 /// `line == 0` marks a file- or artifact-level finding (a missing
-/// manifest, a truncated runtime inventory) with no single line.
+/// manifest) with no single line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// The pass that fired.
     pub pass: Pass,
-    /// Repo-relative path (or artifact name such as `BENCH_native.json`).
+    /// Repo-relative path.
     pub file: String,
     /// 1-based line, or 0 for whole-file findings.
     pub line: usize,
@@ -966,64 +933,24 @@ fn receiver_name(mb: &[u8], dot: usize) -> String {
 // Ordering constants (crates/core/src/native/ordering.rs)
 // ---------------------------------------------------------------------------
 
-/// The feature-gated constant tables parsed out of `ordering.rs`.
-#[derive(Debug, Clone, Default)]
-pub struct OrderingConsts {
-    /// Constant name → `Ordering` variant in the default build, with
-    /// the declaration line.
-    pub default_map: BTreeMap<String, (String, usize)>,
-    /// Constant name → variant under `--features seqcst`.
-    pub seqcst_map: BTreeMap<String, (String, usize)>,
-}
+/// The constant table parsed out of `ordering.rs`: constant name →
+/// `Ordering` variant.
+pub type OrderingConsts = BTreeMap<String, String>;
 
-impl OrderingConsts {
-    /// The variant a constant resolves to under `build`.
-    pub fn resolve(&self, name: &str, build: Build) -> Option<&str> {
-        let map = match build {
-            Build::Default => &self.default_map,
-            Build::SeqCst => &self.seqcst_map,
-        };
-        map.get(name).map(|(v, _)| v.as_str())
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CfgGate {
-    DefaultOnly,
-    SeqcstOnly,
-}
-
-/// Parses the constant tables and checks their internal invariants
-/// (both branches present, `seqcst` branch collapses everything).
+/// Parses the constant table, reporting any constant that does not
+/// resolve to a known `Ordering` variant.
 pub fn parse_ordering_consts(file: &SourceFile) -> (OrderingConsts, Vec<Finding>) {
-    let mut consts = OrderingConsts::default();
+    let mut consts = OrderingConsts::new();
     let mut findings = Vec::new();
-    let mut pending: Option<CfgGate> = None;
     let mut offset = 0usize;
-    // Original text, not the masked view: the cfg gate names its
-    // feature inside a string literal (`feature = "seqcst"`), which
-    // masking blanks. Comment lines are skipped explicitly instead.
-    for (idx, line) in file.text.lines().enumerate() {
+    for (idx, line) in file.masked.lines().enumerate() {
         let lineno = idx + 1;
         let start = offset;
         offset += line.len() + 1;
         let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with("//") || file.in_test(start) {
+        if file.in_test(start) {
             continue;
         }
-        if trimmed.starts_with("#[") {
-            if trimmed.contains("cfg") && trimmed.contains("seqcst") {
-                pending = Some(if trimmed.contains("not") {
-                    CfgGate::DefaultOnly
-                } else {
-                    CfgGate::SeqcstOnly
-                });
-            } else {
-                pending = None;
-            }
-            continue;
-        }
-        let gate = pending.take();
         let Some(const_at) = trimmed.find("const ") else {
             continue;
         };
@@ -1047,53 +974,7 @@ pub fn parse_ordering_consts(file: &SourceFile) -> (OrderingConsts, Vec<Finding>
             ));
             continue;
         }
-        match gate {
-            Some(CfgGate::DefaultOnly) => {
-                consts
-                    .default_map
-                    .insert(name.to_string(), (variant, lineno));
-            }
-            Some(CfgGate::SeqcstOnly) => {
-                consts
-                    .seqcst_map
-                    .insert(name.to_string(), (variant, lineno));
-            }
-            None => {
-                consts
-                    .default_map
-                    .insert(name.to_string(), (variant.clone(), lineno));
-                consts
-                    .seqcst_map
-                    .insert(name.to_string(), (variant, lineno));
-            }
-        }
-    }
-    for (name, (_, lineno)) in &consts.default_map {
-        match consts.seqcst_map.get(name) {
-            None => findings.push(finding(
-                Pass::Ordering,
-                &file.path,
-                *lineno,
-                format!("constant `{name}` has no `--features seqcst` branch"),
-            )),
-            Some((v, l)) if v != "SeqCst" => findings.push(finding(
-                Pass::Ordering,
-                &file.path,
-                *l,
-                format!("constant `{name}` does not collapse to SeqCst under --features seqcst (resolves to `{v}`)"),
-            )),
-            Some(_) => {}
-        }
-    }
-    for (name, (_, lineno)) in &consts.seqcst_map {
-        if !consts.default_map.contains_key(name) {
-            findings.push(finding(
-                Pass::Ordering,
-                &file.path,
-                *lineno,
-                format!("constant `{name}` exists only under --features seqcst"),
-            ));
-        }
+        consts.insert(name.to_string(), variant);
     }
     (consts, findings)
 }
@@ -1182,7 +1063,7 @@ pub struct ManifestEntry {
     pub var: String,
     /// `ord::*` constants at the site.
     pub consts: Vec<String>,
-    /// The default-build ordering the primary constant resolves to.
+    /// The ordering the primary constant resolves to.
     pub ordering: String,
     /// The site's ordering role (one of [`ROLES`]), derived by
     /// [`derive_role`] at manifest-generation time.
@@ -1190,14 +1071,11 @@ pub struct ManifestEntry {
     /// IR variable this receiver models, if the file has an IR
     /// counterpart.
     pub ir: Option<String>,
-    /// Exact runtime-registry location (`file:line`) if the committed
-    /// `BENCH_native.json` run drove this site; `null` for cold paths
-    /// the benchmark workload never exercised.
-    pub bench: Option<String>,
 }
 
 impl ManifestEntry {
-    fn key(&self) -> String {
+    /// The `file:line` key the other layers use.
+    pub fn key(&self) -> String {
         format!("{}:{}", self.file, self.line)
     }
 }
@@ -1223,8 +1101,6 @@ pub fn parse_manifest(text: &str) -> Result<Vec<ManifestEntry>, String> {
                 .map(str::to_string)
                 .ok_or(format!("site #{i}: missing string field `{k}`"))
         };
-        let opt =
-            |k: &str| -> Option<String> { s.get(k).and_then(Json::as_str).map(str::to_string) };
         out.push(ManifestEntry {
             file: field("file")?,
             line: s
@@ -1242,16 +1118,14 @@ pub fn parse_manifest(text: &str) -> Result<Vec<ManifestEntry>, String> {
                 .collect(),
             ordering: field("ordering")?,
             role: field("role")?,
-            ir: opt("ir"),
-            bench: opt("bench"),
+            ir: s.get("ir").and_then(Json::as_str).map(str::to_string),
         });
     }
     Ok(out)
 }
 
-/// Regenerates the manifest text from the current sources (and the
-/// committed `BENCH_native.json`, for the `bench` links).
-pub fn generate_manifest(ws: &Workspace, bench: Option<&str>) -> Result<String, String> {
+/// Regenerates the manifest text from the current sources.
+pub fn generate_manifest(ws: &Workspace) -> Result<String, String> {
     let ordering_file = ws
         .get(ORDERING_MODULE)
         .ok_or_else(|| format!("{ORDERING_MODULE} not found in workspace"))?;
@@ -1259,10 +1133,6 @@ pub fn generate_manifest(ws: &Workspace, bench: Option<&str>) -> Result<String, 
     if let Some(f) = findings.first() {
         return Err(format!("cannot generate manifest: {f}"));
     }
-    let bench_locs = match bench {
-        Some(text) => parse_bench_sites(text)?.locations,
-        None => BTreeSet::new(),
-    };
     let sites = extract_sites(ws);
     let mut docs = Vec::new();
     for site in &sites {
@@ -1271,7 +1141,7 @@ pub fn generate_manifest(ws: &Workspace, bench: Option<&str>) -> Result<String, 
             .first()
             .ok_or_else(|| format!("{}: site has no ord:: constant", site.key()))?;
         let ordering = consts
-            .resolve(primary, Build::Default)
+            .get(primary)
             .ok_or_else(|| format!("{}: unknown constant ord::{primary}", site.key()))?;
         let short = site.file.trim_start_matches(NATIVE_PREFIX);
         let ir = IR_MAP
@@ -1283,7 +1153,6 @@ pub fn generate_manifest(ws: &Workspace, bench: Option<&str>) -> Result<String, 
                     .find(|(v, _)| *v == site.var)
                     .map(|(_, ir)| *ir)
             });
-        let key = site.key();
         docs.push(Json::obj(vec![
             ("file", site.file.as_str().into()),
             ("line", site.line.into()),
@@ -1293,20 +1162,12 @@ pub fn generate_manifest(ws: &Workspace, bench: Option<&str>) -> Result<String, 
                 "consts",
                 Json::arr(site.consts.iter().map(|c| c.as_str().into()).collect()),
             ),
-            ("ordering", ordering.into()),
+            ("ordering", ordering.as_str().into()),
             (
                 "role",
                 derive_role(&site.file, &site.op, &site.var, ordering).into(),
             ),
             ("ir", ir.map_or(Json::Null, Into::into)),
-            (
-                "bench",
-                if bench_locs.contains(&key) {
-                    key.as_str().into()
-                } else {
-                    Json::Null
-                },
-            ),
         ]));
     }
     let doc = Json::obj(vec![
@@ -1314,9 +1175,10 @@ pub fn generate_manifest(ws: &Workspace, bench: Option<&str>) -> Result<String, 
         (
             "note",
             "Committed inventory of every audited atomic site in crates/core/src/native/. \
-             Checked both ways by kex-lint against the sources, docs/MEMORY_ORDERING.md, \
-             the kex-obs runtime site registry (via BENCH_native.json) and the kex-analyze IR. \
-             Schema v2 adds the per-site ordering `role` consumed by the obligation pass."
+             Checked both ways by kex-lint against the sources, docs/MEMORY_ORDERING.md \
+             and the kex-analyze IR; kex-bench's native_obs fails on any runtime-registry \
+             location under that directory that is not listed here. The per-site `role` is \
+             consumed by the obligation pass."
                 .into(),
         ),
         (
@@ -1329,89 +1191,13 @@ pub fn generate_manifest(ws: &Workspace, bench: Option<&str>) -> Result<String, 
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_native.json (runtime site registry export)
-// ---------------------------------------------------------------------------
-
-/// The runtime-observed side of the drift audit.
-#[derive(Debug, Clone, Default)]
-pub struct BenchSites {
-    /// Union of native `file:line` locations across all runs.
-    pub locations: BTreeSet<String>,
-    /// Algorithms whose site inventory overflowed `SITE_CAP` (the audit
-    /// cannot certify completeness for them).
-    pub truncated: Vec<String>,
-    /// Algorithm entries predating the per-site export.
-    pub missing_sites: Vec<String>,
-}
-
-/// Parses the per-site inventory out of a `BENCH_native.json` document.
-pub fn parse_bench_sites(text: &str) -> Result<BenchSites, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != BENCH_SCHEMA {
-        return Err(format!(
-            "unexpected BENCH_native.json schema {schema:?} (want {BENCH_SCHEMA:?})"
-        ));
-    }
-    let mut out = BenchSites::default();
-    let configs = doc
-        .get("configs")
-        .and_then(Json::as_arr)
-        .ok_or("BENCH_native.json has no `configs`")?;
-    for config in configs {
-        for algo in config
-            .get("algorithms")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-        {
-            let name = algo
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("<unnamed>")
-                .to_string();
-            if algo
-                .get("sites_truncated")
-                .map(|v| v == &Json::Bool(true))
-                .unwrap_or(false)
-            {
-                out.truncated.push(name.clone());
-            }
-            let Some(sites) = algo.get("sites").and_then(Json::as_arr) else {
-                out.missing_sites.push(name);
-                continue;
-            };
-            for site in sites {
-                let Some(loc) = site.get("location").and_then(Json::as_str) else {
-                    continue;
-                };
-                if loc == "<overflow>" {
-                    out.truncated.push(name.clone());
-                    continue;
-                }
-                // Normalize to a repo-relative path: the registry
-                // records paths as the compiler saw them.
-                let rel = loc.find("crates/").map_or(loc, |at| &loc[at..]);
-                out.locations.insert(rel.to_string());
-            }
-        }
-    }
-    out.truncated.dedup();
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // The five passes
 // ---------------------------------------------------------------------------
 
 /// Pass 1: ordering policy. Literal `Ordering::*` bans, constant-table
 /// invariants, and two-way reconciliation of the source inventory
 /// against the manifest and the audit table.
-pub fn ordering_pass(
-    ws: &Workspace,
-    manifest: Option<&str>,
-    doc: Option<&str>,
-    build: Build,
-) -> Vec<Finding> {
+pub fn ordering_pass(ws: &Workspace, manifest: Option<&str>, doc: Option<&str>) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // 1a. No literal Ordering:: outside the ordering-constant modules
@@ -1458,28 +1244,16 @@ pub fn ordering_pass(
 
     let sites = extract_sites(ws);
 
-    // 1c. Every constant a site names must exist; under the seqcst
-    // build, every named constant must actively resolve to SeqCst.
+    // 1c. Every constant a site names must exist.
     for site in &sites {
         for c in &site.consts {
-            match consts.resolve(c, build) {
-                None => findings.push(finding(
+            if !consts.contains_key(c) {
+                findings.push(finding(
                     Pass::Ordering,
                     &site.file,
                     site.line,
                     format!("site names unknown constant `ord::{c}`"),
-                )),
-                Some(v) if build == Build::SeqCst && v != "SeqCst" => {
-                    findings.push(finding(
-                        Pass::Ordering,
-                        &site.file,
-                        site.line,
-                        format!(
-                            "under --features seqcst this site's `ord::{c}` resolves to `{v}`, not SeqCst"
-                        ),
-                    ));
-                }
-                Some(_) => {}
+                ));
             }
         }
     }
@@ -1528,14 +1302,14 @@ pub fn ordering_pass(
                                 ),
                             ));
                         } else if let Some(primary) = site.consts.first() {
-                            let resolved = consts.resolve(primary, Build::Default).unwrap_or("?");
+                            let resolved = consts.get(primary).map_or("?", String::as_str);
                             if entry.ordering != resolved {
                                 findings.push(finding(
                                     Pass::Ordering,
                                     &site.file,
                                     site.line,
                                     format!(
-                                        "manifest declares `{}` but `ord::{primary}` resolves to `{resolved}` in the default build",
+                                        "manifest declares `{}` but `ord::{primary}` resolves to `{resolved}`",
                                         entry.ordering
                                     ),
                                 ));
@@ -1557,8 +1331,7 @@ pub fn ordering_pass(
         }
     }
 
-    // 1e. Audit-table reconciliation, both directions. The table
-    // documents the default build, so this check is build-independent.
+    // 1e. Audit-table reconciliation, both directions.
     match doc {
         None => findings.push(finding(
             Pass::Ordering,
@@ -1584,7 +1357,7 @@ pub fn ordering_pass(
                     )),
                     Some(row) => {
                         let primary = site.consts.first().map(String::as_str).unwrap_or("?");
-                        let resolved = consts.resolve(primary, Build::Default).unwrap_or("?");
+                        let resolved = consts.get(primary).map_or("?", String::as_str);
                         if row.keyword != resolved {
                             findings.push(finding(
                                 Pass::Ordering,
@@ -1725,14 +1498,10 @@ pub fn spin_pass(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
-/// Pass 4: cross-layer drift audit — manifest vs runtime site registry
-/// vs analyzer IR.
-pub fn drift_pass(
-    ws: &Workspace,
-    manifest: Option<&str>,
-    bench: Option<&str>,
-    cfg: &Config,
-) -> Vec<Finding> {
+/// Pass 4: cross-layer drift audit — manifest vs analyzer IR. The
+/// receiver each manifest entry claims to model must exist among that
+/// algorithm's IR variables.
+pub fn drift_pass(manifest: Option<&str>, cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     let entries = match manifest.map(parse_manifest) {
         Some(Ok(entries)) => entries,
@@ -1740,94 +1509,6 @@ pub fn drift_pass(
         // manifest; without one there is nothing to reconcile.
         _ => return findings,
     };
-    let sites = extract_sites(ws);
-    let site_keys: BTreeSet<String> = sites.iter().map(Site::key).collect();
-
-    // 4a. Runtime registry (BENCH_native.json).
-    let bench_sites = match bench.map(parse_bench_sites) {
-        None => {
-            findings.push(finding(
-                Pass::Drift,
-                "BENCH_native.json",
-                0,
-                "runtime site inventory missing — run the native_obs benchmark to regenerate it",
-            ));
-            None
-        }
-        Some(Err(e)) => {
-            findings.push(finding(
-                Pass::Drift,
-                "BENCH_native.json",
-                0,
-                format!("unreadable runtime site inventory: {e}"),
-            ));
-            None
-        }
-        Some(Ok(b)) => Some(b),
-    };
-    if let Some(bench_sites) = &bench_sites {
-        for name in &bench_sites.truncated {
-            findings.push(finding(
-                Pass::Drift,
-                "BENCH_native.json",
-                0,
-                format!(
-                    "runtime site registry overflowed SITE_CAP for `{name}` — inventory truncated, drift audit cannot certify coverage"
-                ),
-            ));
-        }
-        for name in &bench_sites.missing_sites {
-            findings.push(finding(
-                Pass::Drift,
-                "BENCH_native.json",
-                0,
-                format!(
-                    "algorithm `{name}` entry predates the per-site export — regenerate BENCH_native.json"
-                ),
-            ));
-        }
-        for loc in &bench_sites.locations {
-            if !loc.starts_with(NATIVE_PREFIX) {
-                continue;
-            }
-            if !site_keys.contains(loc) {
-                let (file, line) = loc
-                    .rsplit_once(':')
-                    .map(|(f, l)| (f.to_string(), l.parse().unwrap_or(0)))
-                    .unwrap_or((loc.clone(), 0));
-                findings.push(finding(
-                    Pass::Drift,
-                    &file,
-                    line,
-                    "runtime registry recorded an atomic site here, but the source inventory has none — stale BENCH_native.json or an unaudited site",
-                ));
-            }
-        }
-        for entry in &entries {
-            match &entry.bench {
-                Some(loc) if !bench_sites.locations.contains(loc) => {
-                    findings.push(finding(
-                        Pass::Drift,
-                        &entry.file,
-                        entry.line,
-                        "manifest expects runtime traffic at this site but BENCH_native.json no longer records it — site deleted from the registry, or stale artifacts",
-                    ));
-                }
-                None if bench_sites.locations.contains(&entry.key()) => {
-                    findings.push(finding(
-                        Pass::Drift,
-                        &entry.file,
-                        entry.line,
-                        "runtime registry now records this site but the manifest says it is benchmark-cold — regenerate the manifest",
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-
-    // 4b. Analyzer IR: the receiver each manifest entry claims to model
-    // must exist among that algorithm's IR variables.
     for entry in &entries {
         let Some(ir) = &entry.ir else { continue };
         let short = entry.file.trim_start_matches(NATIVE_PREFIX);
@@ -1854,7 +1535,6 @@ pub fn drift_pass(
             ));
         }
     }
-
     findings
 }
 
@@ -1951,7 +1631,7 @@ pub fn obligation_pass(manifest: Option<&str>, cfg: &Config) -> Vec<Finding> {
         let Some(ir) = &entry.ir else { continue };
         let short = entry.file.trim_start_matches(NATIVE_PREFIX);
         let Some((_, algo, _)) = IR_MAP.iter().find(|(f, _, _)| *f == short) else {
-            continue; // drift pass 4b reports ir-on-unmapped-file
+            continue; // the drift pass reports ir-on-unmapped-file
         };
         if !derived.contains_key(short) {
             let obls = match derive_obligations(*algo, cfg) {
@@ -2014,19 +1694,16 @@ pub struct Inputs {
     pub manifest: Option<String>,
     /// `docs/MEMORY_ORDERING.md` text.
     pub doc: Option<String>,
-    /// `BENCH_native.json` text.
-    pub bench: Option<String>,
 }
 
 impl Inputs {
-    /// Reads the three artifacts from a repo root (missing files become
+    /// Reads the two artifacts from a repo root (missing files become
     /// `None`, which the passes report as findings).
     pub fn load(root: &Path) -> Inputs {
         let read = |p: &str| fs::read_to_string(root.join(p)).ok();
         Inputs {
             manifest: read("docs/ordering_sites.json"),
             doc: read("docs/MEMORY_ORDERING.md"),
-            bench: read("BENCH_native.json"),
         }
     }
 }
@@ -2034,8 +1711,6 @@ impl Inputs {
 /// A full audit run: all five passes plus scan statistics.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// The ordering flavour audited.
-    pub build: Build,
     /// Files scanned.
     pub files: usize,
     /// Atomic sites in the inventory.
@@ -2057,20 +1732,14 @@ impl Report {
 }
 
 /// Runs every pass over a loaded workspace.
-pub fn audit(ws: &Workspace, inputs: &Inputs, build: Build, cfg: &Config) -> Report {
-    let mut findings = ordering_pass(ws, inputs.manifest.as_deref(), inputs.doc.as_deref(), build);
+pub fn audit(ws: &Workspace, inputs: &Inputs, cfg: &Config) -> Report {
+    let mut findings = ordering_pass(ws, inputs.manifest.as_deref(), inputs.doc.as_deref());
     findings.extend(facade_pass(ws));
     findings.extend(spin_pass(ws));
-    findings.extend(drift_pass(
-        ws,
-        inputs.manifest.as_deref(),
-        inputs.bench.as_deref(),
-        cfg,
-    ));
+    findings.extend(drift_pass(inputs.manifest.as_deref(), cfg));
     findings.extend(obligation_pass(inputs.manifest.as_deref(), cfg));
     findings.sort_by(|a, b| (a.pass, &a.file, a.line).cmp(&(b.pass, &b.file, b.line)));
     Report {
-        build,
         files: ws.files.len(),
         sites: extract_sites(ws).len(),
         findings,
@@ -2080,15 +1749,12 @@ pub fn audit(ws: &Workspace, inputs: &Inputs, build: Build, cfg: &Config) -> Rep
 /// Human-readable report.
 pub fn render_text(report: &Report) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "kex-lint: source conformance audit (build: {})\n\n",
-        report.build.name()
-    ));
+    out.push_str("kex-lint: source conformance audit\n\n");
     out.push_str(&format!("  files scanned  {:>4}\n", report.files));
     out.push_str(&format!("  atomic sites   {:>4}\n", report.sites));
     out.push_str(&format!("  findings       {:>4}\n", report.findings.len()));
     if report.clean() {
-        out.push_str("\nclean: sources, manifest, audit table, runtime registry and IR agree\n");
+        out.push_str("\nclean: sources, manifest, audit table and IR agree\n");
     } else {
         out.push('\n');
         for f in &report.findings {
@@ -2124,7 +1790,6 @@ pub fn render_json(report: &Report) -> String {
     .collect();
     Json::obj(vec![
         ("schema", FINDINGS_SCHEMA.into()),
-        ("build", report.build.name().into()),
         ("files_scanned", report.files.into()),
         ("atomic_sites", report.sites.into()),
         ("clean", report.clean().into()),

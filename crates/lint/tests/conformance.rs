@@ -3,9 +3,9 @@
 //! Two halves:
 //!
 //! * **clean baseline** — the real workspace, with its committed
-//!   manifest, audit table and benchmark artifacts, produces zero
-//!   findings in both ordering flavours, and the committed manifest is
-//!   byte-identical to what `--write-manifest` would regenerate.
+//!   manifest and audit table, produces zero findings, and the
+//!   committed manifest is byte-identical to what `--write-manifest`
+//!   would regenerate.
 //! * **mutation matrix** — for each lint pass, a surgical mutation of a
 //!   source file or companion artifact must produce a finding naming
 //!   the exact file and line. This proves every pass actually fires;
@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use kex_analyze::Config;
 use kex_lint::{
     audit, drift_pass, facade_pass, generate_manifest, obligation_pass, ordering_pass,
-    parse_manifest, spin_pass, Build, Finding, Inputs, Pass, Workspace, MANIFEST_SCHEMA,
+    parse_manifest, spin_pass, Finding, Inputs, Pass, Workspace, MANIFEST_SCHEMA,
 };
 use kex_obs::json::{self, Json};
 
@@ -70,36 +70,33 @@ fn assert_finding(findings: &[Finding], pass: Pass, file: &str, line: usize, msg
 // ---------------------------------------------------------------------------
 
 #[test]
-fn repo_is_clean_in_both_builds() {
+fn repo_is_clean() {
     let (ws, inputs) = setup();
-    for build in [Build::Default, Build::SeqCst] {
-        let report = audit(&ws, &inputs, build, &Config::default());
-        assert!(
-            report.clean(),
-            "expected a clean {} audit; got:\n{}",
-            build.name(),
-            report
-                .findings
-                .iter()
-                .map(|f| format!("  {f}"))
-                .collect::<Vec<_>>()
-                .join("\n"),
-        );
-        assert!(
-            report.sites >= 60,
-            "site inventory collapsed: {}",
-            report.sites
-        );
-    }
+    let report = audit(&ws, &inputs, &Config::default());
+    assert!(
+        report.clean(),
+        "expected a clean audit; got:\n{}",
+        report
+            .findings
+            .iter()
+            .map(|f| format!("  {f}"))
+            .collect::<Vec<_>>()
+            .join("\n"),
+    );
+    assert!(
+        report.sites >= 60,
+        "site inventory collapsed: {}",
+        report.sites
+    );
 }
 
 #[test]
 fn committed_manifest_is_fresh() {
     let (ws, inputs) = setup();
-    let regenerated = generate_manifest(&ws, inputs.bench.as_deref()).expect("generate");
+    let regenerated = generate_manifest(&ws).expect("generate");
     assert!(
         regenerated.contains(&format!("\"schema\": \"{MANIFEST_SCHEMA}\"")),
-        "regenerated manifest must carry the v2 schema"
+        "regenerated manifest must carry the current schema"
     );
     assert_eq!(
         inputs.manifest.as_deref(),
@@ -122,12 +119,7 @@ fn flipped_site_constant_is_caught() {
         "self.q.load(ord::SEQ_CST) == p",
     );
     let line = line_of(&mutated, FIG2, "self.q.load(ord::SEQ_CST)");
-    let findings = ordering_pass(
-        &mutated,
-        inputs.manifest.as_deref(),
-        inputs.doc.as_deref(),
-        Build::Default,
-    );
+    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
     assert_finding(&findings, Pass::Ordering, FIG2, line, "manifest drift");
     assert_finding(&findings, Pass::Ordering, FIG2, line, "audit table");
 }
@@ -140,12 +132,7 @@ fn flipped_constant_definition_is_caught_at_every_site() {
         "pub(crate) const ACQUIRE: Ordering = Ordering::Acquire;",
         "pub(crate) const ACQUIRE: Ordering = Ordering::Relaxed;",
     );
-    let findings = ordering_pass(
-        &mutated,
-        inputs.manifest.as_deref(),
-        inputs.doc.as_deref(),
-        Build::Default,
-    );
+    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
     let line = line_of(&ws, FIG2, "self.q.load(ord::ACQUIRE)");
     assert_finding(
         &findings,
@@ -170,66 +157,13 @@ fn literal_ordering_in_native_code_is_caught() {
         "self.q.load(Ordering::Acquire)",
     );
     let line = line_of(&mutated, FIG2, "Ordering::Acquire)");
-    let findings = ordering_pass(
-        &mutated,
-        inputs.manifest.as_deref(),
-        inputs.doc.as_deref(),
-        Build::Default,
-    );
+    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
     assert_finding(
         &findings,
         Pass::Ordering,
         FIG2,
         line,
         "literal `Ordering::*`",
-    );
-}
-
-#[test]
-fn broken_seqcst_collapse_is_caught() {
-    let (ws, inputs) = setup();
-    let mutated = ws.replace_in_file(
-        ORDERING,
-        "const RELEASE: Ordering = Ordering::SeqCst;",
-        "const RELEASE: Ordering = Ordering::Release;",
-    );
-    // Last match: the default branch declares `Ordering::Release` too;
-    // the mutated seqcst branch is the later declaration.
-    let line = mutated
-        .get(ORDERING)
-        .unwrap()
-        .text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| l.contains("const RELEASE: Ordering = Ordering::Release;"))
-        .map(|(i, _)| i + 1)
-        .last()
-        .unwrap();
-    let findings = ordering_pass(
-        &mutated,
-        inputs.manifest.as_deref(),
-        inputs.doc.as_deref(),
-        Build::Default,
-    );
-    assert_finding(
-        &findings,
-        Pass::Ordering,
-        ORDERING,
-        line,
-        "does not collapse to SeqCst",
-    );
-    // Under the seqcst flavour the same break also fires per-site.
-    let seqcst = ordering_pass(
-        &mutated,
-        inputs.manifest.as_deref(),
-        inputs.doc.as_deref(),
-        Build::SeqCst,
-    );
-    assert!(
-        seqcst
-            .iter()
-            .any(|f| f.message.contains("not SeqCst") && f.file != ORDERING),
-        "expected per-site seqcst findings: {seqcst:?}"
     );
 }
 
@@ -246,7 +180,7 @@ fn audit_table_drift_is_caught() {
             1,
         );
     let line = line_of(&ws, FIG2, "self.x.load(ord::SEQ_CST)");
-    let findings = ordering_pass(&ws, inputs.manifest.as_deref(), Some(&doc), Build::Default);
+    let findings = ordering_pass(&ws, inputs.manifest.as_deref(), Some(&doc));
     assert_finding(&findings, Pass::Ordering, FIG2, line, "audit table");
 }
 
@@ -257,12 +191,7 @@ fn deleted_source_site_leaves_stale_manifest_row() {
     // release sites vanish from the source but stay in the manifest.
     let mutated = ws.replace_in_file(FIG2, "self.x.fetch_add(1, ord::SEQ_CST);", "");
     let line = line_of(&ws, FIG2, "self.x.fetch_add(1, ord::SEQ_CST);");
-    let findings = ordering_pass(
-        &mutated,
-        inputs.manifest.as_deref(),
-        inputs.doc.as_deref(),
-        Build::Default,
-    );
+    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
     assert_finding(
         &findings,
         Pass::Ordering,
@@ -282,12 +211,7 @@ fn literal_ordering_in_waitfree_code_is_caught() {
         "fetch_add(delta, Ordering::SeqCst)",
     );
     let line = line_of(&mutated, counter, "Ordering::SeqCst)");
-    let findings = ordering_pass(
-        &mutated,
-        inputs.manifest.as_deref(),
-        inputs.doc.as_deref(),
-        Build::Default,
-    );
+    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
     assert_finding(
         &findings,
         Pass::Ordering,
@@ -307,12 +231,7 @@ fn literal_ordering_in_store_code_is_caught() {
         "self.len.fetch_add(1, Ordering::SeqCst)",
     );
     let line = line_of(&mutated, object, "Ordering::SeqCst)");
-    let findings = ordering_pass(
-        &mutated,
-        inputs.manifest.as_deref(),
-        inputs.doc.as_deref(),
-        Build::Default,
-    );
+    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
     assert_finding(
         &findings,
         Pass::Ordering,
@@ -551,123 +470,9 @@ fn raw_spin_loop_is_caught() {
 // Cross-layer drift mutations
 // ---------------------------------------------------------------------------
 
-/// Drops every runtime-registry record for `loc` from a
-/// `BENCH_native.json` document.
-fn bench_without(text: &str, loc: &str) -> String {
-    fn walk(j: &mut Json, loc: &str) {
-        match j {
-            Json::Arr(items) => {
-                items.retain(|it| {
-                    it.get("location")
-                        .and_then(Json::as_str)
-                        .is_none_or(|l| !l.ends_with(loc))
-                });
-                for it in items {
-                    walk(it, loc);
-                }
-            }
-            Json::Obj(pairs) => {
-                for (_, v) in pairs {
-                    walk(v, loc);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut doc = json::parse(text).expect("parse BENCH_native.json");
-    walk(&mut doc, loc);
-    doc.to_string_pretty()
-}
-
-#[test]
-fn deleted_runtime_site_registration_is_caught() {
-    let (ws, inputs) = setup();
-    let line = line_of(&ws, FIG2, "self.x.fetch_sub(1, ord::SEQ_CST)");
-    let loc = format!("{FIG2}:{line}");
-    let bench = bench_without(inputs.bench.as_deref().expect("BENCH_native.json"), &loc);
-    let findings = drift_pass(
-        &ws,
-        inputs.manifest.as_deref(),
-        Some(&bench),
-        &Config::default(),
-    );
-    assert_finding(
-        &findings,
-        Pass::Drift,
-        FIG2,
-        line,
-        "BENCH_native.json no longer records it",
-    );
-}
-
-#[test]
-fn truncated_runtime_registry_is_reported_not_silently_clean() {
-    let (ws, inputs) = setup();
-    let mut doc = json::parse(inputs.bench.as_deref().unwrap()).unwrap();
-    fn set_first_truncation(j: &mut Json) -> bool {
-        match j {
-            Json::Obj(pairs) => {
-                for (k, v) in pairs.iter_mut() {
-                    if k == "sites_truncated" {
-                        *v = Json::Bool(true);
-                        return true;
-                    }
-                    if set_first_truncation(v) {
-                        return true;
-                    }
-                }
-                false
-            }
-            Json::Arr(items) => items.iter_mut().any(set_first_truncation),
-            _ => false,
-        }
-    }
-    assert!(
-        set_first_truncation(&mut doc),
-        "no sites_truncated field to mutate"
-    );
-    let findings = drift_pass(
-        &ws,
-        inputs.manifest.as_deref(),
-        Some(&doc.to_string_pretty()),
-        &Config::default(),
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.pass == Pass::Drift && f.message.contains("truncated")),
-        "SITE_CAP overflow must surface as a finding: {findings:?}"
-    );
-}
-
-#[test]
-fn unknown_runtime_site_is_caught() {
-    let (ws, inputs) = setup();
-    // Inject a fabricated registry record pointing at a line with no
-    // audited source site.
-    let bench = inputs.bench.as_deref().unwrap().replacen(
-        "\"location\": \"crates/core/src/native/fig2.rs:40\"",
-        "\"location\": \"crates/core/src/native/fig2.rs:41\"",
-        1,
-    );
-    let findings = drift_pass(
-        &ws,
-        inputs.manifest.as_deref(),
-        Some(&bench),
-        &Config::default(),
-    );
-    assert_finding(
-        &findings,
-        Pass::Drift,
-        FIG2,
-        41,
-        "the source inventory has none",
-    );
-}
-
 #[test]
 fn ir_variable_drift_is_caught() {
-    let (ws, inputs) = setup();
+    let (_, inputs) = setup();
     let manifest = inputs.manifest.as_deref().unwrap();
     let mut doc = json::parse(manifest).unwrap();
     let sites = match doc.get("sites") {
@@ -700,12 +505,7 @@ fn ir_variable_drift_is_caught() {
             site.get("line").and_then(Json::as_u64).unwrap() as usize,
         )
     };
-    let findings = drift_pass(
-        &ws,
-        Some(&doc.to_string_pretty()),
-        inputs.bench.as_deref(),
-        &Config::default(),
-    );
+    let findings = drift_pass(Some(&doc.to_string_pretty()), &Config::default());
     assert_finding(
         &findings,
         Pass::Drift,

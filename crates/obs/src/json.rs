@@ -6,8 +6,8 @@
 //! the [`Json::obj`]/[`Json::arr`] helpers, rendering via `Display`
 //! (compact) or [`Json::to_string_pretty`], [`write_pretty`] for
 //! writing a file, and [`parse`]/[`read_file`] plus the
-//! [`Json::get`]-family accessors so benchmark binaries can reload a
-//! previously written document (e.g. `contend --baseline`). Numbers keep
+//! [`Json::get`]-family accessors so tools can reload a previously
+//! written document (e.g. `kex-lint` reading the site manifest). Numbers keep
 //! their integer-ness: `u64`/`i64` render without a decimal point, `f64`
 //! renders via Rust's shortest-round-trip formatting (NaN and infinities
 //! degrade to `null`, which JSON requires).

@@ -30,8 +30,8 @@
 //!   scenarios.
 //! * [`snapshot()`] / [`reset()`] — a consistent-enough copy of every
 //!   counter, renderable to JSON ([`Snapshot::to_json`]) with the
-//!   dependency-free writer in [`json`]. `kex-bench` uses this to emit
-//!   `BENCH_native.json`.
+//!   dependency-free writer in [`json`]. `kex-bench`'s `native_obs`
+//!   reduces it to its per-algorithm document.
 //!
 //! ## This crate is a *backend*, not a public dependency
 //!

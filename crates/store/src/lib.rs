@@ -39,9 +39,9 @@
 //! `k_s - 1` crashed holders independently, so the store as a whole
 //! serves every key whose shard has a live slot — a crash budget of
 //! `Σ (k_s - 1)` placed adversarially, in the spirit of the t-resilient
-//! composition line in PAPERS.md. The `store` binary in `kex-bench`
-//! measures throughput/latency across shard × thread grids and the
-//! crash-mix regime (EXPERIMENTS.md E13); `docs/STORE.md` has the
+//! composition line in PAPERS.md. `benchmark/run.sh` measures the store
+//! end to end, crash-degraded regime included (`benchmark/README.md`);
+//! `tests/crash_mix.rs` checks that regime; `docs/STORE.md` has the
 //! architecture tour.
 //!
 //! [`Resilient::try_with`]: kex_core::native::Resilient::try_with

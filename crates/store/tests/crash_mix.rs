@@ -1,0 +1,118 @@
+//! The paper's resilience regime end to end: with `k - 1` holders
+//! crashed inside the critical section of *every* shard, the blocking
+//! surface must still complete every operation through the one live
+//! slot per shard, and once a shard's last slot dies too its
+//! non-blocking surface must shed while the other shards keep serving.
+
+use std::sync::Barrier;
+
+use kex_store::{KvStore, StoreConfig, StoreRead, StoreWrite};
+
+const SHARDS: usize = 4;
+const N: usize = 16;
+const K: usize = 4;
+const WORKERS: usize = 4;
+const OPS_PER_WORKER: u64 = 4_000;
+const KEYS: u64 = 256;
+
+/// Self-verifying value: the key's low half rides along with the
+/// writer's nonce, so a reader can tell a value that belongs to another
+/// key (or a torn pair) from a legitimate one.
+fn encode(key: u64, nonce: u64) -> u64 {
+    (key & 0xFFFF) << 16 | (nonce & 0xFFFF)
+}
+
+fn belongs_to(key: u64, value: u64) -> bool {
+    value >> 16 == key & 0xFFFF
+}
+
+fn key_on(store: &KvStore, shard: usize) -> u64 {
+    (0..KEYS)
+        .find(|&key| store.shard_of(key) == shard)
+        .expect("every shard owns one of the keys")
+}
+
+#[test]
+fn k_minus_1_dead_per_shard_stays_available_and_a_dead_shard_sheds() {
+    let store = KvStore::new(StoreConfig::new(SHARDS, N, K));
+
+    // Pids above the workers' die mid-put, k - 1 in every shard.
+    let mut pid = WORKERS;
+    for shard in 0..SHARDS {
+        let key = key_on(&store, shard);
+        for _ in 0..K - 1 {
+            store.crash_in_cs(pid, key, encode(key, 0xDEAD));
+            pid += 1;
+        }
+    }
+    assert_eq!(pid, N, "the crash plan uses every non-worker pid");
+    for (shard, s) in store.stats().iter().enumerate() {
+        assert_eq!(s.in_flight_lanes, K - 1, "shard {shard} attribution");
+        assert_eq!(s.occupancy, K - 1, "shard {shard} occupancy");
+    }
+
+    // Availability: every blocking op completes. Worker `t` writes only
+    // keys congruent to `t`, so its last write per key is what must read
+    // back; reads range over every key and check the value's key half.
+    let start = Barrier::new(WORKERS);
+    let last_written: Vec<Vec<Option<u64>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..WORKERS)
+            .map(|t| {
+                let (store, start) = (&store, &start);
+                s.spawn(move || {
+                    let mut last = vec![None; KEYS as usize];
+                    start.wait();
+                    for i in 0..OPS_PER_WORKER {
+                        if i % 2 == 0 {
+                            let key = i * 7 % (KEYS / WORKERS as u64) * WORKERS as u64 + t as u64;
+                            let value = encode(key, i);
+                            store.put(t, key, value).expect("the table has room");
+                            last[key as usize] = Some(value);
+                        } else {
+                            let key = (i * 13 + t as u64) % KEYS;
+                            if let Some(value) = store.get(t, key) {
+                                assert!(
+                                    belongs_to(key, value),
+                                    "get({key}) returned {value:#x}, another key's value"
+                                );
+                            }
+                        }
+                    }
+                    last
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker completed"))
+            .collect()
+    });
+    for (t, last) in last_written.iter().enumerate() {
+        assert!(last.iter().any(Option::is_some), "worker {t} wrote nothing");
+        for (key, value) in last.iter().enumerate() {
+            if value.is_some() {
+                assert_eq!(store.get(0, key as u64), *value, "key {key} read back");
+            }
+        }
+    }
+    for (shard, s) in store.stats().iter().enumerate() {
+        assert_eq!(s.in_flight_lanes, K - 1, "shard {shard} attribution");
+        assert_eq!(s.occupancy, K - 1, "shard {shard} idle occupancy");
+        assert_eq!(
+            s.sheds, 0,
+            "shard {shard}: the blocking surface never sheds"
+        );
+    }
+
+    // Shard 0's last slot dies (worker pid 0 is free again): its
+    // non-blocking surface sheds, shard 1 still serves.
+    let (dead, live) = (key_on(&store, 0), key_on(&store, 1));
+    store.crash_in_cs(0, dead, encode(dead, 0xDEAD));
+    assert_eq!(store.try_get(1, dead), None);
+    assert_eq!(store.try_put(2, dead, encode(dead, 1)), None);
+    assert_eq!(store.try_put(1, live, encode(live, 2)), Some(Ok(())));
+    assert_eq!(store.try_get(2, live), Some(Some(encode(live, 2))));
+    let stats = store.stats();
+    assert_eq!(stats[0].sheds, 2);
+    assert_eq!(stats[1].sheds, 0);
+}

@@ -8,9 +8,7 @@
 //!   the RMR story the native benchmarks tell).
 //! * [`Backoff`] — bounded exponential spin/yield backoff for busy-wait
 //!   loops, routed through the [`sync::hint`] shim so the same loops are
-//!   explorable under the loom model checker; thresholds are tunable via
-//!   [`BackoffCfg`] / [`set_global_backoff`] (profiled by the
-//!   `kex-bench contend --backoff` sweep).
+//!   explorable under the loom model checker.
 //! * [`sync`] — the backend-swappable synchronization facade:
 //!   non-poisoning [`sync::Mutex`] / [`sync::Condvar`],
 //!   [`sync::atomic`], [`sync::hint`], and [`sync::thread`];
@@ -71,106 +69,29 @@ impl<T> From<T> for CachePadded<T> {
     }
 }
 
-/// Tunable [`Backoff`] thresholds: spin `2^step` hints per snooze while
-/// `step <= spin_limit`, yield to the OS past that, and stop growing the
-/// step at `yield_limit`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffCfg {
-    /// Last step of the busy-spin phase (`2^spin_limit` hints).
-    pub spin_limit: u32,
-    /// Step at which backoff growth stops (the steady yield phase).
-    pub yield_limit: u32,
-}
-
-impl BackoffCfg {
-    /// Contention-profiled defaults, chosen by the `contend --backoff`
-    /// sweep (see `EXPERIMENTS.md` E12 and `BENCH_contend.json`'s
-    /// `backoff_sweep` section). On an oversubscribed host every extra
-    /// spin doubling is time the descheduled lock holder cannot use:
-    /// the sweep shows throughput decaying roughly an order of magnitude
-    /// between `spin_limit <= 2` and `spin_limit >= 8` on the contended
-    /// paths (fig2/fast_path/mcs at T=8). The short spin phase is kept
-    /// (rather than `{0, 4}`) so a holder that *is* running on another
-    /// core can still be caught without paying a `yield` syscall.
-    pub const DEFAULT: BackoffCfg = BackoffCfg {
-        spin_limit: 2,
-        yield_limit: 6,
-    };
-
-    /// Clamp to sane shift ranges (`spin_limit <= yield_limit <= 16`).
-    fn clamped(self) -> Self {
-        let spin_limit = self.spin_limit.min(16);
-        BackoffCfg {
-            spin_limit,
-            yield_limit: self.yield_limit.clamp(spin_limit, 16),
-        }
-    }
-}
-
-impl Default for BackoffCfg {
-    fn default() -> Self {
-        BackoffCfg::DEFAULT
-    }
-}
-
-// The process-wide configuration consulted by `Backoff::new`. Plain std
-// atomics on purpose: this is tuning metadata written before the threads
-// under test start, not protocol state — routing it through the facade
-// would only add schedule points for loom to explore. The loom build
-// compiles it out entirely and always uses `BackoffCfg::DEFAULT`.
-#[cfg(not(loom))]
-static GLOBAL_SPIN_LIMIT: std::sync::atomic::AtomicU32 =
-    std::sync::atomic::AtomicU32::new(BackoffCfg::DEFAULT.spin_limit);
-#[cfg(not(loom))]
-static GLOBAL_YIELD_LIMIT: std::sync::atomic::AtomicU32 =
-    std::sync::atomic::AtomicU32::new(BackoffCfg::DEFAULT.yield_limit);
-
-/// Set the process-wide [`BackoffCfg`] picked up by every subsequent
-/// [`Backoff::new`]. Out-of-range values are clamped. Intended for
-/// benchmark harnesses (`kex-bench contend --backoff` sweeps it);
-/// calling it mid-protocol is harmless but only affects new `Backoff`s.
-#[cfg(not(loom))]
-pub fn set_global_backoff(cfg: BackoffCfg) {
-    let cfg = cfg.clamped();
-    GLOBAL_SPIN_LIMIT.store(cfg.spin_limit, std::sync::atomic::Ordering::Relaxed);
-    GLOBAL_YIELD_LIMIT.store(cfg.yield_limit, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide [`BackoffCfg`].
-#[cfg(not(loom))]
-pub fn global_backoff() -> BackoffCfg {
-    BackoffCfg {
-        spin_limit: GLOBAL_SPIN_LIMIT.load(std::sync::atomic::Ordering::Relaxed),
-        yield_limit: GLOBAL_YIELD_LIMIT.load(std::sync::atomic::Ordering::Relaxed),
-    }
-}
+/// Last step of [`Backoff`]'s busy-spin phase (`2^SPIN_LIMIT` hints);
+/// past it a snooze yields to the OS.
+///
+/// `{2, 6}` was picked by a threshold sweep on a 1-CPU host (historical:
+/// `EXPERIMENTS.md` E12), where every extra spin doubling is time a
+/// descheduled holder cannot use; the short spin phase is kept so a
+/// holder that *is* running on another core can still be caught without
+/// paying a `yield` syscall.
+const SPIN_LIMIT: u32 = 2;
+/// Step at which backoff growth stops (the steady yield phase).
+const YIELD_LIMIT: u32 = 6;
 
 /// Exponential backoff for spin loops: spin for a while, then start
 /// yielding the thread to the OS scheduler.
 #[derive(Debug)]
 pub struct Backoff {
     step: Cell<u32>,
-    cfg: BackoffCfg,
 }
 
 impl Backoff {
-    /// A fresh backoff in the spinning phase, using the process-wide
-    /// [`BackoffCfg`] (always [`BackoffCfg::DEFAULT`] under `cfg(loom)`,
-    /// where thresholds are invisible to the model anyway).
+    /// A fresh backoff in the spinning phase.
     pub fn new() -> Self {
-        #[cfg(not(loom))]
-        let cfg = global_backoff();
-        #[cfg(loom)]
-        let cfg = BackoffCfg::DEFAULT;
-        Backoff::with_cfg(cfg)
-    }
-
-    /// A fresh backoff with explicit thresholds (clamped to sane ranges).
-    pub fn with_cfg(cfg: BackoffCfg) -> Self {
-        Backoff {
-            step: Cell::new(0),
-            cfg: cfg.clamped(),
-        }
+        Backoff { step: Cell::new(0) }
     }
 
     /// Resets to the spinning phase.
@@ -188,7 +109,7 @@ impl Backoff {
     /// spin-pruning reduction wants.
     pub fn snooze(&self) {
         let step = self.step.get();
-        if step <= self.cfg.spin_limit {
+        if step <= SPIN_LIMIT {
             #[cfg(not(loom))]
             for _ in 0..1u32 << step {
                 crate::sync::hint::spin_loop();
@@ -198,7 +119,7 @@ impl Backoff {
         } else {
             crate::sync::thread::yield_now();
         }
-        if step <= self.cfg.yield_limit {
+        if step <= YIELD_LIMIT {
             self.step.set(step + 1);
         }
     }
@@ -206,14 +127,14 @@ impl Backoff {
     /// Backs off without ever yielding (pure spinning); for loops where
     /// the wait is known to be short.
     pub fn spin(&self) {
-        let step = self.step.get().min(self.cfg.spin_limit);
+        let step = self.step.get().min(SPIN_LIMIT);
         #[cfg(not(loom))]
         for _ in 0..1u32 << step {
             crate::sync::hint::spin_loop();
         }
         #[cfg(loom)]
         crate::sync::hint::spin_loop();
-        if step <= self.cfg.spin_limit {
+        if step <= SPIN_LIMIT {
             self.step.set(step + 1);
         }
     }
@@ -247,50 +168,14 @@ mod tests {
         for _ in 0..20 {
             b.snooze();
         }
-        assert_eq!(b.step.get(), BackoffCfg::DEFAULT.yield_limit + 1);
+        assert_eq!(
+            b.step.get(),
+            YIELD_LIMIT + 1,
+            "growth stops past YIELD_LIMIT"
+        );
         b.reset();
         assert_eq!(b.step.get(), 0);
         b.spin();
         assert_eq!(b.step.get(), 1);
-    }
-
-    #[test]
-    fn backoff_cfg_clamps_and_applies() {
-        let b = Backoff::with_cfg(BackoffCfg {
-            spin_limit: 2,
-            yield_limit: 3,
-        });
-        for _ in 0..10 {
-            b.snooze();
-        }
-        assert_eq!(b.step.get(), 4, "growth stops at yield_limit + 1");
-
-        let wild = BackoffCfg {
-            spin_limit: 99,
-            yield_limit: 0,
-        }
-        .clamped();
-        assert_eq!(wild.spin_limit, 16);
-        assert!(wild.yield_limit >= wild.spin_limit);
-    }
-
-    #[test]
-    fn global_backoff_roundtrip() {
-        // Note: process-global; keep the default restored for other tests.
-        let before = global_backoff();
-        set_global_backoff(BackoffCfg {
-            spin_limit: 1,
-            yield_limit: 4,
-        });
-        assert_eq!(
-            global_backoff(),
-            BackoffCfg {
-                spin_limit: 1,
-                yield_limit: 4
-            }
-        );
-        let b = Backoff::new();
-        assert_eq!(b.cfg.spin_limit, 1);
-        set_global_backoff(before);
     }
 }

@@ -5,8 +5,8 @@
 //! section, with estimated remote-memory references under both of the
 //! paper's machine models — then prints the per-section totals, checks
 //! the measured CC estimate against Theorem 3's closed form, and dumps
-//! the full JSON snapshot (the same shape `kex-bench --bin native_obs`
-//! writes to `BENCH_native.json`).
+//! the full JSON snapshot (the raw form of what `kex-bench --bin
+//! native_obs` reduces per algorithm).
 //!
 //! Run: `cargo run --release --features obs --example observability`
 
