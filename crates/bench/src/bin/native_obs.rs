@@ -90,12 +90,12 @@ fn kex_case<K: RawKex + 'static>(
     }
 }
 
-fn assignment_case(
+fn assignment_case<K: RawKex + 'static>(
     name: &'static str,
     target_model: &'static str,
     theorem: &'static str,
     bound: Option<u64>,
-    assign: KAssignment,
+    assign: KAssignment<K>,
 ) -> Case {
     let assign = Arc::new(assign);
     Case {
@@ -180,7 +180,7 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
             "dsm",
             "Thm 10",
             Some(thm7 + ku + 1),
-            KAssignment::new_dsm(n, k),
+            KAssignment::over(FastPathKex::new_dsm(n, k)),
         ),
         // Reference points, no paper bound: the k = 1 spin locks...
         kex_case("mcs", "cc", "[12]", None, McsLock::new(n)),

@@ -19,12 +19,12 @@ use super::renaming::TasRenaming;
 /// let guard = pool.enter(3);
 /// assert!(guard.name() < 4); // unique among current holders
 /// ```
-pub struct KAssignment {
-    kex: Box<dyn RawKex>,
+pub struct KAssignment<K: RawKex = FastPathKex> {
+    kex: K,
     names: TasRenaming,
 }
 
-impl std::fmt::Debug for KAssignment {
+impl<K: RawKex> std::fmt::Debug for KAssignment<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KAssignment")
             .field("n", &self.kex.n())
@@ -37,17 +37,14 @@ impl KAssignment {
     /// k-assignment over the Theorem-3 cache-coherent fast-path
     /// k-exclusion (Theorem 9).
     pub fn new(n: usize, k: usize) -> Self {
-        Self::over(Box::new(FastPathKex::new(n, k)))
+        Self::over(FastPathKex::new(n, k))
     }
+}
 
-    /// k-assignment over the Theorem-7 DSM fast-path k-exclusion
-    /// (Theorem 10).
-    pub fn new_dsm(n: usize, k: usize) -> Self {
-        Self::over(Box::new(FastPathKex::new_dsm(n, k)))
-    }
-
-    /// k-assignment over any `(N, k)`-exclusion algorithm.
-    pub fn over(kex: Box<dyn RawKex>) -> Self {
+impl<K: RawKex> KAssignment<K> {
+    /// k-assignment over any `(N, k)`-exclusion algorithm — e.g.
+    /// `KAssignment::over(FastPathKex::new_dsm(n, k))` for Theorem 10.
+    pub fn over(kex: K) -> Self {
         let k = kex.k();
         KAssignment {
             kex,
@@ -67,7 +64,7 @@ impl KAssignment {
 
     /// Enter: acquires a k-exclusion slot, then a unique name. The guard
     /// releases both (name first, as in Figure 7) on drop.
-    pub fn enter(&self, p: usize) -> NameGuard<'_> {
+    pub fn enter(&self, p: usize) -> NameGuard<'_, K> {
         // One Entry span covering both the k-exclusion acquisition and the
         // renaming loop: the inner kex's own span nests transparently, so
         // the Figure-7 test-and-sets are attributed to this entry section.
@@ -87,8 +84,8 @@ impl KAssignment {
 /// Holds one of the `k` slots and its unique name.
 #[must_use = "dropping the guard immediately releases the name and slot"]
 #[derive(Debug)]
-pub struct NameGuard<'a> {
-    owner: &'a KAssignment,
+pub struct NameGuard<'a, K: RawKex = FastPathKex> {
+    owner: &'a KAssignment<K>,
     p: usize,
     name: usize,
     /// Critical-section observability span; closed before the releases so
@@ -96,7 +93,7 @@ pub struct NameGuard<'a> {
     cs: Option<crate::obs::SpanGuard>,
 }
 
-impl NameGuard<'_> {
+impl<K: RawKex> NameGuard<'_, K> {
     /// The unique name in `0..k` held by this guard.
     pub fn name(&self) -> usize {
         self.name
@@ -108,7 +105,7 @@ impl NameGuard<'_> {
     }
 }
 
-impl Drop for NameGuard<'_> {
+impl<K: RawKex> Drop for NameGuard<'_, K> {
     fn drop(&mut self) {
         // Close the Cs span first so the occupancy gauge never counts
         // an exiting process. (`= None`, not `drop(..take())`: the
@@ -170,7 +167,7 @@ mod tests {
 
     #[test]
     fn dsm_variant_behaves_identically() {
-        let assign = KAssignment::new_dsm(6, 2);
+        let assign = KAssignment::over(FastPathKex::new_dsm(6, 2));
         let held = Mutex::new(HashSet::new());
         std::thread::scope(|s| {
             for p in 0..6 {

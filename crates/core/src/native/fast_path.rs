@@ -1,5 +1,5 @@
 //! Native Figure-4 fast path (Theorems 3/7) and the gracefully
-//! degrading nested variant (Theorems 4/8).
+//! degrading nested variant (Theorems 4/8): one node, two slow paths.
 
 use kex_util::sync::atomic::{AtomicIsize, AtomicUsize};
 
@@ -8,8 +8,8 @@ use kex_util::CachePadded;
 use super::fig2::CcChainKex;
 use super::fig6::DsmChainKex;
 use super::ordering as ord;
-use super::raw::RawKex;
-use super::tree::{NativeBlockFactory, TreeKex};
+use super::raw::{Block, RawKex};
+use super::tree::TreeKex;
 
 /// Range-safe `fetch_and_increment(X, -1)` per the paper's footnote 2:
 /// decrements only if positive; returns whether a slot was obtained.
@@ -30,6 +30,16 @@ fn try_grab(x: &AtomicIsize) -> bool {
     .is_ok()
 }
 
+/// Figure 4 as an `(N, k)`-exclusion. The paper applies the node once
+/// over a tree slow path (`NESTED = false`, [`FastPathKex`]) or
+/// recursively over itself (`NESTED = true`, [`GracefulKex`]); use it
+/// through those two names.
+pub struct Fig4Kex<B, const NESTED: bool> {
+    node: Node<B>,
+    n: usize,
+    k: usize,
+}
+
 /// Figure 4 over a tree slow path — Theorems 3 and 7.
 ///
 /// With contention at most `k`, an acquisition costs one fetch-and-add
@@ -46,94 +56,70 @@ fn try_grab(x: &AtomicIsize) -> bool {
 /// // ... protected section, at most 4 threads here ...
 /// kex.release(9);
 /// ```
-pub struct FastPathKex {
-    inner: FastPathInner,
-    n: usize,
-    k: usize,
-}
+pub type FastPathKex<B = CcChainKex> = Fig4Kex<B, false>;
 
-#[allow(clippy::large_enum_variant)] // one long-lived allocation per lock
-enum FastPathInner {
-    /// `n <= 2k`: a single block is the whole algorithm.
-    Single(Box<dyn RawKex>),
+/// The gracefully degrading construction — Theorems 4 and 8: Figure 4
+/// applied recursively, so the cost of an acquisition is proportional to
+/// the contention `c` actually encountered (`O(⌈c/k⌉·k)`), not to the
+/// worst case.
+///
+/// Level `i` offers `k` fast slots; a process that finds them taken
+/// descends to level `i+1`, down to a plain `(2k, k)`-population chain at
+/// the bottom. It then acquires one `(2k, k)` block per visited level on
+/// the way back up.
+pub type GracefulKex<B = CcChainKex> = Fig4Kex<B, true>;
+
+/// The Figure-4 node over `pop` of the processes `0..universe`.
+enum Node<B> {
+    /// `pop <= 2k`: a single block is the whole algorithm.
+    Block(B),
     Split {
         /// Fast-path slot counter, `0..=k`, initially `k`.
         x: CachePadded<AtomicIsize>,
-        /// The `(N, k)` slow path.
-        slow: TreeKex,
+        slow: Slow<B>,
         /// The final `(2k, k)` block.
-        block: Box<dyn RawKex>,
+        block: B,
         /// Per-process "took the slow path" flags (each private to its
         /// owner; atomics only to keep the structure `Sync`).
         slow_flag: Vec<CachePadded<AtomicUsize>>,
     },
 }
 
-impl std::fmt::Debug for FastPathKex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FastPathKex")
-            .field("n", &self.n)
-            .field("k", &self.k)
-            .finish()
-    }
+enum Slow<B> {
+    /// The `(N, k)` tree.
+    Tree(TreeKex<B>),
+    /// Figure 4 again, over the population shrunk by the `k` processes
+    /// this node's fast path absorbs.
+    Nested(Box<Node<B>>),
 }
 
-impl FastPathKex {
-    /// Cache-coherent variant (Figure-2 blocks) — Theorem 3.
-    pub fn new(n: usize, k: usize) -> Self {
-        Self::with_factory(n, k, &|u, m, k| {
-            Box::new(CcChainKex::with_universe(u, m, k))
-        })
-    }
-
-    /// DSM variant (Figure-6 blocks) — Theorem 7.
-    pub fn new_dsm(n: usize, k: usize) -> Self {
-        Self::with_factory(n, k, &|u, m, k| {
-            Box::new(DsmChainKex::with_universe(u, m, k))
-        })
-    }
-
-    /// Fast path over blocks from an arbitrary factory.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= k < n`.
-    pub fn with_factory(n: usize, k: usize, factory: &NativeBlockFactory) -> Self {
-        assert!(k >= 1 && k < n, "FastPathKex requires 1 <= k < n");
-        let inner = if n <= 2 * k {
-            FastPathInner::Single(factory(n, n, k))
-        } else {
-            FastPathInner::Split {
-                x: CachePadded::new(AtomicIsize::new(k as isize)),
-                slow: TreeKex::with_factory(n, k, factory),
-                block: factory(n, 2 * k, k),
-                slow_flag: (0..n)
-                    .map(|owner| {
-                        let flag = CachePadded::new(AtomicUsize::new(0));
-                        kex_util::sync::assign_home(&*flag, owner);
-                        flag
-                    })
-                    .collect(),
-            }
-        };
-        FastPathKex { inner, n, k }
-    }
-}
-
-impl RawKex for FastPathKex {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn k(&self) -> usize {
-        self.k
+impl<B: Block> Node<B> {
+    fn new(universe: usize, pop: usize, k: usize, nested: bool) -> Self {
+        if pop <= 2 * k {
+            return Node::Block(B::with_universe(universe, pop, k));
+        }
+        Node::Split {
+            x: CachePadded::new(AtomicIsize::new(k as isize)),
+            slow: if nested {
+                Slow::Nested(Box::new(Node::new(universe, pop - k, k, true)))
+            } else {
+                Slow::Tree(TreeKex::new(universe, k))
+            },
+            block: B::with_universe(universe, 2 * k, k),
+            slow_flag: (0..universe)
+                .map(|owner| {
+                    let flag = CachePadded::new(AtomicUsize::new(0));
+                    kex_util::sync::assign_home(&*flag, owner);
+                    flag
+                })
+                .collect(),
+        }
     }
 
     fn acquire(&self, p: usize) {
-        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
-        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
-        match &self.inner {
-            FastPathInner::Single(b) => b.acquire(p),
-            FastPathInner::Split {
+        match self {
+            Node::Block(b) => b.acquire(p),
+            Node::Split {
                 x,
                 slow,
                 block,
@@ -145,7 +131,10 @@ impl RawKex for FastPathKex {
                     slow_flag[p].store(0, ord::RELAXED);
                 } else {
                     slow_flag[p].store(1, ord::RELAXED);
-                    slow.acquire(p);
+                    match slow {
+                        Slow::Tree(tree) => tree.acquire(p),
+                        Slow::Nested(node) => node.acquire(p),
+                    }
                 }
                 block.acquire(p);
             }
@@ -153,10 +142,9 @@ impl RawKex for FastPathKex {
     }
 
     fn release(&self, p: usize) {
-        let _obs = crate::obs::span(crate::obs::Section::Exit, p);
-        match &self.inner {
-            FastPathInner::Single(b) => b.release(p),
-            FastPathInner::Split {
+        match self {
+            Node::Block(b) => b.release(p),
+            Node::Split {
                 x,
                 slow,
                 block,
@@ -165,7 +153,10 @@ impl RawKex for FastPathKex {
                 // Statements 6–9 of Figure 4.
                 block.release(p);
                 if slow_flag[p].load(ord::RELAXED) != 0 {
-                    slow.release(p);
+                    match slow {
+                        Slow::Tree(tree) => tree.release(p),
+                        Slow::Nested(node) => node.release(p),
+                    }
                 } else {
                     // Release half pairs with the acquire in `try_grab`,
                     // handing our critical section to the next grabber.
@@ -176,91 +167,73 @@ impl RawKex for FastPathKex {
     }
 }
 
-/// The gracefully degrading construction — Theorems 4 and 8: Figure 4
-/// applied recursively, so the cost of an acquisition is proportional to
-/// the contention `c` actually encountered (`O(⌈c/k⌉·k)`), not to the
-/// worst case.
-///
-/// Level `i` offers `k` fast slots; a process that finds them taken
-/// descends to level `i+1`, down to a plain `(2k, k)`-population chain at
-/// the bottom. It then acquires one `(2k, k)` block per visited level on
-/// the way back up.
-pub struct GracefulKex {
-    levels: Vec<GracefulLevel>,
-    base: Box<dyn RawKex>,
-    /// Per-process descent depth of the current acquisition.
-    depth: Vec<CachePadded<AtomicUsize>>,
-    n: usize,
-    k: usize,
-}
-
-struct GracefulLevel {
-    x: CachePadded<AtomicIsize>,
-    block: Box<dyn RawKex>,
-}
-
-impl std::fmt::Debug for GracefulKex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GracefulKex")
-            .field("n", &self.n)
-            .field("k", &self.k)
-            .field("levels", &self.levels.len())
-            .finish()
+impl FastPathKex<CcChainKex> {
+    /// Cache-coherent variant (Figure-2 blocks) — Theorem 3.
+    pub fn new(n: usize, k: usize) -> Self {
+        Self::over_blocks(n, k)
     }
 }
 
-impl GracefulKex {
+impl FastPathKex<DsmChainKex> {
+    /// DSM variant (Figure-6 blocks) — Theorem 7.
+    pub fn new_dsm(n: usize, k: usize) -> Self {
+        Self::over_blocks(n, k)
+    }
+}
+
+impl GracefulKex<CcChainKex> {
     /// Cache-coherent variant — Theorem 4.
     pub fn new(n: usize, k: usize) -> Self {
-        Self::with_factory(n, k, &|u, m, k| {
-            Box::new(CcChainKex::with_universe(u, m, k))
-        })
+        Self::over_blocks(n, k)
     }
+}
 
+impl GracefulKex<DsmChainKex> {
     /// DSM variant — Theorem 8.
     pub fn new_dsm(n: usize, k: usize) -> Self {
-        Self::with_factory(n, k, &|u, m, k| {
-            Box::new(DsmChainKex::with_universe(u, m, k))
-        })
+        Self::over_blocks(n, k)
     }
+}
 
-    /// Graceful nesting over blocks from an arbitrary factory.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= k < n`.
-    pub fn with_factory(n: usize, k: usize, factory: &NativeBlockFactory) -> Self {
-        assert!(k >= 1 && k < n, "GracefulKex requires 1 <= k < n");
-        let mut levels = Vec::new();
-        let mut pop = n;
-        while pop > 2 * k {
-            levels.push(GracefulLevel {
-                x: CachePadded::new(AtomicIsize::new(k as isize)),
-                block: factory(n, 2 * k, k),
-            });
-            pop -= k;
+impl<B> GracefulKex<B> {
+    /// Number of fast-path levels (the bottom chain is one more hop).
+    pub fn level_count(&self) -> usize {
+        let mut node = &self.node;
+        let mut levels = 0;
+        while let Node::Split {
+            slow: Slow::Nested(inner),
+            ..
+        } = node
+        {
+            node = inner;
+            levels += 1;
         }
-        GracefulKex {
-            levels,
-            base: factory(n, pop, k),
-            depth: (0..n)
-                .map(|owner| {
-                    let slot = CachePadded::new(AtomicUsize::new(0));
-                    kex_util::sync::assign_home(&*slot, owner);
-                    slot
-                })
-                .collect(),
+        levels
+    }
+}
+
+impl<B: Block, const NESTED: bool> Fig4Kex<B, NESTED> {
+    /// Panics unless `1 <= k < n`, like every constructor above.
+    fn over_blocks(n: usize, k: usize) -> Self {
+        assert!(k >= 1 && k < n, "Figure 4 requires 1 <= k < n");
+        Fig4Kex {
+            node: Node::new(n, n, k, NESTED),
             n,
             k,
         }
     }
+}
 
-    /// Number of fast-path levels (the bottom chain is one more hop).
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
+impl<B, const NESTED: bool> std::fmt::Debug for Fig4Kex<B, NESTED> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct(if NESTED { "GracefulKex" } else { "FastPathKex" })
+            .field("n", &self.n)
+            .field("k", &self.k)
+            .finish()
     }
 }
 
-impl RawKex for GracefulKex {
+impl<B: Block, const NESTED: bool> RawKex for Fig4Kex<B, NESTED> {
     fn n(&self) -> usize {
         self.n
     }
@@ -272,41 +245,12 @@ impl RawKex for GracefulKex {
     fn acquire(&self, p: usize) {
         assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
         let _obs = crate::obs::span(crate::obs::Section::Entry, p);
-        // Descend until a fast slot is grabbed (or the base is reached).
-        let mut d = 0;
-        while d < self.levels.len() && !try_grab(&self.levels[d].x) {
-            d += 1;
-        }
-        // Owner-private descent cursor (atomic only for `Sync`).
-        self.depth[p].store(d, ord::RELAXED);
-        if d == self.levels.len() {
-            self.base.acquire(p);
-        }
-        // Unfolding the recursion "entry(i) = [entry(i+1)] ; block_i":
-        // acquire the blocks of every visited level, deepest first.
-        if !self.levels.is_empty() {
-            let top = d.min(self.levels.len() - 1);
-            for i in (0..=top).rev() {
-                self.levels[i].block.acquire(p);
-            }
-        }
+        self.node.acquire(p);
     }
 
     fn release(&self, p: usize) {
         let _obs = crate::obs::span(crate::obs::Section::Exit, p);
-        let d = self.depth[p].load(ord::RELAXED);
-        // Mirror image: "exit(i) = block_i ; [exit(i+1) | X_i += 1]".
-        if !self.levels.is_empty() {
-            let top = d.min(self.levels.len() - 1);
-            for level in &self.levels[..=top] {
-                level.block.release(p);
-            }
-        }
-        if d == self.levels.len() {
-            self.base.release(p);
-        } else {
-            self.levels[d].x.fetch_add(1, ord::ACQ_REL);
-        }
+        self.node.release(p);
     }
 }
 

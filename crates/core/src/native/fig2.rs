@@ -12,7 +12,7 @@ use kex_util::sync::atomic::{AtomicIsize, AtomicUsize};
 use kex_util::{Backoff, CachePadded};
 
 use super::ordering as ord;
-use super::raw::RawKex;
+use super::raw::{Block, RawKex};
 
 /// One Figure-2 stage: admits `j` of the at-most-`j+1` processes its
 /// caller lets through.
@@ -97,15 +97,10 @@ impl CcChainKex {
     pub fn new(n: usize, k: usize) -> Self {
         Self::with_universe(n, n, k)
     }
+}
 
-    /// Build an `(m, k)` chain used as a *building block* inside a larger
-    /// composition: at most `m` of the `universe` processes contend in it
-    /// at a time (e.g. `m = 2k` blocks in a tree), but process ids range
-    /// over `0..universe`.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= k < m <= universe`.
-    pub fn with_universe(universe: usize, m: usize, k: usize) -> Self {
+impl Block for CcChainKex {
+    fn with_universe(universe: usize, m: usize, k: usize) -> Self {
         assert!(
             k >= 1 && k < m && m <= universe,
             "CcChainKex requires 1 <= k < m <= universe"

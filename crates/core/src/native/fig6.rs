@@ -17,7 +17,7 @@ use kex_util::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize};
 use kex_util::{Backoff, CachePadded};
 
 use super::ordering as ord;
-use super::raw::RawKex;
+use super::raw::{Block, RawKex};
 
 /// Per-process slice of one stage: `k+2` spin flags and handshake
 /// counters, plus the owner-private `last` cursor.
@@ -171,15 +171,11 @@ impl DsmChainKex {
     pub fn new(n: usize, k: usize) -> Self {
         Self::with_universe(n, n, k)
     }
+}
 
-    /// Build an `(m, k)` chain used as a building block inside a larger
-    /// composition (see [`crate::native::CcChainKex::with_universe`]):
-    /// at most `m` of the `universe` processes contend at a time, but
-    /// spin-location arrays are indexed by global process id.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= k < m <= universe`.
-    pub fn with_universe(universe: usize, m: usize, k: usize) -> Self {
+impl Block for DsmChainKex {
+    /// Spin-location arrays are indexed by global process id.
+    fn with_universe(universe: usize, m: usize, k: usize) -> Self {
         assert!(
             k >= 1 && k < m && m <= universe,
             "DsmChainKex requires 1 <= k < m <= universe"

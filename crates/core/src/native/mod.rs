@@ -7,8 +7,8 @@
 //! | [`CcChainKex`]  | Figure 2 chain — Theorem 1 |
 //! | [`DsmChainKex`] | Figure 6 chain — Theorem 5 (all spinning on per-process, padded locations) |
 //! | [`TreeKex`]     | Figure 3(a) tree — Theorems 2/6 |
-//! | [`FastPathKex`] | Figure 4 fast path — Theorems 3/7 |
-//! | [`GracefulKex`] | nested fast paths — Theorems 4/8 |
+//! | [`FastPathKex`] | Figure 4 fast path over the tree — Theorems 3/7 |
+//! | [`GracefulKex`] | Figure 4 over itself, population shrinking by `k` — Theorems 4/8 (the same node: [`Fig4Kex`]) |
 //! | [`QueueKex`]    | Figure 1 baseline (mutex-guarded queue) |
 //! | [`SemaphoreKex`]| OS counting-semaphore baseline |
 //! | [`McsLock`]     | MCS queue lock \[12\] — the §5 k=1 spin-lock yardstick |
@@ -16,6 +16,11 @@
 //! | [`TasRenaming`] | Figure 7 long-lived renaming |
 //! | [`KAssignment`] | k-assignment — Theorems 9/10 |
 //! | [`Resilient`]   | the §1 resilient-object methodology |
+//!
+//! The compositions are static: [`TreeKex`] and [`Fig4Kex`] are generic
+//! over one [`Block`] type ([`CcChainKex`] by default, [`DsmChainKex`]
+//! for the DSM theorems) and [`KAssignment`] over its [`RawKex`], all
+//! held by value.
 //!
 //! All algorithms name their memory orderings through the audited
 //! constants in the private `ordering` module: acquire/release/relaxed
@@ -48,15 +53,15 @@ mod tree;
 mod yang_anderson;
 
 pub use assignment::{KAssignment, NameGuard};
-pub use fast_path::{FastPathKex, GracefulKex};
+pub use fast_path::{FastPathKex, Fig4Kex, GracefulKex};
 pub use fig1::QueueKex;
 pub use fig2::CcChainKex;
 pub use fig6::DsmChainKex;
 pub use mcs::McsLock;
-pub use raw::{KexGuard, RawKex};
+pub use raw::{Block, KexGuard, RawKex};
 pub use registry::{ProcessId, ProcessRegistry};
 pub use renaming::TasRenaming;
 pub use resilient::{Resilient, ResilientGuard};
 pub use semaphore::SemaphoreKex;
-pub use tree::{NativeBlockFactory, TreeKex};
+pub use tree::TreeKex;
 pub use yang_anderson::YangAndersonLock;

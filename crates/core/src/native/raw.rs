@@ -1,4 +1,5 @@
-//! The native k-exclusion interface: [`RawKex`] and its RAII guard.
+//! The native k-exclusion interface: [`RawKex`], its RAII guard, and the
+//! [`Block`] constructor the compositions are built from.
 //!
 //! Native implementations run over the `kex_util::sync::atomic` facade
 //! (std atomics normally, loom model-checked atomics under `cfg(loom)`)
@@ -55,15 +56,33 @@ pub trait RawKex: Send + Sync {
     }
 }
 
+/// The paper's building block: an `(m, k)`-exclusion over a larger pid
+/// universe. [`crate::native::TreeKex`] and the Figure-4 compositions
+/// are built from one block type, chosen statically.
+pub trait Block: RawKex + Sized {
+    /// Build an `(m, k)` block: at most `m` of the `universe` processes
+    /// contend in it at a time (e.g. `m = 2k` blocks in a tree), but
+    /// process ids range over `0..universe`.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= k < m <= universe`.
+    fn with_universe(universe: usize, m: usize, k: usize) -> Self;
+}
+
 /// Releases the underlying [`RawKex`] slot when dropped.
 #[must_use = "dropping the guard immediately releases the slot"]
-#[derive(Debug)]
 pub struct KexGuard<'a> {
-    kex: &'a dyn RawKexObject,
+    kex: &'a dyn RawKex,
     p: usize,
     /// Critical-section observability span; closed just before release
     /// so the occupancy gauge never counts an exiting process.
     cs: Option<crate::obs::SpanGuard>,
+}
+
+impl std::fmt::Debug for KexGuard<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KexGuard").field("p", &self.p).finish()
+    }
 }
 
 impl KexGuard<'_> {
@@ -77,23 +96,6 @@ impl Drop for KexGuard<'_> {
     fn drop(&mut self) {
         self.cs = None;
         self.kex.release(self.p);
-    }
-}
-
-/// Object-safe subset of [`RawKex`] used by the guard.
-trait RawKexObject: Send + Sync {
-    fn release(&self, p: usize);
-}
-
-impl std::fmt::Debug for dyn RawKexObject + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RawKex")
-    }
-}
-
-impl<K: RawKex> RawKexObject for K {
-    fn release(&self, p: usize) {
-        RawKex::release(self, p);
     }
 }
 

@@ -13,7 +13,6 @@
 
 use super::assignment::{KAssignment, NameGuard};
 use super::ordering as ord;
-use super::raw::RawKex;
 use kex_util::sync::atomic::AtomicUsize;
 use kex_util::CachePadded;
 
@@ -125,15 +124,6 @@ impl<O: Sync> Resilient<O> {
     pub fn new(n: usize, k: usize, obj: O) -> Self {
         Resilient {
             assign: KAssignment::new(n, k),
-            entrants: CachePadded::new(AtomicUsize::new(0)),
-            obj,
-        }
-    }
-
-    /// Wrap `obj` over a caller-chosen k-exclusion algorithm.
-    pub fn over(kex: Box<dyn RawKex>, obj: O) -> Self {
-        Resilient {
-            assign: KAssignment::over(kex),
             entrants: CachePadded::new(AtomicUsize::new(0)),
             obj,
         }

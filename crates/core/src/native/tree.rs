@@ -4,11 +4,7 @@
 
 use super::fig2::CcChainKex;
 use super::fig6::DsmChainKex;
-use super::raw::RawKex;
-
-/// A factory producing `(m, k)`-exclusion blocks over a pid universe.
-/// Arguments: `(universe, m, k)`.
-pub type NativeBlockFactory = dyn Fn(usize, usize, usize) -> Box<dyn RawKex>;
+use super::raw::{Block, RawKex};
 
 /// The tree combinator: processes are partitioned into groups of `2k` at
 /// the leaves; each block admits `k`, two sibling blocks' winners meet in
@@ -23,58 +19,48 @@ pub type NativeBlockFactory = dyn Fn(usize, usize, usize) -> Box<dyn RawKex>;
 /// let _guard = kex.enter(17);
 /// ```
 #[derive(Debug)]
-pub struct TreeKex {
+pub struct TreeKex<B = CcChainKex> {
     /// `levels[0]` = leaves; the last level is the single root block.
-    /// Empty iff `n <= 2k` (then `single` is the whole algorithm).
-    levels: Vec<Vec<Box<dyn RawKex>>>,
-    single: Option<Box<dyn RawKex>>,
+    /// With `n <= 2k` that is one level of one `(n, k)` block.
+    levels: Vec<Vec<B>>,
     group: usize,
     n: usize,
     k: usize,
 }
 
-impl std::fmt::Debug for Box<dyn RawKex> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RawKex(n={}, k={})", self.n(), self.k())
+impl TreeKex<CcChainKex> {
+    /// Tree of Figure-2 (cache-coherent) chain blocks — Theorem 2.
+    pub fn cc(n: usize, k: usize) -> Self {
+        Self::new(n, k)
     }
 }
 
-impl TreeKex {
-    /// Tree of Figure-2 (cache-coherent) chain blocks — Theorem 2.
-    pub fn cc(n: usize, k: usize) -> Self {
-        Self::with_factory(n, k, &|u, m, k| {
-            Box::new(CcChainKex::with_universe(u, m, k))
-        })
-    }
-
+impl TreeKex<DsmChainKex> {
     /// Tree of Figure-6 (DSM, bounded local-spin) chain blocks —
     /// Theorem 6.
     pub fn dsm(n: usize, k: usize) -> Self {
-        Self::with_factory(n, k, &|u, m, k| {
-            Box::new(DsmChainKex::with_universe(u, m, k))
-        })
+        Self::new(n, k)
     }
+}
 
-    /// Tree over blocks produced by an arbitrary factory.
+impl<B: Block> TreeKex<B> {
+    /// Tree over blocks of type `B`.
     ///
     /// # Panics
     /// Panics unless `1 <= k < n`.
-    pub fn with_factory(n: usize, k: usize, factory: &NativeBlockFactory) -> Self {
+    pub fn new(n: usize, k: usize) -> Self {
         assert!(k >= 1 && k < n, "TreeKex requires 1 <= k < n");
-        if n <= 2 * k {
-            return TreeKex {
-                levels: Vec::new(),
-                single: Some(factory(n, n, k)),
-                group: 2 * k,
-                n,
-                k,
-            };
-        }
+        let group = 2 * k;
+        // `n <= 2k` leaves one block, and it is `(n, k)` rather than
+        // `(2k, k)`: a block's population cannot exceed the universe.
         let mut levels = Vec::new();
-        let mut count = n.div_ceil(2 * k);
+        let mut count = n.div_ceil(group);
         loop {
-            let level: Vec<Box<dyn RawKex>> = (0..count).map(|_| factory(n, 2 * k, k)).collect();
-            levels.push(level);
+            levels.push(
+                (0..count)
+                    .map(|_| B::with_universe(n, group.min(n), k))
+                    .collect(),
+            );
             if count == 1 {
                 break;
             }
@@ -82,8 +68,7 @@ impl TreeKex {
         }
         TreeKex {
             levels,
-            single: None,
-            group: 2 * k,
+            group,
             n,
             k,
         }
@@ -91,21 +76,16 @@ impl TreeKex {
 
     /// The number of blocks on each acquisition path.
     pub fn depth(&self) -> usize {
-        if self.single.is_some() {
-            1
-        } else {
-            self.levels.len()
-        }
+        self.levels.len()
     }
 
     #[inline]
-    fn block_at(&self, level: usize, p: usize) -> &dyn RawKex {
-        let g = (p / self.group) >> level;
-        &*self.levels[level][g]
+    fn block_at(&self, level: usize, p: usize) -> &B {
+        &self.levels[level][(p / self.group) >> level]
     }
 }
 
-impl RawKex for TreeKex {
+impl<B: Block> RawKex for TreeKex<B> {
     fn n(&self) -> usize {
         self.n
     }
@@ -117,10 +97,6 @@ impl RawKex for TreeKex {
     fn acquire(&self, p: usize) {
         assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
         let _obs = crate::obs::span(crate::obs::Section::Entry, p);
-        if let Some(single) = &self.single {
-            single.acquire(p);
-            return;
-        }
         for level in 0..self.levels.len() {
             self.block_at(level, p).acquire(p);
         }
@@ -128,10 +104,6 @@ impl RawKex for TreeKex {
 
     fn release(&self, p: usize) {
         let _obs = crate::obs::span(crate::obs::Section::Exit, p);
-        if let Some(single) = &self.single {
-            single.release(p);
-            return;
-        }
         for level in (0..self.levels.len()).rev() {
             self.block_at(level, p).release(p);
         }

@@ -612,15 +612,16 @@ fn yang_anderson_two_cycles() {
 }
 
 #[test]
-fn graceful_two_cycles_depth_cursor() {
-    // Relaxed site: `depth[p]` is an owner-private RELAXED cursor
-    // recording which level the process stopped at; release must read
-    // back the value acquire wrote one cycle earlier.
+fn graceful_two_cycles_nested_slow_flag_round_trip() {
+    // The same Figure-4 node as the fast-path model above, but with the
+    // nested slow path: (3,1) is one node over a (2,1) base block, so a
+    // process that misses the fast slot goes through the `Nested` arm
+    // and, a cycle later, must read back the flag it then clears.
     check_occupancy(
-        "graceful 2-cycle (2,1)",
-        Builder::new().max_preemptions(3),
-        || GracefulKex::new(2, 1),
-        &[0, 1],
+        "graceful 2-cycle (3,1)",
+        Builder::new().max_preemptions(2),
+        || GracefulKex::new(3, 1),
+        &[0, 1, 2],
         &[],
         2,
     );

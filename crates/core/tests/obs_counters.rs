@@ -17,7 +17,7 @@
 
 #![cfg(all(feature = "obs", not(loom)))]
 
-use kex_core::native::{CcChainKex, RawKex};
+use kex_core::native::{CcChainKex, FastPathKex, RawKex};
 use kex_obs::Section;
 
 /// The whole file is one `#[test]`: the registry is process-global and
@@ -28,6 +28,7 @@ fn scripted_single_thread_schedule_has_exact_counts() {
     cc_chain_2_1_exact_counts();
     second_acquisition_hits_warm_cache();
     guard_drives_occupancy_gauge_and_cs_span();
+    fast_path_16_4_uncontended_pair_is_16_ops_10_rmws();
 }
 
 /// `CcChainKex::new(2, 1)` is a single Figure-2 stage (`X`, `Q`).
@@ -127,4 +128,28 @@ fn guard_drives_occupancy_gauge_and_cs_span() {
         1,
         "one Cs latency sample"
     );
+}
+
+/// The default store path's kex, at the benchmark's sizing. Uncontended,
+/// a pair is Figure 4's fast path around one `(8, 4)` block: the grab
+/// and the return on `X` (2 RMWs), the owner-private `slow_flag` store
+/// and load, and four Figure-2 stages at one RMW in, one RMW and one
+/// `Q` store out. These are the numbers the benchmark's count pass
+/// reports (`kex.atomics_per_op` 16, `kex.rmws_per_op` 10); a change to
+/// how the layers are composed must not change them.
+fn fast_path_16_4_uncontended_pair_is_16_ops_10_rmws() {
+    let kex = FastPathKex::new(16, 4);
+    kex_obs::reset();
+    kex.acquire(0);
+    kex.release(0);
+    let snap = kex_obs::snapshot();
+    let (entry, exit) = (
+        snap.section_totals(Section::Entry),
+        snap.section_totals(Section::Exit),
+    );
+    assert_eq!((entry.rmws, entry.stores, entry.loads), (5, 1, 0));
+    assert_eq!((exit.rmws, exit.stores, exit.loads), (5, 4, 1));
+    assert_eq!(entry.ops() + exit.ops(), 16);
+    assert_eq!(entry.spins, 0, "the fast slot was free");
+    assert!(snap.untracked().is_none());
 }

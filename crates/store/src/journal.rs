@@ -12,8 +12,9 @@
 //! a recovery pass (or the crash-mix benchmark) reads back out.
 //!
 //! Lanes are fixed-depth rings; only the most recent `depth` entries are
-//! retained. The head advances on *commit*, so the in-flight entry (if
-//! any) always lives at `head % depth`.
+//! retained. The head advances when an entry *finishes* (commit or
+//! abort), so the in-flight entry (if any) always lives at
+//! `head % depth`.
 
 use kex_util::sync::atomic::AtomicU64;
 use kex_util::CachePadded;
@@ -194,7 +195,8 @@ impl LaneJournal {
             .count()
     }
 
-    /// Completed entries committed to `name`'s lane so far.
+    /// Entries *finished* on `name`'s lane so far — committed or
+    /// aborted: the head advances on both.
     pub fn committed(&self, name: usize) -> u64 {
         self.lanes[name].head.load(SEQ_CST)
     }
@@ -260,6 +262,7 @@ mod tests {
         let lsn = j.begin(0, OpKind::Put, 1, 1);
         j.abort(0, lsn);
         assert_eq!(j.in_flight(0), None);
+        assert_eq!(j.committed(0), 1, "an abort advances the head too");
         assert_eq!(j.history(0)[0].state, OpState::Aborted);
     }
 

@@ -70,12 +70,37 @@ impl<O: ShardObject> Shard<O> {
         &self.journal
     }
 
-    fn finish_put(&self, name: usize, lsn: u64, result: Result<(), PutError>) {
-        match result {
-            Ok(()) => self.journal.commit(name, lsn),
-            Err(_) => self.journal.abort(name, lsn),
+    /// One journaled write by the holder of `name`: begin → put →
+    /// commit, or abort when the object refuses the op *or `put` unwinds*
+    /// — the guard's drop then returns the slot and the name, and a lane
+    /// left in flight would attribute a crash to a holder that is gone.
+    fn journaled_put(&self, obj: &O, name: usize, key: u64, value: u64) -> Result<(), PutError> {
+        struct Entry<'a> {
+            journal: &'a LaneJournal,
+            name: usize,
+            lsn: u64,
+            committed: bool,
         }
+        impl Drop for Entry<'_> {
+            fn drop(&mut self) {
+                if self.committed {
+                    self.journal.commit(self.name, self.lsn);
+                } else {
+                    self.journal.abort(self.name, self.lsn);
+                }
+            }
+        }
+        let mut entry = Entry {
+            journal: &self.journal,
+            name,
+            lsn: self.journal.begin(name, OpKind::Put, key, value),
+            committed: false,
+        };
+        let result = obj.put(name, key, value);
+        entry.committed = result.is_ok();
+        drop(entry);
         self.ops.fetch_add(1, SEQ_CST);
+        result
     }
 
     /// Guarded read.
@@ -101,22 +126,15 @@ impl<O: ShardObject> Shard<O> {
 
     /// Guarded, journaled write.
     pub fn put(&self, p: usize, key: u64, value: u64) -> Result<(), PutError> {
-        self.res.with(p, |obj, name| {
-            let lsn = self.journal.begin(name, OpKind::Put, key, value);
-            let result = obj.put(name, key, value);
-            self.finish_put(name, lsn, result);
-            result
-        })
+        self.res
+            .with(p, |obj, name| self.journaled_put(obj, name, key, value))
     }
 
     /// Non-blocking guarded, journaled write; `None` = shed.
     pub fn try_put(&self, p: usize, key: u64, value: u64) -> Option<Result<(), PutError>> {
-        let outcome = self.res.try_with(p, |obj, name| {
-            let lsn = self.journal.begin(name, OpKind::Put, key, value);
-            let result = obj.put(name, key, value);
-            self.finish_put(name, lsn, result);
-            result
-        });
+        let outcome = self
+            .res
+            .try_with(p, |obj, name| self.journaled_put(obj, name, key, value));
         if outcome.is_none() {
             self.sheds.fetch_add(1, SEQ_CST);
         }

@@ -116,3 +116,27 @@ fn k_minus_1_dead_per_shard_stays_available_and_a_dead_shard_sheds() {
     assert_eq!(stats[0].sheds, 2);
     assert_eq!(stats[1].sheds, 0);
 }
+
+/// A `put` that panics inside the object unwinds through the guard: the
+/// slot, name and ticket come back, so the lane must not stay in flight
+/// — only `crash_in_cs`, which leaks its guard, may pin a lane.
+#[test]
+fn a_panicking_put_is_not_attributed_as_a_crash() {
+    let store = KvStore::new(StoreConfig::new(1, N, K));
+    let bad_key = kex_store::MAX_KEY + 1;
+    let blocking = || {
+        let _ = store.put(0, bad_key, 1);
+    };
+    let shedding = || {
+        let _ = store.try_put(0, bad_key, 1);
+    };
+    for attempt in [&blocking as &dyn Fn(), &shedding] {
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt));
+        assert!(unwound.is_err(), "KvCells rejects keys above MAX_KEY");
+        let stats = store.stats()[0];
+        assert_eq!(stats.occupancy, 0, "the guard returned its slot");
+        assert_eq!(stats.in_flight_lanes, 0, "no holder died in there");
+    }
+    store.put(0, 1, 1).expect("the shard still serves");
+    assert_eq!(store.get(1, 1), Some(1));
+}

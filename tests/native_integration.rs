@@ -174,27 +174,44 @@ fn resilient_counter_under_churning_identities() {
     assert_eq!(counter.object_unguarded().read(), 5 * 4 * 500);
 }
 
+/// Theorems 9/10 hold over *any* `(N, k)`-exclusion: names stay unique
+/// among concurrent holders whichever algorithm admits them.
+fn names_stay_unique_over<K: RawKex>(kex: K) {
+    let assign = KAssignment::over(kex);
+    let held = Mutex::new(HashSet::new());
+    std::thread::scope(|s| {
+        for p in 0..assign.n() {
+            let (assign, held) = (&assign, &held);
+            s.spawn(move || {
+                for _ in 0..200 {
+                    let g = assign.enter(p);
+                    assert!(held.lock().unwrap().insert(g.name()), "dup name");
+                    std::hint::spin_loop();
+                    held.lock().unwrap().remove(&g.name());
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn assignment_names_are_unique_across_algorithm_choices() {
-    for kex in [
-        Box::new(CcChainKex::new(6, 2)) as Box<dyn RawKex>,
-        Box::new(TreeKex::dsm(6, 2)),
-        Box::new(GracefulKex::new(6, 2)),
-    ] {
-        let assign = KAssignment::over(kex);
-        let held = Mutex::new(HashSet::new());
-        std::thread::scope(|s| {
-            for p in 0..6 {
-                let (assign, held) = (&assign, &held);
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        let g = assign.enter(p);
-                        assert!(held.lock().unwrap().insert(g.name()), "dup name");
-                        std::hint::spin_loop();
-                        held.lock().unwrap().remove(&g.name());
-                    }
-                });
-            }
-        });
+    names_stay_unique_over(CcChainKex::new(6, 2));
+    names_stay_unique_over(TreeKex::dsm(6, 2));
+    names_stay_unique_over(GracefulKex::new(6, 2));
+}
+
+#[test]
+fn native_shapes_match_the_simulator_constructions() {
+    use kex::core::sim::{graceful_depth, tree_depth};
+    for k in 1..=4 {
+        for n in k + 1..=6 * k + 3 {
+            let at = format!("(n={n}, k={k})");
+            let (graceful, tree) = (graceful_depth(n, k) as usize, tree_depth(n, k) as usize);
+            assert_eq!(GracefulKex::new(n, k).level_count(), graceful, "{at}");
+            assert_eq!(GracefulKex::new_dsm(n, k).level_count(), graceful, "{at}");
+            assert_eq!(TreeKex::cc(n, k).depth(), tree, "{at}");
+            assert_eq!(TreeKex::dsm(n, k).depth(), tree, "{at}");
+        }
     }
 }
