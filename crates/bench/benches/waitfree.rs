@@ -3,18 +3,18 @@
 //! wrapped stack.
 //!
 //! * `SlotCounter` (per-name cells) vs `FetchAddCounter` (one hot word)
-//!   vs `Universal<SeqCounter>` (log replay): why the bounded name space
-//!   that k-assignment provides matters — per-name slotting is only
-//!   possible because names are dense in `0..k`.
+//!   vs `Universal<SeqCounter>` (a log node per op): why the bounded
+//!   name space that k-assignment provides matters — per-name slotting
+//!   is only possible because names are dense in `0..k`.
 //! * `Resilient<SlotCounter>` end to end: wrapper + payload.
 //!
 //! Run: `cargo bench -p kex-bench --bench waitfree`
 
-use kex_bench::microbench::{BatchSize, BenchmarkId, Criterion, Throughput};
+use kex_bench::microbench::{BenchmarkId, Criterion, Throughput};
 
 use kex_core::native::Resilient;
 use kex_waitfree::seq::CounterOp;
-use kex_waitfree::{CachedUniversal, FetchAddCounter, SlotCounter, Snapshot, Universal, WfQueue};
+use kex_waitfree::{FetchAddCounter, SlotCounter, Snapshot, Universal, WfQueue};
 
 const K: usize = 4;
 
@@ -74,34 +74,6 @@ fn bench_counters_contended(c: &mut Criterion) {
     group.finish();
 }
 
-/// The replay-cost ablation: textbook log replay (O(history) per op) vs
-/// the resume-cached construction (O(k) amortized), measured as total
-/// time for a burst of ops on a fresh object of each size.
-fn bench_universal_vs_cached(c: &mut Criterion) {
-    let mut group = c.benchmark_group("universal_log_growth");
-    group.sample_size(10);
-    for ops in [200u64, 1_000, 4_000] {
-        group.throughput(Throughput::Elements(ops));
-        group.bench_with_input(BenchmarkId::new("textbook_replay", ops), &ops, |b, &ops| {
-            b.iter(|| {
-                let u: Universal<kex_waitfree::seq::SeqCounter> = Universal::new(K);
-                for i in 0..ops {
-                    u.apply((i % K as u64) as usize, CounterOp::Add(1));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("resume_cached", ops), &ops, |b, &ops| {
-            b.iter(|| {
-                let u: CachedUniversal<kex_waitfree::seq::SeqCounter> = CachedUniversal::new(K);
-                for i in 0..ops {
-                    u.apply((i % K as u64) as usize, CounterOp::Add(1));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_snapshot(c: &mut Criterion) {
     let mut group = c.benchmark_group("snapshot");
     let snap: Snapshot<u64> = Snapshot::new(K);
@@ -125,21 +97,14 @@ fn bench_wrapped_stack(c: &mut Criterion) {
     group.bench_function("resilient_counter_add", |b| {
         b.iter(|| counter.with(0, |c, name| c.add(name, 1)));
     });
-    // The universal-construction queue replays its log per operation, so
-    // measure a fixed-size burst on a fresh object per iteration (the
-    // steady-state cost of a long-lived log is the construction's known
-    // O(history) behaviour, not what we want to track here).
+    let queue = Resilient::new(8, K, WfQueue::<u64>::new(K));
     group.bench_function("resilient_universal_queue_100_ops", |b| {
-        b.iter_batched(
-            || Resilient::new(8, K, WfQueue::<u64>::new(K)),
-            |queue| {
-                for i in 0..50 {
-                    queue.with(0, |q, name| q.enqueue(name, i));
-                    queue.with(0, |q, name| q.dequeue(name));
-                }
-            },
-            BatchSize::SmallInput,
-        );
+        b.iter(|| {
+            for i in 0..50 {
+                queue.with(0, |q, name| q.enqueue(name, i));
+                queue.with(0, |q, name| q.dequeue(name));
+            }
+        });
     });
     group.finish();
 }
@@ -148,7 +113,6 @@ fn main() {
     let mut c = Criterion::new();
     bench_counters_single_thread(&mut c);
     bench_counters_contended(&mut c);
-    bench_universal_vs_cached(&mut c);
     bench_snapshot(&mut c);
     bench_wrapped_stack(&mut c);
 }

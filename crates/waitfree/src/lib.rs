@@ -7,8 +7,10 @@
 //!
 //! * [`universal::Universal`] — Herlihy's wait-free universal
 //!   construction over any deterministic [`seq::Sequential`]
-//!   specification (CAS consensus + helping + log replay).
-//! * [`queue::WfQueue`] / [`queue::WfStack`] — typed instantiations.
+//!   specification (CAS consensus + helping), each op resumed from its
+//!   caller's previous one and the log truncated behind checkpoints.
+//! * [`queue::WfQueue`] / [`queue::WfStack`] /
+//!   [`register::WfRegister`] — typed instantiations.
 //! * [`snapshot::Snapshot`] — the Afek et al. wait-free atomic snapshot.
 //! * [`counter::SlotCounter`] — per-name slotted counter, the
 //!   contention-free shape that a bounded name space makes possible.
@@ -27,7 +29,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cached;
 pub mod consensus;
 pub mod counter;
 mod ordering;
@@ -37,7 +38,6 @@ pub mod seq;
 pub mod snapshot;
 pub mod universal;
 
-pub use cached::CachedUniversal;
 pub use counter::{FetchAddCounter, SlotCounter};
 pub use queue::{WfQueue, WfStack};
 pub use register::WfRegister;

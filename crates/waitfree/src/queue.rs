@@ -1,66 +1,39 @@
-//! Typed wait-free queue and stack, instantiating the universal
-//! construction — ready-made payloads for the resiliency wrapper.
+//! Typed wait-free queue and stack: the universal construction at a
+//! queue and a stack specification, with their operations as methods —
+//! ready-made payloads for the resiliency wrapper.
 
 use crate::seq::{QueueOp, SeqQueue, SeqStack, StackOp};
 use crate::universal::Universal;
 
-/// A linearizable, wait-free FIFO queue for `k` processes.
-#[derive(Debug)]
-pub struct WfQueue<T: Clone + Send + Sync> {
-    inner: Universal<SeqQueue<T>>,
-}
+/// A linearizable, wait-free FIFO queue for `k` processes
+/// ([`Universal::new`]`(k)`).
+pub type WfQueue<T> = Universal<SeqQueue<T>>;
 
 impl<T: Clone + Send + Sync> WfQueue<T> {
-    /// An empty queue for `k` processes.
-    pub fn new(k: usize) -> Self {
-        WfQueue {
-            inner: Universal::new(k),
-        }
-    }
-
-    /// The process bound `k`.
-    pub fn k(&self) -> usize {
-        self.inner.k()
-    }
-
     /// Enqueue `value` on behalf of name `me`.
     pub fn enqueue(&self, me: usize, value: T) {
-        self.inner.apply(me, QueueOp::Enqueue(value));
+        self.apply(me, QueueOp::Enqueue(value));
     }
 
     /// Dequeue the head, if any, on behalf of name `me`.
     pub fn dequeue(&self, me: usize) -> Option<T> {
-        self.inner.apply(me, QueueOp::Dequeue)
+        self.apply(me, QueueOp::Dequeue)
     }
 }
 
-/// A linearizable, wait-free LIFO stack for `k` processes.
-#[derive(Debug)]
-pub struct WfStack<T: Clone + Send + Sync> {
-    inner: Universal<SeqStack<T>>,
-}
+/// A linearizable, wait-free LIFO stack for `k` processes
+/// ([`Universal::new`]`(k)`).
+pub type WfStack<T> = Universal<SeqStack<T>>;
 
 impl<T: Clone + Send + Sync> WfStack<T> {
-    /// An empty stack for `k` processes.
-    pub fn new(k: usize) -> Self {
-        WfStack {
-            inner: Universal::new(k),
-        }
-    }
-
-    /// The process bound `k`.
-    pub fn k(&self) -> usize {
-        self.inner.k()
-    }
-
     /// Push `value` on behalf of name `me`.
     pub fn push(&self, me: usize, value: T) {
-        self.inner.apply(me, StackOp::Push(value));
+        self.apply(me, StackOp::Push(value));
     }
 
     /// Pop the most recent value, if any, on behalf of name `me`.
     pub fn pop(&self, me: usize) -> Option<T> {
-        self.inner.apply(me, StackOp::Pop)
+        self.apply(me, StackOp::Pop)
     }
 }
 

@@ -10,33 +10,18 @@ use crate::seq::{RegisterOp, SeqRegister};
 use crate::universal::Universal;
 
 /// A linearizable, wait-free multi-writer multi-reader register for `k`
-/// processes, initially `T::default()`.
-#[derive(Debug)]
-pub struct WfRegister<T: Clone + Default + Send + Sync> {
-    inner: Universal<SeqRegister<T>>,
-}
+/// processes ([`Universal::new`]`(k)`), initially `T::default()`.
+pub type WfRegister<T> = Universal<SeqRegister<T>>;
 
 impl<T: Clone + Default + Send + Sync> WfRegister<T> {
-    /// A register for `k` processes.
-    pub fn new(k: usize) -> Self {
-        WfRegister {
-            inner: Universal::new(k),
-        }
-    }
-
-    /// The process bound `k`.
-    pub fn k(&self) -> usize {
-        self.inner.k()
-    }
-
     /// Read the current value on behalf of name `me`.
     pub fn read(&self, me: usize) -> T {
-        self.inner.apply(me, RegisterOp::Read)
+        self.apply(me, RegisterOp::Read)
     }
 
     /// Write `value`; returns the previous value (linearized).
     pub fn write(&self, me: usize, value: T) -> T {
-        self.inner.apply(me, RegisterOp::Write(value))
+        self.apply(me, RegisterOp::Write(value))
     }
 }
 

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 /// replaying the same operation sequence from [`Default::default`] must
 /// always produce the same states and responses. (No randomness, no
 /// clocks, no interior mutability.)
-pub trait Sequential: Default {
+pub trait Sequential: Default + Clone {
     /// The operation type (the "invocation"). Cloned freely by helpers.
     type Op: Clone + Send + Sync;
     /// The response type.
