@@ -1,8 +1,8 @@
 //! Native `(N, k)`-assignment: k-exclusion + Figure-7 renaming
 //! (Theorems 9 and 10), with an RAII name guard.
 
-use super::fast_path::FastPathKex;
-use super::raw::RawKex;
+use super::fast_path::{FastPathKex, Fig4Kex};
+use super::raw::{Block, RawKex};
 use super::renaming::TasRenaming;
 
 /// The k-assignment wrapper: admits at most `k` processes and hands each
@@ -70,6 +70,12 @@ impl<K: RawKex> KAssignment<K> {
         // the Figure-7 test-and-sets are attributed to this entry section.
         let entry = crate::obs::span(crate::obs::Section::Entry, p);
         self.kex.acquire(p);
+        self.named(p, entry)
+    }
+
+    /// The second half of entering: `p` holds a slot, so one of the `k`
+    /// names is free.
+    fn named(&self, p: usize, entry: crate::obs::SpanGuard) -> NameGuard<'_, K> {
         let name = self.names.acquire_name();
         drop(entry);
         NameGuard {
@@ -78,6 +84,22 @@ impl<K: RawKex> KAssignment<K> {
             name,
             cs: Some(crate::obs::span(crate::obs::Section::Cs, p)),
         }
+    }
+}
+
+impl<B: Block, const NESTED: bool> KAssignment<Fig4Kex<B, NESTED>> {
+    /// [`KAssignment::enter`] that never waits: `None` when
+    /// [`Fig4Kex::try_acquire`] finds no slot free — the k-exclusion's
+    /// own counters are the gate callers shed load through.
+    pub fn try_enter(&self, p: usize) -> Option<NameGuard<'_, Fig4Kex<B, NESTED>>> {
+        let entry = crate::obs::span(crate::obs::Section::Entry, p);
+        self.kex.try_acquire(p).then(|| self.named(p, entry))
+    }
+
+    /// Processes holding a slot or waiting at the k-exclusion's final
+    /// stage ([`Fig4Kex::occupancy`]); crashed holders count for ever.
+    pub fn occupancy(&self) -> usize {
+        self.kex.occupancy()
     }
 }
 

@@ -141,6 +141,40 @@ impl<B: Block> Node<B> {
         }
     }
 
+    /// Figure 4 without its waiting half: the fast slot and then the
+    /// block, or nothing. `X == 0` means `k` processes hold fast slots
+    /// and with them the block's `k` (or are a bounded number of their
+    /// own steps from it), so the slow path could only queue behind
+    /// them; a block that refuses although `X` had a slot is full of
+    /// slow-path holders, and the fast slot goes back.
+    fn try_acquire(&self, p: usize) -> bool {
+        match self {
+            Node::Block(b) => b.try_acquire(p),
+            Node::Split {
+                x,
+                block,
+                slow_flag,
+                ..
+            } => {
+                if !try_grab(x) {
+                    return false;
+                }
+                if block.try_acquire(p) {
+                    slow_flag[p].store(0, ord::RELAXED);
+                    return true;
+                }
+                x.fetch_add(1, ord::ACQ_REL);
+                false
+            }
+        }
+    }
+
+    fn occupancy(&self) -> usize {
+        match self {
+            Node::Block(block) | Node::Split { block, .. } => block.occupancy(),
+        }
+    }
+
     fn release(&self, p: usize) {
         match self {
             Node::Block(b) => b.release(p),
@@ -221,6 +255,27 @@ impl<B: Block, const NESTED: bool> Fig4Kex<B, NESTED> {
             n,
             k,
         }
+    }
+
+    /// [`RawKex::acquire`] that never waits: `true` with a slot held
+    /// (leave through [`RawKex::release`]), `false` when all `k` are
+    /// held right now — by live processes or by crashed ones. It tries
+    /// the fast path only ([`Block::try_acquire`] behind the `X` slot)
+    /// and on refusal leaves every counter as it found it.
+    ///
+    /// # Panics
+    /// Panics if `p >= self.n()`.
+    pub fn try_acquire(&self, p: usize) -> bool {
+        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
+        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
+        self.node.try_acquire(p)
+    }
+
+    /// Processes holding a slot or waiting at the final stage of the
+    /// final block ([`Block::occupancy`]); crashed holders count for
+    /// ever.
+    pub fn occupancy(&self) -> usize {
+        self.node.occupancy()
     }
 }
 
@@ -313,6 +368,40 @@ mod tests {
         assert_eq!(GracefulKex::new(4, 2).level_count(), 0);
         assert_eq!(GracefulKex::new(6, 2).level_count(), 1);
         assert_eq!(GracefulKex::new(8, 2).level_count(), 2);
+    }
+
+    #[test]
+    fn a_try_refused_by_the_block_hands_the_fast_slot_back() {
+        // (5, 2), so the node splits. 0 and 1 take both fast slots; 2
+        // must go round the tree and waits in the final block until 0
+        // leaves — after which `X` has a slot again but the block is
+        // held by 1 and, through the slow path, by 2.
+        let kex = FastPathKex::new(5, 2);
+        let x = |kex: &FastPathKex| match &kex.node {
+            Node::Split { x, .. } => x.load(ord::SEQ_CST),
+            Node::Block(_) => unreachable!("5 > 2k"),
+        };
+        kex.acquire(0);
+        kex.acquire(1);
+        assert!(!kex.try_acquire(3), "no fast slot: refused off X alone");
+        std::thread::scope(|s| {
+            let slow = s.spawn(|| kex.acquire(2));
+            while kex.occupancy() < 3 {
+                kex_util::sync::thread::yield_now(); // until 2 queues at the final stage
+            }
+            kex.release(0);
+            slow.join().unwrap();
+        });
+        assert_eq!((x(&kex), kex.occupancy()), (1, 2));
+        assert!(!kex.try_acquire(3));
+        assert_eq!((x(&kex), kex.occupancy()), (1, 2));
+
+        kex.release(1);
+        assert!(kex.try_acquire(3));
+        assert_eq!((x(&kex), kex.occupancy()), (1, 2));
+        kex.release(3);
+        kex.release(2);
+        assert_eq!((x(&kex), kex.occupancy()), (2, 0));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use kex_util::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize};
 use kex_util::{Backoff, CachePadded};
 
 use super::ordering as ord;
-use super::raw::{Block, RawKex};
+use super::raw::{try_stages, Block, RawKex};
 
 /// Per-process slice of one stage: `k+2` spin flags and handshake
 /// counters, plus the owner-private `last` cursor.
@@ -147,6 +147,19 @@ impl DsmStage {
         }
         self.slots[upid].r[uloc].fetch_add(-1, ord::SEQ_CST);
     }
+
+    /// Statement 2 as footnote 2 writes it: take a slot only if one is
+    /// free, and do not write otherwise (cf. `CcStage::try_acquire`).
+    pub(crate) fn try_acquire(&self) -> bool {
+        self.x
+            .fetch_update(ord::SEQ_CST, ord::SEQ_CST, |v| (v > 0).then_some(v - 1))
+            .is_ok()
+    }
+
+    /// Slots not taken; negative while a process waits.
+    fn free(&self) -> isize {
+        self.x.load(ord::SEQ_CST)
+    }
 }
 
 /// Theorem 5's inductive chain of Figure-6 stages: `(N, k)`-exclusion
@@ -186,6 +199,17 @@ impl Block for DsmChainKex {
             n: universe,
             k,
         }
+    }
+
+    fn try_acquire(&self, p: usize) -> bool {
+        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
+        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
+        try_stages(&self.stages, |s| s.try_acquire(), |s| s.release(p))
+    }
+
+    fn occupancy(&self) -> usize {
+        let last = self.stages.last().expect("k < m: at least one stage");
+        (self.k as isize - last.free()).max(0) as usize
     }
 }
 
@@ -238,6 +262,22 @@ mod tests {
     fn k_holders_can_rendezvous() {
         let kex = DsmChainKex::new(6, 3);
         assert_eq!(max_concurrency(&kex, 3, Duration::from_secs(2)), 3);
+    }
+
+    #[test]
+    fn a_refused_try_leaves_every_stage_as_it_found_it() {
+        let kex = DsmChainKex::new(4, 2);
+        kex.acquire(0);
+        kex.acquire(1);
+        let credits = |kex: &DsmChainKex| kex.stages.iter().map(DsmStage::free).collect::<Vec<_>>();
+        assert_eq!(credits(&kex), [1, 0]);
+        assert!(!kex.try_acquire(2));
+        assert_eq!((credits(&kex), kex.occupancy()), (vec![1, 0], 2));
+        kex.release(0);
+        assert!(kex.try_acquire(3));
+        kex.release(3);
+        kex.release(1);
+        assert_eq!((credits(&kex), kex.occupancy()), (vec![3, 2], 0));
     }
 
     #[test]

@@ -67,6 +67,42 @@ pub trait Block: RawKex + Sized {
     /// # Panics
     /// Panics unless `1 <= k < m <= universe`.
     fn with_universe(universe: usize, m: usize, k: usize) -> Self;
+
+    /// [`RawKex::acquire`] that never waits: `true` with a slot held
+    /// (leave through [`RawKex::release`]), `false` — with the block as
+    /// it was found — when some stage has no slot free right now, be it
+    /// held by a live process or consumed by a crashed one.
+    ///
+    /// Each stage is taken by the paper's footnote-2 conditional
+    /// decrement (`x > 0 → x - 1`, otherwise no write at all), so to the
+    /// stage a successful taker is a process whose `fetch_and_increment`
+    /// found a slot; one refused further down leaves the stages it did
+    /// take the way any holder leaves them.
+    fn try_acquire(&self, p: usize) -> bool;
+
+    /// Processes holding a slot or waiting at the final stage, read off
+    /// that stage's counter: live holders, crashed holders (for ever),
+    /// and at most one waiter. A monitoring gauge, stale by the time it
+    /// returns.
+    fn occupancy(&self) -> usize;
+}
+
+/// The chain half of [`Block::try_acquire`]: `take` each stage in
+/// order; refused at one, `give_back` those already taken, last first,
+/// the way a holder leaves them — a blocking process may have queued
+/// behind a slot held on the way here, and is owed the wake-up.
+pub(super) fn try_stages<S>(
+    stages: &[S],
+    take: impl Fn(&S) -> bool,
+    give_back: impl Fn(&S),
+) -> bool {
+    for (i, stage) in stages.iter().enumerate() {
+        if !take(stage) {
+            stages[..i].iter().rev().for_each(give_back);
+            return false;
+        }
+    }
+    true
 }
 
 /// Releases the underlying [`RawKex`] slot when dropped.

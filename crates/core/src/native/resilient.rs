@@ -12,9 +12,6 @@
 //! cost of an `N`-process wait-free construction.
 
 use super::assignment::{KAssignment, NameGuard};
-use super::ordering as ord;
-use kex_util::sync::atomic::AtomicUsize;
-use kex_util::CachePadded;
 
 /// A `(k-1)`-resilient wrapper around a `k`-process object.
 ///
@@ -37,15 +34,6 @@ use kex_util::CachePadded;
 /// ```
 pub struct Resilient<O> {
     assign: KAssignment,
-    /// Admission tickets outstanding: every process between taking a
-    /// ticket (start of [`Resilient::enter`]) and dropping its guard.
-    /// Over-counts actual slot holders by the processes still spinning
-    /// in the k-exclusion entry section — which only happens when the
-    /// house is full, so `entrants < k` soundly implies a free slot
-    /// (the invariant [`Resilient::try_enter`] relies on). A crashed
-    /// process never returns its ticket, exactly as it never returns
-    /// its slot.
-    entrants: CachePadded<AtomicUsize>,
     obj: O,
 }
 
@@ -58,32 +46,19 @@ impl<O: std::fmt::Debug> std::fmt::Debug for Resilient<O> {
     }
 }
 
-/// One admission ticket; returns it on drop. Held inside
-/// [`ResilientGuard`] *after* the name guard so the slot is released
-/// before the gate opens (a `try_enter` winner then finds a free slot
-/// immediately).
-struct Ticket<'a>(&'a AtomicUsize);
-
-impl Drop for Ticket<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, ord::ACQ_REL);
-    }
-}
-
 /// Holds one of the `k` slots, the unique name that came with it, and a
 /// shared reference to the wrapped object. Obtained from
 /// [`Resilient::enter`] / [`Resilient::try_enter`]; dropping it leaves
-/// the wrapper (name first, then slot, then the admission ticket).
+/// the wrapper (name first, then slot).
 ///
 /// Leaking the guard (`std::mem::forget`) models a crash inside the
-/// object: the slot, name, and ticket are consumed permanently, which is
+/// object: the slot and the name are consumed permanently, which is
 /// precisely the paper's failure model — the `kex-store` crash-injection
 /// paths do exactly this.
 #[must_use = "dropping the guard immediately releases the name and slot"]
 pub struct ResilientGuard<'a, O> {
     obj: &'a O,
     inner: NameGuard<'a>,
-    _ticket: Ticket<'a>,
 }
 
 impl<'a, O> ResilientGuard<'a, O> {
@@ -124,7 +99,6 @@ impl<O: Sync> Resilient<O> {
     pub fn new(n: usize, k: usize, obj: O) -> Self {
         Resilient {
             assign: KAssignment::new(n, k),
-            entrants: CachePadded::new(AtomicUsize::new(0)),
             obj,
         }
     }
@@ -139,11 +113,12 @@ impl<O: Sync> Resilient<O> {
         self.assign.k()
     }
 
-    /// Processes currently admitted or waiting to be admitted — an
-    /// approximate occupancy gauge (crashed holders count forever).
+    /// Processes holding a slot or waiting at the final stage of the
+    /// k-exclusion: live holders, crashed holders (for ever), and at
+    /// most one waiter — processes queued further out are not counted.
     /// Monitoring only; the value may be stale by the time it returns.
     pub fn occupancy(&self) -> usize {
-        self.entrants.load(ord::RELAXED)
+        self.assign.occupancy()
     }
 
     /// Enter the wrapper: process `p` waits for one of the `k` slots,
@@ -153,46 +128,27 @@ impl<O: Sync> Resilient<O> {
     /// most `k-1` participating processes have crash-failed, every call
     /// completes.
     pub fn enter(&self, p: usize) -> ResilientGuard<'_, O> {
-        self.entrants.fetch_add(1, ord::ACQ_REL);
-        let ticket = Ticket(&self.entrants);
         ResilientGuard {
             obj: &self.obj,
             inner: self.assign.enter(p),
-            _ticket: ticket,
         }
     }
 
     /// Non-blocking [`Resilient::enter`]: `None` when all `k` slots are
-    /// (or may be) held, so callers can shed load instead of spinning.
+    /// held, so callers can shed load instead of spinning.
     ///
-    /// The admission test is conservative: it refuses whenever `k`
-    /// tickets are outstanding, which includes processes still in the
-    /// k-exclusion entry section and processes that crashed while
-    /// holding a slot. On success the subsequent slot acquisition is
-    /// bounded — fewer than `k` tickets were out, so a slot is free and
-    /// total protocol contention is at most `k`.
+    /// The k-exclusion's own counters are the gate
+    /// ([`KAssignment::try_enter`]): a refusal waits for nobody and
+    /// leaves every counter as it found it — one load, when the fast
+    /// slots are all taken — whether the slots are held by live
+    /// processes, by a blocking process a few of its own steps from its
+    /// slot, or by processes that crashed holding them. On success the
+    /// slot is already held; only the bounded name search follows.
     pub fn try_enter(&self, p: usize) -> Option<ResilientGuard<'_, O>> {
-        let k = self.assign.k();
-        // Footnote-2 shape (cf. `fast_path::try_grab`): one atomic
-        // conditional increment decides admission; no waiting on failure.
-        if self
-            .entrants
-            .fetch_update(ord::ACQ_REL, ord::ACQUIRE, |v| {
-                if v < k {
-                    Some(v + 1)
-                } else {
-                    None
-                }
-            })
-            .is_err()
-        {
-            return None;
-        }
-        let ticket = Ticket(&self.entrants);
+        let inner = self.assign.try_enter(p)?;
         Some(ResilientGuard {
             obj: &self.obj,
-            inner: self.assign.enter(p),
-            _ticket: ticket,
+            inner,
         })
     }
 
@@ -366,7 +322,7 @@ mod tests {
     #[test]
     fn try_with_sheds_permanently_after_k_crashes() {
         // Both holders crash in the critical section (leaked guards):
-        // their slots, names, and tickets are consumed forever, so the
+        // their slots and names are consumed forever, so the
         // non-blocking path sheds every subsequent operation instead of
         // hanging the caller.
         let r = Resilient::new(8, 2, PerNameCells::new(2));

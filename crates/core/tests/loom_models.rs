@@ -275,6 +275,163 @@ fn fast_path_crash_in_cs_n3_k2() {
     );
 }
 
+// --- never-waiting entry racing blocking entry ---------------------------
+
+/// `try_acquire` against `acquire` on one Figure-4 instance. Before any
+/// thread starts, the pids in `crashed` enter and stop for good and the
+/// pids in `leavers` enter; then, concurrently, the main thread lets
+/// the leavers out, every pid in `blockers` runs one blocking cycle and
+/// every pid in `tryers` one `try_acquire` (and a release if it got
+/// in). On every schedule:
+///
+/// * at most `k` are inside, counting the crashed;
+/// * everything terminates: a `try_acquire` has no loop to spin in, so
+///   a crashed holder cannot hold it up, and a blocker that queued
+///   behind a slot a refused try held for a moment is woken again;
+/// * afterwards the counters are where the crashes alone put them:
+///   `occupancy()` says so for the final stage, and exactly
+///   `k - crashed` further tries get in, which a fast slot or a
+///   final-stage slot lost or gained by a refused try would change
+///   (dropping the `X` hand-back fails all three split models).
+///
+/// What these sizes cannot show is the refused try's way out of the
+/// *earlier* stages of a chain. A slot leaked there is invisible to
+/// every caller of a `(4, 2)` chain, and a blocker whose wake-up the
+/// try left out is woken anyway by the next holder to leave, because
+/// whoever made the try fail is a live holder or about to become one.
+/// `a_refused_try_leaves_every_stage_as_it_found_it` in `fig2.rs` and
+/// `fig6.rs` pins both on the counters themselves.
+fn check_try_against_blocking(
+    name: &'static str,
+    make: fn() -> FastPathKex,
+    crashed: &'static [usize],
+    leavers: &'static [usize],
+    blockers: &'static [usize],
+    tryers: &'static [usize],
+) {
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let kex = Arc::new(make());
+        let k = kex.k();
+        let inside = Arc::new(AtomicUsize::new(crashed.len()));
+        for &p in crashed.iter().chain(leavers) {
+            kex.acquire(p);
+        }
+        let visit = move |kex: &FastPathKex, inside: &AtomicUsize, p: usize| {
+            let now = inside.fetch_add(1, SeqCst) + 1;
+            assert!(now <= k, "k-exclusion violated: {now} > k={k}");
+            inside.fetch_sub(1, SeqCst);
+            kex.release(p);
+        };
+        inside.fetch_add(leavers.len(), SeqCst);
+        let handles: Vec<_> = blockers
+            .iter()
+            .map(|&p| (p, true))
+            .chain(tryers.iter().map(|&p| (p, false)))
+            .map(|(p, blocking)| {
+                let (kex, inside) = (Arc::clone(&kex), Arc::clone(&inside));
+                thread::spawn(move || {
+                    if blocking {
+                        kex.acquire(p);
+                        visit(&kex, &inside, p);
+                    } else if kex.try_acquire(p) {
+                        visit(&kex, &inside, p);
+                    }
+                })
+            })
+            .collect();
+        for &p in leavers {
+            inside.fetch_sub(1, SeqCst);
+            kex.release(p);
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+
+        assert_eq!(kex.occupancy(), crashed.len(), "a slot was lost or kept");
+        let spare = k - crashed.len();
+        let idle: Vec<usize> = leavers
+            .iter()
+            .chain(blockers)
+            .chain(tryers)
+            .copied()
+            .collect();
+        assert!(idle.len() > spare, "the model needs a pid to be refused");
+        for (i, &p) in idle.iter().enumerate().take(spare + 1) {
+            assert_eq!(kex.try_acquire(p), i < spare, "try number {i} afterwards");
+        }
+        assert_eq!(kex.occupancy(), k);
+        for &p in &idle[..spare] {
+            kex.release(p);
+        }
+        assert_eq!(kex.occupancy(), crashed.len());
+    });
+    eprintln!(
+        "{name}: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
+
+#[test]
+fn try_vs_blocking_block_shape_n4_k2() {
+    // n <= 2k: the node is one (4, 2) chain of two stages. With 0 and
+    // the crashed 1 inside, the try takes the first stage's last slot
+    // and is refused at the second (unless 0 has left by then); the
+    // blocker that arrives in between queues at the *first* stage,
+    // behind the slot the try is about to give back.
+    check_try_against_blocking(
+        "try vs acquire, block (4,2)",
+        || FastPathKex::new(4, 2),
+        &[1],
+        &[0],
+        &[3],
+        &[2],
+    );
+}
+
+#[test]
+fn try_vs_blocking_split_shape_n3_k1() {
+    // n > 2k: X, the tree and a (2, 1) final block. 0 holds the fast
+    // slot, so the blocker goes round the tree; once 0 leaves, the try
+    // can win X and still find the block taken through the slow path —
+    // the one case in which it has to hand X back.
+    check_try_against_blocking(
+        "try vs acquire, split (3,1)",
+        || FastPathKex::new(3, 1),
+        &[],
+        &[0],
+        &[1],
+        &[2],
+    );
+}
+
+#[test]
+fn two_tries_vs_blocking_split_shape_n3_k1() {
+    check_try_against_blocking(
+        "two tries vs acquire, split (3,1)",
+        || FastPathKex::new(3, 1),
+        &[],
+        &[],
+        &[0],
+        &[1, 2],
+    );
+}
+
+#[test]
+fn try_vs_blocking_split_shape_crash_n5_k2() {
+    // k - 1 = 1 crashed holder on a fast slot for good, 1 on the other
+    // until it leaves, the blocker on the slow path: the try is refused
+    // off X, or wins X and is refused by a block holding the crashed
+    // process and the slow-path one — never waiting for either.
+    check_try_against_blocking(
+        "try vs acquire after a crash, split (5,2)",
+        || FastPathKex::new(5, 2),
+        &[0],
+        &[1],
+        &[2],
+        &[3],
+    );
+}
+
 // --- (b) unique names in 0..k --------------------------------------------
 
 #[test]

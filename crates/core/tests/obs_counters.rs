@@ -17,8 +17,20 @@
 
 #![cfg(all(feature = "obs", not(loom)))]
 
-use kex_core::native::{CcChainKex, FastPathKex, RawKex};
+use kex_core::native::{CcChainKex, FastPathKex, KAssignment, RawKex, Resilient};
 use kex_obs::Section;
+
+/// `(RMWs, stores, loads)` of pid 0 since the last `reset()`, over all
+/// sections.
+fn pid0_counts() -> (u64, u64, u64) {
+    let snap = kex_obs::snapshot();
+    assert!(snap.untracked().is_none(), "every op ran inside a span");
+    snap.pid(0).map_or((0, 0, 0), |pid| {
+        pid.sections.iter().fold((0, 0, 0), |acc, s| {
+            (acc.0 + s.rmws, acc.1 + s.stores, acc.2 + s.loads)
+        })
+    })
+}
 
 /// The whole file is one `#[test]`: the registry is process-global and
 /// the libtest harness runs `#[test]` fns concurrently, so independent
@@ -29,6 +41,8 @@ fn scripted_single_thread_schedule_has_exact_counts() {
     second_acquisition_hits_warm_cache();
     guard_drives_occupancy_gauge_and_cs_span();
     fast_path_16_4_uncontended_pair_is_16_ops_10_rmws();
+    resilient_with_is_assignment_enter_and_drop();
+    a_refused_try_enter_writes_nothing();
 }
 
 /// `CcChainKex::new(2, 1)` is a single Figure-2 stage (`X`, `Q`).
@@ -152,4 +166,40 @@ fn fast_path_16_4_uncontended_pair_is_16_ops_10_rmws() {
     assert_eq!(entry.ops() + exit.ops(), 16);
     assert_eq!(entry.spins, 0, "the fast slot was free");
     assert!(snap.untracked().is_none());
+}
+
+/// The wrapper adds no atomic of its own: a guarded op is the
+/// k-assignment's enter and drop — the kex pair above plus one name bit
+/// set and cleared (`assignment.*_per_op` 18 / 11 in the benchmark's
+/// count pass, and `resilient.*_per_op` the same).
+fn resilient_with_is_assignment_enter_and_drop() {
+    let assign = KAssignment::new(16, 4);
+    kex_obs::reset();
+    drop(assign.enter(0));
+    let bare = pid0_counts();
+    assert_eq!(bare, (11, 6, 1));
+
+    let wrapped = Resilient::new(16, 4, ());
+    kex_obs::reset();
+    wrapped.with(0, |_, _| ());
+    assert_eq!(pid0_counts(), bare, "Resilient::with adds an atomic");
+
+    kex_obs::reset();
+    assert!(wrapped.try_with(0, |_, _| ()).is_some());
+    assert_eq!(pid0_counts().0, bare.0, "try_with adds an RMW");
+}
+
+/// `X` is the shedding gate: with all `k` slots consumed (here by
+/// crashed holders, the case that lasts) a refusal is one load of `X`
+/// — no store, no RMW, nothing for the next caller to miss on.
+fn a_refused_try_enter_writes_nothing() {
+    let full = Resilient::new(16, 4, ());
+    for p in 1..=4 {
+        std::mem::forget(full.enter(p));
+    }
+    assert_eq!(full.occupancy(), 4);
+    kex_obs::reset();
+    assert!(full.try_enter(0).is_none());
+    assert_eq!(pid0_counts(), (0, 0, 1));
+    assert_eq!(full.occupancy(), 4);
 }

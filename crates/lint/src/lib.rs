@@ -104,11 +104,12 @@ const WAITFREE_PREFIX: &str = "crates/waitfree/src/";
 const WAITFREE_ORDERING_MODULE: &str = "crates/waitfree/src/ordering.rs";
 
 /// The store service layer, covered by the same literal-`Ordering::*`
-/// ban (uniformly SeqCst by design, like the wait-free layer).
+/// ban (SeqCst on every shared cell, like the wait-free layer; Relaxed
+/// on its owner-private tallies).
 const STORE_PREFIX: &str = "crates/store/src/";
 
 /// The store counterpart of `native::ordering`: defines that crate's
-/// named ordering constant, so it may spell `Ordering::*`.
+/// named ordering constants, so it may spell `Ordering::*`.
 const STORE_ORDERING_MODULE: &str = "crates/store/src/ordering.rs";
 
 /// Native files exempt from the site passes: test scaffolding compiled

@@ -110,6 +110,16 @@ impl Meta {
         };
         counters::record_op(kind, cc_remote, self.dsm_remote(pid), sites::site_id(loc));
     }
+
+    /// Classifies and records a `fetch_update` at `loc`: one RMW if it
+    /// wrote, one read if its closure declined (nothing is written).
+    #[inline]
+    fn on_update<T>(&self, outcome: &Result<T, T>, loc: &'static Location<'static>) {
+        match outcome {
+            Ok(_) => self.on_write(OpKind::Rmw, loc),
+            Err(_) => self.on_read(loc),
+        }
+    }
 }
 
 /// Declares the DSM home of an instrumented variable.
@@ -216,7 +226,8 @@ macro_rules! instrumented_common {
 
             /// Fetch-and-update; counted as **one** RMW even though the
             /// underlying CAS loop may retry (an estimator
-            /// simplification, documented in the crate docs).
+            /// simplification, documented in the crate docs) — or as
+            /// one read when `f` declines, which writes nothing.
             #[track_caller]
             #[inline]
             pub fn fetch_update<F>(
@@ -228,8 +239,9 @@ macro_rules! instrumented_common {
             where
                 F: FnMut($ty) -> Option<$ty>,
             {
-                self.meta.on_write(OpKind::Rmw, Location::caller());
-                self.inner.fetch_update(set_order, fetch_order, f)
+                let outcome = self.inner.fetch_update(set_order, fetch_order, f);
+                self.meta.on_update(&outcome, Location::caller());
+                outcome
             }
         }
 
@@ -395,7 +407,8 @@ impl<T> AtomicPtr<T> {
             .compare_exchange_weak(current, new, success, failure)
     }
 
-    /// Fetch-and-update; counted as one RMW.
+    /// Fetch-and-update; counted as one RMW, or as one read when `f`
+    /// declines.
     #[track_caller]
     #[inline]
     pub fn fetch_update<F>(
@@ -407,8 +420,9 @@ impl<T> AtomicPtr<T> {
     where
         F: FnMut(*mut T) -> Option<*mut T>,
     {
-        self.meta.on_write(OpKind::Rmw, Location::caller());
-        self.inner.fetch_update(set_order, fetch_order, f)
+        let outcome = self.inner.fetch_update(set_order, fetch_order, f);
+        self.meta.on_update(&outcome, Location::caller());
+        outcome
     }
 }
 

@@ -56,7 +56,8 @@
 //!
 //! The estimates are *estimates*: the holder-bitmask update itself races
 //! benignly with concurrent accesses to the same variable, `fetch_update`
-//! is counted as one RMW even when the underlying CAS loop retries, and
+//! is counted as one RMW even when the underlying CAS loop retries (and
+//! as one read when its closure declines to write), and
 //! processes with ids ≥ [`MAX_PIDS`] are counted as always-remote under
 //! CC. See `docs/OBSERVABILITY.md` for how the numbers relate to the
 //! simulator's exact counts and the Table 1 formulas.

@@ -15,17 +15,31 @@ use kex_util::CachePadded;
 
 use crate::journal::{LaneJournal, OpKind};
 use crate::object::ShardObject;
-use crate::ordering::SEQ_CST;
+use crate::ordering::RELAXED;
 use crate::traits::PutError;
 
 /// A single shard; created and routed to by [`crate::Store`].
 pub struct Shard<O> {
     res: Resilient<O>,
     journal: LaneJournal,
+    /// One cell per process id, written by that process alone (a pid
+    /// runs on one thread at a time) and summed by [`Shard::stats`].
+    /// Per pid and not per name: two clients that take turns on name 0
+    /// would pass a per-name line back and forth.
+    tallies: Vec<CachePadded<Tally>>,
+}
+
+#[derive(Default)]
+struct Tally {
     /// Operations completed through this shard (reads + writes).
-    ops: CachePadded<AtomicU64>,
+    ops: AtomicU64,
     /// Non-blocking operations shed because no slot was free.
-    sheds: CachePadded<AtomicU64>,
+    sheds: AtomicU64,
+}
+
+/// Owner-private increment: a plain register needs no RMW.
+fn bump(cell: &AtomicU64) {
+    cell.store(cell.load(RELAXED) + 1, RELAXED);
 }
 
 /// A monitoring snapshot of one shard; all fields are approximate
@@ -40,8 +54,9 @@ pub struct ShardStats {
     pub ops: u64,
     /// Non-blocking operations shed.
     pub sheds: u64,
-    /// Processes admitted or waiting right now (crashed holders count
-    /// forever).
+    /// Processes holding a slot, or waiting at the final stage of the
+    /// k-exclusion, right now (crashed holders count forever); on an
+    /// idle shard, the slots crashes have consumed.
     pub occupancy: usize,
     /// Lanes whose last journaled operation is still in flight — after
     /// crashes, the number of attributable dead holders.
@@ -55,8 +70,7 @@ impl<O: ShardObject> Shard<O> {
         Shard {
             res: Resilient::new(n, k, obj),
             journal: LaneJournal::new(k, journal_depth),
-            ops: CachePadded::new(AtomicU64::new(0)),
-            sheds: CachePadded::new(AtomicU64::new(0)),
+            tallies: (0..n).map(|_| CachePadded::default()).collect(),
         }
     }
 
@@ -99,52 +113,50 @@ impl<O: ShardObject> Shard<O> {
         let result = obj.put(name, key, value);
         entry.committed = result.is_ok();
         drop(entry);
-        self.ops.fetch_add(1, SEQ_CST);
         result
+    }
+
+    /// Counts a non-blocking op of `p`'s: served, or shed.
+    fn tried<R>(&self, p: usize, outcome: Option<R>) -> Option<R> {
+        let tally = &self.tallies[p];
+        bump(if outcome.is_some() {
+            &tally.ops
+        } else {
+            &tally.sheds
+        });
+        outcome
     }
 
     /// Guarded read.
     pub fn get(&self, p: usize, key: u64) -> Option<u64> {
         let got = self.res.with(p, |obj, name| obj.get(name, key));
-        self.ops.fetch_add(1, SEQ_CST);
+        bump(&self.tallies[p].ops);
         got
     }
 
     /// Non-blocking guarded read; `None` = shed.
     pub fn try_get(&self, p: usize, key: u64) -> Option<Option<u64>> {
-        match self.res.try_with(p, |obj, name| obj.get(name, key)) {
-            Some(got) => {
-                self.ops.fetch_add(1, SEQ_CST);
-                Some(got)
-            }
-            None => {
-                self.sheds.fetch_add(1, SEQ_CST);
-                None
-            }
-        }
+        self.tried(p, self.res.try_with(p, |obj, name| obj.get(name, key)))
     }
 
     /// Guarded, journaled write.
     pub fn put(&self, p: usize, key: u64, value: u64) -> Result<(), PutError> {
-        self.res
-            .with(p, |obj, name| self.journaled_put(obj, name, key, value))
+        let journaled = |obj: &O, name| self.journaled_put(obj, name, key, value);
+        let result = self.res.with(p, journaled);
+        bump(&self.tallies[p].ops);
+        result
     }
 
     /// Non-blocking guarded, journaled write; `None` = shed.
     pub fn try_put(&self, p: usize, key: u64, value: u64) -> Option<Result<(), PutError>> {
-        let outcome = self
-            .res
-            .try_with(p, |obj, name| self.journaled_put(obj, name, key, value));
-        if outcome.is_none() {
-            self.sheds.fetch_add(1, SEQ_CST);
-        }
-        outcome
+        let journaled = |obj: &O, name| self.journaled_put(obj, name, key, value);
+        self.tried(p, self.res.try_with(p, journaled))
     }
 
     /// Guarded scan of this shard's pairs.
     pub fn scan(&self, p: usize, f: &mut dyn FnMut(u64, u64)) {
         self.res.with(p, |obj, name| obj.scan(name, f));
-        self.ops.fetch_add(1, SEQ_CST);
+        bump(&self.tallies[p].ops);
     }
 
     /// Crash-failure injection: enter as `p`, journal and apply a put,
@@ -157,7 +169,7 @@ impl<O: ShardObject> Shard<O> {
         let name = guard.name();
         self.journal.begin(name, OpKind::Put, key, value);
         let _ = guard.object().put(name, key, value);
-        // The crash: the slot, name, and admission ticket never return.
+        // The crash: the slot and the name never return.
         std::mem::forget(guard);
     }
 
@@ -167,8 +179,8 @@ impl<O: ShardObject> Shard<O> {
         ShardStats {
             k: self.res.k(),
             keys: self.res.object_unguarded().len_unguarded(),
-            ops: self.ops.load(SEQ_CST),
-            sheds: self.sheds.load(SEQ_CST),
+            ops: self.tallies.iter().map(|t| t.ops.load(RELAXED)).sum(),
+            sheds: self.tallies.iter().map(|t| t.sheds.load(RELAXED)).sum(),
             occupancy: self.res.occupancy(),
             in_flight_lanes: self.journal.in_flight_lanes(),
         }

@@ -22,10 +22,12 @@ use std::sync::Arc;
 use kex_loom::{thread, Builder};
 use kex_store::{KvStore, OpState, StoreConfig, StoreRead, StoreWrite};
 
-fn tiny_store() -> KvStore {
-    // One shard keeps the model honest (both writers *must* collide on
-    // the same wrapper) and small: n = 3, k = 2 — one crash survivable.
-    let mut cfg = StoreConfig::new(1, 3, 2);
+/// One shard keeps the model honest (both writers *must* collide on
+/// the same wrapper) and small; k = 2 — one crash survivable. With
+/// n = 3 the k-exclusion is a single block, with n = 5 it has the fast
+/// path, the tree and the final block of the benchmark's shards.
+fn tiny_store(n: usize) -> KvStore {
+    let mut cfg = StoreConfig::new(1, n, 2);
     cfg.capacity = 4;
     cfg.journal_depth = 2;
     KvStore::new(cfg)
@@ -42,7 +44,7 @@ const KEY: u64 = 42;
 #[test]
 fn racing_same_key_writes_with_crash_in_cs() {
     let stats = Builder::new().max_preemptions(2).check(move || {
-        let store = Arc::new(tiny_store());
+        let store = Arc::new(tiny_store(3));
 
         let crasher = Arc::clone(&store);
         let t0 = thread::spawn(move || {
@@ -69,7 +71,7 @@ fn racing_same_key_writes_with_crash_in_cs() {
 
         let stats = store.stats();
         assert_eq!(stats[0].in_flight_lanes, 1, "crash not attributed");
-        assert_eq!(stats[0].occupancy, 1, "crashed ticket not retained");
+        assert_eq!(stats[0].occupancy, 1, "crashed slot not retained");
 
         // The dead lane names exactly the interrupted operation.
         let journal = store.shard(0).journal();
@@ -90,11 +92,12 @@ fn racing_same_key_writes_with_crash_in_cs() {
 
 /// The non-blocking surface under a *fully* dead shard: both slots
 /// crash-consumed, so `try_put`/`try_get` must shed (return `None`)
-/// on every schedule rather than admit or hang.
+/// on every schedule rather than admit or hang. Then the same surface
+/// one crash short of that, with the last slot contended.
 #[test]
 fn try_ops_shed_when_every_slot_is_crash_consumed() {
     let stats = Builder::new().max_preemptions(2).check(move || {
-        let store = Arc::new(tiny_store());
+        let store = Arc::new(tiny_store(3));
 
         let c0 = Arc::clone(&store);
         let t0 = thread::spawn(move || c0.crash_in_cs(0, KEY, 1));
@@ -110,6 +113,51 @@ fn try_ops_shed_when_every_slot_is_crash_consumed() {
     });
     eprintln!(
         "store full-crash shed: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+
+    // k - 1 slots crash-consumed, two blocking writers after the one
+    // that is left (the second finds no fast slot and comes round the
+    // tree, so it holds the final block while `X` is free again), and a
+    // third process on the shedding surface throughout: each of its ops
+    // is served or shed, none waits — it would deadlock the model —
+    // and no schedule leaves a counter, a lane or a tally off by one.
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let store = Arc::new(tiny_store(5));
+        store.crash_in_cs(0, KEY, 1);
+
+        let writers: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|p| {
+                let store = Arc::clone(&store);
+                thread::spawn(move || store.put(p, KEY, 10 * p as u64).unwrap())
+            })
+            .collect();
+        let served = [
+            store.try_put(3, KEY, 30).map(|put| put.unwrap()).is_some(),
+            store.try_get(3, KEY).is_some(),
+        ];
+        for writer in writers {
+            writer.join().unwrap();
+        }
+
+        let value = store.get(3, KEY).unwrap();
+        assert!([1, 10, 20, 30].contains(&value), "torn value {value}");
+        let stats = store.stats()[0];
+        let sheds = served.iter().filter(|&&s| !s).count() as u64;
+        assert_eq!((stats.in_flight_lanes, stats.occupancy), (1, 1));
+        assert_eq!((stats.ops, stats.sheds), (5 - sheds, sheds));
+
+        // The last slot dies too: from here on everything is shed.
+        store.crash_in_cs(1, KEY, 2);
+        assert_eq!(store.try_put(3, KEY, 3), None);
+        assert_eq!(store.try_get(3, KEY), None);
+        let stats = store.stats()[0];
+        assert_eq!((stats.in_flight_lanes, stats.occupancy), (2, 2));
+        assert_eq!(stats.sheds, sheds + 2);
+    });
+    eprintln!(
+        "store shed behind a slow-path holder: {} executions, {} schedule points",
         stats.executions, stats.schedule_points
     );
 }
