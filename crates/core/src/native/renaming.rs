@@ -3,9 +3,10 @@
 //! Given that at most `k` processes hold names at any time (the caller's
 //! obligation — discharged by wrapping in k-exclusion, as
 //! [`crate::native::KAssignment`] does), every acquisition terminates in
-//! at most `k-1` test-and-sets with a unique name in `0..k`, and names
+//! at most `k-1` probes with a unique name in `0..k`, and names
 //! can be re-acquired forever (the *long-lived* property the paper
-//! contributes over prior one-shot renaming).
+//! contributes over prior one-shot renaming). A probe reads a bit before
+//! it `test_and_set`s it: a crashed holder's bit is never written again.
 
 use kex_util::sync::atomic::AtomicBool;
 
@@ -47,17 +48,21 @@ impl TasRenaming {
     /// Correct only while at most `k` processes (this caller included)
     /// concurrently hold or probe names; under that precondition the loop
     /// always finds a clear bit (or falls through to name `k-1`) — it is
-    /// wait-free with at most `k-1` shared accesses.
+    /// wait-free: one read per bit, plus a test-and-set per bit read clear.
     pub fn acquire_name(&self) -> usize {
-        // Statement 2: test-and-set each bit in order until one is clear.
-        // The §4 pigeonhole argument only reasons about each bit's own
-        // RMW history (per-location atomicity), so the AcqRel chain on
-        // each bit suffices; the acquire half pairs with the release
-        // clear below to hand over any name-guarded data. (Name k-1 has
-        // no bit; its hand-off edge comes from the enclosing
-        // k-exclusion's RMW chains.)
+        // Statement 2: test-and-set each bit in ascending order (the
+        // order is what keeps name k-1 unique: the `start_hint` test)
+        // until one is clear; a bit read set is a refused test-and-set
+        // linearised at the read. The §4 pigeonhole argument only
+        // reasons about each bit's own RMW history, so the AcqRel chain
+        // on each bit suffices; its acquire half pairs with the release
+        // clear below to hand over any name-guarded data. Name k-1 has
+        // no bit: its hand-off edge is the enclosing k-exclusion's RMW
+        // chains, direct or via a later entrant's swap that this probe
+        // reads — hence ACQUIRE on the read (docs/MEMORY_ORDERING.md).
         for (name, bit) in self.bits.iter().enumerate() {
-            if !bit.swap(true, ord::ACQ_REL) {
+            let seen_set = bit.load(ord::ACQUIRE);
+            if !seen_set && !bit.swap(true, ord::ACQ_REL) {
                 return name;
             }
         }
@@ -138,5 +143,64 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn release_rejects_foreign_names() {
         TasRenaming::new(2).release_name(2);
+    }
+
+    /// One walk of the probe loop, a probe per `step`, that begins at
+    /// bit `start` and wraps — what a per-process "start where you
+    /// last won" hint would turn [`TasRenaming::acquire_name`] into.
+    struct Walk {
+        start: usize,
+        probed: usize,
+    }
+
+    impl Walk {
+        fn starting_at(start: usize) -> Self {
+            Walk { start, probed: 0 }
+        }
+
+        /// Probes the next bit; `Some(name)` once the walk has ended.
+        fn step(&mut self, r: &TasRenaming) -> Option<usize> {
+            let name = (self.start + self.probed) % r.bits.len();
+            let bit = &r.bits[name];
+            if !bit.load(ord::ACQUIRE) && !bit.swap(true, ord::ACQ_REL) {
+                return Some(name);
+            }
+            self.probed += 1;
+            (self.probed == r.bits.len()).then_some(r.k - 1)
+        }
+    }
+
+    /// k = 3, never more than three processes inside. q, s and p take
+    /// 0, 1 and 2 (p by falling through) and s leaves; r is refused at
+    /// bit 0; q leaves and comes back, its walk starting at
+    /// `q_restart`; r finishes its walk. Returns the names p, q and r
+    /// then hold at once.
+    fn p_q_r_after_q_restarts_at(q_restart: usize) -> [usize; 3] {
+        let names = TasRenaming::new(3);
+        let (q, s, p) = (
+            names.acquire_name(),
+            names.acquire_name(),
+            names.acquire_name(),
+        );
+        assert_eq!((q, s, p), (0, 1, 2));
+        names.release_name(s);
+        let mut r = Walk::starting_at(0);
+        assert_eq!(r.step(&names), None);
+        names.release_name(q);
+        let q = Walk::starting_at(q_restart)
+            .step(&names)
+            .expect("a bit is clear");
+        let r = r.step(&names).expect("r has one bit left to probe");
+        [p, q, r]
+    }
+
+    /// Why the read-first probe keeps the paper's ascending order: the
+    /// pigeonhole argument for name `k-1` counts the holders *below* a
+    /// walker, and a walk that starts above a clear bit lets a holder
+    /// slip in there behind it.
+    #[test]
+    fn start_hint_would_hand_out_name_k_minus_1_twice() {
+        assert_eq!(p_q_r_after_q_restarts_at(1), [2, 1, 2], "r shares p's name");
+        assert_eq!(p_q_r_after_q_restarts_at(0), [2, 0, 1]);
     }
 }

@@ -614,6 +614,9 @@ fn resilient_counter_n3_k2() {
 /// and require bit-identical exploration statistics.
 #[test]
 fn obs_spans_do_not_perturb_schedules() {
+    // Under loom the guards are inert, Drop-less ZSTs — the point of
+    // the test — and the drops mark where a real span would close.
+    #[allow(clippy::drop_non_drop)]
     fn explore(annotate: bool) -> kex_loom::Stats {
         Builder::new().check(move || {
             let kex = Arc::new(CcChainKex::new(2, 1));
@@ -662,11 +665,12 @@ fn obs_spans_do_not_perturb_schedules() {
 // --- relaxed-ordering sites: multi-cycle models ---------------------------
 //
 // `native::ordering` weakens selected hot-path sites from SeqCst to
-// acquire/release/relaxed (see `docs/MEMORY_ORDERING.md`). The vendored
-// checker explores sequentially-consistent interleavings whatever
-// `Ordering` argument the code passes, so these models cannot detect a
-// *wrong ordering* directly — that is TSan's job (CI runs the contend
-// smoke under `-Z sanitizer=thread`). What they do pin down is the
+// acquire/release/relaxed (see `docs/MEMORY_ORDERING.md`). By default the
+// vendored checker explores sequentially-consistent interleavings
+// whatever `Ordering` argument the code passes, so these models detect a
+// *wrong ordering* only in the CI `weak-memory` job, which re-runs them
+// with `LOOM_WEAK_MEMORY=1` (and TSan runs the contend smoke under
+// `-Z sanitizer=thread`). What they pin down on either backend is the
 // *algorithmic* claim each relaxation leans on, across the state reuse
 // that only shows up after a release: every model below runs two full
 // acquire→release cycles per process, so each relaxed site is exercised
@@ -787,7 +791,48 @@ fn graceful_two_cycles_nested_slow_flag_round_trip() {
 // The renaming swap/clear pair (ACQ_REL `bit.swap`, RELEASE clear) is
 // already exercised across reuse by `tas_renaming_two_concurrent`
 // above: each process acquires a name twice, so cycle 2 re-swaps bits
-// cycle 1 released.
+// cycle 1 released. What a *name* hands over is the model below.
+
+#[test]
+fn k_assignment_two_cycles_name_hands_over_plain_data() {
+    // Relaxed site: the read-first probe of a name bit is an ACQUIRE
+    // load. The store's journal lanes lean on a name being a
+    // single-writer register file: each holder bumps a per-name cell
+    // with a plain (Relaxed) load and store, so an increment is lost
+    // iff two holders of one name overlap or the later one's load is
+    // not ordered after the earlier one's store. Name 0 hands over
+    // through its bit's release/acquire pair; name 1 has no bit — its
+    // edge is the k-exclusion's RMW chain, direct or via a later
+    // entrant's swap of bit 0 that the new holder's probe reads, which
+    // a RELAXED probe load loses (this model then fails under
+    // `LOOM_WEAK_MEMORY=1`).
+    use kex_loom::atomic::Ordering::Relaxed;
+    let stats = Builder::new().max_preemptions(2).check(|| {
+        let a = Arc::new(KAssignment::new(3, 2));
+        let cells: Arc<Vec<AtomicUsize>> = Arc::new((0..2).map(|_| AtomicUsize::new(0)).collect());
+        let handles: Vec<_> = (0..3)
+            .map(|p| {
+                let (a, cells) = (Arc::clone(&a), Arc::clone(&cells));
+                thread::spawn(move || {
+                    for _ in 0..2 {
+                        let g = a.enter(p);
+                        let cell = &cells[g.name()];
+                        cell.store(cell.load(Relaxed) + 1, Relaxed);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let entries: usize = cells.iter().map(|c| c.load(Relaxed)).sum();
+        assert_eq!(entries, 6, "a holder's write to its name's cell was lost");
+    });
+    eprintln!(
+        "k-assignment name hand-off (3,2) x2: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
 
 // --- checker power: the injected Figure-2 ordering bug --------------------
 

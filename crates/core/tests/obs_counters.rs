@@ -17,7 +17,7 @@
 
 #![cfg(all(feature = "obs", not(loom)))]
 
-use kex_core::native::{CcChainKex, FastPathKex, KAssignment, RawKex, Resilient};
+use kex_core::native::{CcChainKex, FastPathKex, KAssignment, RawKex, Resilient, TasRenaming};
 use kex_obs::Section;
 
 /// `(RMWs, stores, loads)` of pid 0 since the last `reset()`, over all
@@ -43,6 +43,7 @@ fn scripted_single_thread_schedule_has_exact_counts() {
     fast_path_16_4_uncontended_pair_is_16_ops_10_rmws();
     resilient_with_is_assignment_enter_and_drop();
     a_refused_try_enter_writes_nothing();
+    a_probe_of_a_dead_name_writes_nothing();
 }
 
 /// `CcChainKex::new(2, 1)` is a single Figure-2 stage (`X`, `Q`).
@@ -170,14 +171,14 @@ fn fast_path_16_4_uncontended_pair_is_16_ops_10_rmws() {
 
 /// The wrapper adds no atomic of its own: a guarded op is the
 /// k-assignment's enter and drop — the kex pair above plus one name bit
-/// set and cleared (`assignment.*_per_op` 18 / 11 in the benchmark's
-/// count pass, and `resilient.*_per_op` the same).
+/// read, set and cleared (`assignment.*_per_op` 19 / 11 in the
+/// benchmark's count pass, and `resilient.*_per_op` the same).
 fn resilient_with_is_assignment_enter_and_drop() {
     let assign = KAssignment::new(16, 4);
     kex_obs::reset();
     drop(assign.enter(0));
     let bare = pid0_counts();
-    assert_eq!(bare, (11, 6, 1));
+    assert_eq!(bare, (11, 6, 2));
 
     let wrapped = Resilient::new(16, 4, ());
     kex_obs::reset();
@@ -202,4 +203,20 @@ fn a_refused_try_enter_writes_nothing() {
     assert!(full.try_enter(0).is_none());
     assert_eq!(pid0_counts(), (0, 0, 1));
     assert_eq!(full.occupancy(), 4);
+}
+
+/// The renaming probe is test-and-`test_and_set`: with `k - 1` names
+/// held for ever (crashed holders — the paper's resilience regime) an
+/// acquisition reads each of their bits once and writes nothing, so the
+/// bits' lines stay shared in every survivor's cache.
+fn a_probe_of_a_dead_name_writes_nothing() {
+    let names = TasRenaming::new(4);
+    for dead in 0..3 {
+        assert_eq!(names.acquire_name(), dead);
+    }
+    kex_obs::reset();
+    let span = kex_obs::span(Section::Entry, 0);
+    assert_eq!(names.acquire_name(), 3);
+    drop(span);
+    assert_eq!(pid0_counts(), (0, 0, 3));
 }

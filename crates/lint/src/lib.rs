@@ -104,8 +104,9 @@ const WAITFREE_PREFIX: &str = "crates/waitfree/src/";
 const WAITFREE_ORDERING_MODULE: &str = "crates/waitfree/src/ordering.rs";
 
 /// The store service layer, covered by the same literal-`Ordering::*`
-/// ban (SeqCst on every shared cell, like the wait-free layer; Relaxed
-/// on its owner-private tallies).
+/// ban (SeqCst on the cells admitted writers race; the single-writer
+/// journal lanes and tallies relaxed as `docs/MEMORY_ORDERING.md`'s
+/// "store layer" section argues).
 const STORE_PREFIX: &str = "crates/store/src/";
 
 /// The store counterpart of `native::ordering`: defines that crate's

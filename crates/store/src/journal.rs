@@ -4,7 +4,9 @@
 //! The k-assignment wrapper guarantees that at most one live process
 //! holds each name at a time, so a name is a natural single-writer lane:
 //! the holder journals `begin → (object op) → commit` into its lane with
-//! plain atomic stores and no further synchronization among writers.
+//! plain stores — payload `RELAXED`, then `meta` and `head` `RELEASE` for
+//! `ACQUIRE` readers — and no synchronization among writers beyond the
+//! name's hand-off edge (docs/MEMORY_ORDERING.md, "store layer").
 //! Because a crashed process consumes its name forever (the paper's
 //! failure model), the lane it leaves behind is *attributable*: an entry
 //! that is begun but never committed sits at the lane head and names
@@ -19,7 +21,7 @@
 use kex_util::sync::atomic::AtomicU64;
 use kex_util::CachePadded;
 
-use crate::ordering::SEQ_CST;
+use crate::ordering::{ACQUIRE, RELAXED, RELEASE};
 
 /// State of a journal slot, packed into the low bits of its meta word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +63,23 @@ const STATE_ABORTED: u64 = 3;
 /// meta = `lsn << 4 | kind << 2 | state` (60-bit lsn).
 const META_BITS: u32 = 4;
 
-/// One name's ring: a head counter plus `depth` (meta, key, value) slot
-/// triples, padded so lanes never share a cache line.
+/// One journal entry; two to a 64-byte line.
+#[repr(align(32))]
+#[derive(Default)]
+struct Slot {
+    meta: AtomicU64,
+    key: AtomicU64,
+    val: AtomicU64,
+}
+
+#[cfg(not(feature = "obs"))] // the instrumented atomics are wider
+const _: () = assert!(size_of::<Slot>() == 32 && align_of::<Slot>() == 32);
+
+/// One name's ring: a head counter on a line of its own plus `depth`
+/// slots, four to a padded block, on lines no other lane touches.
 struct Lane {
     head: CachePadded<AtomicU64>,
-    meta: Vec<AtomicU64>,
-    keys: Vec<AtomicU64>,
-    vals: Vec<AtomicU64>,
+    ring: Box<[CachePadded<[Slot; 4]>]>,
 }
 
 /// The per-shard journal: one single-writer lane per k-assignment name.
@@ -93,10 +105,8 @@ impl LaneJournal {
         LaneJournal {
             lanes: (0..k)
                 .map(|_| Lane {
-                    head: CachePadded::new(AtomicU64::new(0)),
-                    meta: (0..depth).map(|_| AtomicU64::new(STATE_EMPTY)).collect(),
-                    keys: (0..depth).map(|_| AtomicU64::new(0)).collect(),
-                    vals: (0..depth).map(|_| AtomicU64::new(0)).collect(),
+                    head: CachePadded::default(),
+                    ring: (0..depth.div_ceil(4)).map(|_| Default::default()).collect(),
                 })
                 .collect(),
             depth,
@@ -113,6 +123,12 @@ impl LaneJournal {
         self.depth
     }
 
+    /// The slot of `name`'s lane that entry `lsn` lives in.
+    fn slot(&self, name: usize, lsn: u64) -> &Slot {
+        let at = (lsn % self.depth as u64) as usize;
+        &self.lanes[name].ring[at / 4][at % 4]
+    }
+
     /// Journal the start of an operation on `name`'s lane; returns the
     /// entry's lane-local sequence number for [`LaneJournal::commit`] /
     /// [`LaneJournal::abort`].
@@ -120,29 +136,28 @@ impl LaneJournal {
     /// Caller contract (what the k-assignment buys): the caller holds
     /// `name` right now, making it the lane's only writer.
     pub fn begin(&self, name: usize, kind: OpKind, key: u64, value: u64) -> u64 {
-        let lane = &self.lanes[name];
-        let lsn = lane.head.load(SEQ_CST);
-        let slot = (lsn % self.depth as u64) as usize;
-        lane.keys[slot].store(key, SEQ_CST);
-        lane.vals[slot].store(value, SEQ_CST);
+        let lsn = self.lanes[name].head.load(ACQUIRE);
+        let slot = self.slot(name, lsn);
+        slot.key.store(key, RELAXED);
+        slot.val.store(value, RELAXED);
         let kind = match kind {
             OpKind::Put => 0u64,
         };
-        // Publishing the meta word last makes the (key, value) pair
-        // visible before any observer can classify the entry in-flight.
-        lane.meta[slot].store(lsn << META_BITS | kind << 2 | STATE_IN_FLIGHT, SEQ_CST);
+        // Publishing the meta word last, with release, makes the (key,
+        // value) pair visible before any observer can classify it.
+        slot.meta
+            .store(lsn << META_BITS | kind << 2 | STATE_IN_FLIGHT, RELEASE);
         lsn
     }
 
     fn finish(&self, name: usize, lsn: u64, state: u64) {
-        let lane = &self.lanes[name];
-        let slot = (lsn % self.depth as u64) as usize;
-        let meta = lane.meta[slot].load(SEQ_CST);
+        let slot = self.slot(name, lsn);
+        let meta = slot.meta.load(ACQUIRE);
         debug_assert_eq!(meta >> META_BITS, lsn, "finish of a non-head entry");
-        lane.meta[slot].store(meta & !0b11 | state, SEQ_CST);
+        slot.meta.store(meta & !0b11 | state, RELEASE);
         // Advancing the head only now keeps the in-flight entry (if the
         // writer dies first) pinned at `head % depth`.
-        lane.head.store(lsn + 1, SEQ_CST);
+        self.lanes[name].head.store(lsn + 1, RELEASE);
     }
 
     /// Mark `name`'s entry `lsn` committed and advance the lane head.
@@ -157,9 +172,8 @@ impl LaneJournal {
     }
 
     fn decode(&self, name: usize, lsn: u64) -> Option<Entry> {
-        let lane = &self.lanes[name];
-        let slot = (lsn % self.depth as u64) as usize;
-        let meta = lane.meta[slot].load(SEQ_CST);
+        let slot = self.slot(name, lsn);
+        let meta = slot.meta.load(ACQUIRE);
         if meta & 0b11 == STATE_EMPTY || meta >> META_BITS != lsn {
             return None;
         }
@@ -171,8 +185,8 @@ impl LaneJournal {
                 STATE_COMMITTED => OpState::Committed,
                 _ => OpState::Aborted,
             },
-            key: lane.keys[slot].load(SEQ_CST),
-            value: lane.vals[slot].load(SEQ_CST),
+            key: slot.key.load(ACQUIRE),
+            value: slot.val.load(ACQUIRE),
         })
     }
 
@@ -181,9 +195,10 @@ impl LaneJournal {
     ///
     /// Sound to call from any process for lanes whose holder is gone;
     /// racing it against a *live* holder yields a momentary in-flight
-    /// entry, which is an accurate answer, not a torn one.
+    /// entry, an accurate answer and, unless `depth` or more entries
+    /// finish meanwhile (`meta` is not re-read), not a torn one.
     pub fn in_flight(&self, name: usize) -> Option<Entry> {
-        let head = self.lanes[name].head.load(SEQ_CST);
+        let head = self.lanes[name].head.load(ACQUIRE);
         self.decode(name, head)
             .filter(|e| e.state == OpState::InFlight)
     }
@@ -198,7 +213,7 @@ impl LaneJournal {
     /// Entries *finished* on `name`'s lane so far — committed or
     /// aborted: the head advances on both.
     pub fn committed(&self, name: usize) -> u64 {
-        self.lanes[name].head.load(SEQ_CST)
+        self.lanes[name].head.load(ACQUIRE)
     }
 
     /// The retained tail of `name`'s lane, oldest first (completed
@@ -207,7 +222,7 @@ impl LaneJournal {
         // Candidate lsns span one ring plus the (possibly in-flight)
         // head entry; `decode` rejects slots whose stored lsn does not
         // match, so overwritten history simply drops out.
-        let head = self.lanes[name].head.load(SEQ_CST);
+        let head = self.lanes[name].head.load(ACQUIRE);
         let first = head.saturating_sub(self.depth as u64);
         (first..=head)
             .filter_map(|lsn| self.decode(name, lsn))
@@ -278,6 +293,20 @@ mod tests {
         assert_eq!(hist.last().unwrap().key, 9);
         for w in hist.windows(2) {
             assert_eq!(w[1].lsn, w[0].lsn + 1);
+        }
+    }
+
+    #[test]
+    #[cfg(not(feature = "obs"))] // the instrumented atomics are wider
+    fn neighbouring_lanes_share_no_cache_line() {
+        // Odd depth: the ring's last line is half used, not shared.
+        let j = LaneJournal::new(3, 5);
+        let line_of = |name, lsn| std::ptr::from_ref(j.slot(name, lsn)) as usize / 64;
+        for name in 0..2 {
+            assert_ne!(line_of(name, 4), line_of(name + 1, 0));
+            assert_eq!(line_of(name, 0), line_of(name, 1), "two slots to a line");
+            let head = std::ptr::from_ref(&*j.lanes[name].head) as usize / 64;
+            assert!((0..5).all(|lsn| line_of(name, lsn) != head));
         }
     }
 }

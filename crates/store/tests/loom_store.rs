@@ -13,12 +13,16 @@
 //! route → admission gate → k-exclusion → renaming → object →
 //! journal — is explored. The headline model is the ISSUE-8 one: two
 //! processes race `StoreWrite::put` on the *same key* while one of them
-//! crash-fails inside its critical section.
+//! crash-fails inside its critical section. The journal's orderings
+//! (payload `Relaxed`, `meta`/`head` `Release`, loads `Acquire`) are the
+//! subject of the `journal_*` models and of a seeded canary that only
+//! the weak-memory backend can catch, so it always runs on that one.
 
 #![cfg(loom)]
 
 use std::sync::Arc;
 
+use kex_loom::atomic::{AtomicU64, Ordering};
 use kex_loom::{thread, Builder};
 use kex_store::{KvStore, OpState, StoreConfig, StoreRead, StoreWrite};
 
@@ -159,5 +163,137 @@ fn try_ops_shed_when_every_slot_is_crash_consumed() {
     eprintln!(
         "store shed behind a slow-path holder: {} executions, {} schedule points",
         stats.executions, stats.schedule_points
+    );
+}
+
+/// Two writers put `(p, p + 100)` while the main thread reads the lanes
+/// the way a recovery pass would. With `name_0_is_dead` a crashed
+/// holder keeps name 0 for good, so the writers take turns on name 1 —
+/// the one without a bit, whose hand-off edge is the k-exclusion's own
+/// RMW chain (`crash_degraded`'s regime); without it they share names 0
+/// and 1 as the schedule has it. On every schedule:
+///
+/// * **publication** — a reader that sees an entry (in flight or in the
+///   history) sees that entry's key *and* value, and one that sees the
+///   head past an entry sees how the entry ended: `meta` is stored with
+///   release after the relaxed payload, `head` with release after it;
+/// * **hand-off** — the second holder of a name starts where the first
+///   stopped: no lsn is reused (a reused one would overwrite an entry
+///   and leave the heads one short of the puts issued).
+fn check_journal(name_0_is_dead: bool) -> kex_loom::Stats {
+    Builder::new().max_preemptions(2).check(move || {
+        let store = Arc::new(tiny_store(3));
+        if name_0_is_dead {
+            store.crash_in_cs(0, KEY, KEY + 100);
+        }
+        let writers: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|p| {
+                let store = Arc::clone(&store);
+                thread::spawn(move || store.put(p, p as u64, p as u64 + 100).unwrap())
+            })
+            .collect();
+
+        let journal = store.shard(0).journal();
+        for name in 0..2 {
+            let finished = journal.committed(name);
+            for e in journal
+                .history(name)
+                .into_iter()
+                .chain(journal.in_flight(name))
+            {
+                assert_eq!(e.value, e.key + 100, "entry without its payload");
+                let open = e.state == OpState::InFlight;
+                assert!(e.lsn >= finished || !open, "head ahead of its entry's meta");
+            }
+        }
+        for writer in writers {
+            writer.join().unwrap();
+        }
+
+        let mut keys = Vec::new();
+        for name in 0..2 {
+            for (at, e) in journal.history(name).into_iter().enumerate() {
+                assert_eq!(e.lsn, at as u64, "lane {name} skipped or reused an lsn");
+                assert_eq!(e.value, e.key + 100, "entry without its payload");
+                assert_eq!(e.state == OpState::InFlight, e.key == KEY);
+                keys.push(e.key);
+            }
+        }
+        keys.sort_unstable();
+        let mut issued = vec![1, 2];
+        issued.extend(name_0_is_dead.then_some(KEY));
+        assert_eq!(keys, issued);
+        let finished: u64 = (0..2).map(|name| journal.committed(name)).sum();
+        assert_eq!(finished, 2, "a second holder reused its predecessor's lsn");
+    })
+}
+
+#[test]
+fn journal_entries_are_published_whole_and_lsns_never_reused() {
+    for name_0_is_dead in [false, true] {
+        let stats = check_journal(name_0_is_dead);
+        eprintln!(
+            "journal publication (name 0 dead: {name_0_is_dead}): {} executions, {} schedule points",
+            stats.executions, stats.schedule_points
+        );
+    }
+}
+
+/// `LaneJournal::begin` and the reader's side of `in_flight`, with the
+/// bug the `RELEASE` on `meta` is there to prevent seeded in.
+#[derive(Default)]
+struct BrokenLane {
+    meta: AtomicU64,
+    key: AtomicU64,
+    val: AtomicU64,
+}
+
+impl BrokenLane {
+    const IN_FLIGHT: u64 = 1;
+
+    fn begin(&self, key: u64, value: u64) {
+        self.key.store(key, Ordering::Relaxed);
+        self.val.store(value, Ordering::Relaxed);
+        // BUG: the meta word no longer publishes the payload before it.
+        self.meta.store(Self::IN_FLIGHT, Ordering::Relaxed);
+    }
+
+    fn in_flight(&self) -> Option<(u64, u64)> {
+        (self.meta.load(Ordering::Acquire) == Self::IN_FLIGHT).then(|| {
+            (
+                self.key.load(Ordering::Acquire),
+                self.val.load(Ordering::Acquire),
+            )
+        })
+    }
+}
+
+/// Keeps the publication model above honest: the same reader-side
+/// assertion must find a counterexample once `meta` is stored
+/// `Relaxed`. Orderings mean nothing to the SC backend, so this one
+/// asks for the weak backend whatever the environment says.
+#[test]
+fn journal_meta_stored_relaxed_is_caught() {
+    let msg = Builder::new()
+        .weak_memory(true)
+        .check_expecting_failure(|| {
+            let lane = Arc::new(BrokenLane::default());
+            let writer = {
+                let lane = Arc::clone(&lane);
+                thread::spawn(move || lane.begin(KEY, KEY + 100))
+            };
+            if let Some(entry) = lane.in_flight() {
+                assert_eq!(
+                    entry,
+                    (KEY, KEY + 100),
+                    "in-flight entry without its payload"
+                );
+            }
+            writer.join().unwrap();
+        });
+    assert!(
+        msg.contains("in-flight entry without its payload"),
+        "checker reported an unrelated failure: {msg}"
     );
 }

@@ -9,20 +9,22 @@
 #![cfg(all(feature = "obs", not(loom)))]
 
 use kex_core::native::KAssignment;
-use kex_store::{KvCells, Shard};
+use kex_store::{KvCells, LaneJournal, OpKind, Shard};
 
 const N: usize = 16;
 const K: usize = 4;
 
-/// `(RMWs, stores)` since the last `reset()`, over every pid, section
-/// and the untracked bucket (the tally cells are bumped outside any
-/// span).
-fn writes() -> (u64, u64) {
+/// `(RMWs, stores, loads)` since the last `reset()`, over every pid,
+/// section and the untracked bucket (the tally cells are bumped outside
+/// any span).
+fn counts() -> (u64, u64, u64) {
     let snap = kex_obs::snapshot();
     snap.per_pid
         .iter()
         .flat_map(|pid| pid.sections.iter())
-        .fold((0, 0), |acc, s| (acc.0 + s.rmws, acc.1 + s.stores))
+        .fold((0, 0, 0), |acc, s| {
+            (acc.0 + s.rmws, acc.1 + s.stores, acc.2 + s.loads)
+        })
 }
 
 #[test]
@@ -30,32 +32,43 @@ fn a_shard_op_adds_no_rmw_and_a_shed_writes_only_its_own_tally() {
     let assign = KAssignment::new(N, K);
     kex_obs::reset();
     drop(assign.enter(0));
-    let (admission_rmws, _) = writes();
+    let (admission_rmws, ..) = counts();
     assert_eq!(admission_rmws, 11);
 
-    // The object's reads and the journal's begin/commit are loads and
-    // stores on words the name owns; `ops` is the caller's own cell.
+    // A journal entry is loads and stores on words the name owns: the
+    // head read, two payload words, `meta` twice (read back in between)
+    // and the head.
+    let journal = LaneJournal::new(K, 8);
+    kex_obs::reset();
+    let lsn = journal.begin(0, OpKind::Put, 7, 70);
+    journal.commit(0, lsn);
+    let (rmws, stores, loads) = counts();
+    assert_eq!(rmws, 0, "a journal entry performs an RMW");
+    assert!(stores + loads <= 7, "{stores} stores + {loads} loads");
+
+    // So are the object's reads; `ops` is the caller's own cell.
     // (Claiming a cell for a new key is the object's own CAS, so the
     // put that is measured overwrites.)
     let shard = Shard::new(N, K, 8, KvCells::new(64));
     shard.put(0, 7, 69).unwrap();
     kex_obs::reset();
     shard.put(0, 7, 70).unwrap();
-    assert_eq!(writes().0, admission_rmws, "Shard::put adds an RMW");
+    assert_eq!(counts().0, admission_rmws, "Shard::put adds an RMW");
     kex_obs::reset();
     assert_eq!(shard.get(0, 7), Some(70));
-    assert_eq!(writes().0, admission_rmws, "Shard::get adds an RMW");
+    assert_eq!(counts().0, admission_rmws, "Shard::get adds an RMW");
 
     // A full shard sheds off one load of `X`; the only write is the
-    // shedder's own `sheds` cell, a line no other process writes.
+    // shedder's own `sheds` cell (read, then stored), a line no other
+    // process writes.
     for p in 1..=K {
         shard.crash_in_cs(p, 7, 71);
     }
     kex_obs::reset();
     assert_eq!(shard.try_get(0, 7), None);
-    assert_eq!(writes(), (0, 1));
+    assert_eq!(counts(), (0, 1, 2));
     kex_obs::reset();
     assert_eq!(shard.try_put(0, 7, 72), None);
-    assert_eq!(writes(), (0, 1));
+    assert_eq!(counts(), (0, 1, 2));
     assert_eq!(shard.stats().sheds, 2);
 }
