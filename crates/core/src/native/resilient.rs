@@ -185,9 +185,9 @@ impl<O: Sync> Resilient<O> {
     /// process identity, because every name in `0..k` may simultaneously
     /// be in use by an admitted process, and the k-process object's
     /// correctness argument assumes one operation per name at a time.
-    /// Only sound for operations that are safe under arbitrary
-    /// concurrency — e.g. approximate reads of scalable counters, or
-    /// atomic-register snapshots like `kex-store`'s shard scans.
+    /// Only sound for name-free operations that are safe under arbitrary
+    /// concurrency — approximate reads of scalable counters, or single-word
+    /// register reads like `kex-store`'s `get_unguarded`, `scan` and `len`.
     pub fn object_unguarded(&self) -> &O {
         &self.obj
     }

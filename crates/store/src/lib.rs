@@ -26,6 +26,9 @@
 //!   [`StoreWrite`], [`StoreScan`] — with non-blocking `try_*` variants
 //!   that shed load (via [`Resilient::try_with`]) when a shard's `k`
 //!   slots are all held, instead of spinning behind crashed holders.
+//!   `get` and `for_each` take no slot: a [`ShardObject`]'s name-free
+//!   reads are wait-free for any number of callers, so they go around
+//!   the wrapper and outlive every slot of their shard.
 //!
 //! The shard objects are **k-process** implementations per the paper's
 //! contract; [`KvCells`] (an atomic-register open-addressed table) is
@@ -37,9 +40,10 @@
 //!
 //! Resilience composition across shards: each shard tolerates
 //! `k_s - 1` crashed holders independently, so the store as a whole
-//! serves every key whose shard has a live slot — a crash budget of
-//! `Σ (k_s - 1)` placed adversarially, in the spirit of the t-resilient
-//! composition line in PAPERS.md. `benchmark/run.sh` measures the store
+//! takes writes for every key whose shard has a live slot — a crash
+//! budget of `Σ (k_s - 1)` placed adversarially, in the spirit of the
+//! t-resilient composition line in PAPERS.md — and reads for every key.
+//! `benchmark/run.sh` measures the store
 //! end to end, crash-degraded regime included (`benchmark/README.md`);
 //! `tests/crash_mix.rs` checks that regime; `docs/STORE.md` has the
 //! architecture tour.

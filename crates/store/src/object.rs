@@ -9,8 +9,10 @@
 //! apart. Probes are linearly bounded by the (fixed) capacity and there
 //! are no deletions, so every operation is wait-free for *any* number
 //! of processes — a strictly stronger object than the k-process
-//! contract [`crate::Store`] requires, which keeps the shard's
-//! correctness burden on the admission layer where the paper puts it.
+//! contract the paper asks for. Writes go through the admission layer
+//! all the same (the journal needs the name); reads go around it
+//! ([`crate::Shard::get`]), and the histories that allows are checked
+//! in `tests/linearizable.rs` and `tests/loom_store.rs`.
 
 use kex_util::sync::atomic::{AtomicU64, AtomicUsize};
 use kex_util::CachePadded;
@@ -29,17 +31,23 @@ pub const MAX_VALUE: u64 = u32::MAX as u64;
 /// assigned *name* in `0..k` per the paper's calling convention.
 ///
 /// Implementations must be wait-free for `k` concurrent processes with
-/// distinct names. `len_unguarded` and `scan` must additionally be safe
-/// under arbitrary concurrency (they are what
-/// [`Resilient::object_unguarded`](kex_core::native::Resilient::object_unguarded)
-/// exposes for monitoring).
+/// distinct names. The operations that take no name (`get_unguarded`,
+/// `scan`, `len_unguarded`) are called through
+/// [`Resilient::object_unguarded`](kex_core::native::Resilient::object_unguarded):
+/// they must be wait-free and linearizable for *any* number of callers
+/// racing up to `k` named writers, some of them stopped mid-`put` for good.
 pub trait ShardObject: Sync {
-    /// Read `key`; `None` when absent.
-    fn get(&self, name: usize, key: u64) -> Option<u64>;
+    /// Read `key` without a name; `None` when absent.
+    fn get_unguarded(&self, key: u64) -> Option<u64>;
+    /// Read `key` as the holder of `name`: the same read.
+    fn get(&self, name: usize, key: u64) -> Option<u64> {
+        let _ = name;
+        self.get_unguarded(key)
+    }
     /// Insert or overwrite `key`.
     fn put(&self, name: usize, key: u64, value: u64) -> Result<(), PutError>;
     /// Visit every present pair. Per-entry atomic, not a consistent cut.
-    fn scan(&self, name: usize, f: &mut dyn FnMut(u64, u64));
+    fn scan(&self, f: &mut dyn FnMut(u64, u64));
     /// Approximate number of distinct keys present; safe to call
     /// without entering the wrapper.
     fn len_unguarded(&self) -> usize;
@@ -85,7 +93,7 @@ impl KvCells {
 }
 
 impl ShardObject for KvCells {
-    fn get(&self, _name: usize, key: u64) -> Option<u64> {
+    fn get_unguarded(&self, key: u64) -> Option<u64> {
         let cap = self.slots.len();
         let tag = Self::pack(key, 0) >> 32;
         let start = slot_of(key, cap);
@@ -140,7 +148,7 @@ impl ShardObject for KvCells {
         Err(PutError::ShardFull)
     }
 
-    fn scan(&self, _name: usize, f: &mut dyn FnMut(u64, u64)) {
+    fn scan(&self, f: &mut dyn FnMut(u64, u64)) {
         for slot in &self.slots {
             let cur = slot.load(SEQ_CST);
             if cur != 0 {
@@ -191,6 +199,13 @@ mod tests {
         assert_eq!(kv.get(0, 2), Some(22));
     }
 
+    /// `tests/loom_store.rs` races the first inserts of these two keys
+    /// in a four-cell table, and needs them to want the same cell.
+    #[test]
+    fn the_loom_models_keys_collide() {
+        assert_eq!(slot_of(42, 4), slot_of(46, 4));
+    }
+
     #[test]
     fn scan_visits_every_pair() {
         let kv = KvCells::new(16);
@@ -198,7 +213,7 @@ mod tests {
             kv.put(0, key, key * 3).unwrap();
         }
         let mut seen = std::collections::BTreeMap::new();
-        kv.scan(0, &mut |k, v| {
+        kv.scan(&mut |k, v| {
             assert!(seen.insert(k, v).is_none());
         });
         assert_eq!(seen.len(), 10);

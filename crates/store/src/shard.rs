@@ -127,14 +127,15 @@ impl<O: ShardObject> Shard<O> {
         outcome
     }
 
-    /// Guarded read.
+    /// Read, around the wrapper: wait-free for any number of callers,
+    /// so it buys no name and outlives every slot of the shard.
     pub fn get(&self, p: usize, key: u64) -> Option<u64> {
-        let got = self.res.with(p, |obj, name| obj.get(name, key));
+        let got = self.res.object_unguarded().get_unguarded(key);
         bump(&self.tallies[p].ops);
         got
     }
 
-    /// Non-blocking guarded read; `None` = shed.
+    /// The admission-controlled read: guarded, non-blocking; `None` = shed.
     pub fn try_get(&self, p: usize, key: u64) -> Option<Option<u64>> {
         self.tried(p, self.res.try_with(p, |obj, name| obj.get(name, key)))
     }
@@ -153,10 +154,15 @@ impl<O: ShardObject> Shard<O> {
         self.tried(p, self.res.try_with(p, journaled))
     }
 
-    /// Guarded scan of this shard's pairs.
+    /// Scan of this shard's pairs, around the wrapper like [`Shard::get`].
     pub fn scan(&self, p: usize, f: &mut dyn FnMut(u64, u64)) {
-        self.res.with(p, |obj, name| obj.scan(name, f));
+        self.res.object_unguarded().scan(f);
         bump(&self.tallies[p].ops);
+    }
+
+    /// Distinct keys resident in the shard object (approximate).
+    pub fn keys(&self) -> usize {
+        self.res.object_unguarded().len_unguarded()
     }
 
     /// Crash-failure injection: enter as `p`, journal and apply a put,
@@ -178,7 +184,7 @@ impl<O: ShardObject> Shard<O> {
     pub fn stats(&self) -> ShardStats {
         ShardStats {
             k: self.res.k(),
-            keys: self.res.object_unguarded().len_unguarded(),
+            keys: self.keys(),
             ops: self.tallies.iter().map(|t| t.ops.load(RELAXED)).sum(),
             sheds: self.tallies.iter().map(|t| t.sheds.load(RELAXED)).sum(),
             occupancy: self.res.occupancy(),

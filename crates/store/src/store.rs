@@ -180,7 +180,7 @@ impl<O: ShardObject> StoreScan for Store<O> {
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.stats().keys).sum()
+        self.shards.iter().map(Shard::keys).sum()
     }
 }
 

@@ -11,6 +11,8 @@
 //! one. The `try_*` variants shed instead of waiting when the target
 //! shard's `k` slots are all held (including slots consumed by crashed
 //! processes), via [`Resilient::try_with`](kex_core::native::Resilient::try_with).
+//! `get` and `for_each` take no slot: they never wait, and still answer
+//! on a shard whose every slot has crashed.
 
 /// Why a write did not take effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,12 +34,13 @@ impl std::error::Error for PutError {}
 
 /// Read capability.
 pub trait StoreRead {
-    /// Read `key` as process `p`; `None` when absent. Blocks while the
-    /// owning shard's slots are all held.
+    /// Read `key` as process `p`; `None` when absent. Wait-free: it
+    /// enters no wrapper, so no holder, live or crashed, can delay it.
     fn get(&self, p: usize, key: u64) -> Option<u64>;
 
-    /// Non-blocking [`StoreRead::get`]: `None` means *shed* (the owning
-    /// shard had no free slot), `Some(inner)` is the read's answer.
+    /// The admission-controlled read, for a caller that wants a shard
+    /// that cannot take a write to refuse its reads too: `None` means
+    /// *shed* (no free slot), `Some(inner)` is the read's answer.
     fn try_get(&self, p: usize, key: u64) -> Option<Option<u64>>;
 }
 
@@ -54,8 +57,9 @@ pub trait StoreWrite {
 
 /// Whole-store iteration capability (monitoring, recovery, analytics).
 pub trait StoreScan {
-    /// Visit every present pair, shard by shard, as process `p`.
-    /// Per-entry atomic; not a consistent cut across shards.
+    /// Visit every present pair, shard by shard, as process `p`,
+    /// entering no wrapper (recovery reads shards whose holders all
+    /// crashed). Per-entry atomic; not a consistent cut across shards.
     fn for_each(&self, p: usize, f: &mut dyn FnMut(u64, u64));
 
     /// Approximate number of distinct keys across all shards, without

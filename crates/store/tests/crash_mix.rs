@@ -2,11 +2,12 @@
 //! crashed inside the critical section of *every* shard, the blocking
 //! surface must still complete every operation through the one live
 //! slot per shard, and once a shard's last slot dies too its
-//! non-blocking surface must shed while the other shards keep serving.
+//! non-blocking surface must shed while the other shards keep serving
+//! — and while its own keys can still be read.
 
 use std::sync::Barrier;
 
-use kex_store::{KvStore, StoreConfig, StoreRead, StoreWrite};
+use kex_store::{KvStore, StoreConfig, StoreRead, StoreScan, StoreWrite};
 
 const SHARDS: usize = 4;
 const N: usize = 16;
@@ -128,6 +129,64 @@ fn k_minus_1_dead_per_shard_stays_available_and_a_dead_shard_sheds() {
     let mut crashes = [K - 1; SHARDS];
     crashes[0] = K;
     assert_idle_shards_show(&store, &crashes, "after the sheds");
+}
+
+/// Reads take no slot, so they outlive the crash budget: with all `k`
+/// slots of a shard consumed by holders that died mid-put, `get` and
+/// `for_each` still answer — with the dead writers' values, which the
+/// lanes attribute — while the surface that asks for admission sheds.
+#[test]
+fn reads_outlive_the_crash_budget() {
+    let store = KvStore::new(StoreConfig::new(SHARDS, N, K));
+    let live = key_on(&store, 1);
+    store
+        .put(0, live, encode(live, 1))
+        .expect("the table has room");
+    let on_dead_shard = (0..KEYS).filter(|&key| store.shard_of(key) == 0);
+    let died_with: Vec<(u64, u64)> = on_dead_shard
+        .take(K)
+        .map(|key| (key, encode(key, 0xDEAD)))
+        .collect();
+    assert_eq!(died_with.len(), K, "shard 0 owns k of the keys");
+    for (pid, &(key, value)) in died_with.iter().enumerate() {
+        store.crash_in_cs(pid + 1, key, value);
+    }
+    let mut crashes = [0; SHARDS];
+    crashes[0] = K;
+    assert_idle_shards_show(&store, &crashes, "with shard 0 dead");
+
+    for &(key, value) in &died_with {
+        assert_eq!(
+            store.get(0, key),
+            Some(value),
+            "key {key} on the dead shard"
+        );
+    }
+    let mut pairs = Vec::new();
+    store.for_each(0, &mut |key, value| pairs.push((key, value)));
+    pairs.sort_unstable();
+    let mut expected = died_with.clone();
+    expected.push((live, encode(live, 1)));
+    expected.sort_unstable();
+    assert_eq!(pairs, expected);
+    assert_eq!(store.len(), K + 1);
+
+    let journal = store.shard(0).journal();
+    let mut attributed: Vec<_> = (0..K)
+        .filter_map(|name| journal.in_flight(name))
+        .map(|entry| (entry.key, entry.value))
+        .collect();
+    attributed.sort_unstable();
+    assert_eq!(attributed, died_with);
+
+    // Admission is still what it was: nothing gets a slot there.
+    let (key, _) = died_with[0];
+    assert_eq!(store.try_get(0, key), None);
+    assert_eq!(store.try_put(0, key, encode(key, 2)), None);
+    let stats = store.stats();
+    assert_eq!((stats[0].sheds, stats[1].sheds), (2, 0));
+    assert_eq!(stats[0].ops, K as u64 + 1, "k gets and a scan, no sheds");
+    assert_idle_shards_show(&store, &crashes, "after the reads and the sheds");
 }
 
 /// A `put` that panics inside the object unwinds through the guard: the

@@ -17,14 +17,27 @@
 //! (payload `Relaxed`, `meta`/`head` `Release`, loads `Acquire`) are the
 //! subject of the `journal_*` models and of a seeded canary that only
 //! the weak-memory backend can catch, so it always runs on that one.
+//!
+//! Reads go around the wrapper, so the two `unguarded_*` models record
+//! every operation with `kex_util::lincheck` and ask of each schedule's
+//! history whether the register specification explains it, a crashed
+//! put counting as an invocation that never responds. The recorder's
+//! stamps are `SeqCst` RMWs on one shared word: under the weak backend
+//! they can hide a reordering the bare code would show (they cannot
+//! invent one), so the plain assertions on what the reader saw stay
+//! beside the checker.
 
 #![cfg(loom)]
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{check, crash, get, put};
 use kex_loom::atomic::{AtomicU64, Ordering};
 use kex_loom::{thread, Builder};
 use kex_store::{KvStore, OpState, StoreConfig, StoreRead, StoreWrite};
+use kex_util::lincheck::Clock;
 
 /// One shard keeps the model honest (both writers *must* collide on
 /// the same wrapper) and small; k = 2 — one crash survivable. With
@@ -38,6 +51,9 @@ fn tiny_store(n: usize) -> KvStore {
 }
 
 const KEY: u64 = 42;
+/// Probes from the same cell as [`KEY`] in `tiny_store`'s four-cell
+/// table (pinned by `object.rs`'s unit tests).
+const COLLIDER: u64 = 46;
 
 /// Two processes race a put on the same key; process 0 crashes in its
 /// critical section mid-put (slot, name, and lane consumed forever).
@@ -162,6 +178,84 @@ fn try_ops_shed_when_every_slot_is_crash_consumed() {
     });
     eprintln!(
         "store shed behind a slow-path holder: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
+
+/// A reader outside the wrapper, twice, while pid 0 dies mid-put on the
+/// key it reads and pid 1 overwrites it, on the shape the benchmark's
+/// shards have (fast path, tree, final block). On every schedule the
+/// history linearizes with the crashed put pending — taking effect at
+/// any point after its invocation, or never — and the reader does not
+/// see a new value and then the old one.
+#[test]
+fn unguarded_reads_linearize_around_a_crashed_writer() {
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let store = Arc::new(tiny_store(5));
+        let clock = Arc::new(Clock::new());
+        let mut history = vec![put(&clock, &*store, 2, KEY, 1)];
+
+        let (c, s) = (Arc::clone(&clock), Arc::clone(&store));
+        let crasher = thread::spawn(move || crash(&c, &s, 0, KEY, 100));
+        let (c, s) = (Arc::clone(&clock), Arc::clone(&store));
+        let writer = thread::spawn(move || put(&c, &*s, 1, KEY, 200));
+        let reads = [(); 2].map(|()| get(&clock, &*store, 3, KEY));
+
+        let seen = reads.each_ref().map(|(_, call)| match call.returned {
+            Some((_, Some(value))) => value,
+            _ => panic!("key {KEY} read as absent after a completed put"),
+        });
+        assert!(
+            seen.iter().all(|value| [1, 100, 200].contains(value)),
+            "torn value in {seen:?}"
+        );
+        assert!(seen[0] == 1 || seen[1] != 1, "new, then old: {seen:?}");
+
+        history.extend(reads);
+        history.push(crasher.join().unwrap());
+        history.push(writer.join().unwrap());
+        assert_eq!(check(&history), Ok(()), "{history:?}");
+        assert_eq!(store.stats()[0].in_flight_lanes, 1, "crash not attributed");
+    });
+    eprintln!(
+        "unguarded reads vs crashed writer: {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
+    );
+}
+
+/// A reader outside the wrapper racing the *first* insert of two keys
+/// that probe from the same cell: one writer wins the empty → claimed
+/// CAS, the other loses it and probes on, and the reader walks the run
+/// while it forms. No schedule answers `None` for a key whose put has
+/// responded, or a value under the wrong key.
+#[test]
+fn unguarded_reads_linearize_around_colliding_first_inserts() {
+    let stats = Builder::new().max_preemptions(2).check(move || {
+        let store = Arc::new(tiny_store(3));
+        let clock = Arc::new(Clock::new());
+        let writers: Vec<_> = [(1, KEY, 10), (2, COLLIDER, 20)]
+            .into_iter()
+            .map(|(p, key, value)| {
+                let (c, s) = (Arc::clone(&clock), Arc::clone(&store));
+                thread::spawn(move || put(&c, &*s, p, key, value))
+            })
+            .collect();
+        let mut history = vec![
+            get(&clock, &*store, 0, COLLIDER),
+            get(&clock, &*store, 0, KEY),
+        ];
+        for (_, call) in &history {
+            let seen = call.returned.expect("a get responds").1;
+            assert!([None, Some(10), Some(20)].contains(&seen), "torn: {seen:?}");
+        }
+        history.extend(writers.into_iter().map(|w| w.join().unwrap()));
+
+        assert_eq!(store.get(0, KEY), Some(10));
+        assert_eq!(store.get(0, COLLIDER), Some(20));
+        assert_eq!(check(&history), Ok(()), "{history:?}");
+    });
+    eprintln!(
+        "unguarded reads vs colliding first inserts: {} executions, {} schedule points",
         stats.executions, stats.schedule_points
     );
 }

@@ -1,6 +1,7 @@
 //! Exact atomic-op counts of a shard op under the instrumented backend
 //! (`--features obs`): what a `Shard` adds on top of the k-assignment
-//! it is built on, and what a shed costs.
+//! it is built on, what a read that goes around it costs, and what a
+//! shed costs.
 //!
 //! One thread, so one interleaving and deterministic counters; one
 //! `#[test]`, because the registry is process-global (see
@@ -9,7 +10,7 @@
 #![cfg(all(feature = "obs", not(loom)))]
 
 use kex_core::native::KAssignment;
-use kex_store::{KvCells, LaneJournal, OpKind, Shard};
+use kex_store::{KvCells, LaneJournal, OpKind, Shard, ShardObject};
 
 const N: usize = 16;
 const K: usize = 4;
@@ -28,7 +29,7 @@ fn counts() -> (u64, u64, u64) {
 }
 
 #[test]
-fn a_shard_op_adds_no_rmw_and_a_shed_writes_only_its_own_tally() {
+fn a_guarded_op_adds_no_rmw_a_read_performs_none_and_a_shed_writes_only_its_own_tally() {
     let assign = KAssignment::new(N, K);
     kex_obs::reset();
     drop(assign.enter(0));
@@ -46,7 +47,16 @@ fn a_shard_op_adds_no_rmw_and_a_shed_writes_only_its_own_tally() {
     assert_eq!(rmws, 0, "a journal entry performs an RMW");
     assert!(stores + loads <= 7, "{stores} stores + {loads} loads");
 
-    // So are the object's reads; `ops` is the caller's own cell.
+    // So is the object's read: loads down the probe run.
+    let cells = KvCells::new(64);
+    cells.put(0, 7, 70).unwrap();
+    kex_obs::reset();
+    assert_eq!(cells.get_unguarded(7), Some(70));
+    let (rmws, stores, probe_loads) = counts();
+    assert_eq!((rmws, stores), (0, 0), "KvCells' read writes");
+
+    // A put, and the read that asks for admission, pay the
+    // k-assignment and nothing more; `ops` is the caller's own cell.
     // (Claiming a cell for a new key is the object's own CAS, so the
     // put that is measured overwrites.)
     let shard = Shard::new(N, K, 8, KvCells::new(64));
@@ -55,8 +65,14 @@ fn a_shard_op_adds_no_rmw_and_a_shed_writes_only_its_own_tally() {
     shard.put(0, 7, 70).unwrap();
     assert_eq!(counts().0, admission_rmws, "Shard::put adds an RMW");
     kex_obs::reset();
+    assert_eq!(shard.try_get(0, 7), Some(Some(70)));
+    assert_eq!(counts().0, admission_rmws, "a served try_get adds an RMW");
+
+    // `get` goes around the wrapper: the probe, and the caller's own
+    // `ops` cell read and stored.
+    kex_obs::reset();
     assert_eq!(shard.get(0, 7), Some(70));
-    assert_eq!(counts().0, admission_rmws, "Shard::get adds an RMW");
+    assert_eq!(counts(), (0, 1, probe_loads + 1), "Shard::get");
 
     // A full shard sheds off one load of `X`; the only write is the
     // shedder's own `sheds` cell (read, then stored), a line no other

@@ -21,6 +21,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[doc(hidden)]
+pub mod lincheck;
 pub mod rng;
 pub mod sync;
 
