@@ -34,7 +34,7 @@ pub enum QueueOp<T> {
 }
 
 /// A sequential FIFO queue specification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeqQueue<T> {
     items: VecDeque<T>,
 }
@@ -72,7 +72,7 @@ pub enum StackOp<T> {
 }
 
 /// A sequential stack specification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeqStack<T> {
     items: Vec<T>,
 }
@@ -108,7 +108,7 @@ pub enum RegisterOp<T> {
 }
 
 /// A sequential register specification (initially `T::default()`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct SeqRegister<T> {
     value: T,
 }
@@ -135,7 +135,7 @@ pub enum CounterOp {
 }
 
 /// A sequential counter specification.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SeqCounter {
     value: i64,
 }

@@ -49,6 +49,13 @@
 //!   a pause — plus a constant-bounded reclaim, and never waits on
 //!   another name. It pays one `S::clone` per checkpoint it publishes or
 //!   resumes from.
+//! * Warm, `apply` does not call the allocator: a node `reclaim` frees
+//!   goes on its name's owner-private list of spares (`CHECKPOINT_EVERY`
+//!   at most, the rest to the allocator) and is that name's next node.
+//!   Reuse is `free`, then `malloc` handing back the same address, which
+//!   the span and hazard protocol has to survive anyway: no new argument.
+//!   What that hides from miri and ASan, a `POOLED` poison in `seq` shows
+//!   to every walk in debug builds. A checkpoint still boxes a clone.
 //! * Memory is `O(k · CHECKPOINT_EVERY)` nodes plus what stalled names
 //!   pin. A name stalled *mid-operation* pins its span. That is the
 //!   suffix of the log only in the few instructions of a firm start: a
@@ -74,6 +81,12 @@ pub const CHECKPOINT_EVERY: usize = if cfg!(loom) { 2 } else { 64 };
 
 /// Most retired nodes one `apply` examines for freeing.
 const RECLAIM_BUDGET: usize = 4;
+
+/// Most freed nodes a name keeps for its next ops.
+const SPARE_CAP: usize = CHECKPOINT_EVERY;
+
+/// The `seq` of a node in a name's `spare`: no walker may meet it.
+const POOLED: usize = usize::MAX;
 
 /// A `resume` word is `position << TAG_BITS | tag`.
 const TAG_BITS: u32 = 3;
@@ -132,6 +145,8 @@ struct Local<S: Sequential> {
     /// This name's unlinked nodes with their positions, oldest first
     /// except where one found pinned has been put back at the end.
     retired: VecDeque<(usize, *mut Node<S>)>,
+    /// Freed nodes of this name, for its next ops; at most [`SPARE_CAP`].
+    spare: Vec<*mut Node<S>>,
 }
 
 /// A linearizable, wait-free shared object for `k` processes, built from
@@ -210,13 +225,17 @@ impl<S: Sequential> Universal<S> {
         }
     }
 
-    fn alloc(op: Option<S::Op>, seq: usize) -> *mut Node<S> {
-        Box::into_raw(Box::new(Node {
+    fn node(op: Option<S::Op>, seq: usize) -> Node<S> {
+        Node {
             op,
             next: PtrConsensus::new(),
             seq: AtomicUsize::new(seq),
             state: UnsafeCell::new(None),
-        }))
+        }
+    }
+
+    fn alloc(op: Option<S::Op>, seq: usize) -> *mut Node<S> {
+        Box::into_raw(Box::new(Self::node(op, seq)))
     }
 
     /// The process bound `k`.
@@ -242,13 +261,18 @@ impl<S: Sequential> Universal<S> {
         let swap = |old, new| name.resume.compare_exchange(old, new, SEQ_CST, SEQ_CST);
         let claimed = idle & TAG == IDLE && swap(idle, pending).is_ok();
         assert!(claimed, "name {me} is in use");
-        let mine = Self::alloc(Some(op), 0);
         // SAFETY: `local` by the claim. Every node dereferenced below is
         // our own, in our hazard slot, or in the span we have committed
         // to: the pass starts at `resume`, moves forward one position at
         // a time and stops at `mine`. `reclaim` has the other side of it.
         unsafe {
             let local = &mut *name.local.get();
+            // A spare is a node `reclaim` found out of everybody's reach.
+            let mine = local
+                .spare
+                .pop()
+                .unwrap_or_else(|| Self::alloc(None, POOLED));
+            *mine = Self::node(Some(op), 0);
             let prev = name.announce.load(SEQ_CST);
             name.announce.store(mine, SEQ_CST);
             if prev != self.sentinel {
@@ -296,7 +320,7 @@ impl<S: Sequential> Universal<S> {
                 self.publish_checkpoint(name, mine, pos, &state);
             }
             local.state = Some(state);
-            self.reclaim(me, &mut local.retired);
+            self.reclaim(me, local);
             if !name.hazard.load(SEQ_CST).is_null() {
                 name.hazard.store(std::ptr::null_mut(), SEQ_CST);
             }
@@ -313,11 +337,14 @@ impl<S: Sequential> Universal<S> {
         seq
     }
 
-    /// Under the model checker: `node`, just accessed, had not been freed
-    /// (nor has it been since: a parked node stays parked).
-    fn assert_live(&self, _node: *mut Node<S>) {
+    /// `node`, just accessed, had not been freed. Under the model checker
+    /// a freed node stays parked; elsewhere, in debug builds, one kept as
+    /// a spare reads [`POOLED`] until its owner announces it again.
+    unsafe fn assert_live(&self, node: *mut Node<S>) {
         #[cfg(loom)]
-        assert!(!self.freed.lock().unwrap().contains(&_node), "freed node");
+        assert!(!self.freed.lock().unwrap().contains(&node), "freed node");
+        #[cfg(not(loom))]
+        debug_assert!((*node).seq.load(SEQ_CST) != POOLED, "recycled node");
     }
 
     /// Loads `source` into `name`'s hazard slot; `None` if `source` has
@@ -370,7 +397,8 @@ impl<S: Sequential> Universal<S> {
 
     /// Frees those of the first [`RECLAIM_BUDGET`] of `retired` (name
     /// `me`'s) that lie below the floor and that no other name can
-    /// reach; the rest of them go to the back of the queue.
+    /// reach — into `spare` while there is room, emptied and poisoned —
+    /// the rest of them go to the back of the queue.
     ///
     /// Why looking once is enough: an op that has claimed its name when
     /// we read its `resume` shows us its span (or, its node replaced by
@@ -379,7 +407,8 @@ impl<S: Sequential> Universal<S> {
     ///
     /// # Safety
     /// Like every `unsafe fn` here, called under the claim on name `me`.
-    unsafe fn reclaim(&self, me: usize, retired: &mut VecDeque<(usize, *mut Node<S>)>) {
+    unsafe fn reclaim(&self, me: usize, local: &mut Local<S>) {
+        let retired = &mut local.retired;
         let floor = self.floor.load(SEQ_CST);
         let candidates = retired.iter().take(RECLAIM_BUDGET);
         let n = candidates.take_while(|(pos, _)| *pos < floor).count();
@@ -418,11 +447,16 @@ impl<S: Sequential> Universal<S> {
             let (pos, node) = retired.pop_front().expect("counted above");
             if held & 1 << i != 0 {
                 retired.push_back((pos, node));
-            } else {
+            } else if cfg!(loom) || local.spare.len() >= SPARE_CAP {
                 #[cfg(loom)]
                 self.freed.lock().unwrap().push(node);
                 #[cfg(not(loom))]
                 drop(Box::from_raw(node));
+            } else {
+                // What the node owned is dropped now; the node is what
+                // `free` then `malloc` might have handed us back anyway.
+                *node = Self::node(None, POOLED);
+                local.spare.push(node);
             }
         }
         // What a stalled name pinned is given back, and so is the room.
@@ -446,11 +480,13 @@ impl<S: Sequential> Drop for Universal<S> {
     fn drop(&mut self) {
         // SAFETY: exclusive access, so no op is in progress: every node
         // ever announced is a name's current one (the sentinel, for a
-        // name that never ran), in its `retired`, or freed (or parked).
+        // name that never ran), in its `retired` or `spare`, or freed (or
+        // parked).
         unsafe {
             for name in self.names.iter_mut() {
-                let retired = &mut name.local.get_mut().retired;
+                let Local { retired, spare, .. } = name.local.get_mut();
                 retired.push_back((0, *name.announce.get_mut()));
+                retired.extend(spare.drain(..).map(|node| (0, node)));
                 for (_, node) in retired.drain(..).filter(|item| item.1 != self.sentinel) {
                     drop(Box::from_raw(node));
                 }

@@ -11,10 +11,17 @@
 //!
 //! Under `cfg(loom)` the checkpoint interval is 2, so a handful of ops
 //! cross several checkpoints, and nothing is deallocated before the
-//! object drops: a freed node is parked, and every later dereference of
-//! it fails an assertion on that schedule.
+//! object drops: a freed node is parked (never recycled), and every later
+//! dereference of it fails an assertion on that schedule.
+//!
+//! Every schedule's ops are recorded and the history handed to
+//! `kex_util::lincheck`, beside the bare assertions: the recorder's
+//! `SeqCst` stamps can hide a reordering under the weak backend, not
+//! invent one.
 
 #![cfg(loom)]
+
+mod common;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -22,6 +29,7 @@ use std::sync::Arc;
 
 use kex_loom::atomic::{AtomicBool, Ordering::SeqCst};
 use kex_loom::{hint, thread, Builder};
+use kex_util::lincheck::Clock;
 use kex_waitfree::seq::Sequential;
 use kex_waitfree::universal::CHECKPOINT_EVERY;
 use kex_waitfree::Universal;
@@ -42,7 +50,7 @@ struct Gate {
 
 /// An op counter; `Some(gate)` is an increment like any other that
 /// first parks the thread applying it, if that thread asked to be.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 struct Count(i64);
 
 impl Sequential for Count {
@@ -61,21 +69,33 @@ impl Sequential for Count {
     }
 }
 
-type Counter = Universal<Count>;
+/// The object and the clock its ops are recorded under.
+type Counter = (Universal<Count>, Clock);
+type History = Vec<common::OpCall<Count>>;
 
-/// `n` increments under `name`; the responses, which must ascend.
-fn increments(counter: &Counter, name: usize, n: usize) -> Vec<i64> {
-    let seen: Vec<i64> = (0..n).map(|_| counter.apply(name, None)).collect();
-    assert!(seen.windows(2).all(|w| w[0] < w[1]), "{name} saw {seen:?}");
-    seen
+fn responses(history: &History) -> Vec<i64> {
+    let response = |call: &common::OpCall<Count>| call.returned.as_ref().expect("completed").1;
+    history.iter().map(response).collect()
 }
 
-/// Every increment returned a different value of `1..=total`: the
-/// responses are those of one sequential order.
-fn assert_one_order(mut all: Vec<i64>) {
+/// `n` recorded increments under `name`; the responses must ascend.
+fn increments((counter, clock): &Counter, name: usize, n: usize) -> History {
+    let calls: History = (0..n)
+        .map(|_| common::apply(clock, counter, name, None))
+        .collect();
+    let seen = responses(&calls);
+    assert!(seen.windows(2).all(|w| w[0] < w[1]), "{name} saw {seen:?}");
+    calls
+}
+
+/// Every increment returned a different value of `1..=total`, and the
+/// history is one the counter's specification allows.
+fn assert_one_order(history: History) {
+    let mut all = responses(&history);
     all.sort_unstable();
     let expect: Vec<i64> = (1..=all.len() as i64).collect();
     assert_eq!(all, expect, "responses of no sequential order");
+    assert!(common::check::<Count>(&history), "not linearizable");
 }
 
 /// A helper loads `announce[x]` — a node below the helper's own span,
@@ -88,7 +108,7 @@ fn assert_one_order(mut all: Vec<i64>) {
 fn helper_holding_an_announced_node_while_its_owner_reclaims() {
     const OWNER_OPS: usize = 2 * CHECKPOINT_EVERY + 1;
     let stats = Builder::new().max_preemptions(2).check(|| {
-        let counter = Arc::new(Counter::new(2));
+        let counter = Arc::new((Universal::new(2), Clock::new()));
         let mut all = increments(&counter, 0, 1);
         all.extend(increments(&counter, 1, 1));
 
@@ -101,7 +121,7 @@ fn helper_holding_an_announced_node_while_its_owner_reclaims() {
         all.extend(helper.join().unwrap());
         assert_one_order(all);
         // The race is only in the model if the owner does free.
-        assert!(counter.freed_and_retained(0).0 > 0, "nothing freed");
+        assert!(counter.0.freed_and_retained(0).0 > 0, "nothing freed");
     });
     eprintln!(
         "helper vs reclaiming owner: {} executions, {} schedule points",
@@ -121,7 +141,7 @@ fn stalled_name_finishes_and_pins_only_its_span() {
     let most_kept = Arc::new(AtomicUsize::new(0));
     let kept_by_survivor = Arc::clone(&most_kept);
     let stats = Builder::new().max_preemptions(2).check(move || {
-        let counter = Arc::new(Counter::new(2));
+        let counter = Arc::new((Universal::new(2), Clock::new()));
         let gate = Arc::new(Gate::default());
         PARKS.set(false);
         let mut all = increments(&counter, 1, 1);
@@ -129,7 +149,7 @@ fn stalled_name_finishes_and_pins_only_its_span() {
         let (stalled, at) = (Arc::clone(&counter), Arc::clone(&gate));
         let stalled = thread::spawn(move || {
             PARKS.set(true);
-            stalled.apply(1, Some(at))
+            common::apply(&stalled.1, &stalled.0, 1, Some(at))
         });
         let (survivor, kept) = (Arc::clone(&counter), Arc::clone(&kept_by_survivor));
         let survivor = thread::spawn(move || {
@@ -139,7 +159,7 @@ fn stalled_name_finishes_and_pins_only_its_span() {
                 hint::spin_loop();
             }
             seen.extend(increments(&survivor, 0, SURVIVOR_OPS));
-            let (freed, retained) = survivor.freed_and_retained(0);
+            let (freed, retained) = survivor.0.freed_and_retained(0);
             assert!(freed > 0, "nothing freed behind a stalled name");
             kept.fetch_max(retained, Relaxed);
             gate.open.store(true, SeqCst);
