@@ -2,117 +2,116 @@
 //! for cache-coherent hardware (i.e., any modern multicore).
 //!
 //! See [`crate::sim::fig2`] for the statement-level rendition and proofs
-//! coverage; this module is the same algorithm expressed with
-//! `AtomicIsize`/`AtomicUsize` and cache-line padding.
+//! coverage; this module is the same algorithm with a stage's two
+//! variables in one cache-padded `AtomicU64`.
 //!
-//! # One line per stage
+//! # One word per stage
 //!
-//! A stage's `X` and `Q` share one padded line, so an uncontended pass
-//! through a `(2k, k)` block moves `k` lines between processors, not
-//! `2k`. The price is paid by a process spinning on `Q`: a write of `X`
-//! now invalidates its copy as well. Every write of `X` is one of
+//! The low 16 bits of a stage's word hold `X + BIAS`, the 48 above them
+//! an *epoch* that stands for `Q`. Figure 2 asks one thing of `Q` —
+//! `Q ≠ p`: has anybody written it since I did — and a count that every
+//! such write moves answers it. So statement 2 stays `fetch_sub(1)`;
+//! 3–4 (`Q := p`; re-read `X`) are one `fetch_add(EPOCH)` whose return
+//! value is the re-read and, one epoch on, what statement 5 spins on;
+//! 6–7 (`X + 1`; `Q := p`) are one `fetch_add(EPOCH + 1)`. Running two
+//! adjacent statements of a process as one step only removes
+//! interleavings (one is the crash between 6 and 7: a slot returned,
+//! nobody woken), so the paper's proofs carry over — ALGORITHMS.md §3.
 //!
-//! * a `fetch_and_increment(X, -1)` that found no slot — that process's
-//!   next statement writes `Q` (statement 3), which ends the spin;
-//! * a release's `fetch_and_increment(X, 1)` — that process's next
-//!   statement writes `Q` (statement 7), which ends the spin;
-//! * a decrement that did find a slot (`try_acquire`'s included). The
-//!   spinner saw `X < 0` after queueing, so `X >= 1` takes two
-//!   increments of the second kind whose `Q` writes are both still to
-//!   come.
-//!
-//! So each re-read that does not end the wait is charged to a process
-//! one statement short of ending it, and only the one process whose id
-//! is in `Q` pays it. System-wide that is at most two more remote
-//! references per stage passage (one for each of its `X` writes):
-//! Theorem 1's `7(N-k)` becomes `9(N-k)` amortised, the same order. A
-//! single wait meets more than a constant number of them only if that
-//! many holders are stopped between the two adjacent statements of
-//! `release`. Putting a whole chain on one line would instead charge
-//! the spinner for the `X` traffic of every stage (`O(k)` passers times
-//! `O(k)` stages), and was rejected — see EXPERIMENTS.md E14.
+//! The three kinds of `X` write a spinner used to be charged for
+//! collapse: a release *is* the wake-up; an arrival that finds no slot
+//! moves the epoch in its next step; a decrement that finds a slot
+//! cannot happen while anyone waits (only a release raises `X`, and a
+//! refused `try_acquire` writes nothing). So the count is per passage
+//! again, not amortised. A stage admits `j` of at most `j + 1`: a
+//! waiter means the other `j` hold slots, and the next write of the
+//! word is one of their releases. Entry is the decrement, the bump
+//! (which leaves the line with the waiter) and one re-read after that
+//! release; exit is one `fetch_add`: **4 remote references per stage**,
+//! `4(N-k)` a chain, under the paper's 7 (`native_obs` checks it). One
+//! word for a whole chain would charge a spinner for every stage's
+//! passers, as one line for it did — EXPERIMENTS.md E14.
 
-use kex_util::sync::atomic::{AtomicIsize, AtomicUsize};
+use kex_util::sync::atomic::AtomicU64;
 
 use kex_util::{Backoff, CachePadded};
 
 use super::ordering as ord;
 use super::raw::{try_stages, Block, RawKex};
 
-/// One Figure-2 stage: admits `j` of the at-most-`j+1` processes its
-/// caller lets through. Both words, to be kept on one padded line.
-#[derive(Debug)]
-pub(crate) struct CcStage {
-    /// Slot counter, initially `j`.
-    x: AtomicIsize,
-    /// Spin word holding a process id (`n` = "nobody", used initially).
-    q: AtomicUsize,
+/// Width of a word's `X` field, and what one epoch adds to the word.
+const X_BITS: u32 = 16;
+const EPOCH: u64 = 1 << X_BITS;
+/// Keeps `X < 0` (a waiter) inside the field: `|X| <= universe <= BIAS`.
+const BIAS: u64 = EPOCH / 2;
+
+fn x_of(word: u64) -> isize {
+    (word % EPOCH) as isize - BIAS as isize
 }
 
-const _: () = assert!(size_of::<CachePadded<CcStage>>() == size_of::<CachePadded<u8>>());
+/// One Figure-2 stage: admits `j` of the at-most-`j+1` processes its
+/// caller lets through.
+#[derive(Debug)]
+pub(crate) struct CcStage {
+    /// `X + BIAS`, initially `j + BIAS`, below the epoch.
+    word: AtomicU64,
+}
 
 impl CcStage {
-    pub(crate) fn new(j: usize, n: usize) -> Self {
+    pub(crate) fn new(j: usize) -> Self {
         CcStage {
-            x: AtomicIsize::new(j as isize),
-            // Initial Q value: the paper uses process 0; any value works
-            // because releases just overwrite it. We use `n` ("nobody")
-            // so no process can spuriously self-block on a fresh stage.
-            q: AtomicUsize::new(n),
+            word: AtomicU64::new(BIAS + j as u64),
         }
     }
 
     /// Statements 2–5 of Figure 2.
-    pub(crate) fn acquire(&self, p: usize) {
-        if self.x.fetch_sub(1, ord::SEQ_CST) <= 0 {
-            // No slot: advertise ourselves as the waiter...
-            self.q.store(p, ord::SEQ_CST);
-            // ...re-check (a release may have raced us)...
-            if self.x.load(ord::SEQ_CST) < 0 {
-                // ...and spin until *anyone* writes Q (a releaser at
-                // statement 7 or a newer waiter at statement 3). Both
-                // wake stores are SeqCst (hence also releases); the
-                // acquire pairing hands the waker's history — and,
-                // through the X RMW chain, every earlier releaser's
-                // critical section — to the woken process.
+    pub(crate) fn acquire(&self) {
+        if x_of(self.word.fetch_sub(1, ord::SEQ_CST)) <= 0 {
+            // No slot: move the epoch, as writing `Q` did, and in the
+            // same step re-check `X` (a release may have raced us)...
+            let queued = self.word.fetch_add(EPOCH, ord::SEQ_CST);
+            if x_of(queued) < 0 {
+                // ...and spin until *anyone* moves it again, a release
+                // or a newer waiter. Both are SeqCst RMWs (hence also
+                // releases) of the word's one RMW chain: the acquire
+                // pairing hands the woken process the waker's history
+                // and every earlier releaser's critical section.
+                let mine = queued.wrapping_add(EPOCH) >> X_BITS;
                 let backoff = Backoff::new();
-                while self.q.load(ord::ACQUIRE) == p {
+                while self.word.load(ord::ACQUIRE) >> X_BITS == mine {
                     backoff.snooze();
                 }
             }
         }
     }
 
-    /// Statements 6–7 of Figure 2.
-    pub(crate) fn release(&self, p: usize) {
-        self.x.fetch_add(1, ord::SEQ_CST);
-        // Writing our own id both differs from any waiter's id and marks
-        // the stage released.
-        self.q.store(p, ord::SEQ_CST);
+    /// Statements 6–7 of Figure 2: the slot back and the wake-up.
+    pub(crate) fn release(&self) {
+        self.word.fetch_add(EPOCH + 1, ord::SEQ_CST);
     }
 
     /// Statement 2 as footnote 2 writes it: take a slot only if one is
     /// free, and do not write otherwise. A link of the same SeqCst RMW
-    /// chain on `X` as statements 2 and 6.
+    /// chain as statements 2 and 6.
     pub(crate) fn try_acquire(&self) -> bool {
-        self.x
-            .fetch_update(ord::SEQ_CST, ord::SEQ_CST, |v| (v > 0).then_some(v - 1))
+        self.word
+            .fetch_update(ord::SEQ_CST, ord::SEQ_CST, |w| (x_of(w) > 0).then(|| w - 1))
             .is_ok()
     }
 
     /// Slots not taken; negative while a process waits.
     fn free(&self) -> isize {
-        self.x.load(ord::SEQ_CST)
+        x_of(self.word.load(ord::SEQ_CST))
     }
 }
 
 /// Theorem 1's inductive chain: `(N, k)`-exclusion as Figure-2 stages
 /// `j = N-1 .. k`, acquired top (widest) first.
 ///
-/// Worst-case RMR cost is `7(N-k)` (linear in `N`); prefer
-/// [`crate::native::TreeKex`] or [`crate::native::FastPathKex`] unless
-/// `N - k` is small. This type is both the paper's baseline construction
-/// and the `(2k, k)` building block of the better ones.
+/// Worst-case RMR cost is `4(N-k)` (linear in `N`; the paper's `7(N-k)`
+/// with two pairs of statements fused); prefer [`crate::native::TreeKex`]
+/// or [`crate::native::FastPathKex`] unless `N - k` is small. It is both the
+/// paper's baseline construction and the `(2k, k)` block of the better ones.
 ///
 /// ```rust
 /// use kex_core::native::{CcChainKex, RawKex};
@@ -134,7 +133,7 @@ impl CcChainKex {
     /// Build the `(n, k)` chain.
     ///
     /// # Panics
-    /// Panics unless `1 <= k < n`.
+    /// Panics unless `1 <= k < n <= 32768`.
     pub fn new(n: usize, k: usize) -> Self {
         Self::with_universe(n, n, k)
     }
@@ -143,14 +142,14 @@ impl CcChainKex {
 impl Block for CcChainKex {
     fn with_universe(universe: usize, m: usize, k: usize) -> Self {
         assert!(
-            k >= 1 && k < m && m <= universe,
-            "CcChainKex requires 1 <= k < m <= universe"
+            k >= 1 && k < m && m <= universe && universe as u64 <= BIAS,
+            "CcChainKex requires 1 <= k < m <= universe <= {BIAS}"
         );
         // stages[i] admits j = m-1-i; acquire walks i = 0 .. len-1,
         // finishing at the stage that admits exactly k.
         let stages = (k..m)
             .rev()
-            .map(|j| CachePadded::new(CcStage::new(j, universe)))
+            .map(|j| CachePadded::new(CcStage::new(j)))
             .collect();
         CcChainKex {
             stages,
@@ -162,7 +161,7 @@ impl Block for CcChainKex {
     fn try_acquire(&self, p: usize) -> bool {
         assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
         let _obs = crate::obs::span(crate::obs::Section::Entry, p);
-        try_stages(&self.stages, |s| s.try_acquire(), |s| s.release(p))
+        try_stages(&self.stages, |s| s.try_acquire(), |s| s.release())
     }
 
     fn occupancy(&self) -> usize {
@@ -184,14 +183,14 @@ impl RawKex for CcChainKex {
         assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
         let _obs = crate::obs::span(crate::obs::Section::Entry, p);
         for stage in &self.stages {
-            stage.acquire(p);
+            stage.acquire();
         }
     }
 
     fn release(&self, p: usize) {
         let _obs = crate::obs::span(crate::obs::Section::Exit, p);
         for stage in self.stages.iter().rev() {
-            stage.release(p);
+            stage.release();
         }
     }
 }
@@ -227,19 +226,18 @@ mod tests {
 
     #[test]
     fn a_refused_try_leaves_every_stage_as_it_found_it() {
-        use kex_util::sync::atomic::Ordering::SeqCst;
         // (4, 2): a stage admitting 3, then one admitting 2. Two
         // holders leave room in the first and none in the second.
         let kex = CcChainKex::new(4, 2);
         kex.acquire(0);
         kex.acquire(1);
         let credits = |kex: &CcChainKex| kex.stages.iter().map(|s| s.free()).collect::<Vec<_>>();
-        assert_eq!(credits(&kex), [1, 0]);
+        let epoch = |kex: &CcChainKex| kex.stages[0].word.load(ord::SEQ_CST) >> X_BITS;
+        assert_eq!((credits(&kex), epoch(&kex)), (vec![1, 0], 0));
         assert!(!kex.try_acquire(2));
-        assert_eq!(credits(&kex), [1, 0]);
-        // It left the stage it did take as a holder does: the wake-up
-        // write is there for a process that queued behind it.
-        assert_eq!(kex.stages[0].q.load(SeqCst), 2);
+        // It left the stage it did take as a holder does: the epoch
+        // moved by one, the wake-up of a process queued behind it.
+        assert_eq!((credits(&kex), epoch(&kex)), (vec![1, 0], 1));
         assert_eq!(kex.occupancy(), 2);
 
         kex.release(0);
@@ -248,6 +246,23 @@ mod tests {
         kex.release(3);
         kex.release(1);
         assert_eq!((credits(&kex), kex.occupancy()), (vec![3, 2], 0));
+    }
+
+    #[test]
+    fn the_epoch_wraps_without_touching_x() {
+        // A stage at the last epoch with its one slot taken.
+        let stage = CcStage {
+            word: AtomicU64::new(u64::MAX << X_BITS | BIAS),
+        };
+        assert_eq!((stage.free(), stage.try_acquire()), (0, false));
+        stage.release();
+        assert_eq!(stage.word.load(ord::SEQ_CST), BIAS + 1, "X + 1, epoch 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "universe <= 32768")]
+    fn rejects_a_universe_the_x_field_cannot_hold() {
+        let _ = CcChainKex::with_universe(BIAS as usize + 1, 2, 1);
     }
 
     #[test]

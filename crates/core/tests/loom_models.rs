@@ -33,17 +33,20 @@
 //! The `broken_gate_*` test keeps the suite honest: it injects the
 //! classic ordering bug — Figure 2's atomic `fetch_sub` admission gate
 //! split into a non-atomic load/store pair — and asserts the checker
-//! *finds* the resulting k-exclusion violation.
+//! *finds* the resulting k-exclusion violation. `stale_epoch_*` does the
+//! same for the liveness half of the one-word stage: a waiter that reads
+//! the epoch it waits on after its bump, not from it, must be reported.
 
 #![cfg(loom)]
 
 use std::sync::Arc;
 
 use kex_core::native::{
-    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, McsLock, ProcessRegistry,
-    QueueKex, RawKex, Resilient, SemaphoreKex, TasRenaming, TreeKex, YangAndersonLock,
+    Block, CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, McsLock,
+    ProcessRegistry, QueueKex, RawKex, Resilient, SemaphoreKex, TasRenaming, TreeKex,
+    YangAndersonLock,
 };
-use kex_loom::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering::SeqCst};
+use kex_loom::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use kex_loom::{thread, Builder};
 
 /// Explore every schedule of `pids` running `cycles` acquire/release
@@ -125,6 +128,44 @@ fn fig2_cc_chain_n3_k2() {
         &[0, 1, 2],
         &[],
         1,
+    );
+}
+
+#[test]
+fn fig2_release_then_arrival_wakes_the_older_waiter_once() {
+    // (3, 1): stages admitting 2 and 1. Pid 0 is inside when 1 and 2
+    // start, so one of them queues at the last stage; 0 then leaves
+    // and the other can reach that stage and queue before the first
+    // waiter has looked at the word again. The waiter then finds the
+    // epoch two on from the one it waits on, not one: it must go in
+    // all the same, once, and the newer waiter after it.
+    let stats = Builder::new().max_preemptions(3).check(|| {
+        let kex = Arc::new(CcChainKex::new(3, 1));
+        let inside = Arc::new(AtomicUsize::new(1));
+        kex.acquire(0);
+        let handles: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|p| {
+                let (kex, inside) = (Arc::clone(&kex), Arc::clone(&inside));
+                thread::spawn(move || {
+                    kex.acquire(p);
+                    let now = inside.fetch_add(1, SeqCst) + 1;
+                    assert!(now <= 1, "k-exclusion violated: {now} > k=1");
+                    inside.fetch_sub(1, SeqCst);
+                    kex.release(p);
+                })
+            })
+            .collect();
+        inside.fetch_sub(1, SeqCst);
+        kex.release(0);
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(kex.occupancy(), 0, "a slot was lost or kept");
+    });
+    eprintln!(
+        "fig2 release then arrival (3,1): {} executions, {} schedule points",
+        stats.executions, stats.schedule_points
     );
 }
 
@@ -678,10 +719,10 @@ fn obs_spans_do_not_perturb_schedules() {
 
 #[test]
 fn fig2_two_cycles_spin_sees_second_wakeup() {
-    // Relaxed site: the `Q == p` spin load is ACQUIRE. Its soundness
-    // argument needs *every* wake store (release-side and newer-waiter
-    // side) to reach the spinner — including a second wakeup of the same
-    // process after it already cycled once.
+    // Relaxed site: the spin load of a stage's word is ACQUIRE. Its
+    // soundness argument needs *every* epoch move (release-side and
+    // newer-waiter side) to reach the spinner — including a second
+    // wakeup of the same process after it already cycled once.
     check_occupancy(
         "fig2 2-cycle (2,1)",
         Builder::new().max_preemptions(3),
@@ -895,6 +936,69 @@ fn broken_gate_violation_is_caught() {
     });
     assert!(
         msg.contains("k-exclusion violated") || msg.contains("deadlock"),
+        "checker reported an unrelated failure: {msg}"
+    );
+}
+
+// --- checker power: the injected one-word-stage liveness bug ---------------
+
+/// The one-word stage of `fig2.rs` with the waiter's epoch taken from a
+/// *separate load* after its bump instead of from the bump's return
+/// value. A release that lands between the two moves the epoch first,
+/// so the waiter waits on the epoch that release produced: the wake-up
+/// meant for it is slept through.
+struct StaleEpoch {
+    word: AtomicU64,
+}
+
+impl StaleEpoch {
+    const X_BITS: u32 = 16;
+    const EPOCH: u64 = 1 << Self::X_BITS;
+    const BIAS: u64 = Self::EPOCH / 2;
+
+    fn x_of(word: u64) -> i64 {
+        (word % Self::EPOCH) as i64 - Self::BIAS as i64
+    }
+
+    fn acquire(&self) {
+        if Self::x_of(self.word.fetch_sub(1, SeqCst)) <= 0 {
+            let queued = self.word.fetch_add(Self::EPOCH, SeqCst);
+            if Self::x_of(queued) < 0 {
+                // BUG: `queued` already says which epoch is ours.
+                let mine = self.word.load(SeqCst) >> Self::X_BITS;
+                while self.word.load(SeqCst) >> Self::X_BITS == mine {
+                    kex_loom::hint::spin_loop();
+                }
+            }
+        }
+    }
+
+    fn release(&self) {
+        self.word.fetch_add(Self::EPOCH + 1, SeqCst);
+    }
+}
+
+#[test]
+fn stale_epoch_lost_wakeup_is_caught() {
+    let msg = kex_loom::check_expecting_failure(|| {
+        let stage = Arc::new(StaleEpoch {
+            word: AtomicU64::new(StaleEpoch::BIAS + 1),
+        });
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let stage = Arc::clone(&stage);
+                thread::spawn(move || {
+                    stage.acquire();
+                    stage.release();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
+    assert!(
+        msg.contains("deadlock") || msg.contains("livelock"),
         "checker reported an unrelated failure: {msg}"
     );
 }

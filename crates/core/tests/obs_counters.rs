@@ -40,14 +40,14 @@ fn scripted_single_thread_schedule_has_exact_counts() {
     cc_chain_2_1_exact_counts();
     second_acquisition_hits_warm_cache();
     guard_drives_occupancy_gauge_and_cs_span();
-    fast_path_16_4_uncontended_pair_is_16_ops_10_rmws();
+    fast_path_16_4_uncontended_pair_is_12_ops_10_rmws();
     resilient_with_is_assignment_enter_and_drop();
     a_refused_try_enter_writes_nothing();
     a_probe_of_a_dead_name_writes_nothing();
 }
 
-/// `CcChainKex::new(2, 1)` is a single Figure-2 stage (`X`, `Q`).
-/// Uncontended acquire touches only `X`; release touches `X` and `Q`.
+/// `CcChainKex::new(2, 1)` is a single Figure-2 stage: one word, `X`
+/// under an epoch. Uncontended, acquire and release are one RMW each.
 fn cc_chain_2_1_exact_counts() {
     kex_obs::reset();
     let kex = CcChainKex::new(2, 1);
@@ -55,9 +55,9 @@ fn cc_chain_2_1_exact_counts() {
     kex.acquire(0);
     let snap = kex_obs::snapshot();
     let entry = snap.section_totals(Section::Entry);
-    // Statement 2: one fetch&add on X. First touch of the line: CC
-    // remote (pid 0 becomes sole holder); no DSM owner, so DSM remote.
-    assert_eq!(entry.rmws, 1, "acquire = exactly one RMW on X");
+    // Statement 2: one fetch&add on the word. First touch of the line:
+    // CC remote (pid 0 becomes sole holder); no DSM owner, so DSM remote.
+    assert_eq!(entry.rmws, 1, "acquire = exactly one RMW on the word");
     assert_eq!(entry.loads, 0, "slot was free: no re-check, no spin");
     assert_eq!(entry.stores, 0);
     assert_eq!(entry.cc_remote, 1);
@@ -68,14 +68,13 @@ fn cc_chain_2_1_exact_counts() {
     kex.release(0);
     let snap = kex_obs::snapshot();
     let exit = snap.section_totals(Section::Exit);
-    // Statement 6: fetch&add on X — pid 0 is sole holder, so CC *local*,
-    // but DSM remote (unowned). Statement 7: store to Q — first touch,
-    // CC remote and DSM remote.
+    // Statements 6-7: one fetch&add, slot and epoch together — pid 0
+    // is sole holder, so CC *local*, but DSM remote (unowned).
     assert_eq!(exit.rmws, 1);
-    assert_eq!(exit.stores, 1);
+    assert_eq!(exit.stores, 0);
     assert_eq!(exit.loads, 0);
-    assert_eq!(exit.cc_remote, 1, "X is cached; only the Q store misses");
-    assert_eq!(exit.dsm_remote, 2, "every access is DSM-remote (no homes)");
+    assert_eq!(exit.cc_remote, 0, "the word is cached since the acquire");
+    assert_eq!(exit.dsm_remote, 1, "every access is DSM-remote (no homes)");
     assert_eq!(exit.spans, 1);
 
     // Everything was inside a span: the untracked bucket stayed empty.
@@ -86,18 +85,17 @@ fn cc_chain_2_1_exact_counts() {
     // All ops belong to pid 0.
     let pid0 = snap.pid(0).expect("pid 0 recorded");
     assert_eq!(pid0.sections[Section::Entry as usize].ops(), 1);
-    assert_eq!(pid0.sections[Section::Exit as usize].ops(), 2);
+    assert_eq!(pid0.sections[Section::Exit as usize].ops(), 1);
     // The event ring replays the same story in order.
     let kinds: Vec<&str> = pid0.events.iter().map(|e| e.kind).collect();
     assert_eq!(
         kinds,
         [
             "span-open",  // Entry
-            "rmw",        // X.fetch_sub
+            "rmw",        // word.fetch_sub(1)
             "span-close", // Entry
             "span-open",  // Exit
-            "rmw",        // X.fetch_add
-            "store",      // Q.store
+            "rmw",        // word.fetch_add(EPOCH + 1)
             "span-close", // Exit
         ]
     );
@@ -117,7 +115,7 @@ fn second_acquisition_hits_warm_cache() {
     let snap = kex_obs::snapshot();
     let entry = snap.section_totals(Section::Entry);
     assert_eq!(entry.rmws, 1);
-    assert_eq!(entry.cc_remote, 0, "X line still held from the first pass");
+    assert_eq!(entry.cc_remote, 0, "line still held from the first pass");
     assert_eq!(entry.dsm_remote, 1, "DSM has no cache: remote every time");
     kex.release(0);
 }
@@ -148,11 +146,11 @@ fn guard_drives_occupancy_gauge_and_cs_span() {
 /// The default store path's kex, at the benchmark's sizing. Uncontended,
 /// a pair is Figure 4's fast path around one `(8, 4)` block: the grab
 /// and the return on `X` (2 RMWs), the owner-private `slow_flag` store
-/// and load, and four Figure-2 stages at one RMW in, one RMW and one
-/// `Q` store out. These are the numbers the benchmark's count pass
-/// reports (`kex.atomics_per_op` 16, `kex.rmws_per_op` 10); a change to
-/// how the layers are composed must not change them.
-fn fast_path_16_4_uncontended_pair_is_16_ops_10_rmws() {
+/// and load, and four Figure-2 stages at one RMW in and one RMW out.
+/// These are the numbers the benchmark's count pass reports
+/// (`kex.atomics_per_op` 12, `kex.rmws_per_op` 10); a change to how the
+/// layers are composed must not change them.
+fn fast_path_16_4_uncontended_pair_is_12_ops_10_rmws() {
     let kex = FastPathKex::new(16, 4);
     kex_obs::reset();
     kex.acquire(0);
@@ -163,22 +161,22 @@ fn fast_path_16_4_uncontended_pair_is_16_ops_10_rmws() {
         snap.section_totals(Section::Exit),
     );
     assert_eq!((entry.rmws, entry.stores, entry.loads), (5, 1, 0));
-    assert_eq!((exit.rmws, exit.stores, exit.loads), (5, 4, 1));
-    assert_eq!(entry.ops() + exit.ops(), 16);
+    assert_eq!((exit.rmws, exit.stores, exit.loads), (5, 0, 1));
+    assert_eq!(entry.ops() + exit.ops(), 12);
     assert_eq!(entry.spins, 0, "the fast slot was free");
     assert!(snap.untracked().is_none());
 }
 
 /// The wrapper adds no atomic of its own: a guarded op is the
 /// k-assignment's enter and drop — the kex pair above plus one name bit
-/// read, set and cleared (`assignment.*_per_op` 19 / 11 in the
+/// read, set and cleared (`assignment.*_per_op` 15 / 11 in the
 /// benchmark's count pass, and `resilient.*_per_op` the same).
 fn resilient_with_is_assignment_enter_and_drop() {
     let assign = KAssignment::new(16, 4);
     kex_obs::reset();
     drop(assign.enter(0));
     let bare = pid0_counts();
-    assert_eq!(bare, (11, 6, 2));
+    assert_eq!(bare, (11, 2, 2));
 
     let wrapped = Resilient::new(16, 4, ());
     kex_obs::reset();

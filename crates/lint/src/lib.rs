@@ -176,9 +176,15 @@ type IrMapRow = (
 /// the receiver-name → IR-variable aliases. Files absent here have no
 /// statement-level IR counterpart (MCS and Yang–Anderson are native-only
 /// building blocks; the registry is plumbing) and their manifest `ir`
-/// fields stay `null`.
+/// fields stay `null`. A `receiver:role` alias wins over the plain one:
+/// fig2's stage keeps the IR's `x` and `q` in one word, which is `q`
+/// where it is spun on and `x` at every other site.
 const IR_MAP: &[IrMapRow] = &[
-    ("fig2.rs", Algorithm::CcChain, &[("x", "x"), ("q", "q")]),
+    (
+        "fig2.rs",
+        Algorithm::CcChain,
+        &[("word", "x"), ("word:spin", "q")],
+    ),
     (
         "fig6.rs",
         Algorithm::DsmChain,
@@ -1146,13 +1152,15 @@ pub fn generate_manifest(ws: &Workspace) -> Result<String, String> {
             .get(primary)
             .ok_or_else(|| format!("{}: unknown constant ord::{primary}", site.key()))?;
         let short = site.file.trim_start_matches(NATIVE_PREFIX);
+        let role = derive_role(&site.file, &site.op, &site.var, ordering);
+        let by_role = format!("{}:{role}", site.var);
         let ir = IR_MAP
             .iter()
             .find(|(f, _, _)| *f == short)
             .and_then(|(_, _, aliases)| {
-                aliases
-                    .iter()
-                    .find(|(v, _)| *v == site.var)
+                let alias = |name: &str| aliases.iter().find(|(v, _)| *v == name);
+                alias(&by_role)
+                    .or_else(|| alias(&site.var))
                     .map(|(_, ir)| *ir)
             });
         docs.push(Json::obj(vec![
@@ -1165,10 +1173,7 @@ pub fn generate_manifest(ws: &Workspace) -> Result<String, String> {
                 Json::arr(site.consts.iter().map(|c| c.as_str().into()).collect()),
             ),
             ("ordering", ordering.as_str().into()),
-            (
-                "role",
-                derive_role(&site.file, &site.op, &site.var, ordering).into(),
-            ),
+            ("role", role.into()),
             ("ir", ir.map_or(Json::Null, Into::into)),
         ]));
     }

@@ -115,10 +115,10 @@ fn flipped_site_constant_is_caught() {
     // Same line, same length: only the ordering constant changes.
     let mutated = ws.replace_in_file(
         FIG2,
-        "self.q.load(ord::ACQUIRE) == p",
-        "self.q.load(ord::SEQ_CST) == p",
+        "self.word.load(ord::ACQUIRE) >> X_BITS == mine",
+        "self.word.load(ord::SEQ_CST) >> X_BITS == mine",
     );
-    let line = line_of(&mutated, FIG2, "self.q.load(ord::SEQ_CST)");
+    let line = line_of(&mutated, FIG2, "self.word.load(ord::SEQ_CST) >>");
     let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
     assert_finding(&findings, Pass::Ordering, FIG2, line, "manifest drift");
     assert_finding(&findings, Pass::Ordering, FIG2, line, "audit table");
@@ -133,7 +133,7 @@ fn flipped_constant_definition_is_caught_at_every_site() {
         "pub(crate) const ACQUIRE: Ordering = Ordering::Relaxed;",
     );
     let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
-    let line = line_of(&ws, FIG2, "self.q.load(ord::ACQUIRE)");
+    let line = line_of(&ws, FIG2, "self.word.load(ord::ACQUIRE)");
     assert_finding(
         &findings,
         Pass::Ordering,
@@ -153,8 +153,8 @@ fn literal_ordering_in_native_code_is_caught() {
     let (ws, inputs) = setup();
     let mutated = ws.replace_in_file(
         FIG2,
-        "self.q.load(ord::ACQUIRE)",
-        "self.q.load(Ordering::Acquire)",
+        "self.word.load(ord::ACQUIRE)",
+        "self.word.load(Ordering::Acquire)",
     );
     let line = line_of(&mutated, FIG2, "Ordering::Acquire)");
     let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
@@ -175,11 +175,11 @@ fn audit_table_drift_is_caught() {
         .as_deref()
         .expect("docs/MEMORY_ORDERING.md present")
         .replacen(
-            "`X.load` | **SeqCst load**",
-            "`X.load` | **Acquire load**",
+            "`word.load` | **SeqCst load**",
+            "`word.load` | **Acquire load**",
             1,
         );
-    let line = line_of(&ws, FIG2, "self.x.load(ord::SEQ_CST)");
+    let line = line_of(&ws, FIG2, "self.word.load(ord::SEQ_CST)");
     let findings = ordering_pass(&ws, inputs.manifest.as_deref(), Some(&doc));
     assert_finding(&findings, Pass::Ordering, FIG2, line, "audit table");
 }
@@ -187,10 +187,11 @@ fn audit_table_drift_is_caught() {
 #[test]
 fn deleted_source_site_leaves_stale_manifest_row() {
     let (ws, inputs) = setup();
-    // Replace the whole release with a mutex-free stub: both fig2
-    // release sites vanish from the source but stay in the manifest.
-    let mutated = ws.replace_in_file(FIG2, "self.x.fetch_add(1, ord::SEQ_CST);", "");
-    let line = line_of(&ws, FIG2, "self.x.fetch_add(1, ord::SEQ_CST);");
+    // Empty the release: its one site vanishes from the source but
+    // stays in the manifest.
+    let release = "self.word.fetch_add(EPOCH + 1, ord::SEQ_CST);";
+    let mutated = ws.replace_in_file(FIG2, release, "");
+    let line = line_of(&ws, FIG2, release);
     let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
     assert_finding(
         &findings,
@@ -360,9 +361,10 @@ fn weakening_any_load_bearing_site_is_caught() {
 fn relaxed_on_obligated_site_is_hard_error() {
     let (ws, inputs) = setup();
     let manifest = inputs.manifest.as_deref().unwrap();
-    // fig2's `x` handshake load: the IR derives a SeqCst obligation
-    // (Dekker pair with `q`), so a Relaxed claim is the worst case.
-    let line = line_of(&ws, FIG2, "self.x.load(ord::SEQ_CST)");
+    // fig2's gauge load of the word, `x` to the IR, which derives a
+    // SeqCst obligation for it (Dekker pair with `q`), so a Relaxed
+    // claim is the worst case.
+    let line = line_of(&ws, FIG2, "self.word.load(ord::SEQ_CST)");
     let mutated = with_site_field(manifest, FIG2, line, "ordering", "Relaxed");
     let findings = obligation_pass(Some(&mutated), &Config::default());
     assert_finding(
@@ -378,7 +380,7 @@ fn relaxed_on_obligated_site_is_hard_error() {
 fn manifest_role_drift_is_caught() {
     let (ws, inputs) = setup();
     let manifest = inputs.manifest.as_deref().unwrap();
-    let line = line_of(&ws, FIG2, "self.q.load(ord::ACQUIRE)");
+    let line = line_of(&ws, FIG2, "self.word.load(ord::ACQUIRE)");
     let mutated = with_site_field(manifest, FIG2, line, "role", "private");
     let findings = obligation_pass(Some(&mutated), &Config::default());
     assert_finding(
@@ -394,7 +396,7 @@ fn manifest_role_drift_is_caught() {
 fn unknown_manifest_role_is_caught() {
     let (ws, inputs) = setup();
     let manifest = inputs.manifest.as_deref().unwrap();
-    let line = line_of(&ws, FIG2, "self.q.load(ord::ACQUIRE)");
+    let line = line_of(&ws, FIG2, "self.word.load(ord::ACQUIRE)");
     let mutated = with_site_field(manifest, FIG2, line, "role", "frobnicate");
     let findings = obligation_pass(Some(&mutated), &Config::default());
     assert_finding(&findings, Pass::Obligation, FIG2, line, "is not one of");
@@ -458,10 +460,10 @@ fn raw_spin_loop_is_caught() {
     let (ws, _) = setup();
     let mutated = ws.replace_in_file(
         FIG2,
-        "let backoff = Backoff::new();\n                while self.q.load(ord::ACQUIRE) == p {\n                    backoff.snooze();\n                }",
-        "while self.q.load(ord::ACQUIRE) == p {\n                }",
+        "let backoff = Backoff::new();\n                while self.word.load(ord::ACQUIRE) >> X_BITS == mine {\n                    backoff.snooze();\n                }",
+        "while self.word.load(ord::ACQUIRE) >> X_BITS == mine {\n                }",
     );
-    let line = line_of(&mutated, FIG2, "while self.q.load(ord::ACQUIRE)");
+    let line = line_of(&mutated, FIG2, "while self.word.load(ord::ACQUIRE)");
     let findings = spin_pass(&mutated);
     assert_finding(&findings, Pass::Spin, FIG2, line, "without facade backoff");
 }

@@ -94,8 +94,12 @@ impl KvCells {
 
 impl ShardObject for KvCells {
     fn get_unguarded(&self, key: u64) -> Option<u64> {
+        if key > MAX_KEY {
+            // `put` refuses such a key, so it was never stored.
+            return None;
+        }
         let cap = self.slots.len();
-        let tag = Self::pack(key, 0) >> 32;
+        let tag = key + 1;
         let start = slot_of(key, cap);
         for i in 0..cap {
             let cur = self.slots[(start + i) & (cap - 1)].load(SEQ_CST);
@@ -177,6 +181,11 @@ mod tests {
         assert_eq!(kv.get(0, 7), Some(101));
         assert_eq!(kv.get(0, 9), Some(200));
         assert_eq!(kv.len_unguarded(), 2);
+        // A key too wide to have been stored is absent, not a panic.
+        kv.put(0, MAX_KEY, 300).unwrap();
+        assert_eq!(kv.get(0, MAX_KEY), Some(300));
+        assert_eq!(kv.get_unguarded(MAX_KEY + 1), None);
+        assert_eq!(kv.get_unguarded(u64::MAX), None);
     }
 
     #[test]
