@@ -788,11 +788,11 @@ pub fn analyze_all(cfg: &Config) -> Result<Vec<AlgoVerdict>, IrError> {
 /// declares — `"fig2[3].X"` and `"fig6[1].R[2][0]"` reduce to `"x"` and
 /// `"r"`.
 ///
-/// This is the IR half of `kex-lint`'s cross-layer drift audit: the
-/// lint extracts the receiver names of the native atomic sites from
-/// source and checks each against this set for the corresponding
-/// catalog variant, so the IR and the native code cannot silently
-/// disagree about which shared variables an algorithm touches.
+/// This is the IR half of `kex-lint`'s obligation pass: the lint maps
+/// the receiver names of the native atomic sites to IR variables and
+/// checks each against this set for the corresponding catalog variant,
+/// so the IR and the native code cannot silently disagree about which
+/// shared variables an algorithm touches.
 pub fn ir_var_basenames(algo: Algorithm, cfg: &Config) -> std::collections::BTreeSet<String> {
     let proto = algo.build(cfg.n, cfg.k, cfg.max_locs);
     proto
@@ -1060,7 +1060,7 @@ pub fn render_text(verdicts: &[AlgoVerdict], cfg: &Config) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

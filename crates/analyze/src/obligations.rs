@@ -1,11 +1,11 @@
 //! Ordering-obligation derivation: the static half of the weak-memory
 //! rung.
 //!
-//! The memory-ordering manifest (`docs/ordering_sites.json`) records
-//! what each native atomic site *claims*; this module derives, from the
-//! access-summary IR alone, what each shared variable *requires* — so a
-//! claim can be checked against the algorithm's structure instead of
-//! against prose. Four structural patterns generate obligations:
+//! `kex-lint`'s source scan says what each native atomic site *claims*;
+//! this module derives, from the access-summary IR alone, what each
+//! shared variable *requires* — so a claim can be checked against the
+//! algorithm's structure instead of against prose. Four structural
+//! patterns generate obligations:
 //!
 //! * **Spin words** — a variable read under a [`BackKind::Spin`] back
 //!   edge is a wait/publish channel: its loads must acquire and the
@@ -36,7 +36,7 @@ use kex_core::sim::build::Algorithm;
 use kex_sim::summary::{AccessKind, BackKind, StmtDesc, SuccDesc};
 use kex_sim::types::Section;
 
-use crate::{walk, Config, IrError};
+use crate::{json_escape, walk, Config, IrError};
 
 /// The minimum ordering an obligation demands of a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -76,7 +76,7 @@ impl Req {
         }
     }
 
-    /// Parse a manifest/doc ordering keyword.
+    /// Parse an ordering keyword.
     pub fn parse(s: &str) -> Option<Req> {
         match s {
             "Relaxed" => Some(Req::Relaxed),
@@ -88,7 +88,7 @@ impl Req {
         }
     }
 
-    /// The keyword as written in source and manifest.
+    /// The keyword as written in source and audit table.
     pub fn keyword(self) -> &'static str {
         match self {
             Req::Relaxed => "Relaxed",
@@ -400,7 +400,7 @@ pub fn obligation_for<'a>(
     obls.iter().find(|o| o.var == var && o.kind == kind)
 }
 
-/// Maps a manifest `op` string to the access kind it performs on the
+/// Maps a site's atomic method to the access kind it performs on the
 /// modelled IR variable (`swap`, `compare_exchange*`, `fetch_*` and
 /// `fetch_update` are all RMWs).
 pub fn kind_for_op(op: &str) -> AccessKind {
@@ -411,7 +411,7 @@ pub fn kind_for_op(op: &str) -> AccessKind {
     }
 }
 
-/// Manifest-facing name of an access kind (`load` / `store` / `rmw`).
+/// Report-facing name of an access kind (`load` / `store` / `rmw`).
 pub fn kind_name(kind: AccessKind) -> &'static str {
     match kind {
         AccessKind::Read => "load",
@@ -476,10 +476,6 @@ pub fn expected_obligation_failures(cfg: &Config) -> Vec<String> {
     fails
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Text report of every algorithm's derived obligations.
 pub fn render_obligations_text(cfg: &Config) -> Result<String, IrError> {
     use std::fmt::Write as _;
@@ -519,16 +515,16 @@ pub fn render_obligations_json(cfg: &Config) -> Result<String, IrError> {
     for (ai, a) in algos.iter().enumerate() {
         let obls = derive_obligations(*a, cfg)?;
         let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"algo\": \"{}\",", esc(a.label()));
+        let _ = writeln!(out, "      \"algo\": \"{}\",", json_escape(a.label()));
         let _ = writeln!(out, "      \"obligations\": [");
         for (i, o) in obls.iter().enumerate() {
             let _ = writeln!(
                 out,
                 "        {{\"var\": \"{}\", \"op\": \"{}\", \"req\": \"{}\", \"why\": \"{}\"}}{}",
-                esc(&o.var),
+                json_escape(&o.var),
                 kind_name(o.kind),
                 o.req.keyword(),
-                esc(&o.why),
+                json_escape(&o.why),
                 if i + 1 < obls.len() { "," } else { "" }
             );
         }

@@ -18,8 +18,9 @@
 //! Exits nonzero if any algorithm exceeds its bound, the occupancy
 //! gauge ever exceeds `k`, or the instrumented backend's site registry
 //! recorded an atomic call site under `crates/core/src/native/` that
-//! `docs/ordering_sites.json` does not list (or overflowed, so the
-//! inventory cannot be trusted) — so CI can gate on it. A bound counts
+//! kex-lint's source scan of this checkout does not find (or
+//! overflowed, so the inventory cannot be trusted) — so CI can gate on
+//! it. A bound counts
 //! as *exercised* only if the case's threads actually overlapped
 //! (occupancy above 1 or a spin in an entry section); the rest are
 //! reported as "bound not exercised", never as respected.
@@ -199,13 +200,15 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
     ]
 }
 
-/// The `file:line` keys of `docs/ordering_sites.json`.
+/// The `file:line` keys of the static site inventory: kex-lint's scan
+/// of the checkout this binary was built in.
 fn listed_sites() -> Result<BTreeSet<String>, String> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/ordering_sites.json");
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let entries =
-        kex_lint::parse_manifest(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(entries.iter().map(kex_lint::ManifestEntry::key).collect())
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ws = kex_lint::Workspace::load(&root).map_err(|e| format!("{}: {e}", root.display()))?;
+    Ok(kex_lint::extract_sites(&ws)
+        .iter()
+        .map(kex_lint::Site::key)
+        .collect())
 }
 
 struct CaseResult {
@@ -274,7 +277,7 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<Stri
     // such, never mistaken for a clean one.
     let sites_truncated = snap.sites.iter().any(|s| s.location == "<overflow>");
     // (The registry records paths as the compiler saw them; cut them
-    // down to the repo-relative form the manifest uses.)
+    // down to the repo-relative form the scan uses.)
     let mut native_sites: Vec<(&str, &kex_obs::SiteSnapshot)> = snap
         .sites
         .iter()
@@ -292,7 +295,7 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<Stri
         .collect();
     for loc in &unlisted {
         eprintln!(
-            "  FAIL: {}: runtime registry recorded an atomic site at {loc} that docs/ordering_sites.json does not list",
+            "  FAIL: {}: runtime registry recorded an atomic site at {loc} that kex-lint's source scan does not find",
             case.name
         );
     }
@@ -404,7 +407,7 @@ fn main() {
         sink = JsonSink::from_args_or_default("BENCH_native.json");
     }
     let listed = listed_sites().unwrap_or_else(|e| {
-        eprintln!("native_obs: cannot read the site manifest: {e}");
+        eprintln!("native_obs: cannot scan the sources: {e}");
         std::process::exit(2);
     });
 
@@ -464,7 +467,7 @@ fn main() {
     println!(
         "no bound violated: {exercised} of {} bounds exercised (threads overlapped), \
          {unexercised} not exercised; occupancy never exceeded k; every runtime site under \
-         {NATIVE_PREFIX} is listed in docs/ordering_sites.json",
+         {NATIVE_PREFIX} is one kex-lint's source scan finds",
         exercised + unexercised,
     );
 }

@@ -7,8 +7,7 @@
 //!    `crates/core/src/native/` names its memory ordering through the
 //!    audited constants in `kex_core::native::ordering` (never a literal
 //!    `Ordering::*`), and every site has a justification row in
-//!    `docs/MEMORY_ORDERING.md` plus an entry in the committed site
-//!    manifest `docs/ordering_sites.json`.
+//!    `docs/MEMORY_ORDERING.md`.
 //! 2. **Facade discipline** — library code reaches atomics, spin hints
 //!    and thread spawning only through the `kex_util::sync` facade, so a
 //!    single `--cfg loom` (or `--features obs`) rebuild swaps every call
@@ -20,34 +19,33 @@
 //!    what production runs.
 //!
 //! `kex-lint` is a dependency-free, token-level analyzer over the
-//! workspace's own sources that machine-checks all three, plus a
-//! **cross-layer drift audit**: the same physical `file:line` inventory
-//! is maintained independently by this crate (source scan), by
-//! `docs/MEMORY_ORDERING.md` (the human audit table) and by the
-//! kex-analyze protocol IR (per-variable access summaries). The manifest
-//! `docs/ordering_sites.json` is the committed rendezvous point; the
-//! drift pass fails if any layer disagrees with it in either direction.
-//! (The kex-obs runtime site registry is reconciled against the same
-//! manifest by a live run: `kex-bench`'s `native_obs` fails on any
-//! recorded native location the manifest does not list.) On top of the
-//! inventory sits the **ordering-obligation pass**: every manifest site
-//! carries a derived `role` (spin / publish / handshake / counter /
-//! private), and the claimed ordering must both fit the role's policy
-//! and satisfy the per-variable minimum the kex-analyze IR derives — so
-//! a manifest row relaxing a publish or handshake participant is a hard
-//! error, not just drift.
+//! workspace's own sources that machine-checks all three. The source
+//! scan *is* the site inventory: [`extract_sites`] lists every audited
+//! atomic call with the ordering its constant resolves to, its derived
+//! `role` (spin / publish / handshake / counter / private) and the
+//! kex-analyze IR variable its receiver models, and nothing stores a
+//! copy of that list. The audit table's rows are matched to it by
+//! position — per file, in source order — so the table cites no line
+//! numbers. (The kex-obs runtime site registry is reconciled against
+//! the same scan by a live run: `kex-bench`'s `native_obs` fails on any
+//! recorded native location the scan does not find.) On top of the
+//! inventory sits the **ordering-obligation pass**: the ordering a site
+//! claims must both fit its role's policy and satisfy the per-variable
+//! minimum the kex-analyze IR derives — so relaxing a publish or
+//! handshake participant is a hard error even with its table row
+//! rewritten to match.
 //!
 //! The scanner is deliberately *token-level*, not a Rust parser: it
 //! masks comments, strings and char literals (preserving byte offsets
 //! and line numbers), tracks `#[cfg(test)]` brace regions, and pattern
-//! matches the remainder. That is exactly enough for the five lints and
+//! matches the remainder. That is exactly enough for the four passes and
 //! keeps the crate free of syn-style dependencies (the workspace builds
 //! fully offline).
 //!
 //! Findings can be suppressed per line with a trailing directive
 //! comment, e.g. `// kex-lint: allow(spin): <reason>`; the directive
-//! must share the line with the flagged construct so that suppressions
-//! never shift the `file:line` coordinates the audit table cites.
+//! shares the line with the flagged construct (or, for a spin loop,
+//! sits anywhere inside it).
 
 #![warn(missing_docs)]
 
@@ -59,13 +57,11 @@ use std::path::Path;
 
 use kex_analyze::Config;
 use kex_core::sim::build::Algorithm;
-use kex_obs::json::{self, Json};
+use kex_obs::json::Json;
 
-/// Schema identifier written into `docs/ordering_sites.json`.
-pub const MANIFEST_SCHEMA: &str = "kex-lint/ordering_sites/v3";
-
-/// Schema identifier of the JSON findings report.
-pub const FINDINGS_SCHEMA: &str = "kex-lint/findings/v1";
+/// Schema identifier of the JSON findings report (v2: four passes, no
+/// `counts.drift`).
+pub const FINDINGS_SCHEMA: &str = "kex-lint/findings/v2";
 
 /// Repo-relative directory roots loaded into a [`Workspace`].
 ///
@@ -86,17 +82,20 @@ const SCAN_ROOTS: &[&str] = &[
 ];
 
 /// The audited hot-path directory: every atomic site under it is in the
-/// manifest.
+/// inventory.
 pub const NATIVE_PREFIX: &str = "crates/core/src/native/";
+
+/// The audit table: one justification row per inventory site.
+pub const AUDIT_DOC: &str = "docs/MEMORY_ORDERING.md";
 
 /// The one file allowed to spell `Ordering::*` literals: it *defines*
 /// the audited constants.
 const ORDERING_MODULE: &str = "crates/core/src/native/ordering.rs";
 
 /// The wait-free layer, covered by the literal-`Ordering::*` ban (its
-/// sites are not in the manifest inventory — the layer is uniformly
-/// SeqCst by design — but spelling orderings inline would dodge any
-/// future audit, so the naming discipline applies there too).
+/// sites are not in the inventory — the layer is uniformly SeqCst by
+/// design — but spelling orderings inline would dodge any future audit,
+/// so the naming discipline applies there too).
 const WAITFREE_PREFIX: &str = "crates/waitfree/src/";
 
 /// The waitfree counterpart of `native::ordering`: defines that
@@ -175,8 +174,8 @@ type IrMapRow = (
 /// Map from native file to the analyzer-IR algorithm modelling it, plus
 /// the receiver-name → IR-variable aliases. Files absent here have no
 /// statement-level IR counterpart (MCS and Yang–Anderson are native-only
-/// building blocks; the registry is plumbing) and their manifest `ir`
-/// fields stay `null`. A `receiver:role` alias wins over the plain one:
+/// building blocks; the registry is plumbing) and their sites' `ir`
+/// stays `None`. A `receiver:role` alias wins over the plain one:
 /// fig2's stage keeps the IR's `x` and `q` in one word, which is `q`
 /// where it is spun on and `x` at every other site.
 const IR_MAP: &[IrMapRow] = &[
@@ -198,15 +197,6 @@ const IR_MAP: &[IrMapRow] = &[
 // ---------------------------------------------------------------------------
 // Ordering roles
 // ---------------------------------------------------------------------------
-
-/// The role vocabulary of the manifest. Each site is classified
-/// by what its ordering *does*: `spin` (the acquire side of a handoff,
-/// read in a wait loop), `publish` (the release side of a handoff
-/// write), `handshake` (a Dekker-style store/load or RMW pair that
-/// needs the single SC total order), `counter` (an RMW whose own
-/// read-modify-write atomicity carries the protocol) and `private`
-/// (single-owner or freshness-insensitive accesses).
-pub const ROLES: &[&str] = &["spin", "publish", "handshake", "counter", "private"];
 
 /// Sites whose role is pinned by hand because the (op, ordering) shape
 /// misclassifies them: the registry's slot claim is an isolated
@@ -230,10 +220,14 @@ const ROLE_EXCEPTIONS: &[(&str, &str, &str, &str)] = &[
 ];
 
 /// Derives a site's ordering role from its coordinates, op and
-/// ordering. This is the single source of truth for the manifest's
-/// `role` field: `generate_manifest` writes it and the
-/// obligation pass re-derives it for the consistency check.
-pub fn derive_role(file: &str, op: &str, var: &str, ordering: &str) -> &'static str {
+/// ordering. Each site is classified by what its ordering *does*:
+/// `spin` (the acquire side of a handoff, read in a wait loop),
+/// `publish` (the release side of a handoff write), `handshake` (a
+/// Dekker-style store/load or RMW pair that needs the single SC total
+/// order), `counter` (an RMW whose own read-modify-write atomicity
+/// carries the protocol) and `private` (single-owner or
+/// freshness-insensitive accesses).
+fn derive_role(file: &str, op: &str, var: &str, ordering: &str) -> &'static str {
     if let Some((_, _, _, role)) = ROLE_EXCEPTIONS
         .iter()
         .find(|(f, o, v, _)| *f == file && *o == op && *v == var)
@@ -246,14 +240,14 @@ pub fn derive_role(file: &str, op: &str, var: &str, ordering: &str) -> &'static 
         ("load", "Acquire") => "spin",
         ("store", "Release") => "publish",
         ("rmw", "AcqRel") => "counter",
-        // Non-canonical shapes (a Release load, an Acquire store, ...)
-        // only arise from mutations; classify them as private so the
-        // role-consistency check flags the drift.
+        // Non-canonical shapes (an Acquire-only RMW, an unresolved
+        // constant): no role to hold them to. The IR-derived minimum
+        // and the audit row still apply.
         _ => "private",
     }
 }
 
-/// Collapses the manifest `op` vocabulary into load / store / rmw.
+/// Collapses the atomic-method vocabulary into load / store / rmw.
 fn op_kind(op: &str) -> &'static str {
     match op {
         "load" => "load",
@@ -282,14 +276,12 @@ fn role_policy(role: &str) -> Option<(&'static str, &'static [&'static str])> {
 /// Which lint pass produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pass {
-    /// Ordering-policy lint (constants, manifest, audit table).
+    /// Ordering-policy lint (constants, audit table).
     Ordering,
     /// Facade-bypass detector.
     Facade,
     /// Busy-wait backoff lint.
     Spin,
-    /// Cross-layer site-drift audit (manifest vs IR).
-    Drift,
     /// Ordering-obligation checker (roles and IR-derived minimums).
     Obligation,
 }
@@ -302,7 +294,6 @@ impl Pass {
             Pass::Ordering => "ordering",
             Pass::Facade => "facade",
             Pass::Spin => "spin",
-            Pass::Drift => "drift",
             Pass::Obligation => "obligation",
         }
     }
@@ -317,7 +308,7 @@ impl fmt::Display for Pass {
 /// One conformance violation, anchored to a source coordinate.
 ///
 /// `line == 0` marks a file- or artifact-level finding (a missing
-/// manifest) with no single line.
+/// audit table) with no single line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// The pass that fired.
@@ -716,43 +707,6 @@ impl Workspace {
     pub fn get(&self, path: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.path == path)
     }
-
-    /// Test support: a copy of the workspace with the first occurrence
-    /// of `from` in `path` replaced by `to`.
-    ///
-    /// # Panics
-    /// Panics if the file or the needle is absent — a mutation test that
-    /// silently mutates nothing would vacuously pass.
-    pub fn replace_in_file(&self, path: &str, from: &str, to: &str) -> Workspace {
-        let mut files = self.files.clone();
-        let file = files
-            .iter_mut()
-            .find(|f| f.path == path)
-            .unwrap_or_else(|| panic!("no such file in workspace: {path}"));
-        assert!(
-            file.text.contains(from),
-            "mutation needle not found in {path}: {from:?}"
-        );
-        let text = file.text.replacen(from, to, 1);
-        *file = SourceFile::new(path, text);
-        Workspace { files }
-    }
-
-    /// Test support: a copy of the workspace with `extra` appended to
-    /// `path`.
-    ///
-    /// # Panics
-    /// Panics if the file is absent.
-    pub fn append_to_file(&self, path: &str, extra: &str) -> Workspace {
-        let mut files = self.files.clone();
-        let file = files
-            .iter_mut()
-            .find(|f| f.path == path)
-            .unwrap_or_else(|| panic!("no such file in workspace: {path}"));
-        let text = format!("{}{extra}", file.text);
-        *file = SourceFile::new(path, text);
-        Workspace { files }
-    }
 }
 
 fn walk(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
@@ -778,7 +732,8 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
 // Atomic-site extraction
 // ---------------------------------------------------------------------------
 
-/// An atomic call site in the audited native layer.
+/// One inventory entry: an atomic call site in the audited native
+/// layer, with everything the passes derive for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Site {
     /// Repo-relative path.
@@ -789,13 +744,22 @@ pub struct Site {
     pub op: String,
     /// The receiver's final field/binding name (`q`, `slots`, ...).
     pub var: String,
-    /// `ord::*` constants named in the arguments, in textual order; the
-    /// first is the site's primary (success) ordering.
+    /// `ord::*` constants among the call's own arguments, in textual
+    /// order; the first is the site's primary (success) ordering.
     pub consts: Vec<String>,
+    /// The ordering the primary constant resolves to (`"?"` if
+    /// `ordering.rs` defines no such constant).
+    pub ordering: String,
+    /// The site's ordering role (spin / publish / handshake / counter /
+    /// private), derived from its op and ordering.
+    pub role: &'static str,
+    /// IR variable this receiver models, if `IR_MAP` links the file
+    /// to an analyzer-IR algorithm.
+    pub ir: Option<&'static str>,
 }
 
 impl Site {
-    /// The `file:line` key the other layers use.
+    /// The `file:line` key the kex-obs runtime registry records.
     pub fn key(&self) -> String {
         format!("{}:{}", self.file, self.line)
     }
@@ -816,16 +780,28 @@ fn is_ordering_policy_file(path: &str) -> bool {
         || (path.starts_with(STORE_PREFIX) && path != STORE_ORDERING_MODULE)
 }
 
-/// Extracts every non-test atomic call site under
-/// `crates/core/src/native/` that names an `ord::*` constant.
+/// The site inventory: every non-test atomic call under
+/// `crates/core/src/native/` that names an `ord::*` constant, per file
+/// in source order.
 pub fn extract_sites(ws: &Workspace) -> Vec<Site> {
+    let consts = ws
+        .get(ORDERING_MODULE)
+        .map(|f| parse_ordering_consts(f).0)
+        .unwrap_or_default();
     let mut sites = Vec::new();
     for file in &ws.files {
         if !is_native_site_file(&file.path) {
             continue;
         }
+        let short = file.path.trim_start_matches(NATIVE_PREFIX);
+        let aliases = IR_MAP
+            .iter()
+            .find(|(f, _, _)| *f == short)
+            .map_or(&[][..], |(_, _, aliases)| aliases);
         let mb = file.masked.as_bytes();
         let mut i = 0;
+        // Every `.` is tried, including those inside an accepted call's
+        // arguments: a nested atomic call is a site of its own.
         while let Some(rel) = file.masked[i..].find('.') {
             let dot = i + rel;
             i = dot + 1;
@@ -843,21 +819,30 @@ pub fn extract_sites(ws: &Workspace) -> Vec<Site> {
             let Some(close) = match_paren(mb, j) else {
                 continue;
             };
-            let args = &file.masked[j + 1..close];
-            let consts = ord_consts_in(args);
-            if consts.is_empty() {
+            let site_consts = ord_consts_in(&file.masked[j + 1..close]);
+            let Some(primary) = site_consts.first() else {
                 continue; // not an atomic-ordering call (e.g. slice ops)
-            }
+            };
+            let ordering = consts.get(primary).map_or("?", String::as_str);
+            let var = receiver_name(mb, dot);
+            let role = derive_role(&file.path, method, &var, ordering);
+            let alias = |name: &str| aliases.iter().find(|(v, _)| *v == name);
+            let ir = alias(&format!("{var}:{role}"))
+                .or_else(|| alias(&var))
+                .map(|(_, ir)| *ir);
             sites.push(Site {
                 file: file.path.clone(),
                 line: file.line_of(dot + 1),
                 op: method.to_string(),
-                var: receiver_name(mb, dot),
-                consts,
+                var,
+                ordering: ordering.to_string(),
+                consts: site_consts,
+                role,
+                ir,
             });
-            i = close;
         }
     }
+    // Stable: sites sharing a line keep their source order.
     sites.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     sites
 }
@@ -881,22 +866,33 @@ fn match_paren(mb: &[u8], open: usize) -> Option<usize> {
     None
 }
 
+/// The `ord::*` constants at the top level of an argument list; one
+/// inside a nested call or closure belongs to that call.
 fn ord_consts_in(args: &str) -> Vec<String> {
     let ab = args.as_bytes();
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = args[from..].find("ord::") {
-        let at = from + rel;
-        let boundary = at == 0
-            || !(ab[at - 1].is_ascii_alphanumeric() || ab[at - 1] == b'_' || ab[at - 1] == b':');
-        let mut j = at + "ord::".len();
-        while j < ab.len() && (ab[j].is_ascii_alphanumeric() || ab[j] == b'_') {
-            j += 1;
+    let mut depth = 0usize;
+    let mut i = 0;
+    while i < ab.len() {
+        match ab[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth = depth.saturating_sub(1),
+            _ if depth == 0
+                && ab[i..].starts_with(b"ord::")
+                && (i == 0 || !(is_ident(ab[i - 1]) || ab[i - 1] == b':')) =>
+            {
+                let start = i + "ord::".len();
+                let len = ab[start..].iter().take_while(|&&b| is_ident(b)).count();
+                if len > 0 {
+                    out.push(args[start..start + len].to_string());
+                }
+                i = start + len;
+                continue;
+            }
+            _ => {}
         }
-        if boundary && j > at + "ord::".len() {
-            out.push(args[at + "ord::".len()..j].to_string());
-        }
-        from = j.max(at + 1);
+        i += 1;
     }
     out
 }
@@ -991,12 +987,21 @@ pub fn parse_ordering_consts(file: &SourceFile) -> (OrderingConsts, Vec<Finding>
 // Audit-table rows (docs/MEMORY_ORDERING.md)
 // ---------------------------------------------------------------------------
 
+/// One audit-table row. It cites its site by file only: within a file
+/// the rows are in source order, and the i-th row documents the i-th
+/// site.
 #[derive(Debug, Clone)]
 struct DocRow {
     file: String,
-    line: usize,
+    /// The atomic method named in the *Op* cell.
+    op: String,
     keyword: String,
     doc_line: usize,
+}
+
+/// The leading `` `code` `` span of a table cell.
+fn backticked(cell: &str) -> Option<&str> {
+    cell.trim().strip_prefix('`')?.split('`').next()
 }
 
 fn parse_doc_rows(doc: &str) -> (Vec<DocRow>, Vec<Finding>) {
@@ -1011,22 +1016,13 @@ fn parse_doc_rows(doc: &str) -> (Vec<DocRow>, Vec<Finding>) {
         if cells.len() < 5 {
             continue;
         }
-        let site_cell = cells[1].trim();
-        let Some(site) = site_cell
-            .strip_prefix('`')
-            .and_then(|s| s.split('`').next())
-        else {
+        let Some(name) = backticked(cells[1]).filter(|n| n.ends_with(".rs")) else {
             continue;
         };
-        let Some((name, lineno)) = site.rsplit_once(':') else {
-            continue;
-        };
-        if !name.ends_with(".rs") {
-            continue;
-        }
-        let Ok(lineno) = lineno.parse::<usize>() else {
-            continue;
-        };
+        // `R[u].fetch_add(-1)` → `fetch_add`.
+        let call = backticked(cells[2]).unwrap_or("");
+        let op = call.split('(').next().unwrap_or("");
+        let op = op.rsplit('.').next().unwrap_or("");
         let implemented = cells[3].trim();
         let keyword = ORDERING_KEYWORDS
             .iter()
@@ -1036,16 +1032,16 @@ fn parse_doc_rows(doc: &str) -> (Vec<DocRow>, Vec<Finding>) {
         match keyword {
             Some(keyword) => rows.push(DocRow {
                 file: format!("{NATIVE_PREFIX}{name}"),
-                line: lineno,
+                op: op.to_string(),
                 keyword,
                 doc_line: idx + 1,
             }),
             None => findings.push(finding(
                 Pass::Ordering,
-                "docs/MEMORY_ORDERING.md",
+                AUDIT_DOC,
                 idx + 1,
                 format!(
-                    "audit row for `{site}` has no recognizable ordering keyword: {implemented:?}"
+                    "audit row for `{name}` has no recognizable ordering keyword: {implemented:?}"
                 ),
             )),
         }
@@ -1053,158 +1049,113 @@ fn parse_doc_rows(doc: &str) -> (Vec<DocRow>, Vec<Finding>) {
     (rows, findings)
 }
 
-// ---------------------------------------------------------------------------
-// Manifest (docs/ordering_sites.json)
-// ---------------------------------------------------------------------------
-
-/// One committed manifest entry: a source site plus its cross-layer
-/// links.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    /// Repo-relative path.
-    pub file: String,
-    /// 1-based source line.
-    pub line: usize,
-    /// Atomic method.
-    pub op: String,
-    /// Receiver name.
-    pub var: String,
-    /// `ord::*` constants at the site.
-    pub consts: Vec<String>,
-    /// The ordering the primary constant resolves to.
-    pub ordering: String,
-    /// The site's ordering role (one of [`ROLES`]), derived by
-    /// [`derive_role`] at manifest-generation time.
-    pub role: String,
-    /// IR variable this receiver models, if the file has an IR
-    /// counterpart.
-    pub ir: Option<String>,
+/// A `file.rs:NN` or `` `:NN` `` line reference in the audit table's
+/// text, if `line` has one.
+fn line_reference(line: &str) -> Option<&str> {
+    let lb = line.as_bytes();
+    let digits_from = |at: usize| lb[at..].iter().take_while(|b| b.is_ascii_digit()).count();
+    for (at, _) in line.match_indices(':') {
+        let digits = digits_from(at + 1);
+        if digits == 0 {
+            continue;
+        }
+        let end = at + 1 + digits;
+        if line[..at].ends_with(".rs") {
+            let name = line[..at]
+                .rsplit(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '.'))
+                .next()
+                .unwrap_or("");
+            return Some(&line[at - name.len()..end]);
+        }
+        if line[..at].ends_with('`') && lb.get(end) == Some(&b'`') {
+            return Some(&line[at..end]);
+        }
+    }
+    None
 }
 
-impl ManifestEntry {
-    /// The `file:line` key the other layers use.
-    pub fn key(&self) -> String {
-        format!("{}:{}", self.file, self.line)
+/// Reconciles the audit table with the scanned sites, by position.
+fn check_audit_table(doc: &str, sites: &[Site], findings: &mut Vec<Finding>) {
+    for (idx, line) in doc.lines().enumerate() {
+        if let Some(reference) = line_reference(line) {
+            findings.push(finding(
+                Pass::Ordering,
+                AUDIT_DOC,
+                idx + 1,
+                format!(
+                    "line-number reference `{reference}` — sites move; name the paper's statement or the op instead"
+                ),
+            ));
+        }
     }
-}
-
-/// Parses `docs/ordering_sites.json`.
-pub fn parse_manifest(text: &str) -> Result<Vec<ManifestEntry>, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != MANIFEST_SCHEMA {
-        return Err(format!(
-            "unexpected manifest schema {schema:?} (want {MANIFEST_SCHEMA:?})"
-        ));
+    let (rows, mut row_findings) = parse_doc_rows(doc);
+    findings.append(&mut row_findings);
+    let files: BTreeSet<&str> = sites
+        .iter()
+        .map(|s| s.file.as_str())
+        .chain(rows.iter().map(|r| r.file.as_str()))
+        .collect();
+    for file in files {
+        let mut file_rows = rows.iter().filter(|r| r.file == file);
+        let mut file_sites = sites.iter().filter(|s| s.file == file);
+        loop {
+            match (file_sites.next(), file_rows.next()) {
+                (None, None) => break,
+                (Some(site), None) => findings.push(finding(
+                    Pass::Ordering,
+                    &site.file,
+                    site.line,
+                    format!("no {AUDIT_DOC} audit row for this atomic site"),
+                )),
+                (None, Some(row)) => findings.push(finding(
+                    Pass::Ordering,
+                    AUDIT_DOC,
+                    row.doc_line,
+                    format!(
+                        "audit row documents a `{}` that `{file}` no longer has: the file's rows outnumber its atomic sites",
+                        row.op
+                    ),
+                )),
+                (Some(site), Some(row)) if row.op != site.op => {
+                    // Every later pair in this file is shifted too;
+                    // one finding says so.
+                    findings.push(finding(
+                        Pass::Ordering,
+                        &site.file,
+                        site.line,
+                        format!(
+                            "the audit row at this position ({AUDIT_DOC}:{}) documents a `{}`, but the site here is `{}.{}` — the file's rows must list its sites in source order, one each",
+                            row.doc_line, row.op, site.var, site.op
+                        ),
+                    ));
+                    break;
+                }
+                (Some(site), Some(row)) => {
+                    if row.keyword != site.ordering {
+                        findings.push(finding(
+                            Pass::Ordering,
+                            &site.file,
+                            site.line,
+                            format!(
+                                "audit table ({AUDIT_DOC}:{}) says `{}` but `ord::{}` resolves to `{}`",
+                                row.doc_line, row.keyword, site.consts[0], site.ordering
+                            ),
+                        ));
+                    }
+                }
+            }
+        }
     }
-    let sites = doc
-        .get("sites")
-        .and_then(Json::as_arr)
-        .ok_or("manifest has no `sites` array")?;
-    let mut out = Vec::new();
-    for (i, s) in sites.iter().enumerate() {
-        let field = |k: &str| -> Result<String, String> {
-            s.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("site #{i}: missing string field `{k}`"))
-        };
-        out.push(ManifestEntry {
-            file: field("file")?,
-            line: s
-                .get("line")
-                .and_then(Json::as_u64)
-                .ok_or(format!("site #{i}: missing `line`"))? as usize,
-            op: field("op")?,
-            var: field("var")?,
-            consts: s
-                .get("consts")
-                .and_then(Json::as_arr)
-                .ok_or(format!("site #{i}: missing `consts`"))?
-                .iter()
-                .filter_map(|c| c.as_str().map(str::to_string))
-                .collect(),
-            ordering: field("ordering")?,
-            role: field("role")?,
-            ir: s.get("ir").and_then(Json::as_str).map(str::to_string),
-        });
-    }
-    Ok(out)
-}
-
-/// Regenerates the manifest text from the current sources.
-pub fn generate_manifest(ws: &Workspace) -> Result<String, String> {
-    let ordering_file = ws
-        .get(ORDERING_MODULE)
-        .ok_or_else(|| format!("{ORDERING_MODULE} not found in workspace"))?;
-    let (consts, findings) = parse_ordering_consts(ordering_file);
-    if let Some(f) = findings.first() {
-        return Err(format!("cannot generate manifest: {f}"));
-    }
-    let sites = extract_sites(ws);
-    let mut docs = Vec::new();
-    for site in &sites {
-        let primary = site
-            .consts
-            .first()
-            .ok_or_else(|| format!("{}: site has no ord:: constant", site.key()))?;
-        let ordering = consts
-            .get(primary)
-            .ok_or_else(|| format!("{}: unknown constant ord::{primary}", site.key()))?;
-        let short = site.file.trim_start_matches(NATIVE_PREFIX);
-        let role = derive_role(&site.file, &site.op, &site.var, ordering);
-        let by_role = format!("{}:{role}", site.var);
-        let ir = IR_MAP
-            .iter()
-            .find(|(f, _, _)| *f == short)
-            .and_then(|(_, _, aliases)| {
-                let alias = |name: &str| aliases.iter().find(|(v, _)| *v == name);
-                alias(&by_role)
-                    .or_else(|| alias(&site.var))
-                    .map(|(_, ir)| *ir)
-            });
-        docs.push(Json::obj(vec![
-            ("file", site.file.as_str().into()),
-            ("line", site.line.into()),
-            ("op", site.op.as_str().into()),
-            ("var", site.var.as_str().into()),
-            (
-                "consts",
-                Json::arr(site.consts.iter().map(|c| c.as_str().into()).collect()),
-            ),
-            ("ordering", ordering.as_str().into()),
-            ("role", role.into()),
-            ("ir", ir.map_or(Json::Null, Into::into)),
-        ]));
-    }
-    let doc = Json::obj(vec![
-        ("schema", MANIFEST_SCHEMA.into()),
-        (
-            "note",
-            "Committed inventory of every audited atomic site in crates/core/src/native/. \
-             Checked both ways by kex-lint against the sources, docs/MEMORY_ORDERING.md \
-             and the kex-analyze IR; kex-bench's native_obs fails on any runtime-registry \
-             location under that directory that is not listed here. The per-site `role` is \
-             consumed by the obligation pass."
-                .into(),
-        ),
-        (
-            "regenerate",
-            "cargo run -p kex-lint --bin lint -- --write-manifest".into(),
-        ),
-        ("sites", Json::arr(docs)),
-    ]);
-    Ok(doc.to_string_pretty())
 }
 
 // ---------------------------------------------------------------------------
-// The five passes
+// The four passes
 // ---------------------------------------------------------------------------
 
 /// Pass 1: ordering policy. Literal `Ordering::*` bans, constant-table
 /// invariants, and two-way reconciliation of the source inventory
-/// against the manifest and the audit table.
-pub fn ordering_pass(ws: &Workspace, manifest: Option<&str>, doc: Option<&str>) -> Vec<Finding> {
+/// against the audit table.
+pub fn ordering_pass(ws: &Workspace, doc: Option<&str>) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // 1a. No literal Ordering:: outside the ordering-constant modules
@@ -1265,135 +1216,15 @@ pub fn ordering_pass(ws: &Workspace, manifest: Option<&str>, doc: Option<&str>) 
         }
     }
 
-    // 1d. Manifest reconciliation, both directions.
-    match manifest.map(parse_manifest) {
-        None => findings.push(finding(
-            Pass::Ordering,
-            "docs/ordering_sites.json",
-            0,
-            "site manifest missing — generate it with `lint --write-manifest`",
-        )),
-        Some(Err(e)) => findings.push(finding(
-            Pass::Ordering,
-            "docs/ordering_sites.json",
-            0,
-            format!("unreadable site manifest: {e}"),
-        )),
-        Some(Ok(entries)) => {
-            let by_key: BTreeMap<String, &ManifestEntry> =
-                entries.iter().map(|e| (e.key(), e)).collect();
-            let site_keys: BTreeSet<String> = sites.iter().map(Site::key).collect();
-            for site in &sites {
-                match by_key.get(&site.key()) {
-                    None => findings.push(finding(
-                        Pass::Ordering,
-                        &site.file,
-                        site.line,
-                        "atomic site not in docs/ordering_sites.json — regenerate with `lint --write-manifest`",
-                    )),
-                    Some(entry) => {
-                        if entry.op != site.op || entry.var != site.var || entry.consts != site.consts
-                        {
-                            findings.push(finding(
-                                Pass::Ordering,
-                                &site.file,
-                                site.line,
-                                format!(
-                                    "manifest drift: source is `{}.{}({})` but manifest records `{}.{}({})`",
-                                    site.var,
-                                    site.op,
-                                    site.consts.join(", "),
-                                    entry.var,
-                                    entry.op,
-                                    entry.consts.join(", "),
-                                ),
-                            ));
-                        } else if let Some(primary) = site.consts.first() {
-                            let resolved = consts.get(primary).map_or("?", String::as_str);
-                            if entry.ordering != resolved {
-                                findings.push(finding(
-                                    Pass::Ordering,
-                                    &site.file,
-                                    site.line,
-                                    format!(
-                                        "manifest declares `{}` but `ord::{primary}` resolves to `{resolved}`",
-                                        entry.ordering
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            for entry in &entries {
-                if !site_keys.contains(&entry.key()) {
-                    findings.push(finding(
-                        Pass::Ordering,
-                        &entry.file,
-                        entry.line,
-                        "manifest records an atomic site that no longer exists in the source — regenerate with `lint --write-manifest`",
-                    ));
-                }
-            }
-        }
-    }
-
-    // 1e. Audit-table reconciliation, both directions.
+    // 1d. Audit-table reconciliation, both directions.
     match doc {
         None => findings.push(finding(
             Pass::Ordering,
-            "docs/MEMORY_ORDERING.md",
+            AUDIT_DOC,
             0,
             "memory-ordering audit table missing",
         )),
-        Some(doc) => {
-            let (rows, mut row_findings) = parse_doc_rows(doc);
-            findings.append(&mut row_findings);
-            let by_key: BTreeMap<String, &DocRow> = rows
-                .iter()
-                .map(|r| (format!("{}:{}", r.file, r.line), r))
-                .collect();
-            let site_keys: BTreeSet<String> = sites.iter().map(Site::key).collect();
-            for site in &sites {
-                match by_key.get(&site.key()) {
-                    None => findings.push(finding(
-                        Pass::Ordering,
-                        &site.file,
-                        site.line,
-                        "no docs/MEMORY_ORDERING.md audit row for this atomic site",
-                    )),
-                    Some(row) => {
-                        let primary = site.consts.first().map(String::as_str).unwrap_or("?");
-                        let resolved = consts.get(primary).map_or("?", String::as_str);
-                        if row.keyword != resolved {
-                            findings.push(finding(
-                                Pass::Ordering,
-                                &site.file,
-                                site.line,
-                                format!(
-                                    "audit table (docs/MEMORY_ORDERING.md:{}) says `{}` but `ord::{primary}` resolves to `{resolved}`",
-                                    row.doc_line, row.keyword
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            for row in &rows {
-                let key = format!("{}:{}", row.file, row.line);
-                if !site_keys.contains(&key) {
-                    findings.push(finding(
-                        Pass::Ordering,
-                        &row.file,
-                        row.line,
-                        format!(
-                            "docs/MEMORY_ORDERING.md:{} documents an atomic site that does not exist in the source",
-                            row.doc_line
-                        ),
-                    ));
-                }
-            }
-        }
+        Some(doc) => check_audit_table(doc, &sites, &mut findings),
     }
 
     findings
@@ -1505,167 +1336,97 @@ pub fn spin_pass(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
-/// Pass 4: cross-layer drift audit — manifest vs analyzer IR. The
-/// receiver each manifest entry claims to model must exist among that
-/// algorithm's IR variables.
-pub fn drift_pass(manifest: Option<&str>, cfg: &Config) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let entries = match manifest.map(parse_manifest) {
-        Some(Ok(entries)) => entries,
-        // The ordering pass already reports a missing/unreadable
-        // manifest; without one there is nothing to reconcile.
-        _ => return findings,
-    };
-    for entry in &entries {
-        let Some(ir) = &entry.ir else { continue };
-        let short = entry.file.trim_start_matches(NATIVE_PREFIX);
-        let Some((_, algo, _)) = IR_MAP.iter().find(|(f, _, _)| *f == short) else {
-            findings.push(finding(
-                Pass::Drift,
-                &entry.file,
-                entry.line,
-                format!("manifest claims IR variable `{ir}` but `{short}` has no IR counterpart"),
-            ));
-            continue;
-        };
-        let basenames = kex_analyze::ir_var_basenames(*algo, cfg);
-        if !basenames.contains(ir) {
-            findings.push(finding(
-                Pass::Drift,
-                &entry.file,
-                entry.line,
-                format!(
-                    "manifest maps receiver `{}` to IR variable `{ir}`, but the {algo:?} protocol IR declares no such variable (has: {})",
-                    entry.var,
-                    basenames.iter().cloned().collect::<Vec<_>>().join(", "),
-                ),
-            ));
-        }
-    }
-    findings
-}
-
-/// Pass 5: ordering-obligation checker.
+/// Pass 4: ordering-obligation checker.
 ///
-/// Validates each manifest site's claimed ordering against two
+/// Validates each inventory site's claimed ordering against two
 /// independent derivations:
 ///
-/// * the **role policy** — the site's v2 `role` must match what
-///   [`derive_role`] re-derives from its (op, ordering) shape (or the
-///   pinned exception list), and the claimed ordering must be
-///   admissible for that role;
+/// * the **role policy** — the site's op shape and claimed ordering
+///   must be admissible for its `role`;
 /// * the **IR obligations** — for sites linked to an analyzer-IR
-///   variable, the minimum ordering `kex-analyze` derives from the
-///   statement graph (publish edges, Dekker/handshake pairs, spin
-///   reads). A manifest row claiming `Relaxed` — or anything weaker
-///   than the derived minimum — on an obligated site is a hard error.
-pub fn obligation_pass(manifest: Option<&str>, cfg: &Config) -> Vec<Finding> {
+///   variable, the variable must exist in that algorithm's IR, and the
+///   claim must satisfy the minimum ordering `kex-analyze` derives from
+///   the statement graph (publish edges, Dekker/handshake pairs, spin
+///   reads). A site claiming `Relaxed` — or anything weaker than the
+///   derived minimum — on an obligated variable is a hard error.
+///
+/// `sites` is [`extract_sites`]' inventory; the conformance suite also
+/// passes copies with one `ordering` weakened.
+pub fn obligation_pass(sites: &[Site], cfg: &Config) -> Vec<Finding> {
     use kex_analyze::obligations::{
         derive_obligations, kind_for_op, kind_name, obligation_for, Obligation, Req,
     };
 
     let mut findings = Vec::new();
-    let entries = match manifest.map(parse_manifest) {
-        Some(Ok(entries)) => entries,
-        // The ordering pass already reports a missing or unreadable
-        // manifest; without one there is nothing to check.
-        _ => return findings,
-    };
-
-    let mut derived: BTreeMap<String, Vec<Obligation>> = BTreeMap::new();
-    for entry in &entries {
-        // 5a. Role vocabulary.
-        if !ROLES.contains(&entry.role.as_str()) {
-            findings.push(finding(
-                Pass::Obligation,
-                &entry.file,
-                entry.line,
-                format!(
-                    "manifest role `{}` is not one of {}",
-                    entry.role,
-                    ROLES.join("/")
-                ),
-            ));
-            continue;
-        }
-
-        // 5b. Role consistency: the committed role must still be what
-        // the (op, ordering) shape derives.
-        let rederived = derive_role(&entry.file, &entry.op, &entry.var, &entry.ordering);
-        if rederived != entry.role {
-            findings.push(finding(
-                Pass::Obligation,
-                &entry.file,
-                entry.line,
-                format!(
-                    "manifest role `{}` does not match the role `{rederived}` derived for a {} `{}` — regenerate with `lint --write-manifest`",
-                    entry.role, entry.ordering, entry.op,
-                ),
-            ));
-        }
-
-        // 5c. Role policy: op shape and claimed ordering must be
-        // admissible for the committed role.
-        if let Some((kind, admissible)) = role_policy(&entry.role) {
-            if kind != "any" && op_kind(&entry.op) != kind {
+    let mut derived: BTreeMap<&str, (BTreeSet<String>, Vec<Obligation>)> = BTreeMap::new();
+    for site in sites {
+        // 4a. Role policy: op shape and claimed ordering must be
+        // admissible for the site's role.
+        if let Some((kind, admissible)) = role_policy(site.role) {
+            if kind != "any" && op_kind(&site.op) != kind {
                 findings.push(finding(
                     Pass::Obligation,
-                    &entry.file,
-                    entry.line,
+                    &site.file,
+                    site.line,
                     format!(
                         "role `{}` is a {kind} role but the site's op is `{}`",
-                        entry.role, entry.op,
+                        site.role, site.op,
                     ),
                 ));
             }
-            if !admissible.contains(&entry.ordering.as_str()) {
+            if !admissible.contains(&site.ordering.as_str()) {
                 findings.push(finding(
                     Pass::Obligation,
-                    &entry.file,
-                    entry.line,
+                    &site.file,
+                    site.line,
                     format!(
                         "role `{}` admits only {} but the site claims `{}`",
-                        entry.role,
+                        site.role,
                         admissible.join("/"),
-                        entry.ordering,
+                        site.ordering,
                     ),
                 ));
             }
         }
 
-        // 5d. IR cross-check: the claimed ordering must satisfy the
-        // obligation the analyzer derives for the linked IR variable.
-        let Some(ir) = &entry.ir else { continue };
-        let short = entry.file.trim_start_matches(NATIVE_PREFIX);
+        // 4b. IR cross-check: the linked variable must exist, and the
+        // claimed ordering must satisfy the obligation the analyzer
+        // derives for it.
+        let Some(ir) = site.ir else { continue };
+        let short = site.file.trim_start_matches(NATIVE_PREFIX);
         let Some((_, algo, _)) = IR_MAP.iter().find(|(f, _, _)| *f == short) else {
-            continue; // the drift pass reports ir-on-unmapped-file
+            continue; // `ir` comes from IR_MAP
         };
-        if !derived.contains_key(short) {
-            let obls = match derive_obligations(*algo, cfg) {
-                Ok(obls) => obls,
-                Err(e) => {
-                    findings.push(finding(
-                        Pass::Obligation,
-                        &entry.file,
-                        0,
-                        format!("cannot derive ordering obligations for {algo:?}: {e}"),
-                    ));
-                    Vec::new()
-                }
-            };
-            derived.insert(short.to_string(), obls);
-        }
-        let Some(obl) = obligation_for(&derived[short], ir, kind_for_op(&entry.op)) else {
-            continue;
-        };
-        let Some(claimed) = Req::parse(&entry.ordering) else {
+        let (basenames, obls) = derived.entry(short).or_insert_with(|| {
+            let obls = derive_obligations(*algo, cfg).unwrap_or_else(|e| {
+                findings.push(finding(
+                    Pass::Obligation,
+                    &site.file,
+                    0,
+                    format!("cannot derive ordering obligations for {algo:?}: {e}"),
+                ));
+                Vec::new()
+            });
+            (kex_analyze::ir_var_basenames(*algo, cfg), obls)
+        });
+        if !basenames.contains(ir) {
             findings.push(finding(
                 Pass::Obligation,
-                &entry.file,
-                entry.line,
-                format!("unparseable manifest ordering `{}`", entry.ordering),
+                &site.file,
+                site.line,
+                format!(
+                    "receiver `{}` is mapped to IR variable `{ir}`, but the {algo:?} protocol IR declares no such variable (has: {})",
+                    site.var,
+                    basenames.iter().cloned().collect::<Vec<_>>().join(", "),
+                ),
             ));
             continue;
+        }
+        let Some(obl) = obligation_for(obls, ir, kind_for_op(&site.op)) else {
+            continue;
+        };
+        let Some(claimed) = Req::parse(&site.ordering) else {
+            continue; // an unknown constant: the ordering pass reports it
         };
         if !claimed.satisfies(obl.req) {
             let hard = if claimed == Req::Relaxed {
@@ -1675,14 +1436,14 @@ pub fn obligation_pass(manifest: Option<&str>, cfg: &Config) -> Vec<Finding> {
             };
             findings.push(finding(
                 Pass::Obligation,
-                &entry.file,
-                entry.line,
+                &site.file,
+                site.line,
                 format!(
-                    "IR obligation violated: the {} of `{ir}` needs at least `{}` ({}), but the manifest claims `{}`{hard}",
+                    "IR obligation violated: the {} of `{ir}` needs at least `{}` ({}), but the site claims `{}`{hard}",
                     kind_name(obl.kind),
                     obl.req.keyword(),
                     obl.why,
-                    entry.ordering,
+                    site.ordering,
                 ),
             ));
         }
@@ -1694,28 +1455,7 @@ pub fn obligation_pass(manifest: Option<&str>, cfg: &Config) -> Vec<Finding> {
 // Orchestration & reports
 // ---------------------------------------------------------------------------
 
-/// The companion artifacts the cross-checks read.
-#[derive(Debug, Clone, Default)]
-pub struct Inputs {
-    /// `docs/ordering_sites.json` text.
-    pub manifest: Option<String>,
-    /// `docs/MEMORY_ORDERING.md` text.
-    pub doc: Option<String>,
-}
-
-impl Inputs {
-    /// Reads the two artifacts from a repo root (missing files become
-    /// `None`, which the passes report as findings).
-    pub fn load(root: &Path) -> Inputs {
-        let read = |p: &str| fs::read_to_string(root.join(p)).ok();
-        Inputs {
-            manifest: read("docs/ordering_sites.json"),
-            doc: read("docs/MEMORY_ORDERING.md"),
-        }
-    }
-}
-
-/// A full audit run: all five passes plus scan statistics.
+/// A full audit run: all four passes plus scan statistics.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Files scanned.
@@ -1738,17 +1478,24 @@ impl Report {
     }
 }
 
-/// Runs every pass over a loaded workspace.
-pub fn audit(ws: &Workspace, inputs: &Inputs, cfg: &Config) -> Report {
-    let mut findings = ordering_pass(ws, inputs.manifest.as_deref(), inputs.doc.as_deref());
+/// Reads the audit table from a repo root (`None` if it is missing,
+/// which the ordering pass reports).
+pub fn load_audit_doc(root: &Path) -> Option<String> {
+    fs::read_to_string(root.join(AUDIT_DOC)).ok()
+}
+
+/// Runs every pass over a loaded workspace; `doc` is the text of
+/// [`AUDIT_DOC`].
+pub fn audit(ws: &Workspace, doc: Option<&str>, cfg: &Config) -> Report {
+    let sites = extract_sites(ws);
+    let mut findings = ordering_pass(ws, doc);
     findings.extend(facade_pass(ws));
     findings.extend(spin_pass(ws));
-    findings.extend(drift_pass(inputs.manifest.as_deref(), cfg));
-    findings.extend(obligation_pass(inputs.manifest.as_deref(), cfg));
+    findings.extend(obligation_pass(&sites, cfg));
     findings.sort_by(|a, b| (a.pass, &a.file, a.line).cmp(&(b.pass, &b.file, b.line)));
     Report {
         files: ws.files.len(),
-        sites: extract_sites(ws).len(),
+        sites: sites.len(),
         findings,
     }
 }
@@ -1761,7 +1508,7 @@ pub fn render_text(report: &Report) -> String {
     out.push_str(&format!("  atomic sites   {:>4}\n", report.sites));
     out.push_str(&format!("  findings       {:>4}\n", report.findings.len()));
     if report.clean() {
-        out.push_str("\nclean: sources, manifest, audit table and IR agree\n");
+        out.push_str("\nclean: sources, audit table and IR agree\n");
     } else {
         out.push('\n');
         for f in &report.findings {
@@ -1785,16 +1532,10 @@ pub fn render_json(report: &Report) -> String {
             ])
         })
         .collect();
-    let counts: Vec<(&str, Json)> = [
-        Pass::Ordering,
-        Pass::Facade,
-        Pass::Spin,
-        Pass::Drift,
-        Pass::Obligation,
-    ]
-    .iter()
-    .map(|p| (p.name(), Json::U64(report.by_pass(*p).count() as u64)))
-    .collect();
+    let counts: Vec<(&str, Json)> = [Pass::Ordering, Pass::Facade, Pass::Spin, Pass::Obligation]
+        .iter()
+        .map(|p| (p.name(), Json::U64(report.by_pass(*p).count() as u64)))
+        .collect();
     Json::obj(vec![
         ("schema", FINDINGS_SCHEMA.into()),
         ("files_scanned", report.files.into()),
@@ -1856,12 +1597,13 @@ mod tests {
                    \x20       .compare_exchange(a, b, ord::ACQ_REL, ord::ACQUIRE)\n\
                    \x20       .ok();\n\
                    \x20   plain.swap(1, 2);\n\
+                   \x20   a.store(b.load(ord::ACQUIRE), ord::RELEASE);\n\
                    }\n";
         let ws = Workspace {
             files: vec![SourceFile::new("crates/core/src/native/x.rs", src)],
         };
         let sites = extract_sites(&ws);
-        assert_eq!(sites.len(), 2, "non-atomic swap must not be a site");
+        assert_eq!(sites.len(), 4, "non-atomic swap must not be a site");
         assert_eq!(
             (sites[0].var.as_str(), sites[0].op.as_str(), sites[0].line),
             ("r", "fetch_add", 2)
@@ -1873,6 +1615,18 @@ mod tests {
             "multi-line receivers anchor to the method-token line (track_caller's view)"
         );
         assert_eq!(sites[1].consts, ["ACQ_REL", "ACQUIRE"]);
+        // A call nested in another's arguments is a site of its own, and
+        // each takes only its own top-level constants.
+        for (site, var, op, consts) in [
+            (&sites[2], "a", "store", ["RELEASE"]),
+            (&sites[3], "b", "load", ["ACQUIRE"]),
+        ] {
+            assert_eq!(
+                (site.var.as_str(), site.op.as_str(), site.line),
+                (var, op, 8)
+            );
+            assert_eq!(site.consts, consts);
+        }
     }
 
     #[test]

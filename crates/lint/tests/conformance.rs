@@ -2,51 +2,108 @@
 //!
 //! Two halves:
 //!
-//! * **clean baseline** — the real workspace, with its committed
-//!   manifest and audit table, produces zero findings, and the
-//!   committed manifest is byte-identical to what `--write-manifest`
-//!   would regenerate.
-//! * **mutation matrix** — for each lint pass, a surgical mutation of a
-//!   source file or companion artifact must produce a finding naming
-//!   the exact file and line. This proves every pass actually fires;
-//!   without it a refactor could quietly turn the whole lint into a
-//!   no-op that still exits 0.
-//!
-//! Mutations are applied to in-memory copies ([`Workspace::replace_in_file`]
-//! and friends); the checkout is never touched.
+//! * **the real tree** — the workspace with its audit table produces
+//!   zero findings, and weakening any load-bearing site of its inventory
+//!   by one notch (in memory) is caught.
+//! * **seeded defects** — for each lint pass, a small fixture workspace
+//!   with one defect must produce a finding naming the exact file and
+//!   line. This proves every pass actually fires; without it a refactor
+//!   could quietly turn the whole lint into a no-op that still exits 0.
+//!   The fixtures are self-contained, so editing the native, wait-free
+//!   or store sources never requires an edit here.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use kex_analyze::Config;
 use kex_lint::{
-    audit, drift_pass, facade_pass, generate_manifest, obligation_pass, ordering_pass,
-    parse_manifest, spin_pass, Finding, Inputs, Pass, Workspace, MANIFEST_SCHEMA,
+    audit, extract_sites, facade_pass, load_audit_doc, obligation_pass, ordering_pass, spin_pass,
+    Finding, Pass, SourceFile, Workspace, AUDIT_DOC,
 };
-use kex_obs::json::{self, Json};
 
+const ORDERING_RS: &str = "crates/core/src/native/ordering.rs";
 const FIG2: &str = "crates/core/src/native/fig2.rs";
-const ORDERING: &str = "crates/core/src/native/ordering.rs";
+const MCS: &str = "crates/core/src/native/mcs.rs";
 
-fn root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+/// A stand-in for `native::ordering`.
+const CONSTS: &str = "use kex_util::sync::atomic::Ordering;\n\
+    pub(crate) const SEQ_CST: Ordering = Ordering::SeqCst;\n\
+    pub(crate) const ACQUIRE: Ordering = Ordering::Acquire;\n\
+    pub(crate) const RELEASE: Ordering = Ordering::Release;\n\
+    pub(crate) const RELAXED: Ordering = Ordering::Relaxed;\n";
+
+/// A two-file native layer: a Figure-2-shaped stage (IR-linked through
+/// `IR_MAP`'s `fig2.rs` entry) and an MCS-shaped hand-off.
+const FIG2_SRC: &str = "impl Stage {\n\
+    fn acquire(&self) {\n\
+    \x20   self.word.fetch_sub(1, ord::SEQ_CST);\n\
+    \x20   let backoff = Backoff::new();\n\
+    \x20   while self.word.load(ord::ACQUIRE) >> 16 == mine {\n\
+    \x20       backoff.snooze();\n\
+    \x20   }\n\
+    }\n\
+    fn occupancy(&self) -> usize {\n\
+    \x20   self.word.load(ord::SEQ_CST)\n\
+    }\n\
+    }\n";
+const MCS_SRC: &str = "fn release(&self) {\n\
+    \x20   me.next.load(ord::ACQUIRE);\n\
+    \x20   succ.locked.store(false, ord::RELEASE);\n\
+    }\n";
+
+/// The audit table for the fixture layer.
+const DOC: &str = "# fixture\n\
+    | Site | Op | Implemented | Why | Verified by |\n\
+    |---|---|---|---|---|\n\
+    | `fig2.rs` | `word.fetch_sub(1)` | **SeqCst RMW** | gate | - |\n\
+    | `fig2.rs` | `word.load` (spin) | Acquire load | statement 5 | - |\n\
+    | `fig2.rs` | `word.load` | **SeqCst load** | gauge | - |\n\
+    \n\
+    | Site | Op | Implemented | Why | Verified by |\n\
+    |---|---|---|---|---|\n\
+    | `mcs.rs` | `next.load` | Acquire load | link | - |\n\
+    | `mcs.rs` | `nodes[succ].locked.store(false)` | Release store | hand-off | - |\n";
+
+fn workspace(files: &[(&str, &str)]) -> Workspace {
+    Workspace {
+        files: files
+            .iter()
+            .map(|(path, text)| SourceFile::new(*path, *text))
+            .collect(),
+    }
 }
 
-fn setup() -> (Workspace, Inputs) {
-    let root = root();
-    (
-        Workspace::load(&root).expect("scan workspace"),
-        Inputs::load(&root),
-    )
+/// The fixture layer, with `from` replaced by `to` in `path`.
+fn native_with(path: &str, from: &str, to: &str) -> Workspace {
+    let files = [(ORDERING_RS, CONSTS), (FIG2, FIG2_SRC), (MCS, MCS_SRC)].map(|(p, text)| {
+        if p == path {
+            assert!(text.contains(from), "needle {from:?} not in {p}");
+            SourceFile::new(p, text.replacen(from, to, 1))
+        } else {
+            SourceFile::new(p, text)
+        }
+    });
+    Workspace {
+        files: files.into(),
+    }
 }
 
-fn line_of(ws: &Workspace, path: &str, needle: &str) -> usize {
-    ws.get(path)
-        .unwrap_or_else(|| panic!("no {path}"))
-        .text
-        .lines()
+fn native() -> Workspace {
+    native_with(FIG2, "", "") // an empty needle replaces nothing
+}
+
+fn line_of(text: &str, needle: &str) -> usize {
+    text.lines()
         .position(|l| l.contains(needle))
-        .unwrap_or_else(|| panic!("{needle:?} not found in {path}"))
+        .unwrap_or_else(|| panic!("{needle:?} not found"))
         + 1
+}
+
+fn listing(findings: &[Finding]) -> String {
+    findings
+        .iter()
+        .map(|f| format!("  {f}"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[track_caller]
@@ -57,240 +114,36 @@ fn assert_finding(findings: &[Finding], pass: Pass, file: &str, line: usize, msg
             && f.line == line
             && f.message.contains(msg_part)),
         "expected [{pass}] {file}:{line} containing {msg_part:?}; got:\n{}",
-        findings
-            .iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n"),
+        listing(findings),
     );
 }
 
 // ---------------------------------------------------------------------------
-// Clean baseline
+// The real tree
 // ---------------------------------------------------------------------------
+
+fn real_tree() -> (Workspace, Option<String>) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    (
+        Workspace::load(&root).expect("scan workspace"),
+        load_audit_doc(&root),
+    )
+}
 
 #[test]
 fn repo_is_clean() {
-    let (ws, inputs) = setup();
-    let report = audit(&ws, &inputs, &Config::default());
+    let (ws, doc) = real_tree();
+    let report = audit(&ws, doc.as_deref(), &Config::default());
     assert!(
         report.clean(),
         "expected a clean audit; got:\n{}",
-        report
-            .findings
-            .iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n"),
+        listing(&report.findings),
     );
     assert!(
         report.sites >= 60,
         "site inventory collapsed: {}",
         report.sites
     );
-}
-
-#[test]
-fn committed_manifest_is_fresh() {
-    let (ws, inputs) = setup();
-    let regenerated = generate_manifest(&ws).expect("generate");
-    assert!(
-        regenerated.contains(&format!("\"schema\": \"{MANIFEST_SCHEMA}\"")),
-        "regenerated manifest must carry the current schema"
-    );
-    assert_eq!(
-        inputs.manifest.as_deref(),
-        Some(regenerated.as_str()),
-        "docs/ordering_sites.json is stale — rerun `cargo run -p kex-lint --bin lint -- --write-manifest`",
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Ordering-policy mutations
-// ---------------------------------------------------------------------------
-
-#[test]
-fn flipped_site_constant_is_caught() {
-    let (ws, inputs) = setup();
-    // Same line, same length: only the ordering constant changes.
-    let mutated = ws.replace_in_file(
-        FIG2,
-        "self.word.load(ord::ACQUIRE) >> X_BITS == mine",
-        "self.word.load(ord::SEQ_CST) >> X_BITS == mine",
-    );
-    let line = line_of(&mutated, FIG2, "self.word.load(ord::SEQ_CST) >>");
-    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
-    assert_finding(&findings, Pass::Ordering, FIG2, line, "manifest drift");
-    assert_finding(&findings, Pass::Ordering, FIG2, line, "audit table");
-}
-
-#[test]
-fn flipped_constant_definition_is_caught_at_every_site() {
-    let (ws, inputs) = setup();
-    let mutated = ws.replace_in_file(
-        ORDERING,
-        "pub(crate) const ACQUIRE: Ordering = Ordering::Acquire;",
-        "pub(crate) const ACQUIRE: Ordering = Ordering::Relaxed;",
-    );
-    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
-    let line = line_of(&ws, FIG2, "self.word.load(ord::ACQUIRE)");
-    assert_finding(
-        &findings,
-        Pass::Ordering,
-        FIG2,
-        line,
-        "resolves to `Relaxed`",
-    );
-    // Every ACQUIRE site drifts, not just fig2's spin.
-    assert!(
-        findings.iter().filter(|f| f.pass == Pass::Ordering).count() >= 8,
-        "a constant-definition flip must fan out to all its sites: {findings:?}"
-    );
-}
-
-#[test]
-fn literal_ordering_in_native_code_is_caught() {
-    let (ws, inputs) = setup();
-    let mutated = ws.replace_in_file(
-        FIG2,
-        "self.word.load(ord::ACQUIRE)",
-        "self.word.load(Ordering::Acquire)",
-    );
-    let line = line_of(&mutated, FIG2, "Ordering::Acquire)");
-    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
-    assert_finding(
-        &findings,
-        Pass::Ordering,
-        FIG2,
-        line,
-        "literal `Ordering::*`",
-    );
-}
-
-#[test]
-fn audit_table_drift_is_caught() {
-    let (ws, inputs) = setup();
-    let doc = inputs
-        .doc
-        .as_deref()
-        .expect("docs/MEMORY_ORDERING.md present")
-        .replacen(
-            "`word.load` | **SeqCst load**",
-            "`word.load` | **Acquire load**",
-            1,
-        );
-    let line = line_of(&ws, FIG2, "self.word.load(ord::SEQ_CST)");
-    let findings = ordering_pass(&ws, inputs.manifest.as_deref(), Some(&doc));
-    assert_finding(&findings, Pass::Ordering, FIG2, line, "audit table");
-}
-
-#[test]
-fn deleted_source_site_leaves_stale_manifest_row() {
-    let (ws, inputs) = setup();
-    // Empty the release: its one site vanishes from the source but
-    // stays in the manifest.
-    let release = "self.word.fetch_add(EPOCH + 1, ord::SEQ_CST);";
-    let mutated = ws.replace_in_file(FIG2, release, "");
-    let line = line_of(&ws, FIG2, release);
-    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
-    assert_finding(
-        &findings,
-        Pass::Ordering,
-        FIG2,
-        line,
-        "no longer exists in the source",
-    );
-}
-
-#[test]
-fn literal_ordering_in_waitfree_code_is_caught() {
-    let (ws, inputs) = setup();
-    let counter = "crates/waitfree/src/counter.rs";
-    let mutated = ws.replace_in_file(
-        counter,
-        "fetch_add(delta, SEQ_CST)",
-        "fetch_add(delta, Ordering::SeqCst)",
-    );
-    let line = line_of(&mutated, counter, "Ordering::SeqCst)");
-    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
-    assert_finding(
-        &findings,
-        Pass::Ordering,
-        counter,
-        line,
-        "audited wait-free layer",
-    );
-}
-
-#[test]
-fn literal_ordering_in_store_code_is_caught() {
-    let (ws, inputs) = setup();
-    let object = "crates/store/src/object.rs";
-    let mutated = ws.replace_in_file(
-        object,
-        "self.len.fetch_add(1, SEQ_CST)",
-        "self.len.fetch_add(1, Ordering::SeqCst)",
-    );
-    let line = line_of(&mutated, object, "Ordering::SeqCst)");
-    let findings = ordering_pass(&mutated, inputs.manifest.as_deref(), inputs.doc.as_deref());
-    assert_finding(
-        &findings,
-        Pass::Ordering,
-        object,
-        line,
-        "audited store layer",
-    );
-}
-
-#[test]
-fn facade_bypass_in_store_code_is_caught() {
-    let (ws, _) = setup();
-    let shard = "crates/store/src/shard.rs";
-    let mutated = ws.append_to_file(shard, "\nuse std::sync::atomic::AtomicU64 as Direct;\n");
-    let line = line_of(
-        &mutated,
-        shard,
-        "use std::sync::atomic::AtomicU64 as Direct;",
-    );
-    let findings = facade_pass(&mutated);
-    assert_finding(
-        &findings,
-        Pass::Facade,
-        shard,
-        line,
-        "bypasses the `kex_util::sync` facade",
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Ordering-obligation mutations
-// ---------------------------------------------------------------------------
-
-/// Rewrites one manifest site's string field in a parsed JSON copy.
-fn with_site_field(manifest: &str, file: &str, line: usize, field: &str, value: &str) -> String {
-    let mut doc = json::parse(manifest).expect("parse manifest");
-    let Json::Obj(pairs) = &mut doc else {
-        panic!("manifest is not an object")
-    };
-    let Some((_, Json::Arr(sites))) = pairs.iter_mut().find(|(k, _)| k == "sites") else {
-        panic!("manifest has no sites")
-    };
-    let site = sites
-        .iter_mut()
-        .find(|s| {
-            s.get("file").and_then(Json::as_str) == Some(file)
-                && s.get("line").and_then(Json::as_u64) == Some(line as u64)
-        })
-        .unwrap_or_else(|| panic!("no manifest site {file}:{line}"));
-    let Json::Obj(pairs) = site else {
-        unreachable!()
-    };
-    let (_, v) = pairs
-        .iter_mut()
-        .find(|(k, _)| k == field)
-        .unwrap_or_else(|| panic!("{file}:{line} has no `{field}`"));
-    *v = Json::Str(value.to_string());
-    doc.to_string_pretty()
 }
 
 /// One notch down the ordering lattice, per op shape.
@@ -307,47 +160,49 @@ fn weakened(ordering: &str, op: &str) -> Option<&'static str> {
     }
 }
 
-/// The full mutation matrix: weakening any non-Relaxed manifest site by
-/// one notch must produce an obligation finding at that exact site —
-/// except the two registry sites whose SeqCst is conservatism, not a
-/// proof obligation (their tolerance is itself pinned here: if the
+/// The full mutation matrix: weakening the claim of any non-Relaxed
+/// site by one notch must produce an obligation finding at that exact
+/// site — except the two registry sites whose SeqCst is conservatism,
+/// not a proof obligation (their tolerance is itself pinned here: if the
 /// exception list drifts, this test fails).
 #[test]
 fn weakening_any_load_bearing_site_is_caught() {
-    let (_, inputs) = setup();
-    let manifest = inputs.manifest.as_deref().expect("manifest present");
-    let entries = parse_manifest(manifest).expect("parse");
+    let (ws, _) = real_tree();
+    let sites = extract_sites(&ws);
     let tolerated = [
         ("crates/core/src/native/registry.rs", "swap"),
         ("crates/core/src/native/registry.rs", "store"),
     ];
     let cfg = Config::default();
     let mut weakened_sites = 0;
-    for entry in &entries {
-        let Some(weaker) = weakened(&entry.ordering, &entry.op) else {
+    for (i, site) in sites.iter().enumerate() {
+        let Some(weaker) = weakened(&site.ordering, &site.op) else {
             continue;
         };
         weakened_sites += 1;
-        let mutated = with_site_field(manifest, &entry.file, entry.line, "ordering", weaker);
-        let findings = obligation_pass(Some(&mutated), &cfg);
+        let mut mutated = sites.clone();
+        mutated[i].ordering = weaker.to_string();
+        let findings = obligation_pass(&mutated, &cfg);
         let at_site = findings
             .iter()
-            .filter(|f| f.pass == Pass::Obligation && f.file == entry.file && f.line == entry.line)
+            .filter(|f| f.pass == Pass::Obligation && f.file == site.file && f.line == site.line)
             .count();
-        if tolerated.contains(&(entry.file.as_str(), entry.op.as_str())) {
+        if tolerated.contains(&(site.file.as_str(), site.op.as_str())) {
             assert_eq!(
-                at_site, 0,
-                "{}:{} ({} {} -> {weaker}) is in the tolerated set but fired: {findings:?}",
-                entry.file, entry.line, entry.op, entry.ordering,
+                at_site,
+                0,
+                "{} ({} {} -> {weaker}) is in the tolerated set but fired: {findings:?}",
+                site.key(),
+                site.op,
+                site.ordering,
             );
         } else {
             assert!(
                 at_site > 0,
-                "weakening {}:{} ({} {} -> {weaker}) escaped the obligation pass",
-                entry.file,
-                entry.line,
-                entry.op,
-                entry.ordering,
+                "weakening {} ({} {} -> {weaker}) escaped the obligation pass",
+                site.key(),
+                site.op,
+                site.ordering,
             );
         }
     }
@@ -357,162 +212,277 @@ fn weakening_any_load_bearing_site_is_caught() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// Ordering-policy defects
+// ---------------------------------------------------------------------------
+
+#[test]
+fn fixture_is_clean() {
+    let ws = native();
+    let findings = ordering_pass(&ws, Some(DOC));
+    assert!(findings.is_empty(), "{}", listing(&findings));
+    assert!(spin_pass(&ws).is_empty() && facade_pass(&ws).is_empty());
+    let obligations = obligation_pass(&extract_sites(&ws), &Config::default());
+    assert!(obligations.is_empty(), "{}", listing(&obligations));
+}
+
+#[test]
+fn flipped_site_constant_is_caught() {
+    // Same line, same length: only the ordering constant changes.
+    let spin = "self.word.load(ord::ACQUIRE)";
+    let ws = native_with(FIG2, spin, "self.word.load(ord::SEQ_CST)");
+    let findings = ordering_pass(&ws, Some(DOC));
+    assert_finding(
+        &findings,
+        Pass::Ordering,
+        FIG2,
+        line_of(FIG2_SRC, spin),
+        "audit table",
+    );
+}
+
+#[test]
+fn flipped_constant_definition_is_caught_at_every_site() {
+    let ws = native_with(
+        ORDERING_RS,
+        "const ACQUIRE: Ordering = Ordering::Acquire;",
+        "const ACQUIRE: Ordering = Ordering::Relaxed;",
+    );
+    let findings = ordering_pass(&ws, Some(DOC));
+    for (file, text, site) in [
+        (FIG2, FIG2_SRC, "self.word.load(ord::ACQUIRE)"),
+        (MCS, MCS_SRC, "me.next.load(ord::ACQUIRE)"),
+    ] {
+        assert_finding(
+            &findings,
+            Pass::Ordering,
+            file,
+            line_of(text, site),
+            "resolves to `Relaxed`",
+        );
+    }
+}
+
+#[test]
+fn literal_ordering_is_caught_in_every_audited_layer() {
+    let literal = "fn f(&self) {\n    self.len.fetch_add(1, Ordering::SeqCst);\n}\n";
+    let ws = workspace(&[
+        (ORDERING_RS, CONSTS),
+        (FIG2, literal),
+        ("crates/waitfree/src/counter.rs", literal),
+        ("crates/store/src/object.rs", literal),
+        // The constant modules themselves spell `Ordering::*`.
+        ("crates/waitfree/src/ordering.rs", CONSTS),
+        ("crates/store/src/ordering.rs", CONSTS),
+    ]);
+    let findings = ordering_pass(&ws, Some(""));
+    for (file, layer) in [
+        (FIG2, "audited native layer"),
+        ("crates/waitfree/src/counter.rs", "audited wait-free layer"),
+        ("crates/store/src/object.rs", "audited store layer"),
+    ] {
+        assert_finding(&findings, Pass::Ordering, file, 2, layer);
+    }
+    assert_eq!(findings.len(), 3, "{}", listing(&findings));
+}
+
+/// The positional matcher: per file, the i-th row documents the i-th
+/// site in source order.
+#[test]
+fn audit_table_is_matched_to_the_scan_by_position() {
+    let swap = "self.word.swap(0, ord::SEQ_CST);\n    let backoff";
+    let gauge_row = "| `fig2.rs` | `word.load` | **SeqCst load** | gauge | - |\n";
+    let spin_row = "| `fig2.rs` | `word.load` (spin) | Acquire load | statement 5 | - |\n";
+    let gate_row = "| `fig2.rs` | `word.fetch_sub(1)` | **SeqCst RMW** | gate | - |\n";
+    let doc_with = |from: &str, to: &str| {
+        assert!(DOC.contains(from));
+        DOC.replacen(from, to, 1)
+    };
+    // (workspace, audit table, file, line, message)
+    let cases = [
+        (
+            "a site added mid-file without a row, at its current line",
+            native_with(FIG2, "let backoff", swap),
+            DOC.to_string(),
+            FIG2,
+            line_of(FIG2_SRC, "let backoff"),
+            "documents a `load`, but the site here is `word.swap`",
+        ),
+        (
+            "a site added at the end of its file without a row",
+            native_with(
+                MCS,
+                "RELEASE);\n",
+                "RELEASE);\n    me.next.store(NIL, ord::RELAXED);\n",
+            ),
+            DOC.to_string(),
+            MCS,
+            line_of(MCS_SRC, "RELEASE") + 1,
+            "no docs/MEMORY_ORDERING.md audit row",
+        ),
+        (
+            "a row whose site is gone",
+            native_with(FIG2, "self.word.load(ord::SEQ_CST)", "0"),
+            DOC.to_string(),
+            AUDIT_DOC,
+            line_of(DOC, "gauge"),
+            "rows outnumber its atomic sites",
+        ),
+        (
+            "two rows swapped",
+            native(),
+            doc_with(
+                &format!("{gate_row}{spin_row}"),
+                &format!("{spin_row}{gate_row}"),
+            ),
+            FIG2,
+            line_of(FIG2_SRC, "fetch_sub"),
+            "must list its sites in source order",
+        ),
+        (
+            "a wrong ordering keyword",
+            native(),
+            doc_with(
+                gauge_row,
+                "| `fig2.rs` | `word.load` | Acquire load | gauge | - |\n",
+            ),
+            FIG2,
+            line_of(FIG2_SRC, "self.word.load(ord::SEQ_CST)"),
+            "says `Acquire` but `ord::SEQ_CST` resolves to `SeqCst`",
+        ),
+        (
+            "a row with no ordering keyword",
+            native(),
+            doc_with(
+                gauge_row,
+                "| `fig2.rs` | `word.load` | strong | gauge | - |\n",
+            ),
+            AUDIT_DOC,
+            line_of(DOC, "gauge"),
+            "no recognizable ordering keyword",
+        ),
+        (
+            "a stray file:line in prose",
+            native(),
+            format!("{DOC}\nThe spin at `fig2.rs:81` pairs with the release.\n"),
+            AUDIT_DOC,
+            DOC.lines().count() + 2,
+            "line-number reference `fig2.rs:81`",
+        ),
+        (
+            "a stray bare line in prose",
+            native(),
+            format!("{DOC}\nPairs with `:90`.\n"),
+            AUDIT_DOC,
+            DOC.lines().count() + 2,
+            "line-number reference `:90`",
+        ),
+    ];
+    for (what, ws, doc, file, line, message) in cases {
+        println!("case: {what}");
+        let findings = ordering_pass(&ws, Some(&doc));
+        assert_finding(&findings, Pass::Ordering, file, line, message);
+    }
+    let missing = ordering_pass(&native(), None);
+    assert_finding(
+        &missing,
+        Pass::Ordering,
+        AUDIT_DOC,
+        0,
+        "audit table missing",
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Ordering-obligation defects
+// ---------------------------------------------------------------------------
+
 #[test]
 fn relaxed_on_obligated_site_is_hard_error() {
-    let (ws, inputs) = setup();
-    let manifest = inputs.manifest.as_deref().unwrap();
-    // fig2's gauge load of the word, `x` to the IR, which derives a
+    // The gauge load of the word is `x` to the IR, which derives a
     // SeqCst obligation for it (Dekker pair with `q`), so a Relaxed
-    // claim is the worst case.
-    let line = line_of(&ws, FIG2, "self.word.load(ord::SEQ_CST)");
-    let mutated = with_site_field(manifest, FIG2, line, "ordering", "Relaxed");
-    let findings = obligation_pass(Some(&mutated), &Config::default());
+    // claim is the worst case — even with its table row rewritten.
+    let ws = native_with(
+        FIG2,
+        "self.word.load(ord::SEQ_CST)",
+        "self.word.load(ord::RELAXED)",
+    );
+    let findings = obligation_pass(&extract_sites(&ws), &Config::default());
     assert_finding(
         &findings,
         Pass::Obligation,
         FIG2,
-        line,
+        line_of(FIG2_SRC, "self.word.load(ord::SEQ_CST)"),
         "a Relaxed claim on an obligated site is a hard error",
     );
 }
 
 #[test]
-fn manifest_role_drift_is_caught() {
-    let (ws, inputs) = setup();
-    let manifest = inputs.manifest.as_deref().unwrap();
-    let line = line_of(&ws, FIG2, "self.word.load(ord::ACQUIRE)");
-    let mutated = with_site_field(manifest, FIG2, line, "role", "private");
-    let findings = obligation_pass(Some(&mutated), &Config::default());
+fn ir_alias_to_a_missing_variable_is_caught() {
+    let mut sites = extract_sites(&native());
+    let site = sites
+        .iter_mut()
+        .find(|s| s.ir.is_some())
+        .expect("the fig2 fixture is IR-linked");
+    site.ir = Some("no_such_var");
+    let (file, line) = (site.file.clone(), site.line);
+    let findings = obligation_pass(&sites, &Config::default());
     assert_finding(
         &findings,
         Pass::Obligation,
-        FIG2,
+        &file,
         line,
-        "does not match the role `spin`",
+        "declares no such variable",
     );
 }
 
-#[test]
-fn unknown_manifest_role_is_caught() {
-    let (ws, inputs) = setup();
-    let manifest = inputs.manifest.as_deref().unwrap();
-    let line = line_of(&ws, FIG2, "self.word.load(ord::ACQUIRE)");
-    let mutated = with_site_field(manifest, FIG2, line, "role", "frobnicate");
-    let findings = obligation_pass(Some(&mutated), &Config::default());
-    assert_finding(&findings, Pass::Obligation, FIG2, line, "is not one of");
-}
-
 // ---------------------------------------------------------------------------
-// Facade and spin mutations
+// Facade and spin defects
 // ---------------------------------------------------------------------------
 
 #[test]
 fn facade_bypass_is_caught() {
-    let (ws, _) = setup();
-    let tree = "crates/core/src/native/tree.rs";
-    let mutated = ws.append_to_file(tree, "\nuse std::sync::atomic::AtomicUsize as Direct;\n");
-    let line = line_of(
-        &mutated,
-        tree,
-        "use std::sync::atomic::AtomicUsize as Direct;",
-    );
-    let findings = facade_pass(&mutated);
-    assert_finding(
-        &findings,
-        Pass::Facade,
-        tree,
-        line,
-        "bypasses the `kex_util::sync` facade",
-    );
-}
-
-#[test]
-fn facade_lint_ignores_comments_and_test_scaffolding_keeps_failing() {
-    let (ws, _) = setup();
-    // A comment mention must NOT fire...
-    let tree = "crates/core/src/native/tree.rs";
-    let commented = ws.append_to_file(tree, "\n// std::sync::atomic is banned here\n");
-    assert!(facade_pass(&commented).is_empty());
-    // ...but a cfg(test) import must: loom still compiles test modules,
-    // so the facade applies there too (the PR-5 satellite fixes).
-    let mutated = ws.replace_in_file(
-        "crates/core/src/native/assignment.rs",
-        "use kex_util::sync::atomic::{AtomicUsize, Ordering::SeqCst};",
-        "use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};",
-    );
-    let findings = facade_pass(&mutated);
-    let line = line_of(
-        &mutated,
-        "crates/core/src/native/assignment.rs",
-        "use std::sync::atomic",
-    );
-    assert_finding(
-        &findings,
-        Pass::Facade,
-        "crates/core/src/native/assignment.rs",
-        line,
-        "bypasses",
-    );
+    let import = "use std::sync::atomic::AtomicUsize as Direct;\n";
+    let gated = format!("fn hot() {{}}\n#[cfg(test)]\nmod tests {{\n    {import}}}\n");
+    let ws = workspace(&[
+        ("crates/core/src/native/tree.rs", import),
+        ("crates/store/src/shard.rs", import),
+        // loom still compiles test modules, so the facade applies there
+        // too...
+        ("crates/core/src/native/assignment.rs", gated.as_str()),
+        // ...but not to a mention in a comment, or to the facade itself.
+        (
+            "crates/core/src/native/raw.rs",
+            "// std::sync::atomic is banned here\n",
+        ),
+        ("crates/util/src/sync.rs", import),
+    ]);
+    let findings = facade_pass(&ws);
+    for (file, line) in [
+        ("crates/core/src/native/tree.rs", 1),
+        ("crates/store/src/shard.rs", 1),
+        ("crates/core/src/native/assignment.rs", 4),
+    ] {
+        assert_finding(
+            &findings,
+            Pass::Facade,
+            file,
+            line,
+            "bypasses the `kex_util::sync` facade",
+        );
+    }
+    assert_eq!(findings.len(), 3, "{}", listing(&findings));
 }
 
 #[test]
 fn raw_spin_loop_is_caught() {
-    let (ws, _) = setup();
-    let mutated = ws.replace_in_file(
-        FIG2,
-        "let backoff = Backoff::new();\n                while self.word.load(ord::ACQUIRE) >> X_BITS == mine {\n                    backoff.snooze();\n                }",
-        "while self.word.load(ord::ACQUIRE) >> X_BITS == mine {\n                }",
-    );
-    let line = line_of(&mutated, FIG2, "while self.word.load(ord::ACQUIRE)");
-    let findings = spin_pass(&mutated);
-    assert_finding(&findings, Pass::Spin, FIG2, line, "without facade backoff");
-}
-
-// ---------------------------------------------------------------------------
-// Cross-layer drift mutations
-// ---------------------------------------------------------------------------
-
-#[test]
-fn ir_variable_drift_is_caught() {
-    let (_, inputs) = setup();
-    let manifest = inputs.manifest.as_deref().unwrap();
-    let mut doc = json::parse(manifest).unwrap();
-    let sites = match doc.get("sites") {
-        Some(Json::Arr(_)) => match &mut doc {
-            Json::Obj(pairs) => match pairs.iter_mut().find(|(k, _)| k == "sites") {
-                Some((_, Json::Arr(sites))) => sites,
-                _ => unreachable!(),
-            },
-            _ => unreachable!(),
-        },
-        _ => panic!("manifest has no sites"),
-    };
-    let (file, line) = {
-        let site = sites
-            .iter_mut()
-            .find(|s| s.get("ir").is_some_and(|ir| ir.as_str().is_some()))
-            .expect("at least one IR-linked site");
-        match site {
-            Json::Obj(pairs) => {
-                for (k, v) in pairs.iter_mut() {
-                    if k == "ir" {
-                        *v = Json::Str("no_such_var".into());
-                    }
-                }
-            }
-            _ => unreachable!(),
-        }
-        (
-            site.get("file").and_then(Json::as_str).unwrap().to_string(),
-            site.get("line").and_then(Json::as_u64).unwrap() as usize,
-        )
-    };
-    let findings = drift_pass(Some(&doc.to_string_pretty()), &Config::default());
+    let ws = native_with(FIG2, "backoff.snooze();", "");
+    let findings = spin_pass(&ws);
     assert_finding(
         &findings,
-        Pass::Drift,
-        &file,
-        line,
-        "declares no such variable",
+        Pass::Spin,
+        FIG2,
+        line_of(FIG2_SRC, "while self.word.load"),
+        "without facade backoff",
     );
 }

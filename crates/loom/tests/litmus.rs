@@ -41,7 +41,7 @@ fn env_forces_weak() -> bool {
 //
 // Relaxed: (r1, r2) = (0, 0) is allowed and must be observed.
 // SeqCst:  (0, 0) is forbidden — this is exactly why the Dekker sites
-// in the manifest are pinned SeqCst.
+// in docs/MEMORY_ORDERING.md are pinned SeqCst.
 // ---------------------------------------------------------------------
 
 fn sb_outcomes(order: Ordering, b: Builder) -> HashSet<(u64, u64)> {
@@ -86,7 +86,7 @@ fn sb_seqcst_forbids_both_zero() {
 
 // ---------------------------------------------------------------------
 // MP (message passing): the publish pattern behind every
-// Release-store / Acquire-load pair in the manifest.
+// Release-store / Acquire-load pair in docs/MEMORY_ORDERING.md.
 //
 //   writer: data = 42; flag = 1       reader: if flag == 1 { r = data }
 //

@@ -7,7 +7,7 @@
 //! (compact) or [`Json::to_string_pretty`], [`write_pretty`] for
 //! writing a file, and [`parse`]/[`read_file`] plus the
 //! [`Json::get`]-family accessors so tools can reload a previously
-//! written document (e.g. `kex-lint` reading the site manifest). Numbers keep
+//! written document (e.g. the benchmark reading back a trace). Numbers keep
 //! their integer-ness: `u64`/`i64` render without a decimal point, `f64`
 //! renders via Rust's shortest-round-trip formatting (NaN and infinities
 //! degrade to `null`, which JSON requires).

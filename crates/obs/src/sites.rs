@@ -236,7 +236,7 @@ mod tests {
         );
         // Recording through the overflow id must not panic, and the
         // snapshot must surface it as `<overflow>` so exporters (and
-        // kex-lint's drift audit) can report truncation instead of a
+        // `native_obs`'s site check) can report truncation instead of a
         // silently clean inventory.
         record(SITE_OVERFLOW, OpKind::Load, true, false);
         record(SITE_OVERFLOW, OpKind::Rmw, false, true);

@@ -34,9 +34,10 @@
 //! contract; [`KvCells`] (an atomic-register open-addressed table) is
 //! the stock one. Every atomic in this crate goes through the
 //! [`kex_util::sync`] facade and names its ordering through the audited
-//! constant in `ordering` (uniformly SeqCst — the service layer makes
-//! no relaxation claims; the audited relaxations live in the native
-//! layer beneath it).
+//! constants in `ordering`: `SeqCst` on the cells admitted writers race,
+//! `Release`/`Acquire` on the single-writer journal lanes and `Relaxed`
+//! on the per-process tallies, as `docs/MEMORY_ORDERING.md`'s "store
+//! layer" section argues.
 //!
 //! Resilience composition across shards: each shard tolerates
 //! `k_s - 1` crashed holders independently, so the store as a whole
