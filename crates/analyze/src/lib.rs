@@ -732,43 +732,26 @@ pub fn analyze_protocol(proto: &Protocol) -> Result<ProtocolReport, IrError> {
 // Catalog wrappers and Table-1 cross-checks
 // ---------------------------------------------------------------------------
 
-fn log2_ceil(x: usize) -> u64 {
-    if x <= 1 {
-        0
-    } else {
-        u64::from(usize::BITS - (x - 1).leading_zeros())
-    }
-}
-
-/// The Table-1 formula for `algo` at `(n, k)`, if the paper tabulates
-/// one for it.
-fn table1_formula(algo: Algorithm, n: usize, k: usize) -> Option<(&'static str, u64, MemoryModel)> {
-    let n64 = n as u64;
-    let k64 = k as u64;
-    let levels = log2_ceil(n.div_ceil(k));
-    match algo {
-        Algorithm::CcChain => Some(("7(N-k)", 7 * (n64 - k64), MemoryModel::CacheCoherent)),
-        Algorithm::CcTree => Some((
-            "7k*ceil(log2(N/k))",
-            7 * k64 * levels,
-            MemoryModel::CacheCoherent,
-        )),
-        Algorithm::DsmChain => Some(("14(N-k)", 14 * (n64 - k64), MemoryModel::Dsm)),
-        Algorithm::DsmTree => Some(("14k*ceil(log2(N/k))", 14 * k64 * levels, MemoryModel::Dsm)),
-        _ => None,
-    }
-}
-
 /// Analyze one catalog variant at the given sizing.
 pub fn analyze_algorithm(algo: Algorithm, cfg: &Config) -> Result<AlgoVerdict, IrError> {
     let proto: Arc<Protocol> = algo.build(cfg.n, cfg.k, cfg.max_locs);
     let report = analyze_protocol(&proto)?;
-    let table1 = table1_formula(algo, cfg.n, cfg.k).map(|(formula, value, model)| Table1Check {
-        formula,
-        value,
-        model,
-        matches: report.rmr(model) == Cost::Finite(value),
-    });
+    // Table 1 tabulates a constant for the chains and trees only; the
+    // other bounds are ceilings on an `O(·)` entry, not derivable here.
+    let exact = matches!(
+        algo,
+        Algorithm::CcChain | Algorithm::CcTree | Algorithm::DsmChain | Algorithm::DsmTree
+    );
+    let model = algo.model();
+    let table1 = algo
+        .paper_bound(cfg.n, cfg.k)
+        .filter(|_| exact)
+        .map(|(formula, value)| Table1Check {
+            formula,
+            value,
+            model,
+            matches: report.rmr(model) == Cost::Finite(value),
+        });
     Ok(AlgoVerdict {
         algo,
         report,

@@ -14,6 +14,12 @@ fn header(title: &str) {
     println!("==============================================================================");
 }
 
+/// The theorem's bound for `algo` at `(n, k)`.
+fn bound(algo: Algorithm, n: usize, k: usize) -> u64 {
+    let (_, value) = algo.paper_bound(n, k).expect("a theorem with a bound");
+    value
+}
+
 fn check(measured: u64, bound: u64) -> &'static str {
     if measured <= bound {
         "ok"
@@ -34,8 +40,8 @@ fn thm_chains() -> Json {
         let k = 2.min(n - 1);
         let cc = measure(&Workload::full(Algorithm::CcChain, n, k));
         let dsm = measure(&Workload::full(Algorithm::DsmChain, n, k));
-        let b_cc = 7 * (n as u64 - k as u64);
-        let b_dsm = 14 * (n as u64 - k as u64);
+        let b_cc = bound(Algorithm::CcChain, n, k);
+        let b_dsm = bound(Algorithm::DsmChain, n, k);
         println!(
             "{:>4} | {:>8} {:>8} {:>5} | {:>8} {:>8} {:>5}",
             n,
@@ -76,8 +82,8 @@ fn thm_trees() -> Json {
         let depth = tree_depth(n, k) as u64;
         let cc = measure(&Workload::full(Algorithm::CcTree, n, k));
         let dsm = measure(&Workload::full(Algorithm::DsmTree, n, k));
-        let b_cc = 7 * k as u64 * depth;
-        let b_dsm = 14 * k as u64 * depth;
+        let b_cc = bound(Algorithm::CcTree, n, k);
+        let b_dsm = bound(Algorithm::DsmTree, n, k);
         println!(
             "{:>4} {:>6} | {:>8} {:>9} {:>5} | {:>8} {:>9} {:>5} | {:>9}",
             n,
@@ -88,7 +94,7 @@ fn thm_trees() -> Json {
             dsm.worst_pair,
             b_dsm,
             check(dsm.worst_pair, b_dsm),
-            7 * (n as u64 - k as u64),
+            bound(Algorithm::CcChain, n, k),
         );
         rows.push(Json::obj(vec![
             ("n", n.into()),

@@ -1,6 +1,8 @@
-//! E12: wall-clock contention benchmark over the native algorithms.
+//! E12: the wall-clock contention grid.
 //!
-//! For each native algorithm this spawns T ∈ {1, 2, 4, k, 2k,
+//! For each row of [`kex_bench::contend::algorithms`] — the native
+//! algorithms and baselines, the k = 1 yardsticks, the wrapped stack and
+//! the bare payload objects — this spawns T ∈ {1, 2, 4, k, 2k,
 //! oversubscribed} threads doing closed-loop acquire→CS→release cycles
 //! and reports throughput, sampled latency percentiles, and per-thread
 //! fairness. Always writes a JSON document (default
@@ -13,124 +15,15 @@
 //! ```
 //!
 //! * `--smoke` — CI mode: 2 threads, short window; exits non-zero if
-//!   any algorithm makes no progress.
+//!   any row makes no progress.
 //!
 //! Methodology caveats live in `EXPERIMENTS.md` E12.
 
 use std::time::Duration;
 
-use kex_bench::contend::{run_contended, RunConfig, RunStats};
+use kex_bench::contend::{algorithms, run_contended, Algo, RunConfig, RunStats, K};
 use kex_bench::JsonSink;
-use kex_core::native::{
-    CcChainKex, DsmChainKex, FastPathKex, KAssignment, McsLock, QueueKex, RawKex, Resilient,
-    SemaphoreKex, TreeKex, YangAndersonLock,
-};
 use kex_obs::json::Json;
-use kex_waitfree::{SlotCounter, WfQueue};
-
-/// The resiliency/admission knob for the k > 1 algorithms.
-const K: usize = 4;
-
-/// One benchmarked algorithm: name, its `k`, and an operation factory
-/// (fresh instance per thread count, so no state leaks across runs).
-struct Algo {
-    name: &'static str,
-    k: usize,
-    make: fn(threads: usize) -> Box<dyn Fn(usize) + Sync>,
-}
-
-/// Universe size for a `k`-slot algorithm driven by `threads` threads
-/// (pids are thread indices; the paper's algorithms need `k < n`).
-fn universe(threads: usize, k: usize) -> usize {
-    threads.max(k + 1)
-}
-
-fn kex_op<L: RawKex + 'static>(lock: L) -> Box<dyn Fn(usize) + Sync> {
-    Box::new(move |p| {
-        lock.acquire(p);
-        std::hint::black_box(p);
-        lock.release(p);
-    })
-}
-
-fn algorithms() -> Vec<Algo> {
-    vec![
-        Algo {
-            name: "fig2",
-            k: K,
-            make: |t| kex_op(CcChainKex::new(universe(t, K), K)),
-        },
-        Algo {
-            name: "fig6",
-            k: K,
-            make: |t| kex_op(DsmChainKex::new(universe(t, K), K)),
-        },
-        Algo {
-            name: "tree",
-            k: K,
-            make: |t| kex_op(TreeKex::cc(universe(t, K), K)),
-        },
-        Algo {
-            name: "fast_path",
-            k: K,
-            make: |t| kex_op(FastPathKex::new(universe(t, K), K)),
-        },
-        Algo {
-            name: "fig1",
-            k: K,
-            make: |t| kex_op(QueueKex::new(universe(t, K), K)),
-        },
-        Algo {
-            name: "semaphore",
-            k: K,
-            make: |t| kex_op(SemaphoreKex::new(universe(t, K), K)),
-        },
-        Algo {
-            name: "mcs",
-            k: 1,
-            make: |t| kex_op(McsLock::new(t.max(2))),
-        },
-        Algo {
-            name: "yang_anderson",
-            k: 1,
-            make: |t| kex_op(YangAndersonLock::new(t.max(2))),
-        },
-        Algo {
-            name: "assignment",
-            k: K,
-            make: |t| {
-                let pool = KAssignment::new(universe(t, K), K);
-                Box::new(move |p| {
-                    let guard = pool.enter(p);
-                    std::hint::black_box(guard.name());
-                })
-            },
-        },
-        Algo {
-            name: "resilient_counter",
-            k: K,
-            make: |t| {
-                let obj = Resilient::new(universe(t, K), K, SlotCounter::new(K));
-                Box::new(move |p| {
-                    obj.with(p, |counter, name| counter.add(name, 1));
-                })
-            },
-        },
-        Algo {
-            name: "resilient_queue",
-            k: K,
-            make: |t| {
-                let obj = Resilient::new(universe(t, K), K, WfQueue::<u64>::new(K));
-                Box::new(move |p| {
-                    obj.with(p, |queue, name| {
-                        queue.enqueue(name, p as u64);
-                        std::hint::black_box(queue.dequeue(name));
-                    });
-                })
-            },
-        },
-    ]
-}
 
 #[derive(Debug)]
 struct Options {
@@ -251,9 +144,8 @@ fn main() {
     for case in &cases {
         let mut runs = Vec::new();
         for &threads in &opts.threads {
-            let op = (case.make)(threads);
             let mut samples: Vec<_> = (0..windows)
-                .map(|_| run_contended(threads, &cfg, &op))
+                .map(|_| run_contended(threads, &cfg, (case.make)(threads)))
                 .collect();
             samples.sort_by(|a, z| a.ops_per_sec().total_cmp(&z.ops_per_sec()));
             let stats = samples[samples.len() / 2];

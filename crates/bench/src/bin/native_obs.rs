@@ -42,7 +42,7 @@ use kex_core::native::{
     CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, McsLock, QueueKex, RawKex,
     SemaphoreKex, TreeKex, YangAndersonLock,
 };
-use kex_core::sim::tree_depth;
+use kex_core::sim::Algorithm;
 use kex_lint::NATIVE_PREFIX;
 use kex_obs::json::Json;
 use kex_obs::Section;
@@ -113,11 +113,7 @@ fn assignment_case<K: RawKex + 'static>(
 }
 
 fn cases(n: usize, k: usize) -> Vec<Case> {
-    let nu = n as u64;
-    let ku = k as u64;
-    let depth = tree_depth(n, k) as u64;
-    let thm3 = 7 * ku * (depth + 1) + 2;
-    let thm7 = 14 * ku * (depth + 1) + 2;
+    let paper = |algo: Algorithm| algo.paper_bound(n, k).map(|(_, bound)| bound);
     vec![
         // The native stage runs statements 3-4 and 6-7 as one RMW each:
         // 4 per stage where the paper counts 7 (`fig2.rs` module docs).
@@ -125,21 +121,21 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
             "cc-chain",
             "cc",
             "Thm 1",
-            Some(4 * (nu - ku)),
+            Some(4 * (n - k) as u64),
             CcChainKex::new(n, k),
         ),
         kex_case(
             "cc-tree",
             "cc",
             "Thm 2",
-            Some(7 * ku * depth),
+            paper(Algorithm::CcTree),
             TreeKex::cc(n, k),
         ),
         kex_case(
             "cc-fastpath",
             "cc",
             "Thm 3",
-            Some(thm3),
+            paper(Algorithm::CcFastPath),
             FastPathKex::new(n, k),
         ),
         kex_case("cc-graceful", "cc", "Thm 4", None, GracefulKex::new(n, k)),
@@ -147,21 +143,21 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
             "dsm-chain",
             "dsm",
             "Thm 5",
-            Some(14 * (nu - ku)),
+            paper(Algorithm::DsmChain),
             DsmChainKex::new(n, k),
         ),
         kex_case(
             "dsm-tree",
             "dsm",
             "Thm 6",
-            Some(14 * ku * depth),
+            paper(Algorithm::DsmTree),
             TreeKex::dsm(n, k),
         ),
         kex_case(
             "dsm-fastpath",
             "dsm",
             "Thm 7",
-            Some(thm7),
+            paper(Algorithm::DsmFastPath),
             FastPathKex::new_dsm(n, k),
         ),
         kex_case(
@@ -175,14 +171,14 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
             "assignment-cc",
             "cc",
             "Thm 9",
-            Some(thm3 + ku + 1),
+            paper(Algorithm::AssignmentCc),
             KAssignment::new(n, k),
         ),
         assignment_case(
             "assignment-dsm",
             "dsm",
             "Thm 10",
-            Some(thm7 + ku + 1),
+            paper(Algorithm::AssignmentDsm),
             KAssignment::over(FastPathKex::new_dsm(n, k)),
         ),
         // Reference points, no paper bound: the k = 1 spin locks...

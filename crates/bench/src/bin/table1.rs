@@ -14,7 +14,7 @@
 
 use kex_bench::report::measurement_json;
 use kex_bench::{measure, JsonSink, Workload};
-use kex_core::sim::{tree_depth, Algorithm};
+use kex_core::sim::Algorithm;
 use kex_obs::json::Json;
 use kex_sim::memmodel::MemoryModel;
 
@@ -22,12 +22,7 @@ struct Row {
     algo: Algorithm,
     paper_with: &'static str,
     paper_without: &'static str,
-    bound_with: fn(usize, usize) -> Option<u64>,
     instructions: &'static str,
-}
-
-fn no_bound(_: usize, _: usize) -> Option<u64> {
-    None
 }
 
 fn rows() -> Vec<Row> {
@@ -36,95 +31,78 @@ fn rows() -> Vec<Row> {
             algo: Algorithm::QueueFig1,
             paper_with: "unbounded ([9,10]: large atomic sections)",
             paper_without: "O(1)",
-            bound_with: no_bound,
             instructions: "large critical sections",
         },
         Row {
             algo: Algorithm::GlobalSpin,
             paper_with: "unbounded ([8]/[1]-style remote spinning)",
             paper_without: "O(1)",
-            bound_with: no_bound,
             instructions: "fetch&increment",
         },
         Row {
             algo: Algorithm::CcChain,
             paper_with: "7(N-k)  [Thm 1]",
             paper_without: "O(N-k)",
-            bound_with: |n, k| Some(7 * (n as u64 - k as u64)),
             instructions: "read, write, fetch&increment",
         },
         Row {
             algo: Algorithm::CcTree,
             paper_with: "7k*log2(N/k)  [Thm 2]",
             paper_without: "O(k log(N/k))",
-            bound_with: |n, k| Some(7 * k as u64 * tree_depth(n, k) as u64),
             instructions: "read, write, fetch&increment",
         },
         Row {
             algo: Algorithm::CcFastPath,
             paper_with: "O(k log(N/k))  [Thm 3]",
             paper_without: "O(k)",
-            bound_with: |n, k| Some(7 * k as u64 * (tree_depth(n, k) as u64 + 1) + 2),
             instructions: "read, write, fetch&increment",
         },
         Row {
             algo: Algorithm::CcGraceful,
             paper_with: "O(ceil(c/k)*k)  [Thm 4]",
             paper_without: "O(k)",
-            bound_with: no_bound,
             instructions: "read, write, fetch&increment",
         },
         Row {
             algo: Algorithm::DsmUnboundedChain,
             paper_with: "O(N-k)  [Fig 5: unbounded space]",
             paper_without: "O(N-k)",
-            bound_with: |n, k| Some(8 * (n as u64 - k as u64)),
             instructions: "above + compare&swap",
         },
         Row {
             algo: Algorithm::DsmChain,
             paper_with: "14(N-k)  [Thm 5]",
             paper_without: "O(N-k)",
-            bound_with: |n, k| Some(14 * (n as u64 - k as u64)),
             instructions: "above + compare&swap",
         },
         Row {
             algo: Algorithm::DsmTree,
             paper_with: "14k*log2(N/k)  [Thm 6]",
             paper_without: "O(k log(N/k))",
-            bound_with: |n, k| Some(14 * k as u64 * tree_depth(n, k) as u64),
             instructions: "above + compare&swap",
         },
         Row {
             algo: Algorithm::DsmFastPath,
             paper_with: "O(k log(N/k))  [Thm 7]",
             paper_without: "O(k)",
-            bound_with: |n, k| Some(14 * k as u64 * (tree_depth(n, k) as u64 + 1) + 2),
             instructions: "above + compare&swap",
         },
         Row {
             algo: Algorithm::DsmGraceful,
             paper_with: "O(ceil(c/k)*k)  [Thm 8]",
             paper_without: "O(k)",
-            bound_with: no_bound,
             instructions: "above + compare&swap",
         },
         Row {
             algo: Algorithm::AssignmentCc,
             paper_with: "O(k log(N/k)) + k  [Thm 9]",
             paper_without: "O(k)",
-            bound_with: |n, k| {
-                Some(7 * k as u64 * (tree_depth(n, k) as u64 + 1) + 2 + k as u64 + 1)
-            },
             instructions: "above + test&set",
         },
         Row {
             algo: Algorithm::AssignmentDsm,
             paper_with: "O(k log(N/k)) + k  [Thm 10]",
             paper_without: "O(k)",
-            bound_with: |n, k| {
-                Some(14 * k as u64 * (tree_depth(n, k) as u64 + 1) + 2 + k as u64 + 1)
-            },
             instructions: "above + test&set",
         },
     ]
@@ -147,7 +125,7 @@ fn main() {
         for row in rows() {
             let low = measure(&Workload::full(row.algo, n, k).contention(k));
             let high = measure(&Workload::full(row.algo, n, k));
-            let bound = (row.bound_with)(n, k);
+            let bound = row.algo.paper_bound(n, k).map(|(_, b)| b);
             let ok = match bound {
                 Some(b) => {
                     if high.worst_pair <= b {

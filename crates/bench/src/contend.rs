@@ -1,5 +1,6 @@
-//! Multi-threaded contention measurement machinery for the `contend`
-//! binary (EXPERIMENTS.md E12).
+//! The one wall-clock harness outside `benchmark/`: the measurement
+//! loop and the algorithm table of the `contend` binary
+//! (EXPERIMENTS.md E12).
 //!
 //! [`run_contended`] spawns `T` OS threads that hammer one shared
 //! operation (an acquire→critical-section→release cycle) for a fixed
@@ -8,13 +9,193 @@
 //! (every [`RunConfig::sample_every`]-th operation is timed) so the
 //! `Instant::now` overhead does not dominate short critical sections,
 //! and recorded into a log-linear [`LatencyHist`] whose buckets bound
-//! the relative error to ~6% — plenty for the shapes these benches
-//! chart, in the same spirit as the [`crate::microbench`] runner's
-//! median-only reporting.
+//! the relative error to ~6% — plenty for the shapes this grid charts.
+//!
+//! [`algorithms`] is every row of that grid; it lives here, not in the
+//! binary, so `cargo test` drives each row.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
+
+use kex_core::native::{
+    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, McsLock, QueueKex, RawKex,
+    Resilient, SemaphoreKex, TreeKex, YangAndersonLock,
+};
+use kex_waitfree::seq::{CounterOp, SeqCounter};
+use kex_waitfree::{FetchAddCounter, SlotCounter, Snapshot, Universal, WfQueue};
+
+/// The resiliency/admission knob for the k > 1 algorithms.
+pub const K: usize = 4;
+
+/// One closed-loop operation, called with the thread index as pid.
+pub type Op = Box<dyn Fn(usize) + Sync>;
+
+/// One row of the grid: name, its `k`, and an operation factory (a
+/// fresh instance per measured window, so no state leaks across runs).
+#[derive(Debug)]
+pub struct Algo {
+    /// Row name (`--algo` filter, JSON `name`).
+    pub name: &'static str,
+    /// Slots the row admits at once.
+    pub k: usize,
+    /// Builds the operation for a run of `threads` threads.
+    pub make: fn(threads: usize) -> Op,
+}
+
+/// Universe size for a `k`-slot algorithm driven by `threads` threads
+/// (pids are thread indices; the paper's algorithms need `k < n`).
+fn universe(threads: usize, k: usize) -> usize {
+    threads.max(k + 1)
+}
+
+fn kex_op<L: RawKex + 'static>(lock: L) -> Op {
+    Box::new(move |p| {
+        lock.acquire(p);
+        std::hint::black_box(p);
+        lock.release(p);
+    })
+}
+
+/// Every row, in presentation order: the k-exclusion algorithms and
+/// baselines, the k = 1 yardsticks, the wrapped stack, then the bare
+/// payload objects. A payload has no admission in front of it, so it is
+/// built with a name per thread, never fewer than its `k`.
+pub fn algorithms() -> Vec<Algo> {
+    vec![
+        Algo {
+            name: "fig2",
+            k: K,
+            make: |t| kex_op(CcChainKex::new(universe(t, K), K)),
+        },
+        Algo {
+            name: "fig6",
+            k: K,
+            make: |t| kex_op(DsmChainKex::new(universe(t, K), K)),
+        },
+        Algo {
+            name: "tree",
+            k: K,
+            make: |t| kex_op(TreeKex::cc(universe(t, K), K)),
+        },
+        Algo {
+            name: "fast_path",
+            k: K,
+            make: |t| kex_op(FastPathKex::new(universe(t, K), K)),
+        },
+        Algo {
+            name: "fast_path_dsm",
+            k: K,
+            make: |t| kex_op(FastPathKex::new_dsm(universe(t, K), K)),
+        },
+        Algo {
+            name: "graceful",
+            k: K,
+            make: |t| kex_op(GracefulKex::new(universe(t, K), K)),
+        },
+        Algo {
+            name: "fig1",
+            k: K,
+            make: |t| kex_op(QueueKex::new(universe(t, K), K)),
+        },
+        Algo {
+            name: "semaphore",
+            k: K,
+            make: |t| kex_op(SemaphoreKex::new(universe(t, K), K)),
+        },
+        // §5's k = 1 comparison: the reference spin locks and the
+        // paper's own (N, 1) instance beside them.
+        Algo {
+            name: "mcs",
+            k: 1,
+            make: |t| kex_op(McsLock::new(t.max(2))),
+        },
+        Algo {
+            name: "yang_anderson",
+            k: 1,
+            make: |t| kex_op(YangAndersonLock::new(t.max(2))),
+        },
+        Algo {
+            name: "fast_path_k1",
+            k: 1,
+            make: |t| kex_op(FastPathKex::new(universe(t, 1), 1)),
+        },
+        Algo {
+            name: "assignment",
+            k: K,
+            make: |t| {
+                let pool = KAssignment::new(universe(t, K), K);
+                Box::new(move |p| {
+                    let guard = pool.enter(p);
+                    std::hint::black_box(guard.name());
+                })
+            },
+        },
+        Algo {
+            name: "resilient_counter",
+            k: K,
+            make: |t| {
+                let obj = Resilient::new(universe(t, K), K, SlotCounter::new(K));
+                Box::new(move |p| {
+                    obj.with(p, |counter, name| counter.add(name, 1));
+                })
+            },
+        },
+        Algo {
+            name: "resilient_queue",
+            k: K,
+            make: |t| {
+                let obj = Resilient::new(universe(t, K), K, WfQueue::<u64>::new(K));
+                Box::new(move |p| {
+                    obj.with(p, |queue, name| {
+                        queue.enqueue(name, p as u64);
+                        std::hint::black_box(queue.dequeue(name));
+                    });
+                })
+            },
+        },
+        // The payload spectrum: per-name cells, one hot word, a log node
+        // per op — why a dense name space 0..k matters.
+        Algo {
+            name: "slot_counter",
+            k: K,
+            make: |t| {
+                let counter = SlotCounter::new(t.max(K));
+                Box::new(move |p| counter.add(p, 1))
+            },
+        },
+        Algo {
+            name: "fetch_add_counter",
+            k: K,
+            make: |_| {
+                let counter = FetchAddCounter::new();
+                Box::new(move |_| {
+                    counter.add(1);
+                })
+            },
+        },
+        Algo {
+            name: "universal_counter",
+            k: K,
+            make: |t| {
+                let counter = Universal::<SeqCounter>::new(t.max(K));
+                Box::new(move |p| {
+                    counter.apply(p, CounterOp::Add(1));
+                })
+            },
+        },
+        // A `Snapshot` keeps every cell it replaces until it is dropped:
+        // this row's memory grows with the window (ROADMAP item 7).
+        Algo {
+            name: "snapshot_update",
+            k: K,
+            make: |t| {
+                let snap = Snapshot::<u64>::new(t.max(K));
+                Box::new(move |p| snap.update(p, p as u64))
+            },
+        },
+    ]
+}
 
 /// Number of log-linear sub-bucket bits (16 sub-buckets per power of 2).
 const SUB_BITS: u32 = 4;
@@ -279,6 +460,26 @@ mod tests {
         assert!(p99 < 2000, "p99 = {p99}");
         assert!(p999 >= 900_000, "p999 = {p999}");
         assert_eq!(LatencyHist::new().percentile(0.5), 0);
+    }
+
+    #[test]
+    fn every_row_is_named_once_and_runs_at_one_and_two_threads() {
+        let rows = algorithms();
+        let mut names: Vec<_> = rows.iter().map(|a| a.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), rows.len(), "duplicate row name");
+        for row in &rows {
+            for threads in [1, 2] {
+                let op = (row.make)(threads);
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let op = &op;
+                        s.spawn(move || (0..64).for_each(|_| op(t)));
+                    }
+                });
+            }
+        }
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!   Theorems 1–10 (E2–E6): parameter sweeps, measured vs. formula.
 //! * `cargo run --release -p kex-bench --bin resilience` — E7: failure
 //!   injection, survivors' progress at `f = 0 .. k` crashes.
-//! * `cargo bench -p kex-bench` — E9: native wall-clock scalability on
-//!   the host machine (via the in-tree [`microbench`] runner).
 //! * `cargo run --release -p kex-bench --bin contend` — E12:
 //!   multi-threaded contention (throughput, latency percentiles,
-//!   fairness) per native algorithm — the only wall-clock comparison
-//!   of the 11 native algorithms and the only T ≫ k cells. The
+//!   fairness) per row of [`contend::algorithms`] — the one wall-clock
+//!   harness outside `benchmark/`: the only comparison of the native
+//!   algorithms, baselines and bare payload objects, and the only
+//!   T ≫ k cells (its T = 1 column is the uncontended ns/op). The
 //!   repository's performance record is `benchmark/run.sh` (see
 //!   `benchmark/README.md`); `contend` numbers are not committed.
 //!
@@ -26,7 +26,6 @@
 
 pub mod contend;
 pub mod harness;
-pub mod microbench;
 pub mod report;
 
 pub use harness::{measure, Measurement, Workload};

@@ -1,5 +1,6 @@
-//! Native Figure-2 stages and the Theorem-1 chain, over real atomics,
-//! for cache-coherent hardware (i.e., any modern multicore).
+//! The native Figure-2 stage, over real atomics, for cache-coherent
+//! hardware (i.e., any modern multicore); Theorem 1's chain of them is
+//! [`CcChainKex`].
 //!
 //! See [`crate::sim::fig2`] for the statement-level rendition and proofs
 //! coverage; this module is the same algorithm with a stage's two
@@ -36,8 +37,8 @@ use kex_util::sync::atomic::AtomicU64;
 
 use kex_util::{Backoff, CachePadded};
 
+use super::chain::{ChainKex, Stage};
 use super::ordering as ord;
-use super::raw::{try_stages, Block, RawKex};
 
 /// Width of a word's `X` field, and what one epoch adds to the word.
 const X_BITS: u32 = 16;
@@ -50,22 +51,26 @@ fn x_of(word: u64) -> isize {
 }
 
 /// One Figure-2 stage: admits `j` of the at-most-`j+1` processes its
-/// caller lets through.
+/// caller lets through. It keeps no pid: the epoch stands for `Q`.
 #[derive(Debug)]
-pub(crate) struct CcStage {
-    /// `X + BIAS`, initially `j + BIAS`, below the epoch.
-    word: AtomicU64,
+pub struct CcStage {
+    /// `X + BIAS`, initially `j + BIAS`, below the epoch; a line of its
+    /// own, so a spinner is charged for this stage's passers only.
+    word: CachePadded<AtomicU64>,
 }
 
-impl CcStage {
-    pub(crate) fn new(j: usize) -> Self {
+impl Stage for CcStage {
+    const MAX_UNIVERSE: usize = BIAS as usize;
+
+    fn new(j: usize, _universe: usize) -> Self {
         CcStage {
-            word: AtomicU64::new(BIAS + j as u64),
+            word: CachePadded::new(AtomicU64::new(BIAS + j as u64)),
         }
     }
 
     /// Statements 2–5 of Figure 2.
-    pub(crate) fn acquire(&self) {
+    #[inline]
+    fn acquire(&self, _p: usize) {
         if x_of(self.word.fetch_sub(1, ord::SEQ_CST)) <= 0 {
             // No slot: move the epoch, as writing `Q` did, and in the
             // same step re-check `X` (a release may have raced us)...
@@ -86,20 +91,19 @@ impl CcStage {
     }
 
     /// Statements 6–7 of Figure 2: the slot back and the wake-up.
-    pub(crate) fn release(&self) {
+    #[inline]
+    fn release(&self, _p: usize) {
         self.word.fetch_add(EPOCH + 1, ord::SEQ_CST);
     }
 
-    /// Statement 2 as footnote 2 writes it: take a slot only if one is
-    /// free, and do not write otherwise. A link of the same SeqCst RMW
-    /// chain as statements 2 and 6.
-    pub(crate) fn try_acquire(&self) -> bool {
+    /// A link of the same SeqCst RMW chain as statements 2 and 6.
+    #[inline]
+    fn try_acquire(&self) -> bool {
         self.word
             .fetch_update(ord::SEQ_CST, ord::SEQ_CST, |w| (x_of(w) > 0).then(|| w - 1))
             .is_ok()
     }
 
-    /// Slots not taken; negative while a process waits.
     fn free(&self) -> isize {
         x_of(self.word.load(ord::SEQ_CST))
     }
@@ -110,8 +114,7 @@ impl CcStage {
 ///
 /// Worst-case RMR cost is `4(N-k)` (linear in `N`; the paper's `7(N-k)`
 /// with two pairs of statements fused); prefer [`crate::native::TreeKex`]
-/// or [`crate::native::FastPathKex`] unless `N - k` is small. It is both the
-/// paper's baseline construction and the `(2k, k)` block of the better ones.
+/// or [`crate::native::FastPathKex`] unless `N - k` is small.
 ///
 /// ```rust
 /// use kex_core::native::{CcChainKex, RawKex};
@@ -122,83 +125,13 @@ impl CcStage {
 /// assert_eq!(guard.pid(), 0);
 /// drop(guard); // releases the slot
 /// ```
-#[derive(Debug)]
-pub struct CcChainKex {
-    stages: Vec<CachePadded<CcStage>>,
-    n: usize,
-    k: usize,
-}
-
-impl CcChainKex {
-    /// Build the `(n, k)` chain.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= k < n <= 32768`.
-    pub fn new(n: usize, k: usize) -> Self {
-        Self::with_universe(n, n, k)
-    }
-}
-
-impl Block for CcChainKex {
-    fn with_universe(universe: usize, m: usize, k: usize) -> Self {
-        assert!(
-            k >= 1 && k < m && m <= universe && universe as u64 <= BIAS,
-            "CcChainKex requires 1 <= k < m <= universe <= {BIAS}"
-        );
-        // stages[i] admits j = m-1-i; acquire walks i = 0 .. len-1,
-        // finishing at the stage that admits exactly k.
-        let stages = (k..m)
-            .rev()
-            .map(|j| CachePadded::new(CcStage::new(j)))
-            .collect();
-        CcChainKex {
-            stages,
-            n: universe,
-            k,
-        }
-    }
-
-    fn try_acquire(&self, p: usize) -> bool {
-        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
-        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
-        try_stages(&self.stages, |s| s.try_acquire(), |s| s.release())
-    }
-
-    fn occupancy(&self) -> usize {
-        let last = self.stages.last().expect("k < m: at least one stage");
-        (self.k as isize - last.free()).max(0) as usize
-    }
-}
-
-impl RawKex for CcChainKex {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn acquire(&self, p: usize) {
-        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
-        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
-        for stage in &self.stages {
-            stage.acquire();
-        }
-    }
-
-    fn release(&self, p: usize) {
-        let _obs = crate::obs::span(crate::obs::Section::Exit, p);
-        for stage in self.stages.iter().rev() {
-            stage.release();
-        }
-    }
-}
+pub type CcChainKex = ChainKex<CcStage>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::native::testutil::{occupancy_stress, OccupancyReport};
+    use crate::native::{Block, RawKex};
 
     #[test]
     fn never_more_than_k_inside() {
@@ -231,8 +164,8 @@ mod tests {
         let kex = CcChainKex::new(4, 2);
         kex.acquire(0);
         kex.acquire(1);
-        let credits = |kex: &CcChainKex| kex.stages.iter().map(|s| s.free()).collect::<Vec<_>>();
-        let epoch = |kex: &CcChainKex| kex.stages[0].word.load(ord::SEQ_CST) >> X_BITS;
+        let credits = |kex: &CcChainKex| kex.stages().iter().map(|s| s.free()).collect::<Vec<_>>();
+        let epoch = |kex: &CcChainKex| kex.stages()[0].word.load(ord::SEQ_CST) >> X_BITS;
         assert_eq!((credits(&kex), epoch(&kex)), (vec![1, 0], 0));
         assert!(!kex.try_acquire(2));
         // It left the stage it did take as a holder does: the epoch
@@ -252,10 +185,10 @@ mod tests {
     fn the_epoch_wraps_without_touching_x() {
         // A stage at the last epoch with its one slot taken.
         let stage = CcStage {
-            word: AtomicU64::new(u64::MAX << X_BITS | BIAS),
+            word: CachePadded::new(AtomicU64::new(u64::MAX << X_BITS | BIAS)),
         };
         assert_eq!((stage.free(), stage.try_acquire()), (0, false));
-        stage.release();
+        stage.release(0);
         assert_eq!(stage.word.load(ord::SEQ_CST), BIAS + 1, "X + 1, epoch 0");
     }
 

@@ -1,5 +1,5 @@
-//! Native Figure-6 stages and the Theorem-5 chain: the bounded-space
-//! DSM algorithm over real atomics.
+//! The native Figure-6 stage: the bounded-space DSM algorithm over real
+//! atomics; Theorem 5's chain of them is [`DsmChainKex`].
 //!
 //! On a multicore this behaves like any other local-spin lock family;
 //! its distinguishing property — every process spins on a *statically
@@ -16,8 +16,8 @@ use kex_util::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize};
 
 use kex_util::{Backoff, CachePadded};
 
+use super::chain::{ChainKex, Stage};
 use super::ordering as ord;
-use super::raw::{try_stages, Block, RawKex};
 
 /// Per-process slice of one stage: `k+2` spin flags and handshake
 /// counters, plus the owner-private `last` cursor.
@@ -56,7 +56,7 @@ impl ProcSlots {
 /// One Figure-6 stage admitting `j` processes, with `j+2` spin locations
 /// per process.
 #[derive(Debug)]
-pub(crate) struct DsmStage {
+pub struct DsmStage {
     x: CachePadded<AtomicIsize>,
     /// Packed `(pid, loc)` record: `pid * locs + loc`.
     q: CachePadded<AtomicU64>,
@@ -65,7 +65,23 @@ pub(crate) struct DsmStage {
 }
 
 impl DsmStage {
-    pub(crate) fn new(j: usize, n: usize) -> Self {
+    #[inline]
+    fn enc(&self, pid: usize, loc: usize) -> u64 {
+        (pid * self.locs + loc) as u64
+    }
+
+    #[inline]
+    fn dec(&self, packed: u64) -> (usize, usize) {
+        let v = packed as usize;
+        (v / self.locs, v % self.locs)
+    }
+}
+
+impl Stage for DsmStage {
+    const MAX_UNIVERSE: usize = usize::MAX;
+
+    /// Spin-location arrays are indexed by global process id.
+    fn new(j: usize, n: usize) -> Self {
         let locs = j + 2;
         DsmStage {
             x: CachePadded::new(AtomicIsize::new(j as isize)),
@@ -77,19 +93,9 @@ impl DsmStage {
         }
     }
 
-    #[inline]
-    fn enc(&self, pid: usize, loc: usize) -> u64 {
-        (pid * self.locs + loc) as u64
-    }
-
-    #[inline]
-    fn dec(&self, packed: u64) -> (usize, usize) {
-        let v = packed as usize;
-        (v / self.locs, v % self.locs)
-    }
-
     /// Statements 2–15 of Figure 6.
-    pub(crate) fn acquire(&self, p: usize) {
+    #[inline]
+    fn acquire(&self, p: usize) {
         if self.x.fetch_sub(1, ord::SEQ_CST) <= 0 {
             let mine = &*self.slots[p];
             // Statements 3–5: find a spin location with a zero handshake
@@ -137,7 +143,8 @@ impl DsmStage {
     }
 
     /// Statements 16–21 of Figure 6.
-    pub(crate) fn release(&self, _p: usize) {
+    #[inline]
+    fn release(&self, _p: usize) {
         self.x.fetch_add(1, ord::SEQ_CST);
         let u = self.q.load(ord::SEQ_CST);
         let (upid, uloc) = self.dec(u);
@@ -148,15 +155,13 @@ impl DsmStage {
         self.slots[upid].r[uloc].fetch_add(-1, ord::SEQ_CST);
     }
 
-    /// Statement 2 as footnote 2 writes it: take a slot only if one is
-    /// free, and do not write otherwise (cf. `CcStage::try_acquire`).
-    pub(crate) fn try_acquire(&self) -> bool {
+    #[inline]
+    fn try_acquire(&self) -> bool {
         self.x
             .fetch_update(ord::SEQ_CST, ord::SEQ_CST, |v| (v > 0).then_some(v - 1))
             .is_ok()
     }
 
-    /// Slots not taken; negative while a process waits.
     fn free(&self) -> isize {
         self.x.load(ord::SEQ_CST)
     }
@@ -169,79 +174,13 @@ impl DsmStage {
 /// Worst-case RMR cost `14(N-k)` under the DSM model; use
 /// [`crate::native::TreeKex`]/[`crate::native::FastPathKex`] over
 /// `DsmChainKex` blocks for the logarithmic/fast-path variants.
-#[derive(Debug)]
-pub struct DsmChainKex {
-    stages: Vec<DsmStage>,
-    n: usize,
-    k: usize,
-}
-
-impl DsmChainKex {
-    /// Build the `(n, k)` chain.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= k < n`.
-    pub fn new(n: usize, k: usize) -> Self {
-        Self::with_universe(n, n, k)
-    }
-}
-
-impl Block for DsmChainKex {
-    /// Spin-location arrays are indexed by global process id.
-    fn with_universe(universe: usize, m: usize, k: usize) -> Self {
-        assert!(
-            k >= 1 && k < m && m <= universe,
-            "DsmChainKex requires 1 <= k < m <= universe"
-        );
-        let stages = (k..m).rev().map(|j| DsmStage::new(j, universe)).collect();
-        DsmChainKex {
-            stages,
-            n: universe,
-            k,
-        }
-    }
-
-    fn try_acquire(&self, p: usize) -> bool {
-        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
-        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
-        try_stages(&self.stages, |s| s.try_acquire(), |s| s.release(p))
-    }
-
-    fn occupancy(&self) -> usize {
-        let last = self.stages.last().expect("k < m: at least one stage");
-        (self.k as isize - last.free()).max(0) as usize
-    }
-}
-
-impl RawKex for DsmChainKex {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn acquire(&self, p: usize) {
-        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
-        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
-        for stage in &self.stages {
-            stage.acquire(p);
-        }
-    }
-
-    fn release(&self, p: usize) {
-        let _obs = crate::obs::span(crate::obs::Section::Exit, p);
-        for stage in self.stages.iter().rev() {
-            stage.release(p);
-        }
-    }
-}
+pub type DsmChainKex = ChainKex<DsmStage>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::native::testutil::{max_concurrency, occupancy_stress};
+    use crate::native::{Block, RawKex};
     use std::time::Duration;
 
     #[test]
@@ -269,7 +208,8 @@ mod tests {
         let kex = DsmChainKex::new(4, 2);
         kex.acquire(0);
         kex.acquire(1);
-        let credits = |kex: &DsmChainKex| kex.stages.iter().map(DsmStage::free).collect::<Vec<_>>();
+        let credits =
+            |kex: &DsmChainKex| kex.stages().iter().map(DsmStage::free).collect::<Vec<_>>();
         assert_eq!(credits(&kex), [1, 0]);
         assert!(!kex.try_acquire(2));
         assert_eq!((credits(&kex), kex.occupancy()), (vec![1, 0], 2));

@@ -36,6 +36,7 @@
 //! real-thread stress tests here.
 
 mod assignment;
+mod chain;
 mod fast_path;
 mod fig1;
 mod fig2;

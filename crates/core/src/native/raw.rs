@@ -87,24 +87,6 @@ pub trait Block: RawKex + Sized {
     fn occupancy(&self) -> usize;
 }
 
-/// The chain half of [`Block::try_acquire`]: `take` each stage in
-/// order; refused at one, `give_back` those already taken, last first,
-/// the way a holder leaves them — a blocking process may have queued
-/// behind a slot held on the way here, and is owed the wake-up.
-pub(super) fn try_stages<S>(
-    stages: &[S],
-    take: impl Fn(&S) -> bool,
-    give_back: impl Fn(&S),
-) -> bool {
-    for (i, stage) in stages.iter().enumerate() {
-        if !take(stage) {
-            stages[..i].iter().rev().for_each(give_back);
-            return false;
-        }
-    }
-    true
-}
-
 /// Releases the underlying [`RawKex`] slot when dropped.
 #[must_use = "dropping the guard immediately releases the slot"]
 pub struct KexGuard<'a> {

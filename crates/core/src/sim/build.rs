@@ -14,7 +14,7 @@ use super::fig2::fig2_chain;
 use super::fig5::fig5_chain;
 use super::fig6::fig6_chain;
 use super::global_spin::global_spin;
-use super::tree::tree;
+use super::tree::{tree, tree_depth};
 
 /// Every simulator algorithm variant, for experiment catalogs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,6 +99,39 @@ impl Algorithm {
             | Algorithm::AssignmentCc => MemoryModel::CacheCoherent,
             _ => MemoryModel::Dsm,
         }
+    }
+
+    /// The worst-case remote references per entry+exit pair, under
+    /// [`Algorithm::model`], that Theorems 1–10 allow this variant at
+    /// `(n, k)`, with the expression evaluated. Table 1 states the chain
+    /// and tree constants outright; the fast-path, assignment and
+    /// Figure-5 rows are its `O(·)` entries with the constants of the
+    /// constructions here. `None` for the baselines (unbounded) and for
+    /// Theorems 4 and 8, whose cost is in the contention, not in `n`.
+    pub fn paper_bound(self, n: usize, k: usize) -> Option<(&'static str, u64)> {
+        let depth = u64::from(tree_depth(n, k));
+        let (n, k) = (n as u64, k as u64);
+        Some(match self {
+            Algorithm::CcChain => ("7(N-k)", 7 * (n - k)),
+            Algorithm::CcTree => ("7k*ceil(log2(N/k))", 7 * k * depth),
+            Algorithm::CcFastPath => ("7k*(ceil(log2(N/k))+1)+2", 7 * k * (depth + 1) + 2),
+            Algorithm::AssignmentCc => (
+                "7k*(ceil(log2(N/k))+1)+2+k+1",
+                7 * k * (depth + 1) + 2 + k + 1,
+            ),
+            Algorithm::DsmUnboundedChain => ("8(N-k)", 8 * (n - k)),
+            Algorithm::DsmChain => ("14(N-k)", 14 * (n - k)),
+            Algorithm::DsmTree => ("14k*ceil(log2(N/k))", 14 * k * depth),
+            Algorithm::DsmFastPath => ("14k*(ceil(log2(N/k))+1)+2", 14 * k * (depth + 1) + 2),
+            Algorithm::AssignmentDsm => (
+                "14k*(ceil(log2(N/k))+1)+2+k+1",
+                14 * k * (depth + 1) + 2 + k + 1,
+            ),
+            Algorithm::QueueFig1
+            | Algorithm::GlobalSpin
+            | Algorithm::CcGraceful
+            | Algorithm::DsmGraceful => return None,
+        })
     }
 
     /// Build the `(n, k)` instance of this variant.
@@ -224,6 +257,21 @@ mod tests {
             );
             assert_eq!(report.total_completed(), 6 * 8, "{}", algo.label());
         }
+    }
+
+    #[test]
+    fn the_tree_formulas_depth_is_the_built_trees() {
+        // ceil(log2(ceil(N/k))), as Table 1 writes it, is `tree_depth`.
+        for n in 2..=64usize {
+            for k in 1..n {
+                let levels = n.div_ceil(k).next_power_of_two().trailing_zeros();
+                assert_eq!(levels, tree_depth(n, k), "(n={n},k={k})");
+                let (_, tree) = Algorithm::CcTree.paper_bound(n, k).unwrap();
+                assert_eq!(tree, 7 * k as u64 * u64::from(levels));
+            }
+        }
+        assert_eq!(Algorithm::DsmChain.paper_bound(8, 2), Some(("14(N-k)", 84)));
+        assert_eq!(Algorithm::CcGraceful.paper_bound(8, 2), None);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   key to one of a fixed set of shards; deterministic per seed, so
 //!   every process and every recovery pass agrees on ownership.
 //! * **Admission** ([`Shard`]): each shard owns a `Resilient<O>` with
-//!   its own `(n, k)` — per-shard `k` tunes resiliency/contention
-//!   independently (hot shards wider, cold shards narrower).
+//!   its own `k` slots, so a crash costs one slot of one shard; a
+//!   [`Store`] builds every shard at the config's `(n, k)`.
 //! * **Lanes** ([`LaneJournal`]): the k-assignment *name* doubles as the
 //!   index of an append-only per-name operation journal. A crashed
 //!   process consumes its name forever, so the lane it leaves behind
