@@ -201,7 +201,7 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
 fn listed_sites() -> Result<BTreeSet<String>, String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ws = kex_lint::Workspace::load(&root).map_err(|e| format!("{}: {e}", root.display()))?;
-    Ok(kex_lint::extract_sites(&ws)
+    Ok(kex_lint::extract_sites(&ws, None)
         .iter()
         .map(kex_lint::Site::key)
         .collect())

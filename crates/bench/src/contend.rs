@@ -184,14 +184,15 @@ pub fn algorithms() -> Vec<Algo> {
                 })
             },
         },
-        // A `Snapshot` keeps every cell it replaces until it is dropped:
-        // this row's memory grows with the window (ROADMAP item 7).
+        // The universal construction again, at a snapshot specification.
         Algo {
             name: "snapshot_update",
             k: K,
             make: |t| {
                 let snap = Snapshot::<u64>::new(t.max(K));
-                Box::new(move |p| snap.update(p, p as u64))
+                Box::new(move |p| {
+                    snap.update(p, p as u64);
+                })
             },
         },
     ]

@@ -238,6 +238,7 @@ pub fn assignment_dsm(n: usize, k: usize) -> Arc<Protocol> {
 mod tests {
     use super::*;
     use kex_sim::prelude::*;
+    use std::cmp::Ordering;
 
     #[test]
     fn every_variant_builds_and_runs_safely() {
@@ -256,6 +257,127 @@ mod tests {
                 algo.label()
             );
             assert_eq!(report.total_completed(), 6 * 8, "{}", algo.label());
+        }
+    }
+
+    /// Runs `protocol` under a seeded schedule and holds every statement
+    /// executed against its node's `describe()`: each access performed
+    /// is among those declared (kind equal, variable among the
+    /// candidates, no more of them than the multiplicity) and the step
+    /// taken is a declared successor or back edge. Seeds differ in how
+    /// long a critical section lasts and, from 4 on, in starving the
+    /// high pids: uniform schedules with no dwell leave the waiting
+    /// paths and MCS's hand-off-less release all but unexecuted.
+    fn steps_as_described(label: &str, protocol: Arc<Protocol>, model: MemoryModel, seed: u64) {
+        let timing = Timing {
+            ncs_steps: 0,
+            cs_steps: 8 * (seed as u32 % 3),
+        };
+        let mut world = World::new(protocol.clone(), model, timing, Some(10));
+        world.mem.record_accesses();
+        let mut sched: Box<dyn Scheduler> = match seed {
+            ..=3 => Box::new(RandomSched::new(seed)),
+            _ => Box::new(SkewedSched::new(seed, 0.6)),
+        };
+        for _ in 0..1_000_000 {
+            let runnable = world.runnable();
+            if runnable.is_empty() {
+                return;
+            }
+            let p = sched.next(&runnable);
+            let before = world.procs[p].stack.clone();
+            world.step(p);
+            let accesses = world.mem.take_accesses();
+            // The step that starts a section executes no statement.
+            let Some(frame) = before.last() else {
+                assert!(accesses.is_empty(), "{label}: accesses outside a section");
+                continue;
+            };
+            let at = format!(
+                "{label}: {} {} pc {} pid {p}",
+                frame.node, frame.section, frame.pc
+            );
+            let desc = protocol.node(frame.node).describe(p).expect("described");
+            let stmt = desc
+                .section(frame.section)
+                .get(frame.pc as usize)
+                .unwrap_or_else(|| panic!("{at}: no such statement described"));
+            assert_eq!(stmt.pc, frame.pc, "{at}: statements are numbered densely");
+
+            // Narrowest declaration first, so that `One(v)` beside a
+            // range holding `v` is used up before the range is.
+            let mut declared: Vec<_> = stmt.accesses.iter().map(|a| (a, a.multiplicity)).collect();
+            declared.sort_by_key(|(a, _)| a.var.len());
+            for (var, kind) in &accesses {
+                let slot = declared.iter_mut().find(|(a, left)| {
+                    *left > 0 && a.kind == *kind && a.var.iter().any(|v| v == *var)
+                });
+                match slot {
+                    Some((_, left)) => *left -= 1,
+                    None => panic!(
+                        "{at} ({}): performs {kind:?} of {var} beyond the declared {:?}",
+                        stmt.label, stmt.accesses
+                    ),
+                }
+            }
+
+            let after = &world.procs[p].stack;
+            let top = after.last();
+            let declared = match after.len().cmp(&before.len()) {
+                Ordering::Less => stmt.succ.contains(&SuccDesc::Return),
+                Ordering::Equal => {
+                    let pc = top.expect("same depth").pc;
+                    stmt.succ.contains(&SuccDesc::Goto(pc)) || stmt.back.iter().any(|b| b.to == pc)
+                }
+                Ordering::Greater => {
+                    let callee = top.expect("deeper");
+                    stmt.succ.contains(&SuccDesc::Call {
+                        child: callee.node,
+                        section: callee.section,
+                        ret: after[before.len() - 1].pc,
+                    })
+                }
+            };
+            assert!(
+                declared,
+                "{at} ({}): went to {top:?}, declared {:?} / {:?}",
+                stmt.label, stmt.succ, stmt.back
+            );
+        }
+        panic!("{label}: did not finish");
+    }
+
+    /// `describe()` is what kex-analyze's verdicts and bounds and
+    /// kex-lint's obligations are computed from, `step()` is what the
+    /// explorer and the Table-1 runs execute: they are two statements of
+    /// each protocol, and `step` is the reference.
+    #[test]
+    fn every_protocol_steps_as_it_describes_itself() {
+        use crate::sim::{mcs, splitter_assignment, splitter_grid_standalone, yang_anderson};
+        type Root = fn(&mut ProtocolBuilder, usize, usize) -> NodeId;
+        let others: [(&str, usize, Root); 4] = [
+            ("mcs", 1, |b, _, _| mcs(b)),
+            ("yang-anderson", 1, |b, _, _| yang_anderson(b)),
+            ("splitter-grid", 2, |b, _, k| splitter_grid_standalone(b, k)),
+            ("splitter-assignment", 2, |b, n, k| {
+                let kex = fig2_chain(b, n, k);
+                splitter_assignment(b, k, kex)
+            }),
+        ];
+        for (n, k) in [(4, 2), (5, 2)] {
+            for seed in 1..=6 {
+                for algo in Algorithm::ALL {
+                    steps_as_described(algo.label(), algo.build(n, k, 512), algo.model(), seed);
+                }
+                for (label, k, root) in others {
+                    let mut b = ProtocolBuilder::new(n);
+                    let root = root(&mut b, n, k);
+                    let protocol = b.finish(root, k);
+                    for model in [MemoryModel::CacheCoherent, MemoryModel::Dsm] {
+                        steps_as_described(label, protocol.clone(), model, seed);
+                    }
+                }
+            }
         }
     }
 

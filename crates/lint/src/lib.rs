@@ -21,19 +21,19 @@
 //! `kex-lint` is a dependency-free, token-level analyzer over the
 //! workspace's own sources that machine-checks all three. The source
 //! scan *is* the site inventory: [`extract_sites`] lists every audited
-//! atomic call with the ordering its constant resolves to, its derived
-//! `role` (spin / publish / handshake / counter / private) and the
-//! kex-analyze IR variable its receiver models, and nothing stores a
-//! copy of that list. The audit table's rows are matched to it by
-//! position — per file, in source order — so the table cites no line
-//! numbers. (The kex-obs runtime site registry is reconciled against
+//! atomic call with the ordering its constant resolves to, the `role`
+//! (spin / publish / handshake / counter / private) its audit row
+//! states and the kex-analyze IR variable its receiver models, and
+//! nothing stores a copy of that list. The audit table's rows are
+//! matched to it by position — per file, in source order — so the table
+//! cites no line numbers. (The kex-obs runtime site registry is reconciled against
 //! the same scan by a live run: `kex-bench`'s `native_obs` fails on any
 //! recorded native location the scan does not find.) On top of the
-//! inventory sits the **ordering-obligation pass**: the ordering a site
-//! claims must both fit its role's policy and satisfy the per-variable
-//! minimum the kex-analyze IR derives — so relaxing a publish or
-//! handshake participant is a hard error even with its table row
-//! rewritten to match.
+//! inventory sits the **ordering-obligation pass**: the ordering the
+//! source passes must both fit the policy of the role the row states and
+//! satisfy the per-variable minimum the kex-analyze IR derives — so
+//! relaxing a publish or handshake participant is a hard error even
+//! with the *Implemented* keyword of its table row rewritten to match.
 //!
 //! The scanner is deliberately *token-level*, not a Rust parser: it
 //! masks comments, strings and char literals (preserving byte offsets
@@ -198,54 +198,17 @@ const IR_MAP: &[IrMapRow] = &[
 // Ordering roles
 // ---------------------------------------------------------------------------
 
-/// Sites whose role is pinned by hand because the (op, ordering) shape
-/// misclassifies them: the registry's slot claim is an isolated
-/// ownership RMW (a counter-style claim, SeqCst out of conservatism,
-/// not because it pairs with a remote load) and its slot release is a
-/// plain publish. Keyed by (file, op, var) so line drift in the file
-/// cannot silently detach the exception.
-const ROLE_EXCEPTIONS: &[(&str, &str, &str, &str)] = &[
-    (
-        "crates/core/src/native/registry.rs",
-        "swap",
-        "slot",
-        "counter",
-    ),
-    (
-        "crates/core/src/native/registry.rs",
-        "store",
-        "slots",
-        "publish",
-    ),
-];
-
-/// Derives a site's ordering role from its coordinates, op and
-/// ordering. Each site is classified by what its ordering *does*:
+/// The roles an audit row's *Verified by* cell can state
+/// (`obligation: <role>`), each by what the site's ordering *does*:
 /// `spin` (the acquire side of a handoff, read in a wait loop),
 /// `publish` (the release side of a handoff write), `handshake` (a
 /// Dekker-style store/load or RMW pair that needs the single SC total
 /// order), `counter` (an RMW whose own read-modify-write atomicity
 /// carries the protocol) and `private` (single-owner or
-/// freshness-insensitive accesses).
-fn derive_role(file: &str, op: &str, var: &str, ordering: &str) -> &'static str {
-    if let Some((_, _, _, role)) = ROLE_EXCEPTIONS
-        .iter()
-        .find(|(f, o, v, _)| *f == file && *o == op && *v == var)
-    {
-        return role;
-    }
-    match (op_kind(op), ordering) {
-        (_, "SeqCst") => "handshake",
-        (_, "Relaxed") => "private",
-        ("load", "Acquire") => "spin",
-        ("store", "Release") => "publish",
-        ("rmw", "AcqRel") => "counter",
-        // Non-canonical shapes (an Acquire-only RMW, an unresolved
-        // constant): no role to hold them to. The IR-derived minimum
-        // and the audit row still apply.
-        _ => "private",
-    }
-}
+/// freshness-insensitive accesses; also a site with no row to say).
+/// The row is the independent statement: the source's op and ordering
+/// are judged against it, never the other way round.
+const ROLES: &[&str] = &["spin", "publish", "handshake", "counter", "private"];
 
 /// Collapses the atomic-method vocabulary into load / store / rmw.
 fn op_kind(op: &str) -> &'static str {
@@ -750,8 +713,8 @@ pub struct Site {
     /// The ordering the primary constant resolves to (`"?"` if
     /// `ordering.rs` defines no such constant).
     pub ordering: String,
-    /// The site's ordering role (spin / publish / handshake / counter /
-    /// private), derived from its op and ordering.
+    /// The site's ordering role, one of `ROLES`: what its audit row
+    /// states, `private` where no row was matched to it.
     pub role: &'static str,
     /// IR variable this receiver models, if `IR_MAP` links the file
     /// to an analyzer-IR algorithm.
@@ -782,8 +745,14 @@ fn is_ordering_policy_file(path: &str) -> bool {
 
 /// The site inventory: every non-test atomic call under
 /// `crates/core/src/native/` that names an `ord::*` constant, per file
-/// in source order.
-pub fn extract_sites(ws: &Workspace) -> Vec<Site> {
+/// in source order, each with the role its row of `doc` (the text of
+/// [`AUDIT_DOC`]) states.
+pub fn extract_sites(ws: &Workspace, doc: Option<&str>) -> Vec<Site> {
+    match_sites(ws, doc).0
+}
+
+/// The inventory, and what matching the audit table to it found.
+fn match_sites(ws: &Workspace, doc: Option<&str>) -> (Vec<Site>, Vec<Finding>) {
     let consts = ws
         .get(ORDERING_MODULE)
         .map(|f| parse_ordering_consts(f).0)
@@ -793,11 +762,6 @@ pub fn extract_sites(ws: &Workspace) -> Vec<Site> {
         if !is_native_site_file(&file.path) {
             continue;
         }
-        let short = file.path.trim_start_matches(NATIVE_PREFIX);
-        let aliases = IR_MAP
-            .iter()
-            .find(|(f, _, _)| *f == short)
-            .map_or(&[][..], |(_, _, aliases)| aliases);
         let mb = file.masked.as_bytes();
         let mut i = 0;
         // Every `.` is tried, including those inside an accepted call's
@@ -824,27 +788,36 @@ pub fn extract_sites(ws: &Workspace) -> Vec<Site> {
                 continue; // not an atomic-ordering call (e.g. slice ops)
             };
             let ordering = consts.get(primary).map_or("?", String::as_str);
-            let var = receiver_name(mb, dot);
-            let role = derive_role(&file.path, method, &var, ordering);
-            let alias = |name: &str| aliases.iter().find(|(v, _)| *v == name);
-            let ir = alias(&format!("{var}:{role}"))
-                .or_else(|| alias(&var))
-                .map(|(_, ir)| *ir);
             sites.push(Site {
                 file: file.path.clone(),
                 line: file.line_of(dot + 1),
                 op: method.to_string(),
-                var,
+                var: receiver_name(mb, dot),
                 ordering: ordering.to_string(),
                 consts: site_consts,
-                role,
-                ir,
+                role: "private",
+                ir: None,
             });
         }
     }
     // Stable: sites sharing a line keep their source order.
     sites.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    sites
+    let mut findings = Vec::new();
+    if let Some(doc) = doc {
+        check_audit_table(doc, &mut sites, &mut findings);
+    }
+    for site in &mut sites {
+        let short = site.file.trim_start_matches(NATIVE_PREFIX);
+        let aliases = IR_MAP
+            .iter()
+            .find(|(f, _, _)| *f == short)
+            .map_or(&[][..], |(_, _, aliases)| aliases);
+        let alias = |name: &str| aliases.iter().find(|(v, _)| *v == name);
+        site.ir = alias(&format!("{}:{}", site.var, site.role))
+            .or_else(|| alias(&site.var))
+            .map(|(_, ir)| *ir);
+    }
+    (sites, findings)
 }
 
 fn match_paren(mb: &[u8], open: usize) -> Option<usize> {
@@ -996,6 +969,8 @@ struct DocRow {
     /// The atomic method named in the *Op* cell.
     op: String,
     keyword: String,
+    /// The role the *Verified by* cell opens with (`obligation: <role>`).
+    role: &'static str,
     doc_line: usize,
 }
 
@@ -1029,14 +1004,30 @@ fn parse_doc_rows(doc: &str) -> (Vec<DocRow>, Vec<Finding>) {
             .filter_map(|k| implemented.find(k).map(|at| (at, *k)))
             .min()
             .map(|(_, k)| k.to_string());
-        match keyword {
-            Some(keyword) => rows.push(DocRow {
+        let stated = cells
+            .get(5)
+            .and_then(|c| c.trim().strip_prefix("obligation: "));
+        let role = ROLES
+            .iter()
+            .find(|role| stated.is_some_and(|s| s.starts_with(**role)));
+        match (keyword, role) {
+            (Some(keyword), Some(role)) => rows.push(DocRow {
                 file: format!("{NATIVE_PREFIX}{name}"),
                 op: op.to_string(),
                 keyword,
+                role,
                 doc_line: idx + 1,
             }),
-            None => findings.push(finding(
+            (Some(_), None) => findings.push(finding(
+                Pass::Ordering,
+                AUDIT_DOC,
+                idx + 1,
+                format!(
+                    "audit row for `{name}` states no role: its *Verified by* cell must open with `obligation: <{}>`",
+                    ROLES.join("|")
+                ),
+            )),
+            (None, _) => findings.push(finding(
                 Pass::Ordering,
                 AUDIT_DOC,
                 idx + 1,
@@ -1074,8 +1065,9 @@ fn line_reference(line: &str) -> Option<&str> {
     None
 }
 
-/// Reconciles the audit table with the scanned sites, by position.
-fn check_audit_table(doc: &str, sites: &[Site], findings: &mut Vec<Finding>) {
+/// Reconciles the audit table with the scanned sites, by position, and
+/// gives each site the role its row states.
+fn check_audit_table(doc: &str, sites: &mut [Site], findings: &mut Vec<Finding>) {
     for (idx, line) in doc.lines().enumerate() {
         if let Some(reference) = line_reference(line) {
             findings.push(finding(
@@ -1090,14 +1082,15 @@ fn check_audit_table(doc: &str, sites: &[Site], findings: &mut Vec<Finding>) {
     }
     let (rows, mut row_findings) = parse_doc_rows(doc);
     findings.append(&mut row_findings);
-    let files: BTreeSet<&str> = sites
+    let files: BTreeSet<String> = sites
         .iter()
-        .map(|s| s.file.as_str())
-        .chain(rows.iter().map(|r| r.file.as_str()))
+        .map(|s| &s.file)
+        .chain(rows.iter().map(|r| &r.file))
+        .cloned()
         .collect();
-    for file in files {
-        let mut file_rows = rows.iter().filter(|r| r.file == file);
-        let mut file_sites = sites.iter().filter(|s| s.file == file);
+    for file in &files {
+        let mut file_rows = rows.iter().filter(|r| r.file == *file);
+        let mut file_sites = sites.iter_mut().filter(|s| s.file == *file);
         loop {
             match (file_sites.next(), file_rows.next()) {
                 (None, None) => break,
@@ -1131,6 +1124,7 @@ fn check_audit_table(doc: &str, sites: &[Site], findings: &mut Vec<Finding>) {
                     break;
                 }
                 (Some(site), Some(row)) => {
+                    site.role = row.role;
                     if row.keyword != site.ordering {
                         findings.push(finding(
                             Pass::Ordering,
@@ -1200,7 +1194,7 @@ pub fn ordering_pass(ws: &Workspace, doc: Option<&str>) -> Vec<Finding> {
     let (consts, mut const_findings) = parse_ordering_consts(ordering_file);
     findings.append(&mut const_findings);
 
-    let sites = extract_sites(ws);
+    let (sites, table_findings) = match_sites(ws, doc);
 
     // 1c. Every constant a site names must exist.
     for site in &sites {
@@ -1216,17 +1210,17 @@ pub fn ordering_pass(ws: &Workspace, doc: Option<&str>) -> Vec<Finding> {
         }
     }
 
-    // 1d. Audit-table reconciliation, both directions.
-    match doc {
-        None => findings.push(finding(
+    // 1d. Audit-table reconciliation, both directions (`match_sites`
+    // did it while giving the sites their roles).
+    if doc.is_none() {
+        findings.push(finding(
             Pass::Ordering,
             AUDIT_DOC,
             0,
             "memory-ordering audit table missing",
-        )),
-        Some(doc) => check_audit_table(doc, &sites, &mut findings),
+        ));
     }
-
+    findings.extend(table_findings);
     findings
 }
 
@@ -1341,8 +1335,8 @@ pub fn spin_pass(ws: &Workspace) -> Vec<Finding> {
 /// Validates each inventory site's claimed ordering against two
 /// independent derivations:
 ///
-/// * the **role policy** — the site's op shape and claimed ordering
-///   must be admissible for its `role`;
+/// * the **role policy** — the op shape and ordering the source has
+///   must be admissible for the `role` the site's audit row states;
 /// * the **IR obligations** — for sites linked to an analyzer-IR
 ///   variable, the variable must exist in that algorithm's IR, and the
 ///   claim must satisfy the minimum ordering `kex-analyze` derives from
@@ -1350,8 +1344,7 @@ pub fn spin_pass(ws: &Workspace) -> Vec<Finding> {
 ///   reads). A site claiming `Relaxed` — or anything weaker than the
 ///   derived minimum — on an obligated variable is a hard error.
 ///
-/// `sites` is [`extract_sites`]' inventory; the conformance suite also
-/// passes copies with one `ordering` weakened.
+/// `sites` is [`extract_sites`]' inventory.
 pub fn obligation_pass(sites: &[Site], cfg: &Config) -> Vec<Finding> {
     use kex_analyze::obligations::{
         derive_obligations, kind_for_op, kind_name, obligation_for, Obligation, Req,
@@ -1487,7 +1480,7 @@ pub fn load_audit_doc(root: &Path) -> Option<String> {
 /// Runs every pass over a loaded workspace; `doc` is the text of
 /// [`AUDIT_DOC`].
 pub fn audit(ws: &Workspace, doc: Option<&str>, cfg: &Config) -> Report {
-    let sites = extract_sites(ws);
+    let sites = extract_sites(ws, doc);
     let mut findings = ordering_pass(ws, doc);
     findings.extend(facade_pass(ws));
     findings.extend(spin_pass(ws));
@@ -1602,7 +1595,7 @@ mod tests {
         let ws = Workspace {
             files: vec![SourceFile::new("crates/core/src/native/x.rs", src)],
         };
-        let sites = extract_sites(&ws);
+        let sites = extract_sites(&ws, None);
         assert_eq!(sites.len(), 4, "non-atomic swap must not be a site");
         assert_eq!(
             (sites[0].var.as_str(), sites[0].op.as_str(), sites[0].line),

@@ -3,8 +3,8 @@
 //! Two halves:
 //!
 //! * **the real tree** — the workspace with its audit table produces
-//!   zero findings, and weakening any load-bearing site of its inventory
-//!   by one notch (in memory) is caught.
+//!   zero findings, and weakening any load-bearing site by one notch,
+//!   in its source and in its audit row together, is caught.
 //! * **seeded defects** — for each lint pass, a small fixture workspace
 //!   with one defect must produce a finding naming the exact file and
 //!   line. This proves every pass actually fires; without it a refactor
@@ -16,8 +16,8 @@ use std::path::Path;
 
 use kex_analyze::Config;
 use kex_lint::{
-    audit, extract_sites, facade_pass, load_audit_doc, obligation_pass, ordering_pass, spin_pass,
-    Finding, Pass, SourceFile, Workspace, AUDIT_DOC,
+    audit, extract_sites, facade_pass, load_audit_doc, obligation_pass, ordering_pass,
+    parse_ordering_consts, spin_pass, Finding, Pass, SourceFile, Workspace, AUDIT_DOC,
 };
 
 const ORDERING_RS: &str = "crates/core/src/native/ordering.rs";
@@ -54,14 +54,14 @@ const MCS_SRC: &str = "fn release(&self) {\n\
 const DOC: &str = "# fixture\n\
     | Site | Op | Implemented | Why | Verified by |\n\
     |---|---|---|---|---|\n\
-    | `fig2.rs` | `word.fetch_sub(1)` | **SeqCst RMW** | gate | - |\n\
-    | `fig2.rs` | `word.load` (spin) | Acquire load | statement 5 | - |\n\
-    | `fig2.rs` | `word.load` | **SeqCst load** | gauge | - |\n\
+    | `fig2.rs` | `word.fetch_sub(1)` | **SeqCst RMW** | gate | obligation: handshake (SC) |\n\
+    | `fig2.rs` | `word.load` (spin) | Acquire load | statement 5 | obligation: spin |\n\
+    | `fig2.rs` | `word.load` | **SeqCst load** | gauge | obligation: handshake (SC) |\n\
     \n\
     | Site | Op | Implemented | Why | Verified by |\n\
     |---|---|---|---|---|\n\
-    | `mcs.rs` | `next.load` | Acquire load | link | - |\n\
-    | `mcs.rs` | `nodes[succ].locked.store(false)` | Release store | hand-off | - |\n";
+    | `mcs.rs` | `next.load` | Acquire load | link | obligation: spin |\n\
+    | `mcs.rs` | `nodes[succ].locked.store(false)` | Release store | hand-off | obligation: publish |\n";
 
 fn workspace(files: &[(&str, &str)]) -> Workspace {
     Workspace {
@@ -160,52 +160,142 @@ fn weakened(ordering: &str, op: &str) -> Option<&'static str> {
     }
 }
 
-/// The full mutation matrix: weakening the claim of any non-Relaxed
-/// site by one notch must produce an obligation finding at that exact
-/// site — except the two registry sites whose SeqCst is conservatism,
-/// not a proof obligation (their tolerance is itself pinned here: if the
-/// exception list drifts, this test fails).
+/// `text` with the first ordering keyword at or after `from` — the one
+/// the lint reads out of an *Implemented* cell — replaced by `weaker`.
+fn with_keyword(text: &str, from: usize, weaker: &str) -> String {
+    let (at, keyword) = ["SeqCst", "AcqRel", "Acquire", "Release", "Relaxed"]
+        .iter()
+        .filter_map(|k| text[from..].find(k).map(|at| (from + at, *k)))
+        .min()
+        .expect("an ordering keyword");
+    format!("{}{weaker}{}", &text[..at], &text[at + keyword.len()..])
+}
+
+/// The full mutation matrix, through the front door: for every
+/// non-Relaxed site, rewrite its `ord::*` constant in the source text
+/// one notch down *and* the keyword of its audit row to match — the
+/// edit a real change would make, which the ordering pass accepts — and
+/// run the whole audit. The obligation pass must fire at that exact
+/// site, on the row's stated role or the IR's minimum — except at the
+/// two registry sites, whose SeqCst is conservatism their rows' roles
+/// (`counter`, `publish`) do not demand; that tolerance is pinned too.
 #[test]
 fn weakening_any_load_bearing_site_is_caught() {
-    let (ws, _) = real_tree();
-    let sites = extract_sites(&ws);
+    let (ws, doc) = real_tree();
+    let doc = doc.expect("audit table");
+    let sites = extract_sites(&ws, Some(&doc));
+    let consts = parse_ordering_consts(ws.get(ORDERING_RS).expect("ordering.rs")).0;
+    let constant = |ordering: &str| {
+        let named = consts.iter().find(|(_, variant)| *variant == ordering);
+        named.expect("a constant per ordering").0
+    };
     let tolerated = [
         ("crates/core/src/native/registry.rs", "swap"),
         ("crates/core/src/native/registry.rs", "store"),
     ];
     let cfg = Config::default();
-    let mut weakened_sites = 0;
+    let (mut weakened_sites, mut caught) = (0, 0);
     for (i, site) in sites.iter().enumerate() {
         let Some(weaker) = weakened(&site.ordering, &site.op) else {
             continue;
         };
         weakened_sites += 1;
-        let mut mutated = sites.clone();
-        mutated[i].ordering = weaker.to_string();
-        let findings = obligation_pass(&mutated, &cfg);
-        let at_site = findings
-            .iter()
-            .filter(|f| f.pass == Pass::Obligation && f.file == site.file && f.line == site.line)
+        // The source: this site's own primary constant, found from its
+        // method token on (sites sharing a line and an op are told
+        // apart by their order).
+        let same_file = || sites[..i].iter().filter(|s| s.file == site.file);
+        let twins = same_file()
+            .filter(|s| (s.line, &s.op) == (site.line, &site.op))
             .count();
-        if tolerated.contains(&(site.file.as_str(), site.op.as_str())) {
+        let file = ws.get(&site.file).expect("site file");
+        let line_start: usize = file
+            .text
+            .split_inclusive('\n')
+            .take(site.line - 1)
+            .map(str::len)
+            .sum();
+        let call = format!(".{}(", site.op);
+        let (token, _) = file.text[line_start..]
+            .match_indices(&call)
+            .nth(twins)
+            .expect("method token");
+        let old = format!("ord::{}", site.consts[0]);
+        let at = line_start
+            + token
+            + file.text[line_start + token..]
+                .find(&old)
+                .expect("constant");
+        let text = format!(
+            "{}ord::{}{}",
+            &file.text[..at],
+            constant(weaker),
+            &file.text[at + old.len()..]
+        );
+        let mut mutated = ws.clone();
+        *mutated
+            .files
+            .iter_mut()
+            .find(|f| f.path == site.file)
+            .expect("site file") = SourceFile::new(site.file.as_str(), text);
+        // The table: the row at this site's position among its file's.
+        let row_start = format!("| `{}` |", site.file.rsplit('/').next().expect("file name"));
+        let (row, _) = doc
+            .match_indices(&row_start)
+            .filter(|(at, _)| *at == 0 || doc.as_bytes()[at - 1] == b'\n')
+            .nth(same_file().count())
+            .expect("the site's row");
+        let implemented = row + doc[row..].match_indices('|').nth(2).expect("cells").0;
+        let doc = with_keyword(&doc, implemented, weaker);
+
+        let after = extract_sites(&mutated, Some(&doc));
+        assert_eq!(after.len(), sites.len());
+        for (j, (was, is)) in sites.iter().zip(&after).enumerate() {
+            let expected = if j == i { weaker } else { &was.ordering };
             assert_eq!(
-                at_site,
-                0,
-                "{} ({} {} -> {weaker}) is in the tolerated set but fired: {findings:?}",
+                is.ordering,
+                expected,
+                "mutating {}: {}",
+                site.key(),
+                is.key()
+            );
+        }
+        let report = audit(&mutated, Some(&doc), &cfg);
+        let at_site: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.file == site.file && f.line == site.line)
+            .collect();
+        assert_eq!(
+            report.findings.len(),
+            at_site.len(),
+            "findings elsewhere: {}",
+            listing(&report.findings)
+        );
+        assert!(
+            at_site.iter().all(|f| f.pass == Pass::Obligation),
+            "the edit is consistent, only the obligation pass may object: {at_site:?}"
+        );
+        if tolerated.contains(&(site.file.as_str(), site.op.as_str())) {
+            assert!(
+                at_site.is_empty(),
+                "{} ({} {} -> {weaker}) is in the tolerated set but fired: {at_site:?}",
                 site.key(),
                 site.op,
                 site.ordering,
             );
         } else {
             assert!(
-                at_site > 0,
-                "weakening {} ({} {} -> {weaker}) escaped the obligation pass",
+                !at_site.is_empty(),
+                "weakening {} ({} {} -> {weaker}) in the source and in its row passes the audit",
                 site.key(),
                 site.op,
                 site.ordering,
             );
+            caught += 1;
         }
     }
+    println!("{caught} of {weakened_sites} weakened sites caught");
+    assert_eq!(weakened_sites - caught, tolerated.len());
     assert!(
         weakened_sites >= 50,
         "mutation matrix collapsed: only {weakened_sites} non-Relaxed sites"
@@ -222,7 +312,7 @@ fn fixture_is_clean() {
     let findings = ordering_pass(&ws, Some(DOC));
     assert!(findings.is_empty(), "{}", listing(&findings));
     assert!(spin_pass(&ws).is_empty() && facade_pass(&ws).is_empty());
-    let obligations = obligation_pass(&extract_sites(&ws), &Config::default());
+    let obligations = obligation_pass(&extract_sites(&ws, Some(DOC)), &Config::default());
     assert!(obligations.is_empty(), "{}", listing(&obligations));
 }
 
@@ -291,9 +381,12 @@ fn literal_ordering_is_caught_in_every_audited_layer() {
 #[test]
 fn audit_table_is_matched_to_the_scan_by_position() {
     let swap = "self.word.swap(0, ord::SEQ_CST);\n    let backoff";
-    let gauge_row = "| `fig2.rs` | `word.load` | **SeqCst load** | gauge | - |\n";
-    let spin_row = "| `fig2.rs` | `word.load` (spin) | Acquire load | statement 5 | - |\n";
-    let gate_row = "| `fig2.rs` | `word.fetch_sub(1)` | **SeqCst RMW** | gate | - |\n";
+    let gauge_row =
+        "| `fig2.rs` | `word.load` | **SeqCst load** | gauge | obligation: handshake (SC) |\n";
+    let spin_row =
+        "| `fig2.rs` | `word.load` (spin) | Acquire load | statement 5 | obligation: spin |\n";
+    let gate_row =
+        "| `fig2.rs` | `word.fetch_sub(1)` | **SeqCst RMW** | gate | obligation: handshake (SC) |\n";
     let doc_with = |from: &str, to: &str| {
         assert!(DOC.contains(from));
         DOC.replacen(from, to, 1)
@@ -344,7 +437,7 @@ fn audit_table_is_matched_to_the_scan_by_position() {
             native(),
             doc_with(
                 gauge_row,
-                "| `fig2.rs` | `word.load` | Acquire load | gauge | - |\n",
+                "| `fig2.rs` | `word.load` | Acquire load | gauge | obligation: spin |\n",
             ),
             FIG2,
             line_of(FIG2_SRC, "self.word.load(ord::SEQ_CST)"),
@@ -360,6 +453,17 @@ fn audit_table_is_matched_to_the_scan_by_position() {
             AUDIT_DOC,
             line_of(DOC, "gauge"),
             "no recognizable ordering keyword",
+        ),
+        (
+            "a row that states no role",
+            native(),
+            doc_with(
+                gauge_row,
+                "| `fig2.rs` | `word.load` | **SeqCst load** | gauge | SB litmus |\n",
+            ),
+            AUDIT_DOC,
+            line_of(DOC, "gauge"),
+            "states no role",
         ),
         (
             "a stray file:line in prose",
@@ -407,7 +511,8 @@ fn relaxed_on_obligated_site_is_hard_error() {
         "self.word.load(ord::SEQ_CST)",
         "self.word.load(ord::RELAXED)",
     );
-    let findings = obligation_pass(&extract_sites(&ws), &Config::default());
+    let doc = DOC.replacen("**SeqCst load**", "Relaxed load", 1);
+    let findings = obligation_pass(&extract_sites(&ws, Some(&doc)), &Config::default());
     assert_finding(
         &findings,
         Pass::Obligation,
@@ -419,7 +524,7 @@ fn relaxed_on_obligated_site_is_hard_error() {
 
 #[test]
 fn ir_alias_to_a_missing_variable_is_caught() {
-    let mut sites = extract_sites(&native());
+    let mut sites = extract_sites(&native(), Some(DOC));
     let site = sites
         .iter_mut()
         .find(|s| s.ir.is_some())

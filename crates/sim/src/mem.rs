@@ -12,6 +12,7 @@
 //! decrement), `compare_and_swap`, and `test_and_set`.
 
 use crate::memmodel::{classify_read, classify_write, HolderSet, MemoryModel};
+use crate::summary::AccessKind;
 use crate::types::{Pid, VarId, Word};
 use crate::vars::VarTable;
 
@@ -25,6 +26,9 @@ pub struct MemState {
     remote: Vec<u64>,
     /// Local (non-remote) shared references per process.
     local: Vec<u64>,
+    /// Every access since [`MemState::record_accesses`]; `None` in every
+    /// run but the one that holds `Node::describe` against `Node::step`.
+    trace: Option<Vec<(VarId, AccessKind)>>,
 }
 
 impl MemState {
@@ -35,7 +39,19 @@ impl MemState {
             holders: vec![HolderSet::empty(); table.len()],
             remote: vec![0; n],
             local: vec![0; n],
+            trace: None,
         }
+    }
+
+    /// From now on keep every access, for [`MemState::take_accesses`].
+    pub fn record_accesses(&mut self) {
+        self.trace = Some(Vec::new());
+    }
+
+    /// The accesses performed since the last call, in order (none unless
+    /// [`MemState::record_accesses`] was called).
+    pub fn take_accesses(&mut self) -> Vec<(VarId, AccessKind)> {
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Current value of `v` **without** any locality accounting.
@@ -81,6 +97,7 @@ impl MemState {
             holders: vec![HolderSet::empty(); len],
             remote: vec![0; n],
             local: vec![0; n],
+            trace: None,
         }
     }
 
@@ -120,38 +137,36 @@ impl<'a> MemCtx<'a> {
     }
 
     #[inline]
-    fn account_read(&mut self, v: VarId) {
+    fn account(&mut self, v: VarId, kind: AccessKind) {
         let owner = self.table.spec(v).owner;
-        let loc = classify_read(self.model, self.p, owner, &mut self.mem.holders[v.index()]);
+        let holders = &mut self.mem.holders[v.index()];
+        let loc = match kind {
+            AccessKind::Read => classify_read(self.model, self.p, owner, holders),
+            AccessKind::Write | AccessKind::Rmw => {
+                classify_write(self.model, self.p, owner, holders)
+            }
+        };
         if loc.is_remote() {
             self.mem.remote[self.p] += 1;
         } else {
             self.mem.local[self.p] += 1;
         }
-    }
-
-    #[inline]
-    fn account_write(&mut self, v: VarId) {
-        let owner = self.table.spec(v).owner;
-        let loc = classify_write(self.model, self.p, owner, &mut self.mem.holders[v.index()]);
-        if loc.is_remote() {
-            self.mem.remote[self.p] += 1;
-        } else {
-            self.mem.local[self.p] += 1;
+        if let Some(trace) = &mut self.mem.trace {
+            trace.push((v, kind));
         }
     }
 
     /// Atomic read of `v`.
     #[inline]
     pub fn read(&mut self, v: VarId) -> Word {
-        self.account_read(v);
+        self.account(v, AccessKind::Read);
         self.mem.values[v.index()]
     }
 
     /// Atomic write of `x` to `v`.
     #[inline]
     pub fn write(&mut self, v: VarId, x: Word) {
-        self.account_write(v);
+        self.account(v, AccessKind::Write);
         self.mem.values[v.index()] = x;
     }
 
@@ -159,7 +174,7 @@ impl<'a> MemCtx<'a> {
     /// **old** value, as in the paper's figures.
     #[inline]
     pub fn fetch_and_increment(&mut self, v: VarId, delta: Word) -> Word {
-        self.account_write(v);
+        self.account(v, AccessKind::Rmw);
         let old = self.mem.values[v.index()];
         self.mem.values[v.index()] = old + delta;
         old
@@ -180,7 +195,7 @@ impl<'a> MemCtx<'a> {
         lo: Word,
         hi: Word,
     ) -> Word {
-        self.account_write(v);
+        self.account(v, AccessKind::Rmw);
         let old = self.mem.values[v.index()];
         let new = old + delta;
         if new >= lo && new <= hi {
@@ -195,7 +210,7 @@ impl<'a> MemCtx<'a> {
     /// `kex-core`'s `sim::mcs`).
     #[inline]
     pub fn swap(&mut self, v: VarId, x: Word) -> Word {
-        self.account_write(v);
+        self.account(v, AccessKind::Rmw);
         std::mem::replace(&mut self.mem.values[v.index()], x)
     }
 
@@ -204,7 +219,7 @@ impl<'a> MemCtx<'a> {
     /// `false` ("fails"). Semantics as defined in the paper's footnote 3.
     #[inline]
     pub fn compare_and_swap(&mut self, v: VarId, expected: Word, new: Word) -> bool {
-        self.account_write(v);
+        self.account(v, AccessKind::Rmw);
         if self.mem.values[v.index()] == expected {
             self.mem.values[v.index()] = new;
             true
@@ -217,7 +232,7 @@ impl<'a> MemCtx<'a> {
     /// interpreted as a boolean (`true` = was already set).
     #[inline]
     pub fn test_and_set(&mut self, v: VarId) -> bool {
-        self.account_write(v);
+        self.account(v, AccessKind::Rmw);
         let old = self.mem.values[v.index()];
         self.mem.values[v.index()] = 1;
         old != 0

@@ -10,8 +10,8 @@
 //!   specification (CAS consensus + helping), each op resumed from its
 //!   caller's previous one and the log truncated behind checkpoints.
 //! * [`queue::WfQueue`] / [`queue::WfStack`] /
-//!   [`register::WfRegister`] — typed instantiations.
-//! * [`snapshot::Snapshot`] — the Afek et al. wait-free atomic snapshot.
+//!   [`register::WfRegister`] / [`snapshot::Snapshot`] — typed
+//!   instantiations.
 //! * [`counter::SlotCounter`] — per-name slotted counter, the
 //!   contention-free shape that a bounded name space makes possible.
 //!

@@ -1,10 +1,9 @@
 //! Typed wait-free multi-writer register, instantiating the universal
 //! construction.
 //!
-//! For a *single*-writer-per-name register with scan support, prefer
-//! [`crate::snapshot::Snapshot`], which is far cheaper; `WfRegister`
-//! exists for the true multi-writer case (any name may overwrite) and as
-//! the simplest end-to-end exercise of [`crate::universal::Universal`].
+//! Any name may overwrite the one value; for a register per name read
+//! together, see [`crate::snapshot::Snapshot`] — the same construction,
+//! the same cost per op.
 
 use crate::seq::{RegisterOp, SeqRegister};
 use crate::universal::Universal;

@@ -125,6 +125,48 @@ impl<T: Clone + Default + Send + Sync> Sequential for SeqRegister<T> {
     }
 }
 
+/// Operations on a single-writer atomic snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotOp<T> {
+    /// Overwrite register `i`.
+    Update(usize, T),
+    /// Read every register at one point.
+    Scan,
+}
+
+/// What a [`SnapshotOp`] answers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotResp<T> {
+    /// An `Update`: the value the register held.
+    Replaced(T),
+    /// A `Scan`: the registers up to the highest one written so far.
+    View(Vec<T>),
+}
+
+/// A sequential snapshot specification: registers, each `T::default()`
+/// until written, that come into being on demand (`Default` knows no `k`).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct SeqSnapshot<T> {
+    regs: Vec<T>,
+}
+
+impl<T: Clone + Default + Send + Sync> Sequential for SeqSnapshot<T> {
+    type Op = SnapshotOp<T>;
+    type Resp = SnapshotResp<T>;
+
+    fn apply(&mut self, op: &Self::Op) -> Self::Resp {
+        match op {
+            SnapshotOp::Update(i, v) => {
+                if self.regs.len() <= *i {
+                    self.regs.resize(i + 1, T::default());
+                }
+                SnapshotResp::Replaced(std::mem::replace(&mut self.regs[*i], v.clone()))
+            }
+            SnapshotOp::Scan => SnapshotResp::View(self.regs.clone()),
+        }
+    }
+}
+
 /// Operations on a counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterOp {
@@ -185,6 +227,16 @@ mod tests {
         assert_eq!(r.apply(&RegisterOp::Read), 0);
         assert_eq!(r.apply(&RegisterOp::Write(5)), 0);
         assert_eq!(r.apply(&RegisterOp::Read), 5);
+    }
+
+    #[test]
+    fn snapshot_grows_on_demand_and_answers_the_replaced_value() {
+        use {SnapshotOp::*, SnapshotResp::*};
+        let mut s = SeqSnapshot::<i32>::default();
+        assert_eq!(s.apply(&Scan), View(vec![]));
+        assert_eq!(s.apply(&Update(2, 5)), Replaced(0));
+        assert_eq!(s.apply(&Update(2, 6)), Replaced(5));
+        assert_eq!(s.apply(&Scan), View(vec![0, 0, 6]));
     }
 
     #[test]

@@ -1,170 +1,46 @@
-//! A wait-free atomic snapshot object for `k` processes.
+//! Typed wait-free single-writer atomic snapshot: the universal
+//! construction at a snapshot specification.
 //!
-//! The classic single-writer construction of Afek, Attiya, Dolev, Gafni,
-//! Merritt & Shavit: each process owns one register; an **update** embeds
-//! the result of a scan (its "view") alongside the new value and a
-//! sequence number; a **scan** performs repeated double collects, and if
-//! it sees some register change *twice*, it borrows that register's
-//! embedded view, which is guaranteed to have been taken entirely within
-//! the scan's interval. Hence every scan returns after at most `k+1`
-//! collects — wait-free — and all scans/updates linearize.
-//!
-//! Register cells are heap-allocated immutable records swapped in via
-//! `AtomicPtr`. Replaced cells are *retired*, not freed: they go on a
-//! per-object retire list reclaimed when the `Snapshot` is dropped. A
-//! reader holding `&Snapshot` therefore never races a free (dropping
-//! requires exclusive ownership), at the cost of memory proportional to
-//! the number of updates over the object's lifetime — the right
-//! trade-off for a reference implementation with no epoch-GC runtime.
-//!
-//! Like everything in this crate, the object serves processes named
-//! `0..k` — the identities handed out by the k-assignment wrapper.
+//! Name `i` owns register `i`; a scan reads all `k` at one point of the
+//! log. A scan is threaded like any other op, so it costs what an update
+//! costs and a scanner needs a name of its own — which inside
+//! `Resilient::with` it has.
 
-use kex_util::sync::atomic::AtomicPtr;
+use crate::seq::{SeqSnapshot, SnapshotOp, SnapshotResp};
+use crate::universal::Universal;
 
-use crate::ordering::SEQ_CST;
-
-use kex_util::sync::Mutex;
-
-/// One register's immutable cell.
-#[derive(Debug)]
-struct Cell<T> {
-    value: T,
-    seq: u64,
-    /// The writer's embedded scan (empty for the initial cell).
-    view: Vec<T>,
-}
-
-/// A `k`-process single-writer atomic snapshot object.
+/// A linearizable, wait-free single-writer snapshot object for `k`
+/// processes ([`Universal::new`]`(k)`), every register initially
+/// `T::default()`.
 ///
 /// ```rust
 /// use kex_waitfree::Snapshot;
 ///
 /// let snap: Snapshot<u64> = Snapshot::new(3);
-/// snap.update(1, 42); // process named 1 writes its own register
-/// assert_eq!(snap.scan(), vec![0, 42, 0]); // one coherent view
+/// assert_eq!(snap.update(1, 42), 0); // name 1 writes its own register
+/// assert_eq!(snap.scan(0), vec![0, 42, 0]); // one coherent view
 /// ```
-#[derive(Debug)]
-pub struct Snapshot<T> {
-    regs: Vec<AtomicPtr<Cell<T>>>,
-    /// Cells unlinked by `update`; freed in `Drop`.
-    retired: Mutex<Vec<*mut Cell<T>>>,
-    k: usize,
-}
+pub type Snapshot<T> = Universal<SeqSnapshot<T>>;
 
-// The raw cell pointers are owned by this object and only ever
-// dereferenced while it is alive; `T: Send + Sync` makes the shared
-// cells safe to touch from any thread.
-unsafe impl<T: Send + Sync> Send for Snapshot<T> {}
-unsafe impl<T: Send + Sync> Sync for Snapshot<T> {}
-
-impl<T: Clone + Default + Send + Sync + 'static> Snapshot<T> {
-    /// A snapshot object of `k` registers, all initially `T::default()`.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "need at least one register");
-        Snapshot {
-            regs: (0..k)
-                .map(|_| {
-                    AtomicPtr::new(Box::into_raw(Box::new(Cell {
-                        value: T::default(),
-                        seq: 0,
-                        view: Vec::new(),
-                    })))
-                })
-                .collect(),
-            retired: Mutex::new(Vec::new()),
-            k,
+impl<T: Clone + Default + Send + Sync> Snapshot<T> {
+    /// Write `value` to name `me`'s own register; returns the value it
+    /// replaces.
+    pub fn update(&self, me: usize, value: T) -> T {
+        match self.apply(me, SnapshotOp::Update(me, value)) {
+            SnapshotResp::Replaced(previous) => previous,
+            SnapshotResp::View(_) => unreachable!("an update answers one value"),
         }
     }
 
-    /// Number of registers / processes.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Dereference register `i`'s current cell.
-    ///
-    /// Safe while `&self` is alive: cells are retired, never freed,
-    /// until `Drop` (which requires exclusive ownership).
-    fn cell(&self, i: usize) -> &Cell<T> {
-        unsafe { &*self.regs[i].load(SEQ_CST) }
-    }
-
-    /// Collect `(seq, value)` of every register (one pass, not atomic).
-    fn collect(&self) -> Vec<(u64, T)> {
-        (0..self.k)
-            .map(|i| {
-                let cell = self.cell(i);
-                (cell.seq, cell.value.clone())
-            })
-            .collect()
-    }
-
-    /// Wait-free atomic scan: returns a vector `v` such that `v[i]` is
-    /// register `i`'s value at a single linearization point inside the
-    /// call.
-    pub fn scan(&self) -> Vec<T> {
-        let mut moved = vec![false; self.k];
-        let mut a = self.collect();
-        loop {
-            let b = self.collect();
-            let mut changed = None;
-            for i in 0..self.k {
-                if a[i].0 != b[i].0 {
-                    changed = Some(i);
-                    if moved[i] {
-                        // Register i changed twice during our scan: its
-                        // current embedded view was taken entirely within
-                        // our interval — borrow it.
-                        return self.cell(i).view.clone();
-                    }
-                    moved[i] = true;
-                }
+    /// All `k` registers at one linearization point inside the call, on
+    /// behalf of name `me`.
+    pub fn scan(&self, me: usize) -> Vec<T> {
+        match self.apply(me, SnapshotOp::Scan) {
+            SnapshotResp::View(mut view) => {
+                view.resize(self.k(), T::default());
+                view
             }
-            match changed {
-                None => return b.into_iter().map(|(_, v)| v).collect(),
-                Some(_) => a = b,
-            }
-        }
-    }
-
-    /// Wait-free update of the caller's own register (`me` in `0..k`).
-    ///
-    /// # Panics
-    /// Panics if `me >= k`. Two concurrent updates with the same `me`
-    /// violate the single-writer contract.
-    pub fn update(&self, me: usize, value: T) {
-        assert!(me < self.k, "name {me} out of range 0..{}", self.k);
-        // Embed a fresh scan, as the algorithm requires.
-        let view = self.scan();
-        let seq = self.cell(me).seq + 1;
-        let new = Box::into_raw(Box::new(Cell { value, seq, view }));
-        let prev = self.regs[me].swap(new, SEQ_CST);
-        self.retired.lock().push(prev);
-    }
-
-    /// Read one register without a full scan (still linearizable for a
-    /// single register).
-    pub fn read(&self, i: usize) -> T {
-        assert!(i < self.k, "register {i} out of range 0..{}", self.k);
-        self.cell(i).value.clone()
-    }
-}
-
-impl<T> Drop for Snapshot<T> {
-    fn drop(&mut self) {
-        // Exclusive access: no reader can hold a cell reference now.
-        for r in &self.regs {
-            let p = r.swap(std::ptr::null_mut(), SEQ_CST);
-            if !p.is_null() {
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-        for p in self.retired.get_mut().drain(..) {
-            drop(unsafe { Box::from_raw(p) });
+            SnapshotResp::Replaced(_) => unreachable!("a scan answers the registers"),
         }
     }
 }
@@ -177,10 +53,10 @@ mod tests {
     #[test]
     fn scan_sees_updates() {
         let s: Snapshot<u64> = Snapshot::new(3);
-        assert_eq!(s.scan(), vec![0, 0, 0]);
-        s.update(1, 42);
-        assert_eq!(s.scan(), vec![0, 42, 0]);
-        assert_eq!(s.read(1), 42);
+        assert_eq!(s.scan(0), vec![0, 0, 0]);
+        assert_eq!(s.update(1, 42), 0);
+        assert_eq!(s.scan(2), vec![0, 42, 0]);
+        assert_eq!(s.update(1, 43), 42);
     }
 
     #[test]
@@ -189,7 +65,7 @@ mod tests {
         // so every scanned vector must be pointwise monotone over time
         // from any one scanner's perspective.
         let k = 3;
-        let s: Snapshot<u64> = Snapshot::new(k);
+        let s: Snapshot<u64> = Snapshot::new(k + 1);
         let stop = AtomicBool::new(false);
         std::thread::scope(|sc| {
             for me in 0..k {
@@ -205,9 +81,9 @@ mod tests {
             }
             let (s, stop) = (&s, &stop);
             sc.spawn(move || {
-                let mut last = vec![0u64; k];
+                let mut last = vec![0u64; k + 1];
                 while !stop.load(Ordering::SeqCst) {
-                    let now = s.scan();
+                    let now = s.scan(k);
                     for i in 0..k {
                         assert!(
                             now[i] >= last[i],
@@ -225,7 +101,7 @@ mod tests {
         // Linearizability of scans implies any two scans are pointwise
         // comparable when writers only increment their own register.
         let k = 4;
-        let s: Snapshot<u64> = Snapshot::new(k);
+        let s: Snapshot<u64> = Snapshot::new(k + 2);
         let scans: Vec<Vec<Vec<u64>>> = std::thread::scope(|sc| {
             let writers: Vec<_> = (0..k)
                 .map(|me| {
@@ -237,10 +113,10 @@ mod tests {
                     })
                 })
                 .collect();
-            let scanners: Vec<_> = (0..2)
-                .map(|_| {
+            let scanners: Vec<_> = (k..k + 2)
+                .map(|me| {
                     let s = &s;
-                    sc.spawn(move || (0..200).map(|_| s.scan()).collect::<Vec<_>>())
+                    sc.spawn(move || (0..200).map(|_| s.scan(me)).collect::<Vec<_>>())
                 })
                 .collect();
             for w in writers {
@@ -263,18 +139,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn update_rejects_foreign_names() {
         Snapshot::<u8>::new(2).update(2, 1);
-    }
-
-    #[test]
-    fn drop_reclaims_retired_cells() {
-        // Smoke test that Drop walks both live and retired cells without
-        // double-freeing (run under the normal allocator this would
-        // abort on corruption).
-        let s: Snapshot<u64> = Snapshot::new(2);
-        for i in 0..50 {
-            s.update(0, i);
-            s.update(1, i);
-        }
-        drop(s);
     }
 }

@@ -504,7 +504,8 @@ impl<S: Sequential> Drop for Universal<S> {
 mod tests {
     use super::*;
     use crate::seq::{
-        CounterOp, QueueOp, RegisterOp, SeqCounter, SeqQueue, SeqRegister, SeqStack, StackOp,
+        CounterOp, QueueOp, RegisterOp, SeqCounter, SeqQueue, SeqRegister, SeqSnapshot, SeqStack,
+        SnapshotOp, StackOp,
     };
     use kex_util::rng::SmallRng;
     use std::collections::HashSet;
@@ -599,6 +600,10 @@ mod tests {
         matches_the_spec::<SeqCounter>(|rng| match rng.gen_bool(0.8) {
             true => CounterOp::Add(rng.gen_range(0..9) as i64 - 4),
             false => CounterOp::Get,
+        });
+        matches_the_spec::<SeqSnapshot<u32>>(|rng| match rng.gen_bool(0.4) {
+            true => SnapshotOp::Update(rng.gen_range(0..K), value(rng)),
+            false => SnapshotOp::Scan,
         });
     }
 

@@ -1,6 +1,7 @@
 //! What the universal construction allocates: next to nothing when it is
 //! built, a flat amount however long it runs, and in steady state
-//! nothing per op — a name's freed nodes are its next ones.
+//! nothing per op — a name's freed nodes are its next ones. As a queue
+//! and as a snapshot: the second has no reclaimer of its own to hold.
 //!
 //! One test function, because the counting allocator is the process's:
 //! tests running side by side would count each other's memory. Only
@@ -18,7 +19,7 @@ use std::sync::atomic::{
 
 use kex_waitfree::seq::{QueueOp, SeqQueue, Sequential};
 use kex_waitfree::universal::CHECKPOINT_EVERY;
-use kex_waitfree::{Universal, WfQueue};
+use kex_waitfree::{Snapshot, Universal, WfQueue};
 
 struct Counting;
 
@@ -86,6 +87,61 @@ where
     }
 }
 
+fn updates(snapshot: &Snapshot<u64>, name: usize, count: u64) {
+    for i in 0..count {
+        snapshot.update(name, i);
+    }
+}
+
+/// (b) One name runs for good — 10⁶ `calls` in three legs —, one stops
+/// after five, two never run: live bytes do not depend on how long the
+/// first has run.
+fn a_long_life_is_flat<S: Sequential>(
+    live: impl Fn() -> isize,
+    calls: impl Fn(&Universal<S>, usize, u64),
+) {
+    let object = Universal::new(4);
+    calls(&object, 1, 5);
+    let mut at = [0; 3];
+    for (at, (so_far, total)) in
+        at.iter_mut()
+            .zip([(0, 10_000), (10_000, 100_000), (100_000, 1_000_000)])
+    {
+        calls(&object, 0, (total - so_far) / SCALE);
+        *at = live();
+        assert!(*at < FLAT, "{at} live bytes after {total} calls");
+    }
+    assert!((at[2] - at[1]).abs() < FLAT, "live bytes moved: {at:?}");
+    drop(object);
+    assert_eq!(live(), 0, "drop leaks");
+}
+
+/// (d) Warm, an op does not call the allocator: a name's nodes go
+/// round. What is left is per checkpoint — the boxed copy of the
+/// state, that copy's buffer, and the buffer of the copy the other
+/// name resumes from — and the lists' rare growth. A call is
+/// `ops_per_call` ops.
+fn a_warm_op_allocates_nothing<S: Sequential>(
+    live: impl Fn() -> isize,
+    ops_per_call: usize,
+    calls: impl Fn(&Universal<S>, usize, u64),
+) {
+    let object = Universal::new(2);
+    let alternating = |count: u64| (0..count).for_each(|i| calls(&object, (i % 2) as usize, 1));
+    alternating(1_000);
+    let before = ALLOCATIONS.load(Relaxed);
+    let count = 100_000 / SCALE;
+    alternating(count);
+    let allocations = ALLOCATIONS.load(Relaxed) - before;
+    let checkpoints = ops_per_call * count as usize / CHECKPOINT_EVERY;
+    assert!(
+        allocations <= 3 * checkpoints + 8,
+        "{allocations} allocations in {count} calls, {checkpoints} checkpoints"
+    );
+    drop(object);
+    assert_eq!(live(), 0, "drop leaks");
+}
+
 static PARKED: AtomicBool = AtomicBool::new(false);
 static RELEASED: AtomicBool = AtomicBool::new(false);
 
@@ -131,24 +187,11 @@ fn construction_is_three_allocations_and_a_long_life_is_flat() {
     assert!(aligned <= 1, "{aligned} cache-line-aligned allocations");
     drop(fresh);
 
-    // (b) One name runs for good, one stops after ten ops, two never
-    // run: live bytes do not depend on how long the first has run.
     let empty = LIVE_BYTES.load(Relaxed);
     let live = || LIVE_BYTES.load(Relaxed) - empty;
-    let queue = Queue::new(4);
-    pairs(&queue, 1, 5);
-    let mut at = [0; 3];
-    for (at, (so_far, total)) in
-        at.iter_mut()
-            .zip([(0, 10_000), (10_000, 100_000), (100_000, 1_000_000)])
-    {
-        pairs(&queue, 0, (total - so_far) / SCALE);
-        *at = live();
-        assert!(*at < FLAT, "{at} live bytes after {total} pairs");
-    }
-    assert!((at[2] - at[1]).abs() < FLAT, "live bytes moved: {at:?}");
-    drop(queue);
-    assert_eq!(live(), 0, "drop leaks");
+    // (b) and, further down, (d): as a queue, then as a snapshot.
+    a_long_life_is_flat(live, pairs::<SeqQueue<u64>>);
+    a_long_life_is_flat(live, updates);
 
     // (c) Two names on a thread each, a third that never announces
     // anything. What a descheduled thread pinned is let go once it runs
@@ -169,24 +212,8 @@ fn construction_is_three_allocations_and_a_long_life_is_flat() {
     drop(queue);
     assert_eq!(live(), 0, "drop leaks");
 
-    // (d) Warm, an op does not call the allocator: a name's nodes go
-    // round. What is left is per checkpoint — the boxed copy of the
-    // state, that copy's buffer, and the buffer of the copy the other
-    // name resumes from — and the lists' rare growth.
-    let queue = Queue::new(2);
-    let alternating = |count: u64| (0..count).for_each(|i| pairs(&queue, (i % 2) as usize, 1));
-    alternating(1_000);
-    let before = ALLOCATIONS.load(Relaxed);
-    let count = 100_000 / SCALE;
-    alternating(count);
-    let allocations = ALLOCATIONS.load(Relaxed) - before;
-    let checkpoints = 2 * count as usize / CHECKPOINT_EVERY;
-    assert!(
-        allocations <= 3 * checkpoints + 8,
-        "{allocations} allocations in {count} pairs, {checkpoints} checkpoints"
-    );
-    drop(queue);
-    assert_eq!(live(), 0, "drop leaks");
+    a_warm_op_allocates_nothing(live, 2, pairs::<SeqQueue<u64>>);
+    a_warm_op_allocates_nothing(live, 1, updates);
 
     // (e) The spares are capped. Name 1 stalls firm on its first op, so
     // name 0 can free nothing for ten checkpoint intervals; let go, it

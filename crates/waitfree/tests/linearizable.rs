@@ -14,10 +14,10 @@ mod common;
 
 use std::sync::Barrier;
 
-use common::{apply, check};
+use common::{apply, check, OpCall};
 use kex_util::lincheck::Clock;
 use kex_util::rng::SmallRng;
-use kex_waitfree::seq::{QueueOp, SeqQueue, Sequential};
+use kex_waitfree::seq::{QueueOp, SeqQueue, SeqSnapshot, Sequential, SnapshotOp};
 use kex_waitfree::universal::CHECKPOINT_EVERY;
 use kex_waitfree::Universal;
 
@@ -26,15 +26,46 @@ const NAMES: usize = 8;
 const HALTING: usize = 2;
 const OPS_PER_NAME: u64 = if cfg!(miri) { 100 } else { 10_000 };
 
-/// 8 names on however few cpus there are, enqueues and dequeues 1:2 on
-/// one queue, every enqueued value unique — and the last two names halt
-/// between ops half way through, the wrapper's failure model: their last
-/// nodes stay announced for good while the survivors run on, truncate
-/// past them and recycle what they free. Every sixteenth enqueue gives
-/// up the cpu inside `S::apply`, in whoever replays it: names sleep
-/// mid-pass, committed, and come back to a log that has moved on by
-/// whole checkpoint intervals — an idle host would not do that to them
-/// in the tenth of a second the run takes.
+/// 8 names on however few cpus there are, each applying the ops `draw`
+/// gives it (seeded; its name and the op's index to build unique values
+/// from) to one fresh object — and the last two names halt between ops
+/// half way through, the wrapper's failure model: their last nodes stay
+/// announced for good while the survivors run on, truncate past them and
+/// recycle what they free. Returns the recorded history.
+fn stress<S>(seed: u64, draw: impl Fn(&mut SmallRng, u64, u64) -> S::Op + Sync) -> Vec<OpCall<S>>
+where
+    S: Sequential + Send + Sync,
+    S::Resp: Send,
+{
+    let object: Universal<S> = Universal::new(NAMES);
+    let (clock, start) = (Clock::new(), Barrier::new(NAMES));
+    std::thread::scope(|s| {
+        let names: Vec<_> = (0..NAMES)
+            .map(|name| {
+                let (object, clock, start, draw) = (&object, &clock, &start, &draw);
+                let halts = name >= NAMES - HALTING;
+                s.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(seed << 8 | name as u64);
+                    start.wait();
+                    (0..OPS_PER_NAME / if halts { 2 } else { 1 })
+                        .map(|i| draw(&mut rng, name as u64, i))
+                        .map(|op| apply(clock, object, name, op))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        names
+            .into_iter()
+            .flat_map(|name| name.join().expect("name completed"))
+            .collect()
+    })
+}
+
+/// Enqueues and dequeues 1:2 on one queue, every enqueued value unique.
+/// Every sixteenth enqueue gives up the cpu inside `S::apply`, in
+/// whoever replays it: names sleep mid-pass, committed, and come back to
+/// a log that has moved on by whole checkpoint intervals — an idle host
+/// would not do that to them in the tenth of a second the run takes.
 ///
 /// Why [`Ticketed`] and not the plain queue, and why 1:2. A plain
 /// enqueue answers nothing, so the search may place one whose caller
@@ -46,33 +77,26 @@ const OPS_PER_NAME: u64 = if cfg!(miri) { 100 } else { 10_000 };
 #[test]
 fn seeded_stress_histories_linearize_with_two_names_halting_mid_run() {
     for seed in [1, 2, 3] {
-        let queue: Universal<Ticketed<true>> = Universal::new(NAMES);
-        let (clock, start) = (Clock::new(), Barrier::new(NAMES));
-        let history: Vec<_> = std::thread::scope(|s| {
-            let names: Vec<_> = (0..NAMES)
-                .map(|name| {
-                    let (queue, clock, start) = (&queue, &clock, &start);
-                    let halts = name >= NAMES - HALTING;
-                    s.spawn(move || {
-                        let mut rng = SmallRng::seed_from_u64(seed << 8 | name as u64);
-                        start.wait();
-                        (0..OPS_PER_NAME / if halts { 2 } else { 1 })
-                            .map(|i| match rng.gen_range(0..3) {
-                                0 => QueueOp::Enqueue((name as u64) << 32 | i),
-                                _ => QueueOp::Dequeue,
-                            })
-                            .map(|op| apply(clock, queue, name, op))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            names
-                .into_iter()
-                .flat_map(|name| name.join().expect("name completed"))
-                .collect()
+        let history = stress::<Ticketed<true>>(seed, |rng, name, i| match rng.gen_range(0..3) {
+            0 => QueueOp::Enqueue(name << 32 | i),
+            _ => QueueOp::Dequeue,
         });
         assert!(check::<Ticketed<false>>(&history), "seed {seed}");
     }
+}
+
+/// The snapshot is the same construction at another specification, so
+/// its histories go to the same judge: updates and scans 1:2, a name's
+/// values unique and ascending. Every call is informative — an update
+/// answers the value it replaced, a scan all eight registers — and the
+/// state the memo copies is those eight words.
+#[test]
+fn snapshot_histories_linearize_with_two_names_halting_mid_run() {
+    let history = stress::<SeqSnapshot<u64>>(4, |rng, name, i| match rng.gen_range(0..3) {
+        0 => SnapshotOp::Update(name as usize, name << 32 | (i + 1)),
+        _ => SnapshotOp::Scan,
+    });
+    assert!(check::<SeqSnapshot<u64>>(&history));
 }
 
 /// `SeqQueue<u64>` whose enqueue answers how many values have been

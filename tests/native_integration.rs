@@ -141,10 +141,10 @@ fn resilient_snapshot_scans_are_coherent() {
                 for i in 1..=100u64 {
                     snap.with(p, |obj, name| {
                         obj.update(name, i);
-                        let view = obj.scan();
+                        let view = obj.scan(name);
                         assert_eq!(view.len(), k);
-                        // Our own register must reflect our write.
-                        assert!(view[name] >= i.min(1));
+                        // Nobody else writes register `name` while we hold it.
+                        assert_eq!(view[name], i);
                     });
                 }
             });
