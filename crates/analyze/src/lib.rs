@@ -39,6 +39,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use kex_core::sim::build::Algorithm;
+use kex_obs::json::Json;
 use kex_sim::memmodel::MemoryModel;
 use kex_sim::protocol::Protocol;
 use kex_sim::summary::{
@@ -1043,117 +1044,104 @@ pub fn render_text(verdicts: &[AlgoVerdict], cfg: &Config) -> String {
     out
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_cost(c: Cost) -> String {
-    match c {
-        Cost::Finite(v) => v.to_string(),
-        Cost::Unbounded => "\"unbounded\"".to_owned(),
-    }
-}
-
-fn json_flags(flags: &[Flag]) -> String {
-    let items: Vec<String> = flags
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"node\":\"{}\",\"section\":\"{}\",\"pc\":{},\"label\":\"{}\",\"detail\":\"{}\"}}",
-                json_escape(&f.node),
-                f.section,
-                f.pc,
-                json_escape(&f.label),
-                json_escape(&f.detail)
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
 /// Render the verdicts as JSON (schema documented in `EXPERIMENTS.md`).
 pub fn render_json(verdicts: &[AlgoVerdict], cfg: &Config) -> String {
-    let mut algos: Vec<String> = Vec::new();
-    for v in verdicts {
+    let opt = |v: Option<usize>| v.map_or(Json::Null, Json::from);
+    let cost = |c: Cost| match c {
+        Cost::Finite(v) => Json::U64(v),
+        Cost::Unbounded => "unbounded".into(),
+    };
+    let flags = |flags: &[Flag]| {
+        let flag = |f: &Flag| {
+            Json::obj(vec![
+                ("node", f.node.as_str().into()),
+                ("section", f.section.to_string().into()),
+                ("pc", u64::from(f.pc).into()),
+                ("label", f.label.as_str().into()),
+                ("detail", f.detail.as_str().into()),
+            ])
+        };
+        Json::arr(flags.iter().map(flag).collect())
+    };
+    let spin = |clean: bool, flagged: &[Flag]| {
+        Json::obj(vec![("clean", clean.into()), ("flags", flags(flagged))])
+    };
+    let algorithm = |v: &AlgoVerdict| {
         let r = &v.report;
-        let space_nodes: Vec<String> = r
+        let node = |s: &NodeSpace| {
+            Json::obj(vec![
+                ("node", s.node.as_str().into()),
+                ("exclusion", opt(s.exclusion)),
+                ("spin_locations", s.spin_locations.into()),
+                ("bound", opt(s.bound)),
+                ("within", s.within_bound().into()),
+                ("declared", space_label(s.declared).into()),
+            ])
+        };
+        let nodes = r
             .space
             .iter()
-            .filter(|s| s.spin_locations > 0 || s.exclusion.is_some())
-            .map(|s| {
-                format!(
-                    "{{\"node\":\"{}\",\"exclusion\":{},\"spin_locations\":{},\"bound\":{},\"within\":{},\"declared\":\"{}\"}}",
-                    json_escape(&s.node),
-                    s.exclusion.map_or("null".to_owned(), |e| e.to_string()),
-                    s.spin_locations,
-                    s.bound.map_or("null".to_owned(), |b| b.to_string()),
-                    s.within_bound(),
-                    space_label(s.declared),
-                )
-            })
-            .collect();
-        let table1 = match &v.table1 {
-            Some(t) => format!(
-                "{{\"formula\":\"{}\",\"value\":{},\"model\":\"{}\",\"matches\":{}}}",
-                json_escape(t.formula),
-                t.value,
-                t.model.label(),
-                t.matches
-            ),
-            None => "null".to_owned(),
+            .filter(|s| s.spin_locations > 0 || s.exclusion.is_some());
+        let table1 = |t: &Table1Check| {
+            Json::obj(vec![
+                ("formula", t.formula.into()),
+                ("value", t.value.into()),
+                ("model", t.model.label().into()),
+                ("matches", t.matches.into()),
+            ])
         };
-        let space_nodes = format!("[{}]", space_nodes.join(","));
-        algos.push(format!(
-            concat!(
-                "{{\"id\":\"{id:?}\",\"label\":\"{label}\",\"target_model\":\"{model}\",",
-                "\"local_spin\":{{\"cc\":{{\"clean\":{cc_clean},\"flags\":{cc_flags}}},",
-                "\"dsm\":{{\"clean\":{dsm_clean},\"flags\":{dsm_flags}}}}},",
-                "\"atomic_sections\":{{\"bound\":{bound},\"clean\":{a_clean},\"flags\":{a_flags}}},",
-                "\"space\":{{\"class\":\"{s_class}\",\"ok\":{s_ok},\"nodes\":{s_nodes}}},",
-                "\"names\":{{\"assigns\":{assigns},\"space\":{n_space},\"exact\":{n_exact}}},",
-                "\"rmr\":{{\"cc\":{rmr_cc},\"dsm\":{rmr_dsm}}},",
-                "\"table1\":{table1}}}"
+        let local_spin = vec![
+            (
+                "cc",
+                spin(r.local_spin_clean(MemoryModel::CacheCoherent), &r.spin_cc),
             ),
-            id = v.algo,
-            label = json_escape(v.algo.label()),
-            model = v.algo.model().label(),
-            cc_clean = r.local_spin_clean(MemoryModel::CacheCoherent),
-            cc_flags = json_flags(&r.spin_cc),
-            dsm_clean = r.local_spin_clean(MemoryModel::Dsm),
-            dsm_flags = json_flags(&r.spin_dsm),
-            bound = ATOMIC_BOUND,
-            a_clean = r.atomic_clean(),
-            a_flags = json_flags(&r.atomic),
-            s_class = space_label(r.space_class),
-            s_ok = r.space_ok(),
-            s_nodes = space_nodes,
-            assigns = r.assigns_names,
-            n_space = r.name_space,
-            n_exact = r.names_exact(),
-            rmr_cc = json_cost(r.rmr_cc),
-            rmr_dsm = json_cost(r.rmr_dsm),
-            table1 = table1,
-        ));
-    }
-    format!(
-        "{{\"schema\":1,\"config\":{{\"n\":{},\"k\":{},\"max_locs\":{}}},\"algorithms\":[{}]}}",
-        cfg.n,
-        cfg.k,
-        cfg.max_locs,
-        algos.join(",")
-    )
+            (
+                "dsm",
+                spin(r.local_spin_clean(MemoryModel::Dsm), &r.spin_dsm),
+            ),
+        ];
+        let atomic_sections = vec![
+            ("bound", ATOMIC_BOUND.into()),
+            ("clean", r.atomic_clean().into()),
+            ("flags", flags(&r.atomic)),
+        ];
+        let space = vec![
+            ("class", space_label(r.space_class).into()),
+            ("ok", r.space_ok().into()),
+            ("nodes", Json::arr(nodes.map(node).collect())),
+        ];
+        let names = vec![
+            ("assigns", r.assigns_names.into()),
+            ("space", r.name_space.into()),
+            ("exact", r.names_exact().into()),
+        ];
+        let rmr = vec![("cc", cost(r.rmr_cc)), ("dsm", cost(r.rmr_dsm))];
+        Json::obj(vec![
+            ("id", format!("{:?}", v.algo).into()),
+            ("label", v.algo.label().into()),
+            ("target_model", v.algo.model().label().into()),
+            ("local_spin", Json::obj(local_spin)),
+            ("atomic_sections", Json::obj(atomic_sections)),
+            ("space", Json::obj(space)),
+            ("names", Json::obj(names)),
+            ("rmr", Json::obj(rmr)),
+            ("table1", v.table1.as_ref().map_or(Json::Null, table1)),
+        ])
+    };
+    let config = vec![
+        ("n", cfg.n.into()),
+        ("k", cfg.k.into()),
+        ("max_locs", cfg.max_locs.into()),
+    ];
+    Json::obj(vec![
+        ("schema", 1u64.into()),
+        ("config", Json::obj(config)),
+        (
+            "algorithms",
+            Json::arr(verdicts.iter().map(algorithm).collect()),
+        ),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
@@ -1314,19 +1302,27 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed_enough_to_pin() {
-        let v = verdicts();
-        let json = render_json(&v, &Config::default());
-        assert!(json.starts_with("{\"schema\":1,"));
-        assert!(json.contains("\"id\":\"GlobalSpin\""));
-        assert!(json.contains("\"rmr\":{\"cc\":42,"));
+        let doc = kex_obs::json::parse(&render_json(&verdicts(), &Config::default()))
+            .expect("the report is JSON");
+        assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
+        let algos = doc.get("algorithms").and_then(Json::as_arr).expect("array");
+        fn id(algo: &Json) -> Option<&str> {
+            algo.get("id").and_then(Json::as_str)
+        }
+        assert!(algos.iter().any(|a| id(a) == Some("GlobalSpin")));
+        let chain = algos
+            .iter()
+            .find(|a| id(a) == Some("CcChain"))
+            .expect("cc-chain is in the catalog");
+        let rmr_cc = chain.get("rmr").and_then(|r| r.get("cc"));
+        assert_eq!(rmr_cc.and_then(Json::as_u64), Some(42));
+        let tabulated = algos
+            .iter()
+            .filter(|a| a.get("table1").is_some_and(|t| t.get("formula").is_some()));
         assert_eq!(
-            json.matches("\"table1\":{\"formula\"").count(),
+            tabulated.count(),
             4,
             "exactly the four tabulated variants carry a formula check"
         );
-        // Balanced braces (hand-rolled writer sanity).
-        let open = json.matches('{').count();
-        let close = json.matches('}').count();
-        assert_eq!(open, close);
     }
 }

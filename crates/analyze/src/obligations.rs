@@ -1,5 +1,6 @@
-//! Ordering-obligation derivation: the static half of the weak-memory
-//! rung.
+//! Ordering-obligation derivation: the static half of the check that
+//! the native layer's declared orderings suffice (the loom models are
+//! the dynamic half).
 //!
 //! `kex-lint`'s source scan says what each native atomic site *claims*;
 //! this module derives, from the access-summary IR alone, what each
@@ -33,10 +34,11 @@
 use std::collections::HashMap;
 
 use kex_core::sim::build::Algorithm;
+use kex_obs::json::Json;
 use kex_sim::summary::{AccessKind, BackKind, StmtDesc, SuccDesc};
 use kex_sim::types::Section;
 
-use crate::{json_escape, walk, Config, IrError};
+use crate::{walk, Config, IrError};
 
 /// The minimum ordering an obligation demands of a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -503,37 +505,34 @@ pub fn render_obligations_text(cfg: &Config) -> Result<String, IrError> {
 }
 
 /// JSON report (schema `kex-analyze/obligations/v1`), the artifact the
-/// weak-memory CI job uploads.
+/// loom CI job uploads.
 pub fn render_obligations_json(cfg: &Config) -> Result<String, IrError> {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"kex-analyze/obligations/v1\",");
-    let _ = writeln!(out, "  \"n\": {}, \"k\": {},", cfg.n, cfg.k);
-    let _ = writeln!(out, "  \"algorithms\": [");
-    let algos = Algorithm::ALL;
-    for (ai, a) in algos.iter().enumerate() {
-        let obls = derive_obligations(*a, cfg)?;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"algo\": \"{}\",", json_escape(a.label()));
-        let _ = writeln!(out, "      \"obligations\": [");
-        for (i, o) in obls.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"var\": \"{}\", \"op\": \"{}\", \"req\": \"{}\", \"why\": \"{}\"}}{}",
-                json_escape(&o.var),
-                kind_name(o.kind),
-                o.req.keyword(),
-                json_escape(&o.why),
-                if i + 1 < obls.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{}", if ai + 1 < algos.len() { "," } else { "" });
+    let obligation = |o: &Obligation| {
+        Json::obj(vec![
+            ("var", o.var.as_str().into()),
+            ("op", kind_name(o.kind).into()),
+            ("req", o.req.keyword().into()),
+            ("why", o.why.as_str().into()),
+        ])
+    };
+    let mut algorithms = Vec::new();
+    for algo in Algorithm::ALL {
+        let obligations = derive_obligations(algo, cfg)?;
+        algorithms.push(Json::obj(vec![
+            ("algo", algo.label().into()),
+            (
+                "obligations",
+                Json::arr(obligations.iter().map(obligation).collect()),
+            ),
+        ]));
     }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    Ok(out)
+    Ok(Json::obj(vec![
+        ("schema", "kex-analyze/obligations/v1".into()),
+        ("n", cfg.n.into()),
+        ("k", cfg.k.into()),
+        ("algorithms", Json::arr(algorithms)),
+    ])
+    .to_string_pretty())
 }
 
 #[cfg(test)]

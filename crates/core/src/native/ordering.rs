@@ -24,11 +24,12 @@
 //!   go wrong even though common hardware does not, and we refuse to
 //!   rely on hardware folklore.
 //!
-//! Under `cfg(loom)` the checker's memory model is sequentially
-//! consistent regardless of the ordering argument, so the loom models
-//! verify the *algorithmic* content of every site; the acquire/release
-//! pairings themselves are exercised by the TSan CI job and argued
-//! site-locally in the audit table.
+//! Under `cfg(loom)` the checker explores every site with the ordering
+//! it passes (a C11-fragment memory model; the sequentially consistent
+//! interleavings are a subset of what it explores), so the loom models
+//! verify the acquire/release pairings as well as the algorithmic
+//! content of every site; the TSan CI job exercises the same pairings
+//! on real hardware, and the audit table argues them site-locally.
 
 use kex_util::sync::atomic::Ordering;
 

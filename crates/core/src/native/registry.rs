@@ -7,7 +7,7 @@
 //! because a departing thread is, by definition, in its noncritical
 //! section forever (a nonfaulty departure in the paper's model).
 //!
-//! **Known limitation (ROADMAP item 4, tracked):** a thread that
+//! **Known limitation (ROADMAP item 6, tracked):** a thread that
 //! crash-fails (or leaks its handle) while registered never returns its
 //! id — the registry *leaks the name*, exactly as a crashed process
 //! permanently consumes a slot and a name inside a k-assignment

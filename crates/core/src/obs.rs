@@ -11,12 +11,14 @@
 //!   pair, and top-level spans record latency, completion counts, and
 //!   the critical-section occupancy gauge.
 //! * default build, or any build under `RUSTFLAGS="--cfg loom"`: the
-//!   types below — a fieldless guard with no `Drop` impl and an
+//!   two items below — a fieldless guard with no `Drop` impl and an
 //!   `#[inline(always)]` constructor. The annotation compiles to
 //!   nothing: no state, no branches, no schedule points. Keeping the
 //!   shim inert under loom is what guarantees observability can never
 //!   perturb model-checked interleavings
 //!   (`tests/loom_models.rs::obs_spans_do_not_perturb_schedules`).
+//!
+//! The section labels are `kex_obs`'s own in every build.
 //!
 //! Algorithms use it as:
 //!
@@ -27,39 +29,21 @@
 //! drop(_obs);
 //! ```
 
+pub use kex_obs::Section;
+
 #[cfg(all(feature = "obs", not(loom)))]
-pub use kex_obs::{span, Section, SpanGuard};
+pub use kex_obs::{span, SpanGuard};
 
+/// Inert span guard: a zero-sized type with no `Drop` impl, so the
+/// whole annotation is erased at compile time.
 #[cfg(not(all(feature = "obs", not(loom))))]
-mod noop {
-    /// Protocol section labels; mirrors `kex_obs::Section` so algorithm
-    /// code is identical under every backend.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum Section {
-        /// The entry section (acquire path) of a protocol.
-        Entry,
-        /// The exit section (release path) of a protocol.
-        Exit,
-        /// Inside the critical section.
-        Cs,
-        /// Instrumented work outside any annotated section.
-        Other,
-        /// A whole service-layer store operation (see `kex-store`).
-        Store,
-    }
+#[derive(Debug)]
+#[must_use = "a span guard attributes operations only while it is live"]
+pub struct SpanGuard(());
 
-    /// Inert span guard: a zero-sized type with no `Drop` impl, so the
-    /// whole annotation is erased at compile time.
-    #[derive(Debug)]
-    #[must_use = "a span guard attributes operations only while it is live"]
-    pub struct SpanGuard(());
-
-    /// Opens a no-op span.
-    #[inline(always)]
-    pub fn span(_section: Section, _pid: usize) -> SpanGuard {
-        SpanGuard(())
-    }
+/// Opens a no-op span.
+#[cfg(not(all(feature = "obs", not(loom))))]
+#[inline(always)]
+pub fn span(_section: Section, _pid: usize) -> SpanGuard {
+    SpanGuard(())
 }
-
-#[cfg(not(all(feature = "obs", not(loom))))]
-pub use noop::{span, Section, SpanGuard};

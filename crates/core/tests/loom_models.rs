@@ -9,7 +9,8 @@
 //!
 //! Under `cfg(loom)` the `kex_util::sync` facade swaps every atomic,
 //! mutex, condvar and spin hint for the model-checked versions, so the
-//! exact production code paths are explored. Each test enumerates
+//! exact production code paths are explored, each atomic under the
+//! `Ordering` its call site declares. Each test enumerates
 //! thread interleavings at a small `(N, k)` and asserts, per the
 //! ISSUE-2 matrix:
 //!
@@ -706,16 +707,13 @@ fn obs_spans_do_not_perturb_schedules() {
 // --- relaxed-ordering sites: multi-cycle models ---------------------------
 //
 // `native::ordering` weakens selected hot-path sites from SeqCst to
-// acquire/release/relaxed (see `docs/MEMORY_ORDERING.md`). By default the
-// vendored checker explores sequentially-consistent interleavings
-// whatever `Ordering` argument the code passes, so these models detect a
-// *wrong ordering* only in the CI `weak-memory` job, which re-runs them
-// with `LOOM_WEAK_MEMORY=1` (and TSan runs the contend smoke under
-// `-Z sanitizer=thread`). What they pin down on either backend is the
-// *algorithmic* claim each relaxation leans on, across the state reuse
-// that only shows up after a release: every model below runs two full
-// acquire→release cycles per process, so each relaxed site is exercised
-// in its "stale value from the previous cycle" regime.
+// acquire/release/relaxed (see `docs/MEMORY_ORDERING.md`). The vendored
+// checker explores each site under the ordering it declares, so a
+// *wrong ordering* fails the model that leans on it (and TSan runs the
+// contend smoke under `-Z sanitizer=thread`). What these models add is
+// the state reuse that only shows up after a release: every model below
+// runs two full acquire→release cycles per process, so each relaxed
+// site is exercised in its "stale value from the previous cycle" regime.
 
 #[test]
 fn fig2_two_cycles_spin_sees_second_wakeup() {
@@ -845,8 +843,7 @@ fn k_assignment_two_cycles_name_hands_over_plain_data() {
     // through its bit's release/acquire pair; name 1 has no bit — its
     // edge is the k-exclusion's RMW chain, direct or via a later
     // entrant's swap of bit 0 that the new holder's probe reads, which
-    // a RELAXED probe load loses (this model then fails under
-    // `LOOM_WEAK_MEMORY=1`).
+    // a RELAXED probe load loses (this model then fails).
     use kex_loom::atomic::Ordering::Relaxed;
     let stats = Builder::new().max_preemptions(2).check(|| {
         let a = Arc::new(KAssignment::new(3, 2));

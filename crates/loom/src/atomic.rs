@@ -2,18 +2,15 @@
 //!
 //! Every operation is a schedule point: the checker may switch threads
 //! immediately *before* the operation executes, which is exactly the
-//! granularity at which sequentially consistent interleavings differ.
+//! granularity at which interleavings differ.
 //!
-//! By default the simulated memory model is SC regardless of the
-//! `Ordering` argument (see the crate docs); the wrapped std atomic is
-//! always accessed with `SeqCst`, so the memory backing the model is
-//! physically coherent too. With the weak-memory backend enabled
-//! ([`crate::Builder::weak_memory`] / `LOOM_WEAK_MEMORY=1`), the
-//! `Ordering` argument becomes real: each operation reports its ordering
-//! class to the runtime, loads may read older entries of the location's
-//! modification order, and the std atomic keeps holding the
-//! modification-order maximum (every store writes through with
-//! `SeqCst`), so raw memory stays coherent either way.
+//! The `Ordering` argument is real: each operation reports its ordering
+//! class to the runtime (see the crate docs), and a load may read an
+//! older entry of the location's modification order where the declared
+//! ordering permits. The wrapped std atomic is always accessed with
+//! `SeqCst` and keeps holding the modification-order maximum (every
+//! store writes through), so the memory backing the model stays
+//! physically coherent.
 //!
 //! Outside [`crate::model`] the types degrade to plain `SeqCst` std
 //! atomics (no scheduling), keeping construction and `Debug` usable.
@@ -26,7 +23,7 @@ use std::sync::atomic::Ordering::SeqCst;
 use crate::rt;
 
 /// Raw-bits conversion funnelling every atomic value type through the
-/// weak-memory runtime's single `u64` representation.
+/// runtime's single `u64` representation.
 trait Bits: Copy {
     fn to_bits(self) -> u64;
     fn from_bits(bits: u64) -> Self;
@@ -82,15 +79,14 @@ macro_rules! atomic_common {
                 self.inner.get_mut()
             }
 
-            /// The location key the weak-memory runtime tracks this
-            /// atomic under (stable while the object is alive).
+            /// The location key the runtime tracks this atomic under
+            /// (stable while the object is alive).
             fn addr(&self) -> usize {
                 &self.inner as *const _ as usize
             }
 
-            /// Loads the value (schedule point; read). Under weak
-            /// memory, may read an older modification-order entry as the
-            /// declared ordering permits.
+            /// Loads the value (schedule point; read). May read an older
+            /// modification-order entry as the declared ordering permits.
             #[track_caller]
             pub fn load(&self, order: Ordering) -> $ty {
                 rt::schedule(
@@ -99,16 +95,13 @@ macro_rules! atomic_common {
                     Location::caller(),
                 );
                 let init = self.inner.load(SeqCst);
-                match rt::weak_load(
+                <$ty as Bits>::from_bits(rt::weak_load(
                     self.addr(),
                     init.to_bits(),
                     rt::ord_class(order),
                     concat!(stringify!($name), "::load"),
                     Location::caller(),
-                ) {
-                    Some(bits) => <$ty as Bits>::from_bits(bits),
-                    None => init,
-                }
+                ))
             }
 
             /// Stores `v` (schedule point; write).
@@ -144,9 +137,8 @@ macro_rules! atomic_common {
                 old
             }
 
-            /// Compare-and-exchange (schedule point; write — even a
-            /// failed CAS is an RMW-slot access in the SC model; under
-            /// weak memory a failed CAS is a load with `failure`).
+            /// Compare-and-exchange (schedule point; write — a failed
+            /// CAS is a load of the newest store with `failure`).
             #[track_caller]
             pub fn compare_exchange(
                 &self,
@@ -299,8 +291,8 @@ atomic_int_ops!(AtomicBool, bool, [fetch_and, fetch_or, fetch_xor]);
 ///
 /// Generic, so the `atomic_common!` macro (which names concrete std
 /// types) does not apply; the operations and scheduling discipline are
-/// identical. Pointers round-trip through the weak-memory runtime as
-/// their address bits.
+/// identical. Pointers round-trip through the runtime as their address
+/// bits.
 #[derive(Debug)]
 pub struct AtomicPtr<T> {
     inner: std::sync::atomic::AtomicPtr<T>,
@@ -333,16 +325,13 @@ impl<T> AtomicPtr<T> {
     pub fn load(&self, order: Ordering) -> *mut T {
         rt::schedule("AtomicPtr::load", false, Location::caller());
         let init = self.inner.load(SeqCst);
-        match rt::weak_load(
+        rt::weak_load(
             self.addr(),
             init as u64,
             rt::ord_class(order),
             "AtomicPtr::load",
             Location::caller(),
-        ) {
-            Some(bits) => bits as usize as *mut T,
-            None => init,
-        }
+        ) as usize as *mut T
     }
 
     /// Stores `p` (schedule point; write).
@@ -365,8 +354,8 @@ impl<T> AtomicPtr<T> {
         old
     }
 
-    /// Compare-and-exchange (schedule point; write — even a failed CAS
-    /// is an RMW-slot access in the SC model).
+    /// Compare-and-exchange (schedule point; write — a failed CAS is a
+    /// load of the newest store with `failure`).
     #[track_caller]
     pub fn compare_exchange(
         &self,

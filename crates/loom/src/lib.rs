@@ -24,22 +24,21 @@
 //!
 //! # Model and guarantees
 //!
-//! * **Memory model**: sequential consistency *by default*. Every
-//!   atomic executes at a serialization point, and with weak memory off
-//!   the `Ordering` argument is ignored — exact for all-`SeqCst` code
-//!   but blind to relaxed-ordering bugs. Enabling
-//!   [`Builder::weak_memory`] (or setting `LOOM_WEAK_MEMORY=1`) switches
-//!   the atomics to an operational C11 fragment: per-location
-//!   modification orders, per-thread acquired views, release sequences,
-//!   and an SC order for `SeqCst` accesses, with each load's read-from
-//!   choice explored as a decision (bounded by
-//!   [`Builder::weak_history`]). Known under-approximations, all in the
-//!   safe direction for checking that *forbidden* outcomes stay
-//!   forbidden: no fence modelling (the workspace uses none),
-//!   load-buffering cycles are never produced, read-from enumeration is
-//!   bounded to the newest `weak_history` stores, and a re-scheduled
-//!   spinner reads the newest store (the weak analogue of yield
-//!   demotion).
+//! * **Memory model**: the orderings the code declares. Every atomic
+//!   executes at a serialization point and is tracked under an
+//!   operational C11 fragment: per-location modification orders,
+//!   per-thread acquired views, release sequences, and an SC order for
+//!   `SeqCst` accesses, with each load's read-from choice explored as a
+//!   decision beside the scheduling ones. A load's first candidate is
+//!   always the newest store and an all-`SeqCst` access has no other, so
+//!   the sequentially consistent interleavings are a subset of what is
+//!   explored and all-`SeqCst` code is explored exactly. Known
+//!   under-approximations, all in the safe direction for checking that
+//!   *forbidden* outcomes stay forbidden: no fence modelling (the
+//!   workspace uses none), load-buffering cycles are never produced,
+//!   read-from enumeration is bounded to the newest four stores, and a
+//!   re-scheduled spinner reads the newest store (the read-from
+//!   analogue of yield demotion).
 //! * **Exhaustiveness**: with no preemption bound the search visits
 //!   every interleaving of schedule points, modulo one sound reduction —
 //!   a thread that executed a spin hint is re-scheduled only after
@@ -79,93 +78,27 @@ pub struct Stats {
 /// ```
 /// kex_loom::Builder::new().max_preemptions(2).check(|| { /* model */ });
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Builder {
-    /// Cap on involuntary preemptions per execution; `None` explores
-    /// exhaustively. Overridden by the `LOOM_MAX_PREEMPTIONS` env var
-    /// when set (so CI can tighten or loosen every model at once).
-    pub max_preemptions: Option<u32>,
-    /// Abort an execution that exceeds this many schedule points
-    /// (livelock guard).
-    pub max_steps: u64,
-    /// Panic if the exploration exceeds this many executions instead of
-    /// silently truncating coverage.
-    pub max_branches: u64,
-    /// Explore atomics under the weak-memory (C11 fragment) backend
-    /// instead of promoting every ordering to SC. Overridden by the
-    /// `LOOM_WEAK_MEMORY` env var (`1`/`true` on, `0`/`false` off).
-    pub weak_memory: bool,
-    /// With weak memory on: how many of the newest stores in a
-    /// location's modification order a load may read from (the
-    /// read-from enumeration bound). Overridden by `LOOM_WEAK_HISTORY`.
-    pub weak_history: usize,
+    max_preemptions: Option<u32>,
 }
 
-impl Default for Builder {
-    fn default() -> Self {
-        Builder {
-            max_preemptions: None,
-            max_steps: 100_000,
-            max_branches: 2_000_000,
-            weak_memory: false,
-            weak_history: 4,
-        }
-    }
-}
+/// An exploration that has not converged after this many executions
+/// panics instead of silently truncating coverage.
+const MAX_BRANCHES: u64 = 2_000_000;
 
 impl Builder {
-    /// A builder with default limits and exhaustive exploration.
+    /// A builder that explores exhaustively.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the preemption bound (see [`Builder::max_preemptions`]).
+    /// Caps involuntary preemptions per execution. Overridden by the
+    /// `LOOM_MAX_PREEMPTIONS` env var when set (so CI can tighten or
+    /// loosen every model at once).
     pub fn max_preemptions(mut self, n: u32) -> Self {
         self.max_preemptions = Some(n);
         self
-    }
-
-    /// Sets the per-execution schedule-point cap.
-    pub fn max_steps(mut self, n: u64) -> Self {
-        self.max_steps = n;
-        self
-    }
-
-    /// Sets the total execution cap.
-    pub fn max_branches(mut self, n: u64) -> Self {
-        self.max_branches = n;
-        self
-    }
-
-    /// Enables or disables the weak-memory backend (see
-    /// [`Builder::weak_memory`]).
-    pub fn weak_memory(mut self, on: bool) -> Self {
-        self.weak_memory = on;
-        self
-    }
-
-    /// Sets the read-from enumeration bound (see
-    /// [`Builder::weak_history`]).
-    pub fn weak_history(mut self, n: usize) -> Self {
-        self.weak_history = n;
-        self
-    }
-
-    fn resolved(&self) -> Builder {
-        let mut cfg = *self;
-        if let Some(envp) = rt::env_u64("LOOM_MAX_PREEMPTIONS") {
-            cfg.max_preemptions = Some(envp as u32);
-        }
-        if let Some(envb) = rt::env_u64("LOOM_MAX_BRANCHES") {
-            cfg.max_branches = envb;
-        }
-        if let Ok(v) = std::env::var("LOOM_WEAK_MEMORY") {
-            cfg.weak_memory = matches!(v.trim(), "1" | "true" | "on" | "yes");
-        }
-        if let Some(envh) = rt::env_u64("LOOM_WEAK_HISTORY") {
-            cfg.weak_history = (envh as usize).max(1);
-        }
-        cfg
     }
 
     /// Explores every schedule of `f`; panics with the failing schedule
@@ -174,7 +107,7 @@ impl Builder {
     where
         F: Fn() + Send + Sync + 'static,
     {
-        match self.resolved().explore(Arc::new(f)) {
+        match self.explore(Arc::new(f)) {
             Ok(stats) => stats,
             Err(msg) => panic!("model check failed\n{msg}"),
         }
@@ -187,7 +120,7 @@ impl Builder {
     where
         F: Fn() + Send + Sync + 'static,
     {
-        match self.resolved().explore(Arc::new(f)) {
+        match self.explore(Arc::new(f)) {
             Ok(stats) => panic!(
                 "expected the model to fail, but all {} executions passed",
                 stats.executions
@@ -197,27 +130,26 @@ impl Builder {
     }
 
     fn explore(self, f: Arc<dyn Fn() + Send + Sync>) -> Result<Stats, String> {
-        let cfg = rt::Config {
-            max_preemptions: self.max_preemptions,
-            max_steps: self.max_steps,
-            weak: self.weak_memory.then_some(self.weak_history.max(1)),
-        };
+        // The env var (unset or garbage is ignored) overrides the builder.
+        let max_preemptions = std::env::var("LOOM_MAX_PREEMPTIONS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .or(self.max_preemptions);
         let mut decisions = Vec::new();
         let mut executions = 0u64;
         let mut schedule_points = 0u64;
         loop {
-            let exec = rt::Execution::new(cfg, decisions);
+            let exec = rt::Execution::new(max_preemptions, decisions);
             let outcome = exec.run(f.clone());
             executions += 1;
             schedule_points += outcome.schedule_points;
             if let Some(msg) = outcome.failure {
                 return Err(format!("execution {executions}: {msg}"));
             }
-            if executions >= self.max_branches {
+            if executions >= MAX_BRANCHES {
                 panic!(
-                    "exploration exceeded {} executions without converging; \
-                     shrink the model or set a preemption bound",
-                    self.max_branches
+                    "exploration exceeded {MAX_BRANCHES} executions without converging; \
+                     shrink the model or set a preemption bound"
                 );
             }
             decisions = outcome.decisions;

@@ -10,7 +10,7 @@
 //! * **Serialization** — only the `active` thread executes model code;
 //!   everyone else is parked on the execution's condvar. Hand-off through
 //!   the std mutex provides the happens-before edges that make the
-//!   (sequentially consistent) simulated memory physically coherent.
+//!   memory backing the model physically coherent.
 //! * **Preemption bounding** — switching away from a thread that could
 //!   have kept running consumes one unit of the preemption budget
 //!   (`LOOM_MAX_PREEMPTIONS`); once spent, the active thread runs until
@@ -28,10 +28,10 @@
 //!   on a write that no live thread can perform), the execution aborts
 //!   and the schedule is reported: this is how lost wakeups surface.
 //!
-//! ## Weak memory (opt-in)
+//! ## Memory model
 //!
-//! With [`Config::weak`] set, atomics are additionally tracked under an
-//! operational C11 fragment instead of being promoted to SC:
+//! Atomics are tracked under an operational C11 fragment, so the
+//! `Ordering` a call site declares is the ordering that is explored:
 //!
 //! * every location carries a **modification order** — the append order
 //!   of its stores, each paired with the *message view* it released;
@@ -52,7 +52,7 @@
 //!
 //! A spinner re-scheduled after a write reads the modification-order
 //! maximum on its next load (the `fresh` flag): pruning the still-stale
-//! re-reads is the weak-memory analogue of yield demotion, and keeps
+//! re-reads is the read-from analogue of yield demotion, and keeps
 //! spin loops from diverging into unboundedly many stale branches.
 //!
 //! Deliberate under-approximations (documented in the crate docs): no
@@ -122,7 +122,7 @@ struct ThreadState {
 }
 
 /// One recorded decision: which option, out of which set. The DFS
-/// driver treats thread choices and (weak-memory) read-from choices
+/// driver treats thread choices and read-from choices
 /// uniformly — both are branches of the same exploration tree.
 #[derive(Debug)]
 pub(crate) struct Decision {
@@ -135,8 +135,8 @@ pub(crate) struct Decision {
 pub(crate) enum Opts {
     /// Schedulable threads at a schedule point.
     Threads(Vec<Tid>),
-    /// Candidate modification-order timestamps for a weak-memory load,
-    /// newest first (index 0 = the SC-like choice).
+    /// Candidate modification-order timestamps for a load, newest first
+    /// (index 0 = the choice an SC interleaving would make).
     ReadFrom(Vec<usize>),
 }
 
@@ -182,7 +182,7 @@ struct StoreEvent {
     msg: View,
 }
 
-/// Weak-memory state for one execution (present iff `Config::weak`).
+/// The C11-fragment memory state of one execution.
 struct WeakMem {
     /// Per-location modification order; index = timestamp. Entry 0 is
     /// seeded from the std atomic's value at the location's first
@@ -202,13 +202,11 @@ struct WeakMem {
     /// (stale re-reads of a spin word are pruned, mirroring yield
     /// demotion).
     fresh: Vec<bool>,
-    /// Per-thread flag: the thread's last weak load chose a non-latest
+    /// Per-thread flag: the thread's last load chose a non-latest
     /// store. A spinner stranded by such a read (every other thread
     /// done) is promoted once with `fresh` set instead of being
     /// reported stuck — modelling eventual value propagation.
     stale: Vec<bool>,
-    /// Maximum read-from candidates enumerated per load.
-    bound: usize,
 }
 
 struct ExecInner {
@@ -225,25 +223,23 @@ struct ExecInner {
     live: usize,
     /// OS worker jobs that have not yet returned.
     workers: usize,
-    /// Weak-memory tracking, when enabled.
-    weak: Option<WeakMem>,
+    weak: WeakMem,
 }
 
-/// Configuration knobs, resolved by [`crate::Builder`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Config {
-    pub(crate) max_preemptions: Option<u32>,
-    pub(crate) max_steps: u64,
-    /// `Some(bound)` enables the weak-memory backend with this many
-    /// read-from candidates per load; `None` keeps every atomic SC.
-    pub(crate) weak: Option<usize>,
-}
+/// An execution that passes this many schedule points is aborted as a
+/// livelock.
+const MAX_STEPS: u64 = 100_000;
+
+/// How many of the newest stores in a location's modification order a
+/// load may read from (the read-from enumeration bound).
+const READ_FROM_BOUND: usize = 4;
 
 /// One execution (a single schedule) of the model closure.
 pub(crate) struct Execution {
     inner: StdMutex<ExecInner>,
     cv: StdCondvar,
-    config: Config,
+    /// Cap on involuntary preemptions; `None` explores exhaustively.
+    max_preemptions: Option<u32>,
 }
 
 /// Panic payload used to unwind parked threads after an abort. Never
@@ -260,7 +256,7 @@ pub(crate) struct RunOutcome {
 const INIT_SITE: &Location<'static> = Location::caller();
 
 impl Execution {
-    pub(crate) fn new(config: Config, decisions: Vec<Decision>) -> Arc<Self> {
+    pub(crate) fn new(max_preemptions: Option<u32>, decisions: Vec<Decision>) -> Arc<Self> {
         Arc::new(Execution {
             inner: StdMutex::new(ExecInner {
                 threads: vec![ThreadState {
@@ -279,18 +275,17 @@ impl Execution {
                 abort: None,
                 live: 1,
                 workers: 1,
-                weak: config.weak.map(|bound| WeakMem {
+                weak: WeakMem {
                     history: HashMap::new(),
                     views: vec![View::new()],
                     sc_view: View::new(),
                     sync_views: HashMap::new(),
                     fresh: vec![false],
                     stale: vec![false],
-                    bound: bound.max(1),
-                }),
+                },
             }),
             cv: StdCondvar::new(),
-            config,
+            max_preemptions,
         })
     }
 
@@ -329,11 +324,8 @@ impl Execution {
         }
         debug_assert_eq!(g.active, tid, "schedule point from a non-active thread");
         g.steps += 1;
-        if g.steps > self.config.max_steps {
-            let msg = format!(
-                "execution exceeded {} schedule points — livelock, or raise max_steps",
-                self.config.max_steps
-            );
+        if g.steps > MAX_STEPS {
+            let msg = format!("execution exceeded {MAX_STEPS} schedule points — livelock");
             self.abort_locked(&mut g, msg);
             drop(g);
             std::panic::panic_any(AbortSignal);
@@ -383,22 +375,19 @@ impl Execution {
             })
             .collect();
         if options.is_empty() {
-            // A weak-memory spinner can strand itself on a stale read
-            // with no writer left to promote it; on real hardware the
-            // final store eventually propagates. Promote such threads
-            // once with `fresh` set (the next load reads the mo
-            // maximum) — a spin that is stuck even on the latest value
-            // still deadlocks on the next pass.
-            if g.weak.is_some() {
-                for i in 0..g.threads.len() {
-                    let yielded = matches!(g.threads[i].status, Status::Yielded { .. });
-                    let w = g.weak.as_mut().unwrap();
-                    if yielded && w.stale[i] {
-                        w.stale[i] = false;
-                        w.fresh[i] = true;
-                        g.threads[i].status = Status::Runnable;
-                        options.push(i);
-                    }
+            // A spinner can strand itself on a stale read with no writer
+            // left to promote it; on real hardware the final store
+            // eventually propagates. Promote such threads once with
+            // `fresh` set (the next load reads the mo maximum) — a spin
+            // that is stuck even on the latest value still deadlocks on
+            // the next pass.
+            let g = &mut *g;
+            for (i, t) in g.threads.iter_mut().enumerate() {
+                if matches!(t.status, Status::Yielded { .. }) && g.weak.stale[i] {
+                    g.weak.stale[i] = false;
+                    g.weak.fresh[i] = true;
+                    t.status = Status::Runnable;
+                    options.push(i);
                 }
             }
         }
@@ -416,7 +405,7 @@ impl Execution {
         // that could continue must continue.
         let voluntary = !matches!(point, Point::Op { .. });
         if !voluntary {
-            if let Some(maxp) = self.config.max_preemptions {
+            if let Some(maxp) = self.max_preemptions {
                 if g.preemptions >= maxp && options.contains(&tid) {
                     options = vec![tid];
                 }
@@ -454,11 +443,9 @@ impl Execution {
         }
         if let Status::Yielded { .. } = g.threads[chosen].status {
             g.threads[chosen].status = Status::Runnable;
-            // A promoted spinner was woken by a write: its next weak
-            // load must observe it (stale re-reads are pruned).
-            if let Some(w) = &mut g.weak {
-                w.fresh[chosen] = true;
-            }
+            // A promoted spinner was woken by a write: its next load
+            // must observe it (stale re-reads are pruned).
+            g.weak.fresh[chosen] = true;
         }
         g.active = chosen;
         self.cv.notify_all();
@@ -504,12 +491,11 @@ impl Execution {
         // spawn happens-before the child's first step: the child starts
         // with everything its parent has acquired.
         let parent = g.active;
-        if let Some(w) = &mut g.weak {
-            let v = w.views[parent].clone();
-            w.views.push(v);
-            w.fresh.push(false);
-            w.stale.push(false);
-        }
+        let w = &mut g.weak;
+        let v = w.views[parent].clone();
+        w.views.push(v);
+        w.fresh.push(false);
+        w.stale.push(false);
         tid
     }
 
@@ -545,10 +531,8 @@ impl Execution {
             // join: everything the finished thread did happens-before
             // the joiner's continuation.
             let joiner = g.active;
-            if let Some(w) = &mut g.weak {
-                let child = w.views[tid].clone();
-                join_view(&mut w.views[joiner], &child);
-            }
+            let child = g.weak.views[tid].clone();
+            join_view(&mut g.weak.views[joiner], &child);
         }
         done
     }
@@ -562,11 +546,11 @@ impl Execution {
         }
     }
 
-    // -- weak memory ------------------------------------------------------
+    // -- memory model -----------------------------------------------------
 
-    /// Weak-memory load: pick (replay or branch) which store in `addr`'s
-    /// modification order to read. `None` when weak memory is off or the
-    /// execution is tearing down — the caller falls back to the SC path.
+    /// A load: pick (replay or branch) which store in `addr`'s
+    /// modification order to read. While the execution is tearing down
+    /// it reads `init`, the value the std atomic holds.
     fn weak_load(
         self: &Arc<Self>,
         tid: Tid,
@@ -575,12 +559,12 @@ impl Execution {
         class: OrdClass,
         op: &'static str,
         site: &'static Location<'static>,
-    ) -> Option<u64> {
+    ) -> u64 {
         let mut g = self.inner.lock().unwrap();
-        if g.abort.is_some() || g.weak.is_none() {
-            return None;
+        if g.abort.is_some() {
+            return init;
         }
-        let w = g.weak.as_mut().unwrap();
+        let w = &mut g.weak;
         seed(&mut w.history, addr, init);
         if class == OrdClass::SeqCst {
             // An SC load reads no store older than the last SC store to
@@ -594,7 +578,7 @@ impl Execution {
         } else {
             w.views[tid].get(&addr).copied().unwrap_or(0)
         };
-        let lo = floor.max((latest + 1).saturating_sub(w.bound));
+        let lo = floor.max((latest + 1).saturating_sub(READ_FROM_BOUND));
         let candidates: Vec<usize> = (lo..=latest).rev().collect();
         let ts = if candidates.len() == 1 {
             candidates[0]
@@ -625,7 +609,7 @@ impl Execution {
             });
             ts
         };
-        let w = g.weak.as_mut().unwrap();
+        let w = &mut g.weak;
         w.stale[tid] = ts < latest;
         if class.acquires() {
             let msg = w.history[&addr][ts].msg.clone();
@@ -633,18 +617,18 @@ impl Execution {
         }
         let e = w.views[tid].entry(addr).or_insert(0);
         *e = (*e).max(ts);
-        Some(w.history[&addr][ts].val)
+        w.history[&addr][ts].val
     }
 
-    /// Weak-memory store: append to `addr`'s modification order. Returns
-    /// whether the store was tracked; either way the caller performs the
-    /// std write-through, so the physical value stays the mo-maximum.
-    fn weak_store(&self, tid: Tid, addr: usize, init: u64, val: u64, class: OrdClass) -> bool {
+    /// A store: append to `addr`'s modification order. The caller
+    /// performs the std write-through afterwards, so the physical value
+    /// stays the mo-maximum.
+    fn weak_store(&self, tid: Tid, addr: usize, init: u64, val: u64, class: OrdClass) {
         let mut g = self.inner.lock().unwrap();
-        if g.abort.is_some() || g.weak.is_none() {
-            return false;
+        if g.abort.is_some() {
+            return;
         }
-        let w = g.weak.as_mut().unwrap();
+        let w = &mut g.weak;
         seed(&mut w.history, addr, init);
         if class == OrdClass::SeqCst {
             let sc = w.sc_view.clone();
@@ -666,10 +650,9 @@ impl Execution {
             let v = w.views[tid].clone();
             join_view(&mut w.sc_view, &v);
         }
-        true
     }
 
-    /// Weak-memory RMW bookkeeping. The caller has already performed the
+    /// RMW bookkeeping. The caller has already performed the
     /// std operation (serialized, and the physical value equals the
     /// modification-order maximum), passing the observed `old` bits and
     /// the stored bits — `None` for a failed compare-exchange, which is
@@ -682,12 +665,12 @@ impl Execution {
         new: Option<u64>,
         success: OrdClass,
         failure: OrdClass,
-    ) -> bool {
+    ) {
         let mut g = self.inner.lock().unwrap();
-        if g.abort.is_some() || g.weak.is_none() {
-            return false;
+        if g.abort.is_some() {
+            return;
         }
-        let w = g.weak.as_mut().unwrap();
+        let w = &mut g.weak;
         seed(&mut w.history, addr, old);
         let class = if new.is_some() { success } else { failure };
         let ts_old = w.history[&addr].len() - 1;
@@ -727,18 +710,15 @@ impl Execution {
                 join_view(&mut w.sc_view, &v);
             }
         }
-        true
     }
 
     /// The calling thread acquired the sync primitive at `addr`: join
     /// the release view its last holder deposited.
     fn sync_acquire_at(&self, tid: Tid, addr: usize) {
         let mut g = self.inner.lock().unwrap();
-        if let Some(w) = &mut g.weak {
-            if let Some(v) = w.sync_views.get(&addr) {
-                let v = v.clone();
-                join_view(&mut w.views[tid], &v);
-            }
+        let w = &mut g.weak;
+        if let Some(v) = w.sync_views.get(&addr) {
+            join_view(&mut w.views[tid], v);
         }
     }
 
@@ -746,10 +726,8 @@ impl Execution {
     /// deposit everything it has acquired for the next holder.
     fn sync_release_at(&self, tid: Tid, addr: usize) {
         let mut g = self.inner.lock().unwrap();
-        if let Some(w) = &mut g.weak {
-            let v = w.views[tid].clone();
-            join_view(w.sync_views.entry(addr).or_default(), &v);
-        }
+        let w = &mut g.weak;
+        join_view(w.sync_views.entry(addr).or_default(), &w.views[tid]);
     }
 
     /// Record a panic that escaped a model thread.
@@ -782,7 +760,7 @@ fn seed(history: &mut HashMap<usize, Vec<StoreEvent>>, addr: usize, init: u64) {
     });
 }
 
-/// Memory-ordering class of a weak-memory access, mapped from
+/// Memory-ordering class of an access, mapped from
 /// `std::sync::atomic::Ordering` by the facade types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum OrdClass {
@@ -941,41 +919,40 @@ pub(crate) fn wake_one(target: WaitTarget) {
     }
 }
 
-/// Weak-memory load of the atomic at `addr`, whose std value is `init`.
-/// `None` outside a model or when weak memory is off — the caller falls
-/// back to the SC std path.
+/// Load of the atomic at `addr`, whose std value is `init` — which is
+/// also what a load outside a model reads.
 pub(crate) fn weak_load(
     addr: usize,
     init: u64,
     class: OrdClass,
     op: &'static str,
     site: &'static Location<'static>,
-) -> Option<u64> {
-    let c = ctx()?;
-    c.exec.weak_load(c.tid, addr, init, class, op, site)
-}
-
-/// Weak-memory store tracking; see [`Execution::weak_store`]. The caller
-/// always performs the std write-through afterwards.
-pub(crate) fn weak_store(addr: usize, init: u64, val: u64, class: OrdClass) -> bool {
+) -> u64 {
     match ctx() {
-        Some(c) => c.exec.weak_store(c.tid, addr, init, val, class),
-        None => false,
+        Some(c) => c.exec.weak_load(c.tid, addr, init, class, op, site),
+        None => init,
     }
 }
 
-/// Weak-memory RMW tracking; see [`Execution::weak_rmw`]. The caller has
-/// already performed the std operation.
+/// Store tracking; see [`Execution::weak_store`]. The caller always
+/// performs the std write-through afterwards. No-op outside a model.
+pub(crate) fn weak_store(addr: usize, init: u64, val: u64, class: OrdClass) {
+    if let Some(c) = ctx() {
+        c.exec.weak_store(c.tid, addr, init, val, class);
+    }
+}
+
+/// RMW tracking; see [`Execution::weak_rmw`]. The caller has already
+/// performed the std operation. No-op outside a model.
 pub(crate) fn weak_rmw(
     addr: usize,
     old: u64,
     new: Option<u64>,
     success: OrdClass,
     failure: OrdClass,
-) -> bool {
-    match ctx() {
-        Some(c) => c.exec.weak_rmw(c.tid, addr, old, new, success, failure),
-        None => false,
+) {
+    if let Some(c) = ctx() {
+        c.exec.weak_rmw(c.tid, addr, old, new, success, failure);
     }
 }
 
@@ -1074,11 +1051,6 @@ fn launch_thread(exec: &Arc<Execution>, tid: Tid, body: Job) {
         }
         exec.worker_done();
     }));
-}
-
-/// Read an unsigned env knob, ignoring unset/garbage.
-pub(crate) fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 /// True if the calling OS thread currently hosts a model thread. Used by

@@ -1,7 +1,8 @@
-//! Litmus self-tests for the weak-memory backend.
+//! Litmus self-tests for the checker's memory model.
 //!
-//! Each test runs a classic litmus shape (SB, MP, LB, IRIW) under
-//! `Builder::weak_memory(true)` and pins which outcomes the backend must
+//! Each test runs a classic litmus shape (SB, MP, LB, IRIW) under a
+//! plain `Builder::new()` — no configuration is needed to see a weak
+//! outcome — and pins which outcomes the checker must
 //! *produce* (allowed under the declared orderings) and which it must
 //! *never* produce (forbidden — the property the kex algorithms rely
 //! on). Observed-outcome tests collect results across all executions
@@ -20,20 +21,6 @@ use std::sync::{Arc, Mutex as StdMutex};
 use kex_loom::atomic::{AtomicU64, AtomicUsize, Ordering};
 use kex_loom::{thread, Builder};
 
-fn weak() -> Builder {
-    Builder::new().weak_memory(true)
-}
-
-/// True when the environment forces weak memory on, which makes
-/// default-SC regression tests meaningless (the env overrides the
-/// builder, by design, so CI can flip every model at once).
-fn env_forces_weak() -> bool {
-    matches!(
-        std::env::var("LOOM_WEAK_MEMORY").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on") | Ok("yes")
-    )
-}
-
 // ---------------------------------------------------------------------
 // SB (store buffering): Dekker's core.
 //
@@ -44,10 +31,10 @@ fn env_forces_weak() -> bool {
 // in docs/MEMORY_ORDERING.md are pinned SeqCst.
 // ---------------------------------------------------------------------
 
-fn sb_outcomes(order: Ordering, b: Builder) -> HashSet<(u64, u64)> {
+fn sb_outcomes(order: Ordering) -> HashSet<(u64, u64)> {
     let outcomes = Arc::new(StdMutex::new(HashSet::new()));
     let sink = Arc::clone(&outcomes);
-    b.check(move || {
+    Builder::new().check(move || {
         let x = Arc::new(AtomicU64::new(0));
         let y = Arc::new(AtomicU64::new(0));
         let (x2, y2) = (Arc::clone(&x), Arc::clone(&y));
@@ -65,17 +52,17 @@ fn sb_outcomes(order: Ordering, b: Builder) -> HashSet<(u64, u64)> {
 
 #[test]
 fn sb_relaxed_allows_both_zero() {
-    let seen = sb_outcomes(Ordering::Relaxed, weak());
+    let seen = sb_outcomes(Ordering::Relaxed);
     assert!(
         seen.contains(&(0, 0)),
-        "weak backend must produce the store-buffering outcome under \
+        "a plain Builder must produce the store-buffering outcome under \
          Relaxed; saw {seen:?}"
     );
 }
 
 #[test]
 fn sb_seqcst_forbids_both_zero() {
-    let seen = sb_outcomes(Ordering::SeqCst, weak());
+    let seen = sb_outcomes(Ordering::SeqCst);
     assert!(
         !seen.contains(&(0, 0)),
         "SeqCst store buffering must never read (0, 0); saw {seen:?}"
@@ -99,7 +86,7 @@ fn sb_seqcst_forbids_both_zero() {
 fn mp_relaxed_allows_stale_read() {
     let stale = Arc::new(StdMutex::new(false));
     let sink = Arc::clone(&stale);
-    weak().check(move || {
+    Builder::new().check(move || {
         let data = Arc::new(AtomicU64::new(0));
         let flag = Arc::new(AtomicUsize::new(0));
         let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
@@ -114,13 +101,13 @@ fn mp_relaxed_allows_stale_read() {
     });
     assert!(
         *stale.lock().unwrap(),
-        "weak backend must produce the stale message-passing read under Relaxed"
+        "the checker must produce the stale message-passing read under Relaxed"
     );
 }
 
 #[test]
 fn mp_release_acquire_forbids_stale_read() {
-    weak().check(|| {
+    Builder::new().check(|| {
         let data = Arc::new(AtomicU64::new(0));
         let flag = Arc::new(AtomicUsize::new(0));
         let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
@@ -144,7 +131,7 @@ fn mp_release_acquire_forbids_stale_read() {
 /// publish edge weakened to Relaxed, must produce a counterexample.
 #[test]
 fn mp_weakened_publish_is_caught() {
-    let msg = weak().check_expecting_failure(|| {
+    let msg = kex_loom::check_expecting_failure(|| {
         let data = Arc::new(AtomicU64::new(0));
         let flag = Arc::new(AtomicUsize::new(0));
         let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
@@ -176,7 +163,7 @@ fn mp_weakened_publish_is_caught() {
 
 #[test]
 fn lb_relaxed_never_produces_cycle() {
-    weak().check(|| {
+    Builder::new().check(|| {
         let x = Arc::new(AtomicU64::new(0));
         let y = Arc::new(AtomicU64::new(0));
         let (x2, y2) = (Arc::clone(&x), Arc::clone(&y));
@@ -210,7 +197,7 @@ fn lb_relaxed_never_produces_cycle() {
 fn iriw_outcomes(store: Ordering, load: Ordering) -> HashSet<(u64, u64, u64, u64)> {
     let outcomes = Arc::new(StdMutex::new(HashSet::new()));
     let sink = Arc::clone(&outcomes);
-    weak().check(move || {
+    Builder::new().check(move || {
         let x = Arc::new(AtomicU64::new(0));
         let y = Arc::new(AtomicU64::new(0));
         let (xw, yw) = (Arc::clone(&x), Arc::clone(&y));
@@ -261,7 +248,7 @@ fn iriw_seqcst_forbids_split() {
 /// with the original release.
 #[test]
 fn release_sequence_through_relaxed_rmw() {
-    weak().check(|| {
+    Builder::new().check(|| {
         let data = Arc::new(AtomicU64::new(0));
         let flag = Arc::new(AtomicUsize::new(0));
         let (d2, f2) = (Arc::clone(&data), Arc::clone(&flag));
@@ -286,7 +273,7 @@ fn release_sequence_through_relaxed_rmw() {
 /// observe its modification order backwards.
 #[test]
 fn coherence_read_read() {
-    weak().check(|| {
+    Builder::new().check(|| {
         let x = Arc::new(AtomicU64::new(0));
         let x2 = Arc::clone(&x);
         let t = thread::spawn(move || {
@@ -304,11 +291,11 @@ fn coherence_read_read() {
 }
 
 /// A spin loop on an Acquire load terminates once the Release store
-/// lands: the re-scheduled spinner reads the newest store (the weak
+/// lands: the re-scheduled spinner reads the newest store (the read-from
 /// analogue of yield demotion), so exploration converges.
 #[test]
 fn spin_loop_terminates() {
-    let stats = weak().check(|| {
+    let stats = Builder::new().check(|| {
         let flag = Arc::new(AtomicUsize::new(0));
         let f2 = Arc::clone(&flag);
         let t = thread::spawn(move || {
@@ -320,23 +307,4 @@ fn spin_loop_terminates() {
         t.join().unwrap();
     });
     assert!(stats.executions > 0);
-}
-
-// ---------------------------------------------------------------------
-// Default-mode regression: without the opt-in, every ordering is
-// promoted to SC (the pre-existing behaviour rung 4 relies on).
-// ---------------------------------------------------------------------
-
-#[test]
-fn default_sc_promotes_relaxed() {
-    if env_forces_weak() {
-        // LOOM_WEAK_MEMORY overrides the builder by design; the SC
-        // default is exercised by every other CI job.
-        return;
-    }
-    let seen = sb_outcomes(Ordering::Relaxed, Builder::new());
-    assert!(
-        !seen.contains(&(0, 0)),
-        "default (SC) mode must not produce weak outcomes; saw {seen:?}"
-    );
 }

@@ -42,6 +42,38 @@ fn bump(cell: &AtomicU64) {
     cell.store(cell.load(RELAXED) + 1, RELAXED);
 }
 
+/// A journaled op between its `begin` and its finish. Dropping it
+/// commits or aborts, so an object whose `put` unwinds — the wrapper
+/// guard's drop then returns the slot and the name — cannot leave the
+/// lane in flight, attributing a crash to a holder that is gone.
+struct Entry<'a> {
+    journal: &'a LaneJournal,
+    name: usize,
+    lsn: u64,
+    committed: bool,
+}
+
+impl<'a> Entry<'a> {
+    fn begin(journal: &'a LaneJournal, name: usize, key: u64, value: u64) -> Self {
+        Entry {
+            journal,
+            name,
+            lsn: journal.begin(name, OpKind::Put, key, value),
+            committed: false,
+        }
+    }
+}
+
+impl Drop for Entry<'_> {
+    fn drop(&mut self) {
+        if self.committed {
+            self.journal.commit(self.name, self.lsn);
+        } else {
+            self.journal.abort(self.name, self.lsn);
+        }
+    }
+}
+
 /// A monitoring snapshot of one shard; all fields are approximate
 /// point-in-time reads (see [`Shard::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,31 +117,9 @@ impl<O: ShardObject> Shard<O> {
     }
 
     /// One journaled write by the holder of `name`: begin → put →
-    /// commit, or abort when the object refuses the op *or `put` unwinds*
-    /// — the guard's drop then returns the slot and the name, and a lane
-    /// left in flight would attribute a crash to a holder that is gone.
+    /// commit, or abort when the object refuses the op or `put` unwinds.
     fn journaled_put(&self, obj: &O, name: usize, key: u64, value: u64) -> Result<(), PutError> {
-        struct Entry<'a> {
-            journal: &'a LaneJournal,
-            name: usize,
-            lsn: u64,
-            committed: bool,
-        }
-        impl Drop for Entry<'_> {
-            fn drop(&mut self) {
-                if self.committed {
-                    self.journal.commit(self.name, self.lsn);
-                } else {
-                    self.journal.abort(self.name, self.lsn);
-                }
-            }
-        }
-        let mut entry = Entry {
-            journal: &self.journal,
-            name,
-            lsn: self.journal.begin(name, OpKind::Put, key, value),
-            committed: false,
-        };
+        let mut entry = Entry::begin(&self.journal, name, key, value);
         let result = obj.put(name, key, value);
         entry.committed = result.is_ok();
         drop(entry);
@@ -173,9 +183,11 @@ impl<O: ShardObject> Shard<O> {
     pub fn crash_in_cs(&self, p: usize, key: u64, value: u64) {
         let guard = self.res.enter(p);
         let name = guard.name();
-        self.journal.begin(name, OpKind::Put, key, value);
+        let entry = Entry::begin(&self.journal, name, key, value);
         let _ = guard.object().put(name, key, value);
-        // The crash: the slot and the name never return.
+        // The crash: the lane stays in flight, the slot and the name
+        // never return. A `put` that unwound has dropped both instead.
+        std::mem::forget(entry);
         std::mem::forget(guard);
     }
 

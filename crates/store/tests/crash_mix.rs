@@ -191,7 +191,8 @@ fn reads_outlive_the_crash_budget() {
 
 /// A `put` that panics inside the object unwinds through the guard: the
 /// slot and the name come back, so the lane must not stay in flight
-/// — only `crash_in_cs`, which leaks its guard, may pin a lane.
+/// — only a `crash_in_cs` whose `put` returned, which leaks its guard,
+/// may pin a lane.
 #[test]
 fn a_panicking_put_is_not_attributed_as_a_crash() {
     let store = KvStore::new(StoreConfig::new(1, N, K));
@@ -202,7 +203,8 @@ fn a_panicking_put_is_not_attributed_as_a_crash() {
     let shedding = || {
         let _ = store.try_put(0, bad_key, 1);
     };
-    for attempt in [&blocking as &dyn Fn(), &shedding] {
+    let crashing = || store.crash_in_cs(0, bad_key, 1);
+    for attempt in [&blocking as &dyn Fn(), &shedding, &crashing] {
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt));
         assert!(unwound.is_err(), "KvCells rejects keys above MAX_KEY");
         // The guard returned its slot and no holder died in there.

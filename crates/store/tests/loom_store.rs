@@ -15,17 +15,16 @@
 //! processes race `StoreWrite::put` on the *same key* while one of them
 //! crash-fails inside its critical section. The journal's orderings
 //! (payload `Relaxed`, `meta`/`head` `Release`, loads `Acquire`) are the
-//! subject of the `journal_*` models and of a seeded canary that only
-//! the weak-memory backend can catch, so it always runs on that one.
+//! subject of the `journal_*` models and of a seeded canary whose only
+//! defect is an ordering.
 //!
 //! Reads go around the wrapper, so the two `unguarded_*` models record
 //! every operation with `kex_util::lincheck` and ask of each schedule's
 //! history whether the register specification explains it, a crashed
 //! put counting as an invocation that never responds. The recorder's
-//! stamps are `SeqCst` RMWs on one shared word: under the weak backend
-//! they can hide a reordering the bare code would show (they cannot
-//! invent one), so the plain assertions on what the reader saw stay
-//! beside the checker.
+//! stamps are `SeqCst` RMWs on one shared word: they can hide a
+//! reordering the bare code would show (they cannot invent one), so the
+//! plain assertions on what the reader saw stay beside the checker.
 
 #![cfg(loom)]
 
@@ -365,27 +364,24 @@ impl BrokenLane {
 
 /// Keeps the publication model above honest: the same reader-side
 /// assertion must find a counterexample once `meta` is stored
-/// `Relaxed`. Orderings mean nothing to the SC backend, so this one
-/// asks for the weak backend whatever the environment says.
+/// `Relaxed`.
 #[test]
 fn journal_meta_stored_relaxed_is_caught() {
-    let msg = Builder::new()
-        .weak_memory(true)
-        .check_expecting_failure(|| {
-            let lane = Arc::new(BrokenLane::default());
-            let writer = {
-                let lane = Arc::clone(&lane);
-                thread::spawn(move || lane.begin(KEY, KEY + 100))
-            };
-            if let Some(entry) = lane.in_flight() {
-                assert_eq!(
-                    entry,
-                    (KEY, KEY + 100),
-                    "in-flight entry without its payload"
-                );
-            }
-            writer.join().unwrap();
-        });
+    let msg = kex_loom::check_expecting_failure(|| {
+        let lane = Arc::new(BrokenLane::default());
+        let writer = {
+            let lane = Arc::clone(&lane);
+            thread::spawn(move || lane.begin(KEY, KEY + 100))
+        };
+        if let Some(entry) = lane.in_flight() {
+            assert_eq!(
+                entry,
+                (KEY, KEY + 100),
+                "in-flight entry without its payload"
+            );
+        }
+        writer.join().unwrap();
+    });
     assert!(
         msg.contains("in-flight entry without its payload"),
         "checker reported an unrelated failure: {msg}"

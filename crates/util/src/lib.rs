@@ -17,6 +17,9 @@
 //!   `--features obs` (loom wins when both apply).
 //! * [`rng`] — a small deterministic PRNG ([`rng::SmallRng`]) for
 //!   reproducible randomized schedules and tests.
+//! * [`Sequential`] — what a sequential specification is: the input of
+//!   `kex-waitfree`'s universal construction and what a recorded history
+//!   is judged against.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,6 +31,22 @@ pub mod sync;
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
+
+/// A deterministic sequential object.
+///
+/// `apply` must be a pure function of the object state and the operation:
+/// replaying the same operation sequence from [`Default::default`] must
+/// always produce the same states and responses. (No randomness, no
+/// clocks, no interior mutability.)
+pub trait Sequential: Default + Clone {
+    /// The operation type (the "invocation"). Cloned freely by helpers.
+    type Op: Clone + Send + Sync;
+    /// The response type.
+    type Resp;
+
+    /// Apply one operation, mutating the state and producing a response.
+    fn apply(&mut self, op: &Self::Op) -> Self::Resp;
+}
 
 /// Pads and aligns a value to (at least) a cache-line boundary.
 ///

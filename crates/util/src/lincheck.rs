@@ -3,8 +3,9 @@
 //! *(calls linearized so far, specification state)*.
 //!
 //! Test tooling, not service surface — hidden from the docs and used by
-//! `crates/store`'s `tests/linearizable.rs` and `tests/loom_store.rs`.
-//! Three pieces:
+//! `tests/linearizable.rs` in `crates/store` and `crates/waitfree` and by
+//! their loom suites (`loom_store.rs`, `loom_universal.rs`). Three
+//! pieces:
 //!
 //! * [`Clock`] records. One shared counter (a [`crate::sync`] facade
 //!   atomic, so a recording runs unmodified under the loom checker)
@@ -15,10 +16,10 @@
 //!   before an invocation, the response really came first, so a recorded
 //!   history constrains the order no more than the run did and the
 //!   checker raises no false alarm.
-//! * [`Spec`] is the sequential object the history is judged against —
-//!   the shape of `kex_waitfree::Sequential` plus the `Eq + Hash` the
-//!   memo needs. [`Register`] is the one used so far: a single key of a
-//!   key/value store.
+//! * A [`Sequential`] specification with the `Eq + Hash` the memo needs
+//!   is the object the history is judged against: the store's is
+//!   [`Register`], a single key of a key/value store; a `Universal` is
+//!   judged against the specification it was built from.
 //! * [`linearizable`] searches. A pending call — crashed in its
 //!   critical section — is the halted process of the t-resilient model
 //!   (Delporte-Gallet et al., PAPERS.md): it may take effect at any
@@ -28,25 +29,16 @@
 //!
 //! **What a recording can hide.** The stamps are `SeqCst`
 //! read-modify-writes on one word, so they order the recording threads
-//! more strongly than the code under test does by itself. Under loom's
-//! weak-memory backend (or TSan) a recorded run can therefore miss a
-//! reordering the bare code would show; it cannot invent one. Keep the
+//! more strongly than the code under test does by itself. Under loom
+//! (or TSan) a recorded run can therefore miss a reordering the bare
+//! code would show; it cannot invent one. Keep the
 //! bare invariant assertions beside the checker.
 
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-
-/// A deterministic sequential specification; `self` is the state.
-pub trait Spec: Clone + Eq + Hash {
-    /// An invocation.
-    type Op;
-    /// What an invocation answers.
-    type Resp: PartialEq;
-    /// Apply `op` and answer it.
-    fn apply(&mut self, op: &Self::Op) -> Self::Resp;
-}
+use crate::Sequential;
 
 /// One recorded operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +95,11 @@ impl Clock {
 /// any of its pending ones (a) keeps every call that responded before
 /// another was invoked ahead of it and (b) gives each completed call the
 /// answer it recorded.
-pub fn linearizable<S: Spec>(init: S, history: &[Call<S::Op, S::Resp>]) -> bool {
+pub fn linearizable<S>(init: S, history: &[Call<S::Op, S::Resp>]) -> bool
+where
+    S: Sequential + Eq + Hash,
+    S::Resp: PartialEq,
+{
     let mut calls: Vec<_> = history.iter().collect();
     calls.sort_by_key(|c| c.invoked);
     let completed = |i: usize| usize::from(calls[i].returned.is_some());
@@ -201,10 +197,14 @@ impl<S> Node<S> {
 /// [`linearizable`] key by key — a history over independent objects is
 /// linearizable exactly when each object's part of it is. `Err` names
 /// the first key whose part is not.
-pub fn linearizable_per_key<K: Ord, S: Spec>(
+pub fn linearizable_per_key<K: Ord, S>(
     init: &S,
     history: impl IntoIterator<Item = (K, Call<S::Op, S::Resp>)>,
-) -> Result<(), K> {
+) -> Result<(), K>
+where
+    S: Sequential + Eq + Hash,
+    S::Resp: PartialEq,
+{
     let mut by_key: BTreeMap<K, Vec<_>> = BTreeMap::new();
     for (key, call) in history {
         by_key.entry(key).or_default().push(call);
@@ -232,7 +232,7 @@ pub enum RegisterOp {
     Write(u64),
 }
 
-impl Spec for Register {
+impl Sequential for Register {
     type Op = RegisterOp;
     type Resp = Option<u64>;
 

@@ -8,21 +8,7 @@
 
 use std::collections::VecDeque;
 
-/// A deterministic sequential object.
-///
-/// `apply` must be a pure function of the object state and the operation:
-/// replaying the same operation sequence from [`Default::default`] must
-/// always produce the same states and responses. (No randomness, no
-/// clocks, no interior mutability.)
-pub trait Sequential: Default + Clone {
-    /// The operation type (the "invocation"). Cloned freely by helpers.
-    type Op: Clone + Send + Sync;
-    /// The response type.
-    type Resp;
-
-    /// Apply one operation, mutating the state and producing a response.
-    fn apply(&mut self, op: &Self::Op) -> Self::Resp;
-}
+pub use kex_util::Sequential;
 
 /// Operations on a FIFO queue.
 #[derive(Debug, Clone, PartialEq, Eq)]

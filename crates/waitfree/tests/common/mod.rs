@@ -4,27 +4,8 @@
 
 use std::hash::Hash;
 
-use kex_util::lincheck::{linearizable, Call, Clock, Spec};
+use kex_util::lincheck::{linearizable, Call, Clock};
 use kex_waitfree::{Sequential, Universal};
-
-/// A [`Sequential`] specification with the `Eq + Hash` the checker's memo
-/// needs, as the checker's [`Spec`]. A wrapper because the orphan rule
-/// refuses `impl<S: Sequential + Eq + Hash> Spec for S` outside
-/// `kex-util`, which cannot see `Sequential`.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct Judged<S>(S);
-
-impl<S: Sequential + Eq + Hash> Spec for Judged<S>
-where
-    S::Resp: PartialEq,
-{
-    type Op = S::Op;
-    type Resp = S::Resp;
-
-    fn apply(&mut self, op: &S::Op) -> S::Resp {
-        self.0.apply(op)
-    }
-}
 
 /// A recorded call on an object specified by `S`.
 pub type OpCall<S> = Call<<S as Sequential>::Op, <S as Sequential>::Resp>;
@@ -45,5 +26,5 @@ pub fn check<S: Sequential + Eq + Hash>(history: &[OpCall<S>]) -> bool
 where
     S::Resp: PartialEq,
 {
-    linearizable(Judged(S::default()), history)
+    linearizable(S::default(), history)
 }

@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p kex-waitfree --test loom_universal --release
-//! LOOM_WEAK_MEMORY=1 RUSTFLAGS="--cfg loom" cargo test -p kex-waitfree --test loom_universal --release
 //! ```
 //!
 //! Under `cfg(loom)` the checkpoint interval is 2, so a handful of ops
@@ -16,8 +15,7 @@
 //!
 //! Every schedule's ops are recorded and the history handed to
 //! `kex_util::lincheck`, beside the bare assertions: the recorder's
-//! `SeqCst` stamps can hide a reordering under the weak backend, not
-//! invent one.
+//! `SeqCst` stamps can hide a reordering, not invent one.
 
 #![cfg(loom)]
 
