@@ -1,8 +1,8 @@
 //! E12: the wall-clock contention grid.
 //!
 //! For each row of [`kex_bench::contend::algorithms`] — the native
-//! algorithms and baselines, the k = 1 yardsticks, the wrapped stack and
-//! the bare payload objects — this spawns T ∈ {1, 2, 4, k, 2k,
+//! algorithms and baselines, the paper's (N, 1) instance, the wrapped
+//! stack and the bare payload objects — this spawns T ∈ {1, 2, 4, k, 2k,
 //! oversubscribed} threads doing closed-loop acquire→CS→release cycles
 //! and reports throughput, sampled latency percentiles, and per-thread
 //! fairness. Always writes a JSON document (default

@@ -15,12 +15,11 @@
 //! * `--quick` — one small configuration, few cycles (CI smoke).
 //! * `--json <path>` — output path (default `BENCH_native.json`).
 //!
-//! Exits nonzero if any algorithm exceeds its bound, the occupancy
-//! gauge ever exceeds `k`, or the instrumented backend's site registry
-//! recorded an atomic call site under `crates/core/src/native/` that
-//! kex-lint's source scan of this checkout does not find (or
-//! overflowed, so the inventory cannot be trusted) — so CI can gate on
-//! it. A bound counts
+//! Exits nonzero if any algorithm exceeds its bound or the occupancy
+//! gauge ever exceeds `k`, so CI can gate on it. (Which atomic sites
+//! exist is kex-lint's static question, not this run's: the JSON keeps
+//! per-site tallies, but a site no case executes is still in the
+//! inventory.) A bound counts
 //! as *exercised* only if the case's threads actually overlapped
 //! (occupancy above 1 or a spin in an entry section); the rest are
 //! reported as "bound not exercised", never as respected.
@@ -33,19 +32,20 @@
 //!   traffic the facade cannot see; their rows are baselines only and
 //!   carry no bound.
 
-use std::collections::BTreeSet;
-use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use kex_bench::JsonSink;
 use kex_core::native::{
-    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, McsLock, QueueKex, RawKex,
-    SemaphoreKex, TreeKex, YangAndersonLock,
+    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, QueueKex, RawKex, SemaphoreKex,
+    TreeKex,
 };
 use kex_core::sim::Algorithm;
-use kex_lint::NATIVE_PREFIX;
 use kex_obs::json::Json;
 use kex_obs::Section;
+
+/// The native layer's sources, as the site registry's paths contain it.
+const NATIVE_PREFIX: &str = "crates/core/src/native/";
 
 /// One algorithm under measurement: a per-process entry/exit routine
 /// plus the theorem bound it must respect.
@@ -181,30 +181,10 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
             paper(Algorithm::AssignmentDsm),
             KAssignment::over(FastPathKex::new_dsm(n, k)),
         ),
-        // Reference points, no paper bound: the k = 1 spin locks...
-        kex_case("mcs", "cc", "[12]", None, McsLock::new(n)),
-        kex_case(
-            "yang-anderson",
-            "cc",
-            "[14]",
-            None,
-            YangAndersonLock::new(n),
-        ),
-        // ...and the mutex/kernel baselines (facade-invisible traffic).
+        // Baselines, no paper bound (facade-invisible mutex/kernel traffic).
         kex_case("queue-fig1", "cc", "[9,10]", None, QueueKex::new(n, k)),
         kex_case("semaphore", "cc", "-", None, SemaphoreKex::new(n, k)),
     ]
-}
-
-/// The `file:line` keys of the static site inventory: kex-lint's scan
-/// of the checkout this binary was built in.
-fn listed_sites() -> Result<BTreeSet<String>, String> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let ws = kex_lint::Workspace::load(&root).map_err(|e| format!("{}: {e}", root.display()))?;
-    Ok(kex_lint::extract_sites(&ws, None)
-        .iter()
-        .map(kex_lint::Site::key)
-        .collect())
 }
 
 struct CaseResult {
@@ -216,13 +196,23 @@ struct CaseResult {
 
 /// Run one case: `n` threads, `cycles` acquisitions each, then snapshot
 /// and reduce. Counters are reset before the run; each case builds fresh
-/// atomics, so holder masks and DSM homes start clean.
-fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<String>) -> CaseResult {
+/// atomics, so holder masks and DSM homes start clean. No thread starts
+/// its cycles before all have arrived, so the ones running then start
+/// together: spawned one by one, each could finish its few cycles before
+/// the next runs, and no bound would be exercised. The gate spins rather
+/// than blocks or yields — threads start on the spawner's cpu, and only
+/// busy ones make the scheduler spread them.
+fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
     kex_obs::reset();
+    let arrived = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for p in 0..n {
-            let runner = &case.runner;
+            let (runner, arrived) = (&case.runner, &arrived);
             s.spawn(move || {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < n {
+                    std::hint::spin_loop();
+                }
                 for _ in 0..cycles {
                     (runner)(p);
                 }
@@ -245,13 +235,7 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<Stri
     let within_bound = case.bound.is_none_or(|b| target_mean <= b as f64);
 
     let occupancy_max = snap.occupancy.max;
-    // Baselines with k() == 1 (MCS, Yang–Anderson) still run with the
-    // sweep's k in scope; their own bound is 1.
-    let k_eff = match case.name {
-        "mcs" | "yang-anderson" => 1,
-        _ => k,
-    };
-    let occupancy_ok = occupancy_max <= k_eff as i64 && snap.occupancy.current == 0;
+    let occupancy_ok = occupancy_max <= k as i64 && snap.occupancy.current == 0;
     // A mean under a worst-case bound says nothing if no two threads
     // were ever in the protocol together.
     let overlapped = occupancy_max > 1 || entry.spins > 0;
@@ -268,12 +252,8 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<Stri
     };
 
     // Per-site traffic: every native-layer location the instrumented
-    // backend recorded for this case, plus whether the fixed-capacity
-    // site table overflowed — a truncated inventory must be reported as
-    // such, never mistaken for a clean one.
-    let sites_truncated = snap.sites.iter().any(|s| s.location == "<overflow>");
-    // (The registry records paths as the compiler saw them; cut them
-    // down to the repo-relative form the scan uses.)
+    // backend recorded for this case. (The registry records paths as
+    // the compiler saw them; cut them down to the repo-relative form.)
     let mut native_sites: Vec<(&str, &kex_obs::SiteSnapshot)> = snap
         .sites
         .iter()
@@ -283,24 +263,6 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<Stri
         })
         .collect();
     native_sites.sort_by_key(|&(loc, _)| loc);
-    // The runtime half of the site-drift audit.
-    let unlisted: Vec<&str> = native_sites
-        .iter()
-        .map(|&(loc, _)| loc)
-        .filter(|&loc| !listed.contains(loc))
-        .collect();
-    for loc in &unlisted {
-        eprintln!(
-            "  FAIL: {}: runtime registry recorded an atomic site at {loc} that kex-lint's source scan does not find",
-            case.name
-        );
-    }
-    if sites_truncated {
-        eprintln!(
-            "  FAIL: {}: runtime site registry overflowed — inventory truncated, cannot certify coverage",
-            case.name
-        );
-    }
     let site_docs: Vec<Json> = native_sites
         .iter()
         .map(|&(loc, s)| {
@@ -357,11 +319,6 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<Stri
         ("within_bound", within_bound.into()),
         ("overlapped", overlapped.into()),
         ("sites", Json::arr(site_docs)),
-        ("sites_truncated", sites_truncated.into()),
-        (
-            "unlisted_sites",
-            Json::arr(unlisted.iter().map(|&loc| loc.into()).collect()),
-        ),
     ]);
 
     println!(
@@ -382,13 +339,13 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64, listed: &BTreeSet<Stri
             "bound not exercised"
         },
         occupancy_max,
-        k_eff,
+        k,
         if occupancy_ok { "ok" } else { "BAD" },
     );
 
     CaseResult {
         json,
-        ok: within_bound && occupancy_ok && unlisted.is_empty() && !sites_truncated,
+        ok: within_bound && occupancy_ok,
         bound_exercised: case.bound.map(|_| overlapped),
     }
 }
@@ -402,11 +359,6 @@ fn main() {
         // root .gitignore keeps it out of the tree).
         sink = JsonSink::from_args_or_default("BENCH_native.json");
     }
-    let listed = listed_sites().unwrap_or_else(|e| {
-        eprintln!("native_obs: cannot scan the sources: {e}");
-        std::process::exit(2);
-    });
-
     let (configs, cycles): (&[(usize, usize)], u64) = if quick {
         (&[(8, 2)], 50)
     } else {
@@ -424,7 +376,7 @@ fn main() {
         );
         let mut algo_docs = Vec::new();
         for case in cases(n, k) {
-            let result = run_case(&case, n, k, cycles, &listed);
+            let result = run_case(&case, n, k, cycles);
             all_ok &= result.ok;
             match result.bound_exercised {
                 Some(true) => exercised += 1,
@@ -442,7 +394,7 @@ fn main() {
         ]));
     }
 
-    sink.put("schema", "kex-bench/native_obs/v1".into());
+    sink.put("schema", "kex-bench/native_obs/v2".into());
     sink.put("quick", quick.into());
     sink.put(
         "note",
@@ -457,13 +409,12 @@ fn main() {
     sink.finish();
 
     if !all_ok {
-        eprintln!("FAIL: a bound, occupancy or runtime-site check was violated (see rows above)");
+        eprintln!("FAIL: a bound or occupancy check was violated (see rows above)");
         std::process::exit(1);
     }
     println!(
         "no bound violated: {exercised} of {} bounds exercised (threads overlapped), \
-         {unexercised} not exercised; occupancy never exceeded k; every runtime site under \
-         {NATIVE_PREFIX} is one kex-lint's source scan finds",
+         {unexercised} not exercised; occupancy never exceeded k",
         exercised + unexercised,
     );
 }

@@ -19,8 +19,8 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use kex_core::native::{
-    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, McsLock, QueueKex, RawKex,
-    Resilient, SemaphoreKex, TreeKex, YangAndersonLock,
+    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, QueueKex, RawKex, Resilient,
+    SemaphoreKex, TreeKex,
 };
 use kex_waitfree::seq::{CounterOp, SeqCounter};
 use kex_waitfree::{FetchAddCounter, SlotCounter, Snapshot, Universal, WfQueue};
@@ -58,8 +58,8 @@ fn kex_op<L: RawKex + 'static>(lock: L) -> Op {
 }
 
 /// Every row, in presentation order: the k-exclusion algorithms and
-/// baselines, the k = 1 yardsticks, the wrapped stack, then the bare
-/// payload objects. A payload has no admission in front of it, so it is
+/// baselines, the paper's (N, 1) instance, the wrapped stack, then the
+/// bare payload objects. A payload has no admission in front of it, so it is
 /// built with a name per thread, never fewer than its `k`.
 pub fn algorithms() -> Vec<Algo> {
     vec![
@@ -103,18 +103,8 @@ pub fn algorithms() -> Vec<Algo> {
             k: K,
             make: |t| kex_op(SemaphoreKex::new(universe(t, K), K)),
         },
-        // §5's k = 1 comparison: the reference spin locks and the
-        // paper's own (N, 1) instance beside them.
-        Algo {
-            name: "mcs",
-            k: 1,
-            make: |t| kex_op(McsLock::new(t.max(2))),
-        },
-        Algo {
-            name: "yang_anderson",
-            k: 1,
-            make: |t| kex_op(YangAndersonLock::new(t.max(2))),
-        },
+        // The paper's own (N, 1) instance; §5 sets it against MCS and
+        // Yang–Anderson in remote references (`bounds mcs`).
         Algo {
             name: "fast_path_k1",
             k: 1,
@@ -466,6 +456,7 @@ mod tests {
     #[test]
     fn every_row_is_named_once_and_runs_at_one_and_two_threads() {
         let rows = algorithms();
+        assert_eq!(rows.len(), 16);
         let mut names: Vec<_> = rows.iter().map(|a| a.name).collect();
         names.sort_unstable();
         names.dedup();

@@ -11,11 +11,15 @@
 //! | [`GracefulKex`] | Figure 4 over itself, population shrinking by `k` — Theorems 4/8 (the same node: [`Fig4Kex`]) |
 //! | [`QueueKex`]    | Figure 1 baseline (mutex-guarded queue) |
 //! | [`SemaphoreKex`]| OS counting-semaphore baseline |
-//! | [`McsLock`]     | MCS queue lock \[12\] — the §5 k=1 spin-lock yardstick |
-//! | [`YangAndersonLock`] | Yang–Anderson read/write-only local-spin mutex \[14\] |
 //! | [`TasRenaming`] | Figure 7 long-lived renaming |
 //! | [`KAssignment`] | k-assignment — Theorems 9/10 |
 //! | [`Resilient`]   | the §1 resilient-object methodology |
+//!
+//! That is the paper's stack plus the two k-exclusion baselines. The
+//! §5 k = 1 reference locks (MCS \[12\], Yang–Anderson \[14\]) exist only
+//! as simulator protocols, [`mod@crate::sim::mcs`] and
+//! [`mod@crate::sim::yang_anderson`], where their remote references are
+//! counted exactly.
 //!
 //! The compositions are static: [`TreeKex`] and [`Fig4Kex`] are generic
 //! over one [`Block`] type ([`CcChainKex`] by default, [`DsmChainKex`]
@@ -41,28 +45,22 @@ mod fast_path;
 mod fig1;
 mod fig2;
 mod fig6;
-mod mcs;
 mod ordering;
 mod raw;
-mod registry;
 mod renaming;
 mod resilient;
 mod semaphore;
 #[cfg(test)]
 pub(crate) mod testutil;
 mod tree;
-mod yang_anderson;
 
 pub use assignment::{KAssignment, NameGuard};
 pub use fast_path::{FastPathKex, Fig4Kex, GracefulKex};
 pub use fig1::QueueKex;
 pub use fig2::CcChainKex;
 pub use fig6::DsmChainKex;
-pub use mcs::McsLock;
 pub use raw::{Block, KexGuard, RawKex};
-pub use registry::{ProcessId, ProcessRegistry};
 pub use renaming::TasRenaming;
 pub use resilient::{Resilient, ResilientGuard};
 pub use semaphore::SemaphoreKex;
 pub use tree::TreeKex;
-pub use yang_anderson::YangAndersonLock;

@@ -18,8 +18,8 @@
 //!   atomically purely for `Sync`) or ordered by an enclosing facade
 //!   `Mutex`;
 //! * any site whose argument spans *three or more* variables (Figure
-//!   2/6's queue-then-recheck handshakes, Yang–Anderson's Dekker
-//!   sequence) stays [`SEQ_CST`]: mixed-ordering executions of those
+//!   6's announce-then-verify `R`/`Q`/`P` handshake and its `X`
+//!   re-check) stays [`SEQ_CST`]: mixed-ordering executions of those
 //!   shapes are `Z6.U`-style litmus tests that the C++ model permits to
 //!   go wrong even though common hardware does not, and we refuse to
 //!   rely on hardware folklore.

@@ -11,10 +11,10 @@
 //! `docs/MEMORY_ORDERING.md` for the site-by-site audit).
 //!
 //! Every algorithm is parameterized by a fixed process universe `0..N`:
-//! callers hand each thread a distinct process id (see
-//! [`crate::native::registry::ProcessRegistry`] for a convenient way to
-//! do that). Passing the same id to two concurrently running threads is
-//! a logic error and voids every guarantee.
+//! callers assign each thread a distinct process id, as `kex-store` does
+//! (one pid per client per shard). Passing the same id to two
+//! concurrently running threads is a logic error and voids every
+//! guarantee.
 
 /// A k-exclusion algorithm over processes `0..n()`.
 ///

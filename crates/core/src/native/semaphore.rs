@@ -52,7 +52,7 @@ impl RawKex for SemaphoreKex {
         let _obs = crate::obs::span(crate::obs::Section::Entry, p);
         let mut permits = self.permits.lock();
         while *permits == 0 {
-            self.cv.wait(&mut permits);
+            permits = self.cv.wait(permits);
         }
         *permits -= 1;
     }

@@ -43,9 +43,8 @@
 use std::sync::Arc;
 
 use kex_core::native::{
-    Block, CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, McsLock,
-    ProcessRegistry, QueueKex, RawKex, Resilient, SemaphoreKex, TasRenaming, TreeKex,
-    YangAndersonLock,
+    Block, CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, QueueKex, RawKex,
+    Resilient, SemaphoreKex, TasRenaming, TreeKex,
 };
 use kex_loom::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use kex_loom::{thread, Builder};
@@ -245,32 +244,6 @@ fn semaphore_n3_k2() {
         Builder::new().max_preemptions(2),
         || SemaphoreKex::new(3, 2),
         &[0, 1, 2],
-        &[],
-        1,
-    );
-}
-
-#[test]
-fn mcs_lock_two_threads() {
-    check_occupancy(
-        "mcs (2)",
-        Builder::new().max_preemptions(4),
-        || McsLock::new(2),
-        &[0, 1],
-        &[],
-        1,
-    );
-}
-
-#[test]
-fn yang_anderson_two_threads() {
-    // Read/write-only arbitration: the interesting interleavings flip
-    // the tie-breaker `t` between the two contenders' reads.
-    check_occupancy(
-        "yang-anderson (2)",
-        Builder::new().max_preemptions(4),
-        || YangAndersonLock::new(2),
-        &[0, 1],
         &[],
         1,
     );
@@ -584,38 +557,6 @@ fn k_assignment_crash_n3_k2_keeps_names_unique() {
     );
 }
 
-#[test]
-fn registry_assigns_distinct_pids() {
-    let stats = Builder::new().check(|| {
-        let reg = Arc::new(ProcessRegistry::new(2));
-        let claimed: Arc<Vec<AtomicBool>> =
-            Arc::new((0..2).map(|_| AtomicBool::new(false)).collect());
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let reg = Arc::clone(&reg);
-                let claimed = Arc::clone(&claimed);
-                thread::spawn(move || {
-                    let id = reg.register().expect("a slot must be free");
-                    assert!(
-                        !claimed[id.get()].swap(true, SeqCst),
-                        "pid {} handed out twice",
-                        id.get()
-                    );
-                    claimed[id.get()].store(false, SeqCst);
-                    drop(id);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
-    eprintln!(
-        "registry (2): {} executions, {} schedule points",
-        stats.executions, stats.schedule_points
-    );
-}
-
 // --- resilient-object wrapper --------------------------------------------
 
 #[test]
@@ -748,23 +689,6 @@ fn fig6_two_cycles_last_cursor_advances() {
 }
 
 #[test]
-fn mcs_two_cycles_node_reuse() {
-    // Relaxed sites: `next.store(NIL, RELAXED)` on enqueue, AcqRel tail
-    // swap, RELEASE/ACQUIRE locked-flag handoff. Node reuse is the
-    // classic MCS hazard: cycle 2 re-enqueues the same node cycle 1
-    // just released, so a predecessor still holding a stale `next`
-    // pointer would corrupt the queue.
-    check_occupancy(
-        "mcs 2-cycle (2)",
-        Builder::new().max_preemptions(4),
-        || McsLock::new(2),
-        &[0, 1],
-        &[],
-        2,
-    );
-}
-
-#[test]
 fn fast_path_two_cycles_slow_flag_round_trip() {
     // Relaxed sites: the X credit counter RMWs are ACQ_REL (same-location
     // chain) and `slow_flag` is RELAXED (arbitration is advisory; safety
@@ -791,21 +715,6 @@ fn fig1_two_cycles_waiting_flag_reuse() {
         Builder::new().max_preemptions(2),
         || QueueKex::new(3, 2),
         &[0, 1, 2],
-        &[],
-        2,
-    );
-}
-
-#[test]
-fn yang_anderson_two_cycles() {
-    // Relaxed sites: only the two `p[..]` spin loads are ACQUIRE; the
-    // three-variable Dekker handshake stays SEQ_CST. Two cycles make
-    // each contender pass through both roles of the arbitration.
-    check_occupancy(
-        "yang-anderson 2-cycle (2)",
-        Builder::new().max_preemptions(4),
-        || YangAndersonLock::new(2),
-        &[0, 1],
         &[],
         2,
     );

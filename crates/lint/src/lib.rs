@@ -26,9 +26,11 @@
 //! states and the kex-analyze IR variable its receiver models, and
 //! nothing stores a copy of that list. The audit table's rows are
 //! matched to it by position — per file, in source order — so the table
-//! cites no line numbers. (The kex-obs runtime site registry is reconciled against
-//! the same scan by a live run: `kex-bench`'s `native_obs` fails on any
-//! recorded native location the scan does not find.) On top of the
+//! cites no line numbers. The inventory is complete by construction:
+//! every `ord::*` token in a native site file must be a top-level
+//! argument of a call the scan extracts, so an ordering cannot reach an
+//! atomic through a method the scan does not know or through a `let`
+//! binding. On top of the
 //! inventory sits the **ordering-obligation pass**: the ordering the
 //! source passes must both fit the policy of the role the row states and
 //! satisfy the per-variable minimum the kex-analyze IR derives — so
@@ -172,10 +174,10 @@ type IrMapRow = (
 );
 
 /// Map from native file to the analyzer-IR algorithm modelling it, plus
-/// the receiver-name → IR-variable aliases. Files absent here have no
-/// statement-level IR counterpart (MCS and Yang–Anderson are native-only
-/// building blocks; the registry is plumbing) and their sites' `ir`
-/// stays `None`. A `receiver:role` alias wins over the plain one:
+/// the receiver-name → IR-variable aliases. Every native site file is
+/// here; a file absent from it would have no statement-level IR
+/// counterpart and its sites' `ir` would stay `None`, judged by their
+/// rows' roles alone. A `receiver:role` alias wins over the plain one:
 /// fig2's stage keeps the IR's `x` and `q` in one word, which is `q`
 /// where it is spun on and `x` at every other site.
 const IR_MAP: &[IrMapRow] = &[
@@ -429,7 +431,6 @@ pub fn mask_source(text: &str) -> String {
 /// If a string literal starts at `i`, returns `(index of the opening
 /// quote, raw-string hash count, is_raw)`.
 fn string_start(bytes: &[u8], i: usize) -> Option<(usize, usize, bool)> {
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let prefixed = i > 0 && is_ident(bytes[i - 1]);
     match bytes[i] {
         b'"' => Some((i, 0, false)),
@@ -721,13 +722,6 @@ pub struct Site {
     pub ir: Option<&'static str>,
 }
 
-impl Site {
-    /// The `file:line` key the kex-obs runtime registry records.
-    pub fn key(&self) -> String {
-        format!("{}:{}", self.file, self.line)
-    }
-}
-
 fn is_native_site_file(path: &str) -> bool {
     path.starts_with(NATIVE_PREFIX)
         && path != ORDERING_MODULE
@@ -751,18 +745,23 @@ pub fn extract_sites(ws: &Workspace, doc: Option<&str>) -> Vec<Site> {
     match_sites(ws, doc).0
 }
 
-/// The inventory, and what matching the audit table to it found.
+/// The inventory, and what the scan and matching the audit table to it
+/// found: an `ord::*` token that is no site's argument, a row off its
+/// site.
 fn match_sites(ws: &Workspace, doc: Option<&str>) -> (Vec<Site>, Vec<Finding>) {
     let consts = ws
         .get(ORDERING_MODULE)
         .map(|f| parse_ordering_consts(f).0)
         .unwrap_or_default();
     let mut sites = Vec::new();
+    let mut findings = Vec::new();
     for file in &ws.files {
         if !is_native_site_file(&file.path) {
             continue;
         }
         let mb = file.masked.as_bytes();
+        // Byte offsets of the `ord::*` tokens the extracted sites take.
+        let mut claimed = BTreeSet::new();
         let mut i = 0;
         // Every `.` is tried, including those inside an accepted call's
         // arguments: a nested atomic call is a site of its own.
@@ -783,26 +782,41 @@ fn match_sites(ws: &Workspace, doc: Option<&str>) -> (Vec<Site>, Vec<Finding>) {
             let Some(close) = match_paren(mb, j) else {
                 continue;
             };
-            let site_consts = ord_consts_in(&file.masked[j + 1..close]);
-            let Some(primary) = site_consts.first() else {
+            let site_consts = ord_consts_in(&file.masked, j + 1, close);
+            let Some(&(_, primary)) = site_consts.first() else {
                 continue; // not an atomic-ordering call (e.g. slice ops)
             };
             let ordering = consts.get(primary).map_or("?", String::as_str);
+            claimed.extend(site_consts.iter().map(|&(at, _)| at));
             sites.push(Site {
                 file: file.path.clone(),
                 line: file.line_of(dot + 1),
                 op: method.to_string(),
                 var: receiver_name(mb, dot),
                 ordering: ordering.to_string(),
-                consts: site_consts,
+                consts: site_consts.iter().map(|&(_, c)| c.to_string()).collect(),
                 role: "private",
                 ir: None,
             });
         }
+        for (at, _) in file.masked.match_indices("ord::") {
+            if claimed.contains(&at) || file.in_test(at) {
+                continue;
+            }
+            if let Some(name) = ord_token(&file.masked, at) {
+                findings.push(finding(
+                    Pass::Ordering,
+                    &file.path,
+                    file.line_of(at),
+                    format!(
+                        "`ord::{name}` is not an argument of an atomic call the site scan finds — pass the constant straight to an atomic method the scan knows, or the site escapes the audit"
+                    ),
+                ));
+            }
+        }
     }
     // Stable: sites sharing a line keep their source order.
     sites.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    let mut findings = Vec::new();
     if let Some(doc) = doc {
         check_audit_table(doc, &mut sites, &mut findings);
     }
@@ -839,33 +853,36 @@ fn match_paren(mb: &[u8], open: usize) -> Option<usize> {
     None
 }
 
-/// The `ord::*` constants at the top level of an argument list; one
-/// inside a nested call or closure belongs to that call.
-fn ord_consts_in(args: &str) -> Vec<String> {
-    let ab = args.as_bytes();
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+fn is_ident(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The constant named by an `ord::NAME` token starting at byte `at`
+/// (not one ending a longer path such as `x::ord::NAME`).
+fn ord_token(text: &str, at: usize) -> Option<&str> {
+    let tb = text.as_bytes();
+    if !tb[at..].starts_with(b"ord::") || (at > 0 && (is_ident(tb[at - 1]) || tb[at - 1] == b':')) {
+        return None;
+    }
+    let start = at + "ord::".len();
+    let len = tb[start..].iter().take_while(|&&b| is_ident(b)).count();
+    (len > 0).then(|| &text[start..start + len])
+}
+
+/// The `ord::*` constants at the top level of the argument list
+/// `text[from..to]`, with the byte offset of each token; one inside a
+/// nested call or closure belongs to that call.
+fn ord_consts_in(text: &str, from: usize, to: usize) -> Vec<(usize, &str)> {
+    let tb = text.as_bytes();
     let mut out = Vec::new();
     let mut depth = 0usize;
-    let mut i = 0;
-    while i < ab.len() {
-        match ab[i] {
+    for (i, &b) in tb.iter().enumerate().take(to).skip(from) {
+        match b {
             b'(' | b'[' | b'{' => depth += 1,
             b')' | b']' | b'}' => depth = depth.saturating_sub(1),
-            _ if depth == 0
-                && ab[i..].starts_with(b"ord::")
-                && (i == 0 || !(is_ident(ab[i - 1]) || ab[i - 1] == b':')) =>
-            {
-                let start = i + "ord::".len();
-                let len = ab[start..].iter().take_while(|&&b| is_ident(b)).count();
-                if len > 0 {
-                    out.push(args[start..start + len].to_string());
-                }
-                i = start + len;
-                continue;
-            }
+            _ if depth == 0 => out.extend(ord_token(text, i).map(|name| (i, name))),
             _ => {}
         }
-        i += 1;
     }
     out
 }

@@ -15,7 +15,6 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool as StdAtomicBool, Ordering::SeqCst};
-use std::time::Duration;
 
 use crate::rt::{self, WaitTarget};
 
@@ -42,11 +41,6 @@ impl<T> Mutex<T> {
             locked: StdAtomicBool::new(false),
             data: UnsafeCell::new(value),
         }
-    }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
     }
 }
 
@@ -83,27 +77,6 @@ impl<T: ?Sized> Mutex<T> {
             );
         }
     }
-
-    /// Attempts to acquire the lock without blocking.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        rt::schedule("Mutex::try_lock", true, Location::caller());
-        if self
-            .locked
-            .compare_exchange(false, true, SeqCst, SeqCst)
-            .is_ok()
-        {
-            rt::sync_acquire(self.addr());
-            Some(MutexGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
@@ -115,12 +88,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
             // is inherently racy and only used outside models.
             unsafe { write!(f, "Mutex({:?})", &*self.data.get()) }
         }
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
     }
 }
 
@@ -168,12 +135,8 @@ impl fmt::Debug for Condvar {
     }
 }
 
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
-    }
-}
-
+// No `Default`, as on the facade's std backend.
+#[allow(clippy::new_without_default)]
 impl Condvar {
     /// A fresh condition variable.
     pub const fn new() -> Self {
@@ -184,12 +147,14 @@ impl Condvar {
         self as *const Self as *const () as usize
     }
 
-    /// Atomically releases the guard's lock and waits; re-acquires
-    /// before returning. Spurious wakeups are possible, as with std.
+    /// Atomically releases the guard's lock and waits; re-acquires and
+    /// returns the guard. Spurious wakeups are possible, as with std.
     #[track_caller]
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let site = Location::caller();
         let mutex = guard.lock;
+        // The unlock is the one below, not the guard's drop.
+        std::mem::forget(guard);
         // Release the lock; because no other thread runs between the
         // store and the block below, the wait is atomic w.r.t. the
         // scheduler and no notification can slip through unseen.
@@ -207,7 +172,7 @@ impl Condvar {
                 .is_ok()
             {
                 rt::sync_acquire(mutex.addr());
-                return;
+                return MutexGuard { lock: mutex };
             }
             rt::block_on(
                 WaitTarget::Mutex(mutex.addr()),
@@ -217,28 +182,11 @@ impl Condvar {
         }
     }
 
-    /// Timed-wait shim: the model has no clock, so this waits like
-    /// [`Condvar::wait`] and reports `false` (never timed out). Code
-    /// relying on a timeout for *progress* (not just latency) will show
-    /// up as a deadlock — which is the bug the timeout was masking.
-    #[track_caller]
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, _timeout: Duration) -> bool {
-        self.wait(guard);
-        false
-    }
-
     /// Wakes one waiter (the lowest-tid one; sufficient because waiter
     /// identity is symmetric in the modelled algorithms).
     #[track_caller]
     pub fn notify_one(&self) {
         rt::schedule("Condvar::notify_one", true, Location::caller());
         rt::wake_one(WaitTarget::Condvar(self.addr()));
-    }
-
-    /// Wakes all waiters.
-    #[track_caller]
-    pub fn notify_all(&self) {
-        rt::schedule("Condvar::notify_all", true, Location::caller());
-        rt::wake_all(WaitTarget::Condvar(self.addr()));
     }
 }

@@ -93,7 +93,7 @@ fn condvar_handshake_has_no_lost_wakeup() {
             let (m, cv) = &*pair2;
             let mut ready = m.lock();
             while !*ready {
-                cv.wait(&mut ready);
+                ready = cv.wait(ready);
             }
         });
         {
@@ -119,7 +119,7 @@ fn unsynchronized_predicate_loses_wakeup() {
         let t = thread::spawn(move || {
             let mut g = m2.lock();
             while !flag2.load(SeqCst) {
-                cv2.wait(&mut g);
+                g = cv2.wait(g);
             }
         });
         flag.store(true, SeqCst);

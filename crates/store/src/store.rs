@@ -10,22 +10,22 @@ use crate::traits::{PutError, StoreRead, StoreScan, StoreWrite};
 // erased otherwise (see `kex_core::obs`).
 use kex_core::obs;
 
+/// The routing seed ("kex_stor"): fixed, so every process — and any
+/// recovery pass — routes a key to the same shard.
+const SEED: u64 = 0x6B65_785F_7374_6F72;
+
 /// Construction parameters for a [`Store`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Number of shards; routing is `shard_of(key, seed, shards)`.
+    /// Number of shards; routing is `shard_of(key, Store::seed(), shards)`.
     pub shards: usize,
     /// Per-shard process universe: every process id in `0..n` may
     /// operate on every shard. Size it with headroom for the crash
-    /// budget (crashed ids are never reclaimed — see the registry
-    /// note in `kex-core`).
+    /// budget (a crashed id's slot and name are never reclaimed).
     pub n: usize,
     /// Admission/resiliency bound of every shard (each shard tolerates
     /// `k - 1` crashed holders).
     pub k: usize,
-    /// Routing seed: all processes (and any recovery pass) must agree
-    /// on it.
-    pub seed: u64,
     /// Key capacity per shard object (rounded up to a power of two).
     pub capacity: usize,
     /// Journaled operations retained per lane.
@@ -40,7 +40,6 @@ impl StoreConfig {
             shards,
             n,
             k,
-            seed: 0x6B65_785F_7374_6F72, // "kex_stor"
             capacity: 1024,
             journal_depth: 8,
         }
@@ -61,7 +60,6 @@ impl StoreConfig {
 /// ```
 pub struct Store<O> {
     shards: Vec<Shard<O>>,
-    seed: u64,
 }
 
 /// The concrete store the benchmarks and examples use: [`KvCells`]
@@ -90,7 +88,6 @@ impl<O: ShardObject> Store<O> {
             shards: (0..cfg.shards)
                 .map(|s| Shard::new(cfg.n, cfg.k, cfg.journal_depth, make(s)))
                 .collect(),
-            seed: cfg.seed,
         }
     }
 
@@ -99,14 +96,14 @@ impl<O: ShardObject> Store<O> {
         self.shards.len()
     }
 
-    /// The routing seed.
+    /// The routing seed, the same for every store.
     pub fn seed(&self) -> u64 {
-        self.seed
+        SEED
     }
 
     /// The shard index `key` routes to.
     pub fn shard_of(&self, key: u64) -> usize {
-        shard_of(key, self.seed, self.shards.len())
+        shard_of(key, SEED, self.shards.len())
     }
 
     /// The shard that owns `key`.
@@ -174,7 +171,6 @@ impl<O> std::fmt::Debug for Store<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("shards", &self.shards.len())
-            .field("seed", &self.seed)
             .finish()
     }
 }

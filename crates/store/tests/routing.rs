@@ -92,9 +92,8 @@ fn store_occupancy_matches_direct_routing() {
     // End-to-end: inserting through the Store lands each key on the
     // shard `shard_of` predicts, and the per-shard key counts the
     // stats report reproduce the routing histogram.
-    let cfg = StoreConfig::new(16, 4, 2);
-    let seed = cfg.seed;
-    let store = KvStore::new(cfg);
+    let store = KvStore::new(StoreConfig::new(16, 4, 2));
+    let seed = store.seed();
     let mut expected = [0usize; 16];
     for key in 0..2_000u64 {
         store.put(0, key, key).unwrap();

@@ -30,13 +30,12 @@
 //! * per-process variables (spin flags, queue nodes, handshake words)
 //!   are declared with [`assign_home`] at construction so the DSM cost
 //!   model knows their owner; the call is a no-op except under obs;
-//! * there is no `Condvar::wait_timeout`; [`Condvar::wait_for`] exists
-//!   but under loom it never times out, so algorithms must not rely on
-//!   timeouts for *progress* (a good constraint: the paper's protocols
-//!   are timeout-free).
+//! * there is no timed wait: the model has no clock, and the paper's
+//!   protocols are timeout-free.
 //!
-//! The std `Mutex`/`Condvar` are non-poisoning with a
-//! `parking_lot`-style API; the native algorithms use a mutex only to
+//! The `Mutex`/`Condvar` are std's API minus poisoning: `lock` and
+//! `wait` return the guard itself, not a `Result`. The native
+//! algorithms use a mutex only to
 //! *model* the paper's multi-word atomic statements, where poisoning is
 //! noise (a panicking holder should not turn every later test failure
 //! into `PoisonError`).
@@ -109,7 +108,6 @@ mod std_impl {
     use std::fmt;
     use std::ops::{Deref, DerefMut};
     use std::sync::{self, PoisonError};
-    use std::time::Duration;
 
     /// A mutual-exclusion lock that does not poison on panic.
     pub struct Mutex<T: ?Sized> {
@@ -128,13 +126,6 @@ mod std_impl {
                 inner: sync::Mutex::new(value),
             }
         }
-
-        /// Consumes the mutex, returning the protected value.
-        pub fn into_inner(self) -> T {
-            self.inner
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-        }
     }
 
     impl<T: ?Sized> Mutex<T> {
@@ -144,33 +135,11 @@ mod std_impl {
                 inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
             }
         }
-
-        /// Attempts to acquire the lock without blocking.
-        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-            match self.inner.try_lock() {
-                Ok(g) => Some(MutexGuard { inner: g }),
-                Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                    inner: p.into_inner(),
-                }),
-                Err(sync::TryLockError::WouldBlock) => None,
-            }
-        }
-
-        /// Mutable access without locking (requires `&mut self`).
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-        }
     }
 
     impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             self.inner.fmt(f)
-        }
-    }
-
-    impl<T: Default> Default for Mutex<T> {
-        fn default() -> Self {
-            Mutex::new(T::default())
         }
     }
 
@@ -195,11 +164,14 @@ mod std_impl {
     }
 
     /// A condition variable paired with [`Mutex`].
-    #[derive(Debug, Default)]
+    #[derive(Debug)]
     pub struct Condvar {
         inner: sync::Condvar,
     }
 
+    // No `Default`, on either backend: nothing builds a condvar except
+    // through `new`.
+    #[allow(clippy::new_without_default)]
     impl Condvar {
         /// A fresh condition variable.
         pub const fn new() -> Self {
@@ -209,66 +181,19 @@ mod std_impl {
         }
 
         /// Atomically releases the guard's lock and waits; re-acquires
-        /// before returning. Spurious wakeups are possible, as usual.
-        pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-            replace_guard(&mut guard.inner, |g| {
-                self.inner.wait(g).unwrap_or_else(PoisonError::into_inner)
-            });
-        }
-
-        /// Like [`Condvar::wait`] with a timeout; returns `true` if the
-        /// wait timed out. Under `cfg(loom)` this never times out — see
-        /// the module docs.
-        pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-            let mut timed_out = false;
-            replace_guard(&mut guard.inner, |g| {
-                let (g, r) = self
+        /// and returns the guard. Spurious wakeups are possible, as usual.
+        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+            MutexGuard {
+                inner: self
                     .inner
-                    .wait_timeout(g, timeout)
-                    .unwrap_or_else(PoisonError::into_inner);
-                timed_out = r.timed_out();
-                g
-            });
-            timed_out
+                    .wait(guard.inner)
+                    .unwrap_or_else(PoisonError::into_inner),
+            }
         }
 
         /// Wakes one waiter.
         pub fn notify_one(&self) {
             self.inner.notify_one();
-        }
-
-        /// Wakes all waiters.
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
-        }
-    }
-
-    /// Runs `f` on an owned `std` guard and stores the guard `f` returns.
-    ///
-    /// `Condvar::wait` consumes the guard by value while our public API
-    /// (matching `parking_lot`) takes `&mut`; the swap through `f` bridges
-    /// the two. If `f` unwinds the process aborts — preferable to UB.
-    fn replace_guard<'a, T: ?Sized>(
-        slot: &mut sync::MutexGuard<'a, T>,
-        f: impl FnOnce(sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
-    ) {
-        // SAFETY: `slot` is forgotten immediately after the read, so the
-        // guard is never duplicated; `abort_on_unwind` guarantees we never
-        // unwind past the moment where `slot` would dangle.
-        unsafe {
-            let guard = std::ptr::read(slot);
-            let bomb = AbortOnDrop;
-            let new_guard = f(guard);
-            std::mem::forget(bomb);
-            std::ptr::write(slot, new_guard);
-        }
-    }
-
-    struct AbortOnDrop;
-
-    impl Drop for AbortOnDrop {
-        fn drop(&mut self) {
-            std::process::abort();
         }
     }
 }
@@ -287,14 +212,6 @@ mod tests {
             *g += 1;
         }
         assert_eq!(*m.lock(), 6);
-        assert_eq!(m.into_inner(), 6);
-    }
-
-    #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(());
-        let _g = m.lock();
-        assert!(m.try_lock().is_none());
     }
 
     #[test]
@@ -317,7 +234,7 @@ mod tests {
             let (m, cv) = &*pair2;
             let mut ready = m.lock();
             while !*ready {
-                cv.wait(&mut ready);
+                ready = cv.wait(ready);
             }
         });
         std::thread::sleep(Duration::from_millis(10));
@@ -327,14 +244,6 @@ mod tests {
             cv.notify_one();
         }
         t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(5)));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Cross-crate integration of the native algorithms with real threads:
-//! uniform occupancy stress over the whole algorithm family, the process
-//! registry, and the resilient-object methodology end to end.
+//! uniform occupancy stress over the whole algorithm family, and the
+//! resilient-object methodology end to end.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
 
 use kex::core::native::{
-    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, ProcessRegistry, QueueKex,
-    RawKex, Resilient, SemaphoreKex, TreeKex,
+    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, QueueKex, RawKex, Resilient,
+    SemaphoreKex, TreeKex,
 };
 use kex::waitfree::{SlotCounter, Snapshot, WfQueue};
 
@@ -68,29 +68,6 @@ fn every_native_algorithm_works_with_k_equal_one() {
         assert_eq!(max, 1, "{name} must reduce to mutual exclusion");
         assert_eq!(total, 900, "{name}");
     }
-}
-
-#[test]
-fn registry_feeds_the_algorithms() {
-    let registry = ProcessRegistry::new(8);
-    let kex = FastPathKex::new(8, 2);
-    let inside = AtomicUsize::new(0);
-    let max = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..8 {
-            let (registry, kex, inside, max) = (registry.clone(), &kex, &inside, &max);
-            s.spawn(move || {
-                let id = registry.register().expect("id available");
-                for _ in 0..200 {
-                    let _g = kex.enter(id.get());
-                    let now = inside.fetch_add(1, SeqCst) + 1;
-                    max.fetch_max(now, SeqCst);
-                    inside.fetch_sub(1, SeqCst);
-                }
-            });
-        }
-    });
-    assert!(max.load(SeqCst) <= 2);
 }
 
 #[test]
@@ -154,18 +131,16 @@ fn resilient_snapshot_scans_are_coherent() {
 
 #[test]
 fn resilient_counter_under_churning_identities() {
-    // Threads come and go, recycling process ids through the registry —
-    // the long-lived property in action.
-    let registry = ProcessRegistry::new(4);
+    // Threads come and go, each wave reusing the process ids the last
+    // one left behind — the long-lived property in action.
     let counter = Resilient::new(4, 2, SlotCounter::new(2));
     for _wave in 0..5 {
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                let (registry, counter) = (registry.clone(), &counter);
+            for p in 0..4 {
+                let counter = &counter;
                 s.spawn(move || {
-                    let id = registry.register().expect("wave fits");
                     for _ in 0..500 {
-                        counter.with(id.get(), |c, name| c.add(name, 1));
+                        counter.with(p, |c, name| c.add(name, 1));
                     }
                 });
             }
