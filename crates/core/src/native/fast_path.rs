@@ -1,7 +1,7 @@
 //! Native Figure-4 fast path (Theorems 3/7) and the gracefully
 //! degrading nested variant (Theorems 4/8): one node, two slow paths.
 
-use kex_util::sync::atomic::{AtomicIsize, AtomicUsize};
+use kex_util::sync::atomic::{AtomicU64, AtomicUsize};
 
 use kex_util::CachePadded;
 
@@ -19,7 +19,7 @@ use super::tree::TreeKex;
 /// modification order (and the admitted process still passes through a
 /// `(2k, k)` block, which provides its own synchronization).
 #[inline]
-fn try_grab(x: &AtomicIsize) -> bool {
+fn try_grab(x: &AtomicU64) -> bool {
     x.fetch_update(ord::ACQ_REL, ord::ACQUIRE, |v| {
         if v > 0 {
             Some(v - 1)
@@ -74,10 +74,9 @@ enum Node<B> {
     /// `pop <= 2k`: a single block is the whole algorithm.
     Block(B),
     Split {
-        /// Fast-path slot counter, `0..=k`, initially `k`.
-        x: CachePadded<AtomicIsize>,
         slow: Slow<B>,
-        /// The final `(2k, k)` block.
+        /// The final `(2k, k)` block; its [`Block::x`] is the fast-path
+        /// slot counter, `0..=k`, initially `k`.
         block: B,
         /// Per-process "took the slow path" flags (each private to its
         /// owner; atomics only to keep the structure `Sync`).
@@ -99,7 +98,6 @@ impl<B: Block> Node<B> {
             return Node::Block(B::with_universe(universe, pop, k));
         }
         Node::Split {
-            x: CachePadded::new(AtomicIsize::new(k as isize)),
             slow: if nested {
                 Slow::Nested(Box::new(Node::new(universe, pop - k, k, true)))
             } else {
@@ -120,14 +118,13 @@ impl<B: Block> Node<B> {
         match self {
             Node::Block(b) => b.acquire(p),
             Node::Split {
-                x,
                 slow,
                 block,
                 slow_flag,
             } => {
                 // Statements 1–5 of Figure 4. `slow_flag[p]` is
                 // owner-private (atomic only for `Sync`), so Relaxed.
-                if try_grab(x) {
+                if try_grab(block.x()) {
                     slow_flag[p].store(0, ord::RELAXED);
                 } else {
                     slow_flag[p].store(1, ord::RELAXED);
@@ -151,11 +148,9 @@ impl<B: Block> Node<B> {
         match self {
             Node::Block(b) => b.try_acquire(p),
             Node::Split {
-                x,
-                block,
-                slow_flag,
-                ..
+                block, slow_flag, ..
             } => {
+                let x = block.x();
                 if !try_grab(x) {
                     return false;
                 }
@@ -179,7 +174,6 @@ impl<B: Block> Node<B> {
         match self {
             Node::Block(b) => b.release(p),
             Node::Split {
-                x,
                 slow,
                 block,
                 slow_flag,
@@ -194,6 +188,7 @@ impl<B: Block> Node<B> {
                 } else {
                     // Release half pairs with the acquire in `try_grab`,
                     // handing our critical section to the next grabber.
+                    let x = block.x();
                     x.fetch_add(1, ord::ACQ_REL);
                 }
             }
@@ -378,7 +373,7 @@ mod tests {
         // held by 1 and, through the slow path, by 2.
         let kex = FastPathKex::new(5, 2);
         let x = |kex: &FastPathKex| match &kex.node {
-            Node::Split { x, .. } => x.load(ord::SEQ_CST),
+            Node::Split { block, .. } => block.x().load(ord::SEQ_CST),
             Node::Block(_) => unreachable!("5 > 2k"),
         };
         kex.acquire(0);
@@ -402,6 +397,27 @@ mod tests {
         kex.release(3);
         kex.release(2);
         assert_eq!((x(&kex), kex.occupancy()), (2, 0));
+    }
+
+    #[test]
+    #[cfg(not(feature = "obs"))] // the instrumented atomics are wider
+    fn x_shares_a_line_with_the_final_blocks_stages() {
+        // k + 1 words from a 128-byte boundary: one 64-byte line up to
+        // k = 7, one 128-byte pair at k = 8.
+        for (k, line) in [(1, 64), (2, 64), (4, 64), (7, 64), (8, 128)] {
+            let kex = FastPathKex::new(2 * k + 1, k);
+            let Node::Split { block, .. } = &kex.node else {
+                unreachable!("2k + 1 > 2k")
+            };
+            let x = std::ptr::from_ref(block.x()) as usize;
+            let stages: Vec<usize> = block
+                .stages()
+                .iter()
+                .map(|s| std::ptr::from_ref(s) as usize)
+                .collect();
+            assert_eq!((stages.len(), x), (k, stages[0] + 8 * k), "k = {k}");
+            assert_eq!(stages[0] / line, x / line, "k = {k}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! See [`crate::sim::fig2`] for the statement-level rendition and proofs
 //! coverage; this module is the same algorithm with a stage's two
-//! variables in one cache-padded `AtomicU64`.
+//! variables in one `AtomicU64`.
 //!
 //! # One word per stage
 //!
@@ -29,13 +29,22 @@
 //! word is one of their releases. Entry is the decrement, the bump
 //! (which leaves the line with the waiter) and one re-read after that
 //! release; exit is one `fetch_add`: **4 remote references per stage**,
-//! `4(N-k)` a chain, under the paper's 7 (`native_obs` checks it). One
-//! word for a whole chain would charge a spinner for every stage's
-//! passers, as one line for it did — EXPERIMENTS.md E14.
+//! `4(N-k)` a chain, under the paper's 7 (`native_obs` checks it).
+//!
+//! # One allocation per chain
+//!
+//! A chain's words are consecutive from a 128-byte boundary, sixteen
+//! to a pair of lines, and a final block's `X` is the word after its
+//! last stage ([`Block::x`](super::Block::x)). Per variable nothing
+//! changes. Per line, a passage that does not wait writes one line a
+//! chain of up to eight words; a waiter re-reads its line after any
+//! member's write, at most `3(m - k - 1)` times per other process and
+//! wait: `O(m(m - k))` a wait, `O(k^3)` a `(2k, k)` passage
+//! (ALGORITHMS.md §3, EXPERIMENTS.md E19).
 
 use kex_util::sync::atomic::AtomicU64;
 
-use kex_util::{Backoff, CachePadded};
+use kex_util::Backoff;
 
 use super::chain::{ChainKex, Stage};
 use super::ordering as ord;
@@ -50,22 +59,42 @@ fn x_of(word: u64) -> isize {
     (word % EPOCH) as isize - BIAS as isize
 }
 
+/// Words in a pair of 64-byte lines, on whose boundary a chain starts.
+const PAIR: usize = 16;
+
 /// One Figure-2 stage: admits `j` of the at-most-`j+1` processes its
 /// caller lets through. It keeps no pid: the epoch stands for `Q`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CcStage {
-    /// `X + BIAS`, initially `j + BIAS`, below the epoch; a line of its
-    /// own, so a spinner is charged for this stage's passers only.
-    word: CachePadded<AtomicU64>,
+    /// `X + BIAS`, initially `j + BIAS`, below the epoch.
+    word: AtomicU64,
 }
 
 impl Stage for CcStage {
     const MAX_UNIVERSE: usize = BIAS as usize;
 
-    fn new(j: usize, _universe: usize) -> Self {
-        CcStage {
-            word: CachePadded::new(AtomicU64::new(BIAS + j as u64)),
+    /// One allocation, whole pairs of lines from a boundary found rather
+    /// than asked of the allocator (its aligned path more than doubled a
+    /// tree's build): stage `i` is word `at + i`, `X` the word after.
+    type Stages = (Box<[CcStage]>, usize);
+
+    fn build(js: impl ExactSizeIterator<Item = usize>, _universe: usize, x: u64) -> Self::Stages {
+        let len = (js.len() + 1).next_multiple_of(PAIR) + PAIR;
+        let mut words: Box<[_]> = (0..len).map(|_| CcStage::default()).collect();
+        let at = words.as_ptr().addr().wrapping_neg() % (8 * PAIR) / size_of::<CcStage>();
+        let init = js.map(|j| BIAS + j as u64).chain([x]);
+        for (w, v) in words[at..].iter_mut().zip(init) {
+            *w.word.get_mut() = v;
         }
+        (words, at)
+    }
+
+    fn slice(stages: &Self::Stages, len: usize) -> &[Self] {
+        &stages.0[stages.1..][..len]
+    }
+
+    fn x(stages: &Self::Stages, len: usize) -> &AtomicU64 {
+        &stages.0[stages.1 + len].word
     }
 
     /// Statements 2–5 of Figure 2.
@@ -185,7 +214,7 @@ mod tests {
     fn the_epoch_wraps_without_touching_x() {
         // A stage at the last epoch with its one slot taken.
         let stage = CcStage {
-            word: CachePadded::new(AtomicU64::new(u64::MAX << X_BITS | BIAS)),
+            word: AtomicU64::new(u64::MAX << X_BITS | BIAS),
         };
         assert_eq!((stage.free(), stage.try_acquire()), (0, false));
         stage.release(0);

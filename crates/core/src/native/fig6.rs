@@ -80,17 +80,28 @@ impl DsmStage {
 impl Stage for DsmStage {
     const MAX_UNIVERSE: usize = usize::MAX;
 
+    /// Padded stages, and `X` on a line of its own.
+    type Stages = (Vec<DsmStage>, CachePadded<AtomicU64>);
+
     /// Spin-location arrays are indexed by global process id.
-    fn new(j: usize, n: usize) -> Self {
-        let locs = j + 2;
-        DsmStage {
+    fn build(js: impl ExactSizeIterator<Item = usize>, n: usize, x: u64) -> Self::Stages {
+        let stage = |j: usize| DsmStage {
             x: CachePadded::new(AtomicIsize::new(j as isize)),
             q: CachePadded::new(AtomicU64::new(0)), // (pid 0, loc 0)
             slots: (0..n)
-                .map(|owner| CachePadded::new(ProcSlots::new(locs, owner)))
+                .map(|owner| CachePadded::new(ProcSlots::new(j + 2, owner)))
                 .collect(),
-            locs,
-        }
+            locs: j + 2,
+        };
+        (js.map(stage).collect(), CachePadded::new(AtomicU64::new(x)))
+    }
+
+    fn slice(stages: &Self::Stages, _len: usize) -> &[Self] {
+        &stages.0
+    }
+
+    fn x(stages: &Self::Stages, _len: usize) -> &AtomicU64 {
+        &stages.1
     }
 
     /// Statements 2–15 of Figure 6.

@@ -16,6 +16,8 @@
 //! concurrently running threads is a logic error and voids every
 //! guarantee.
 
+use kex_util::sync::atomic::AtomicU64;
+
 /// A k-exclusion algorithm over processes `0..n()`.
 ///
 /// At most [`RawKex::k`] processes can be between [`RawKex::acquire`] and
@@ -85,6 +87,10 @@ pub trait Block: RawKex + Sized {
     /// and at most one waiter. A monitoring gauge, stale by the time it
     /// returns.
     fn occupancy(&self) -> usize;
+
+    /// Figure 4's `X` when this block is a node's final block: a word
+    /// kept after the last stage, initially `k`, the block never touches.
+    fn x(&self) -> &AtomicU64;
 }
 
 /// Releases the underlying [`RawKex`] slot when dropped.

@@ -93,11 +93,12 @@ impl<T> From<T> for CachePadded<T> {
 /// Last step of [`Backoff`]'s busy-spin phase (`2^SPIN_LIMIT` hints);
 /// past it a snooze yields to the OS.
 ///
-/// `{2, 6}` was picked by a threshold sweep on a 1-CPU host (historical:
-/// `EXPERIMENTS.md` E12), where every extra spin doubling is time a
-/// descheduled holder cannot use; the short spin phase is kept so a
-/// holder that *is* running on another core can still be caught without
-/// paying a `yield` syscall.
+/// `{2, 6}` stands on a 2-vCPU measurement (`EXPERIMENTS.md` E18's
+/// sizing table): raising `SPIN_LIMIT` from 2 to 6 was level on the
+/// benchmark's `hot_shard_handoff` and `crash_degraded` workloads, the
+/// two where a client waits for another, so the short spin phase stays.
+/// It catches a holder running on another core without a `yield`
+/// syscall, and yields early to one that is descheduled.
 const SPIN_LIMIT: u32 = 2;
 /// Step at which backoff growth stops (the steady yield phase).
 const YIELD_LIMIT: u32 = 6;
