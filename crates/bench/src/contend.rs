@@ -19,8 +19,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use kex_core::native::{
-    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, QueueKex, RawKex, Resilient,
-    SemaphoreKex, TreeKex,
+    CcChainKex, FastPathKex, KAssignment, QueueKex, RawKex, Resilient, SemaphoreKex, TreeKex,
 };
 use kex_waitfree::seq::{CounterOp, SeqCounter};
 use kex_waitfree::{FetchAddCounter, SlotCounter, Snapshot, Universal, WfQueue};
@@ -69,29 +68,14 @@ pub fn algorithms() -> Vec<Algo> {
             make: |t| kex_op(CcChainKex::new(universe(t, K), K)),
         },
         Algo {
-            name: "fig6",
-            k: K,
-            make: |t| kex_op(DsmChainKex::new(universe(t, K), K)),
-        },
-        Algo {
             name: "tree",
             k: K,
-            make: |t| kex_op(TreeKex::cc(universe(t, K), K)),
+            make: |t| kex_op(TreeKex::new(universe(t, K), K)),
         },
         Algo {
             name: "fast_path",
             k: K,
             make: |t| kex_op(FastPathKex::new(universe(t, K), K)),
-        },
-        Algo {
-            name: "fast_path_dsm",
-            k: K,
-            make: |t| kex_op(FastPathKex::new_dsm(universe(t, K), K)),
-        },
-        Algo {
-            name: "graceful",
-            k: K,
-            make: |t| kex_op(GracefulKex::new(universe(t, K), K)),
         },
         Algo {
             name: "fig1",
@@ -456,7 +440,7 @@ mod tests {
     #[test]
     fn every_row_is_named_once_and_runs_at_one_and_two_threads() {
         let rows = algorithms();
-        assert_eq!(rows.len(), 16);
+        assert_eq!(rows.len(), 13);
         let mut names: Vec<_> = rows.iter().map(|a| a.name).collect();
         names.sort_unstable();
         names.dedup();

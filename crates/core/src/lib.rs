@@ -19,9 +19,11 @@
 //!   the `kex-sim` simulator, with per-access RMR accounting under both
 //!   machine models, exhaustive model checking, and failure injection.
 //!   These regenerate the paper's Table 1 and theorem bounds.
-//! * [`native`] — the same algorithms over real `std::sync::atomic`
-//!   operations with cache-line padding, for use as an actual
-//!   synchronization library and for wall-clock scalability benchmarks.
+//! * [`native`] — the cache-coherent stack of those algorithms (Figures
+//!   2, 4 and 7 and the tree, plus the Figure-1 baseline) over real
+//!   `std::sync::atomic` operations with cache-line padding, for use as
+//!   an actual synchronization library and for wall-clock scalability
+//!   benchmarks.
 //!
 //! ## Quickstart (native)
 //!

@@ -1,8 +1,8 @@
 //! Native `(N, k)`-assignment: k-exclusion + Figure-7 renaming
-//! (Theorems 9 and 10), with an RAII name guard.
+//! (Theorem 9), with an RAII name guard.
 
-use super::fast_path::{FastPathKex, Fig4Kex};
-use super::raw::{Block, RawKex};
+use super::fast_path::FastPathKex;
+use super::raw::RawKex;
 use super::renaming::TasRenaming;
 
 /// The k-assignment wrapper: admits at most `k` processes and hands each
@@ -39,11 +39,26 @@ impl KAssignment {
     pub fn new(n: usize, k: usize) -> Self {
         Self::over(FastPathKex::new(n, k))
     }
+
+    /// [`KAssignment::enter`] that never waits: `None` when
+    /// [`FastPathKex::try_acquire`] finds no slot free — the k-exclusion's
+    /// own counters are the gate callers shed load through.
+    pub fn try_enter(&self, p: usize) -> Option<NameGuard<'_>> {
+        let entry = crate::obs::span(crate::obs::Section::Entry, p);
+        self.kex.try_acquire(p).then(|| self.named(p, entry))
+    }
+
+    /// Processes holding a slot or waiting at the k-exclusion's final
+    /// stage ([`FastPathKex::occupancy`]); crashed holders count for ever.
+    pub fn occupancy(&self) -> usize {
+        self.kex.occupancy()
+    }
 }
 
 impl<K: RawKex> KAssignment<K> {
-    /// k-assignment over any `(N, k)`-exclusion algorithm — e.g.
-    /// `KAssignment::over(FastPathKex::new_dsm(n, k))` for Theorem 10.
+    /// k-assignment over any `(N, k)`-exclusion algorithm — names stay
+    /// unique whichever one admits, e.g.
+    /// `KAssignment::over(TreeKex::new(n, k))`.
     pub fn over(kex: K) -> Self {
         let k = kex.k();
         KAssignment {
@@ -84,22 +99,6 @@ impl<K: RawKex> KAssignment<K> {
             name,
             cs: Some(crate::obs::span(crate::obs::Section::Cs, p)),
         }
-    }
-}
-
-impl<B: Block, const NESTED: bool> KAssignment<Fig4Kex<B, NESTED>> {
-    /// [`KAssignment::enter`] that never waits: `None` when
-    /// [`Fig4Kex::try_acquire`] finds no slot free — the k-exclusion's
-    /// own counters are the gate callers shed load through.
-    pub fn try_enter(&self, p: usize) -> Option<NameGuard<'_, Fig4Kex<B, NESTED>>> {
-        let entry = crate::obs::span(crate::obs::Section::Entry, p);
-        self.kex.try_acquire(p).then(|| self.named(p, entry))
-    }
-
-    /// Processes holding a slot or waiting at the k-exclusion's final
-    /// stage ([`Fig4Kex::occupancy`]); crashed holders count for ever.
-    pub fn occupancy(&self) -> usize {
-        self.kex.occupancy()
     }
 }
 
@@ -185,30 +184,6 @@ mod tests {
             }
         });
         assert!(max_inside.load(SeqCst) <= 3);
-    }
-
-    #[test]
-    fn dsm_variant_behaves_identically() {
-        let assign = KAssignment::over(FastPathKex::new_dsm(6, 2));
-        let held = Mutex::new(HashSet::new());
-        std::thread::scope(|s| {
-            for p in 0..6 {
-                let (assign, held) = (&assign, &held);
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        let guard = assign.enter(p);
-                        {
-                            let mut h = held.lock().unwrap();
-                            assert!(h.insert(guard.name()));
-                        }
-                        {
-                            let mut h = held.lock().unwrap();
-                            h.remove(&guard.name());
-                        }
-                    }
-                });
-            }
-        });
     }
 
     #[test]

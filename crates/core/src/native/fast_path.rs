@@ -1,14 +1,12 @@
-//! Native Figure-4 fast path (Theorems 3/7) and the gracefully
-//! degrading nested variant (Theorems 4/8): one node, two slow paths.
+//! Native Figure-4 fast path over the tree slow path (Theorem 3).
 
 use kex_util::sync::atomic::{AtomicU64, AtomicUsize};
 
 use kex_util::CachePadded;
 
 use super::fig2::CcChainKex;
-use super::fig6::DsmChainKex;
 use super::ordering as ord;
-use super::raw::{Block, RawKex};
+use super::raw::RawKex;
 use super::tree::TreeKex;
 
 /// Range-safe `fetch_and_increment(X, -1)` per the paper's footnote 2:
@@ -30,17 +28,7 @@ fn try_grab(x: &AtomicU64) -> bool {
     .is_ok()
 }
 
-/// Figure 4 as an `(N, k)`-exclusion. The paper applies the node once
-/// over a tree slow path (`NESTED = false`, [`FastPathKex`]) or
-/// recursively over itself (`NESTED = true`, [`GracefulKex`]); use it
-/// through those two names.
-pub struct Fig4Kex<B, const NESTED: bool> {
-    node: Node<B>,
-    n: usize,
-    k: usize,
-}
-
-/// Figure 4 over a tree slow path — Theorems 3 and 7.
+/// Figure 4 over a tree slow path — Theorem 3.
 ///
 /// With contention at most `k`, an acquisition costs one fetch-and-add
 /// pair plus an uncontended pass through a single `(2k, k)` block —
@@ -56,64 +44,29 @@ pub struct Fig4Kex<B, const NESTED: bool> {
 /// // ... protected section, at most 4 threads here ...
 /// kex.release(9);
 /// ```
-pub type FastPathKex<B = CcChainKex> = Fig4Kex<B, false>;
+pub struct FastPathKex {
+    node: Node,
+    n: usize,
+    k: usize,
+}
 
-/// The gracefully degrading construction — Theorems 4 and 8: Figure 4
-/// applied recursively, so the cost of an acquisition is proportional to
-/// the contention `c` actually encountered (`O(⌈c/k⌉·k)`), not to the
-/// worst case.
-///
-/// Level `i` offers `k` fast slots; a process that finds them taken
-/// descends to level `i+1`, down to a plain `(2k, k)`-population chain at
-/// the bottom. It then acquires one `(2k, k)` block per visited level on
-/// the way back up.
-pub type GracefulKex<B = CcChainKex> = Fig4Kex<B, true>;
-
-/// The Figure-4 node over `pop` of the processes `0..universe`.
-enum Node<B> {
-    /// `pop <= 2k`: a single block is the whole algorithm.
-    Block(B),
+/// The Figure-4 node over the processes `0..n`.
+enum Node {
+    /// `n <= 2k`: a single block is the whole algorithm.
+    Block(CcChainKex),
     Split {
-        slow: Slow<B>,
-        /// The final `(2k, k)` block; its [`Block::x`] is the fast-path
-        /// slot counter, `0..=k`, initially `k`.
-        block: B,
+        /// The `(N, k)` tree.
+        slow: TreeKex,
+        /// The final `(2k, k)` block; its `x()` is the fast-path slot
+        /// counter, `0..=k`, initially `k`.
+        block: CcChainKex,
         /// Per-process "took the slow path" flags (each private to its
         /// owner; atomics only to keep the structure `Sync`).
         slow_flag: Vec<CachePadded<AtomicUsize>>,
     },
 }
 
-enum Slow<B> {
-    /// The `(N, k)` tree.
-    Tree(TreeKex<B>),
-    /// Figure 4 again, over the population shrunk by the `k` processes
-    /// this node's fast path absorbs.
-    Nested(Box<Node<B>>),
-}
-
-impl<B: Block> Node<B> {
-    fn new(universe: usize, pop: usize, k: usize, nested: bool) -> Self {
-        if pop <= 2 * k {
-            return Node::Block(B::with_universe(universe, pop, k));
-        }
-        Node::Split {
-            slow: if nested {
-                Slow::Nested(Box::new(Node::new(universe, pop - k, k, true)))
-            } else {
-                Slow::Tree(TreeKex::new(universe, k))
-            },
-            block: B::with_universe(universe, 2 * k, k),
-            slow_flag: (0..universe)
-                .map(|owner| {
-                    let flag = CachePadded::new(AtomicUsize::new(0));
-                    kex_util::sync::assign_home(&*flag, owner);
-                    flag
-                })
-                .collect(),
-        }
-    }
-
+impl Node {
     fn acquire(&self, p: usize) {
         match self {
             Node::Block(b) => b.acquire(p),
@@ -128,10 +81,7 @@ impl<B: Block> Node<B> {
                     slow_flag[p].store(0, ord::RELAXED);
                 } else {
                     slow_flag[p].store(1, ord::RELAXED);
-                    match slow {
-                        Slow::Tree(tree) => tree.acquire(p),
-                        Slow::Nested(node) => node.acquire(p),
-                    }
+                    slow.acquire(p);
                 }
                 block.acquire(p);
             }
@@ -181,10 +131,7 @@ impl<B: Block> Node<B> {
                 // Statements 6–9 of Figure 4.
                 block.release(p);
                 if slow_flag[p].load(ord::RELAXED) != 0 {
-                    match slow {
-                        Slow::Tree(tree) => tree.release(p),
-                        Slow::Nested(node) => node.release(p),
-                    }
+                    slow.release(p);
                 } else {
                     // Release half pairs with the acquire in `try_grab`,
                     // handing our critical section to the next grabber.
@@ -196,67 +143,37 @@ impl<B: Block> Node<B> {
     }
 }
 
-impl FastPathKex<CcChainKex> {
-    /// Cache-coherent variant (Figure-2 blocks) — Theorem 3.
+impl FastPathKex {
+    /// Build the `(n, k)` node: a single `(n, k)` chain when `n <= 2k`,
+    /// otherwise `X`, the `(n, k)` tree and a final `(2k, k)` chain.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= k < n`.
     pub fn new(n: usize, k: usize) -> Self {
-        Self::over_blocks(n, k)
-    }
-}
-
-impl FastPathKex<DsmChainKex> {
-    /// DSM variant (Figure-6 blocks) — Theorem 7.
-    pub fn new_dsm(n: usize, k: usize) -> Self {
-        Self::over_blocks(n, k)
-    }
-}
-
-impl GracefulKex<CcChainKex> {
-    /// Cache-coherent variant — Theorem 4.
-    pub fn new(n: usize, k: usize) -> Self {
-        Self::over_blocks(n, k)
-    }
-}
-
-impl GracefulKex<DsmChainKex> {
-    /// DSM variant — Theorem 8.
-    pub fn new_dsm(n: usize, k: usize) -> Self {
-        Self::over_blocks(n, k)
-    }
-}
-
-impl<B> GracefulKex<B> {
-    /// Number of fast-path levels (the bottom chain is one more hop).
-    pub fn level_count(&self) -> usize {
-        let mut node = &self.node;
-        let mut levels = 0;
-        while let Node::Split {
-            slow: Slow::Nested(inner),
-            ..
-        } = node
-        {
-            node = inner;
-            levels += 1;
-        }
-        levels
-    }
-}
-
-impl<B: Block, const NESTED: bool> Fig4Kex<B, NESTED> {
-    /// Panics unless `1 <= k < n`, like every constructor above.
-    fn over_blocks(n: usize, k: usize) -> Self {
         assert!(k >= 1 && k < n, "Figure 4 requires 1 <= k < n");
-        Fig4Kex {
-            node: Node::new(n, n, k, NESTED),
-            n,
-            k,
-        }
+        let node = if n <= 2 * k {
+            Node::Block(CcChainKex::new(n, k))
+        } else {
+            Node::Split {
+                slow: TreeKex::new(n, k),
+                block: CcChainKex::with_universe(n, 2 * k, k),
+                slow_flag: (0..n)
+                    .map(|owner| {
+                        let flag = CachePadded::new(AtomicUsize::new(0));
+                        kex_util::sync::assign_home(&*flag, owner);
+                        flag
+                    })
+                    .collect(),
+            }
+        };
+        FastPathKex { node, n, k }
     }
 
     /// [`RawKex::acquire`] that never waits: `true` with a slot held
     /// (leave through [`RawKex::release`]), `false` when all `k` are
     /// held right now — by live processes or by crashed ones. It tries
-    /// the fast path only ([`Block::try_acquire`] behind the `X` slot)
-    /// and on refusal leaves every counter as it found it.
+    /// the fast path only ([`CcChainKex::try_acquire`] behind the `X`
+    /// slot) and on refusal leaves every counter as it found it.
     ///
     /// # Panics
     /// Panics if `p >= self.n()`.
@@ -267,23 +184,23 @@ impl<B: Block, const NESTED: bool> Fig4Kex<B, NESTED> {
     }
 
     /// Processes holding a slot or waiting at the final stage of the
-    /// final block ([`Block::occupancy`]); crashed holders count for
-    /// ever.
+    /// final block ([`CcChainKex::occupancy`]); crashed holders count
+    /// for ever.
     pub fn occupancy(&self) -> usize {
         self.node.occupancy()
     }
 }
 
-impl<B, const NESTED: bool> std::fmt::Debug for Fig4Kex<B, NESTED> {
+impl std::fmt::Debug for FastPathKex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct(if NESTED { "GracefulKex" } else { "FastPathKex" })
+        f.debug_struct("FastPathKex")
             .field("n", &self.n)
             .field("k", &self.k)
             .finish()
     }
 }
 
-impl<B: Block, const NESTED: bool> RawKex for Fig4Kex<B, NESTED> {
+impl RawKex for FastPathKex {
     fn n(&self) -> usize {
         self.n
     }
@@ -321,48 +238,9 @@ mod tests {
     }
 
     #[test]
-    fn dsm_fast_path_never_exceeds_k() {
-        let kex = FastPathKex::new_dsm(12, 3);
-        let report = occupancy_stress(&kex, 150);
-        assert!(report.max_seen <= 3);
-        assert_eq!(report.total_entries, 12 * 150);
-    }
-
-    #[test]
     fn fast_path_k_holders_rendezvous() {
         let kex = FastPathKex::new(12, 3);
         assert_eq!(max_concurrency(&kex, 3, Duration::from_secs(2)), 3);
-    }
-
-    #[test]
-    fn graceful_never_exceeds_k() {
-        for (n, k) in [(4, 2), (8, 2), (13, 3)] {
-            let kex = GracefulKex::new(n, k);
-            let report = occupancy_stress(&kex, 200);
-            assert!(report.max_seen <= k, "(n={n},k={k}): {}", report.max_seen);
-            assert_eq!(report.total_entries, n as u64 * 200);
-        }
-    }
-
-    #[test]
-    fn graceful_dsm_never_exceeds_k() {
-        let kex = GracefulKex::new_dsm(9, 3);
-        let report = occupancy_stress(&kex, 150);
-        assert!(report.max_seen <= 3);
-        assert_eq!(report.total_entries, 9 * 150);
-    }
-
-    #[test]
-    fn graceful_k_holders_rendezvous() {
-        let kex = GracefulKex::new(10, 2);
-        assert_eq!(max_concurrency(&kex, 2, Duration::from_secs(2)), 2);
-    }
-
-    #[test]
-    fn graceful_level_count_matches_population_shrink() {
-        assert_eq!(GracefulKex::new(4, 2).level_count(), 0);
-        assert_eq!(GracefulKex::new(6, 2).level_count(), 1);
-        assert_eq!(GracefulKex::new(8, 2).level_count(), 2);
     }
 
     #[test]
@@ -430,22 +308,10 @@ mod tests {
     }
 
     #[test]
-    fn graceful_survives_k_minus_1_crashes_in_cs() {
-        let kex = GracefulKex::new(8, 3);
-        let completed = crash_stress(&kex, &[0, 1], 200);
-        assert_eq!(completed, 6 * 200);
-    }
-
-    #[test]
     fn chain_and_tree_survive_crashes_too() {
-        use crate::native::fig2::CcChainKex;
-        use crate::native::fig6::DsmChainKex;
-        use crate::native::tree::TreeKex;
         let kex = CcChainKex::new(6, 2);
         assert_eq!(crash_stress(&kex, &[3], 150), 5 * 150);
-        let kex = DsmChainKex::new(6, 2);
-        assert_eq!(crash_stress(&kex, &[3], 150), 5 * 150);
-        let kex = TreeKex::cc(8, 2);
+        let kex = TreeKex::new(8, 2);
         assert_eq!(crash_stress(&kex, &[7], 150), 7 * 150);
     }
 }

@@ -1,6 +1,8 @@
 //! The native Figure-2 stage, over real atomics, for cache-coherent
-//! hardware (i.e., any modern multicore); Theorem 1's chain of them is
-//! [`CcChainKex`].
+//! hardware (i.e., any modern multicore), and Theorem 1's inductive
+//! chain of them, [`CcChainKex`]: `(m, k)`-exclusion as stages
+//! `j = m-1 .. k`, acquired top (widest) first, each admitting `j` of the
+//! at most `j + 1` processes the stage before it lets through.
 //!
 //! See [`crate::sim::fig2`] for the statement-level rendition and proofs
 //! coverage; this module is the same algorithm with a stage's two
@@ -35,19 +37,19 @@
 //!
 //! A chain's words are consecutive from a 128-byte boundary, sixteen
 //! to a pair of lines, and a final block's `X` is the word after its
-//! last stage ([`Block::x`](super::Block::x)). Per variable nothing
-//! changes. Per line, a passage that does not wait writes one line a
-//! chain of up to eight words; a waiter re-reads its line after any
-//! member's write, at most `3(m - k - 1)` times per other process and
-//! wait: `O(m(m - k))` a wait, `O(k^3)` a `(2k, k)` passage
-//! (ALGORITHMS.md §3, EXPERIMENTS.md E19).
+//! last stage (`CcChainKex::x`). Per variable nothing changes. Per
+//! line, a passage that does not wait writes one line a chain of up to
+//! eight words; a waiter re-reads its line after any member's write, at
+//! most `3(m - k - 1)` times per other process and wait: `O(m(m - k))`
+//! a wait, `O(k^3)` a `(2k, k)` passage (ALGORITHMS.md §3,
+//! EXPERIMENTS.md E19).
 
 use kex_util::sync::atomic::AtomicU64;
 
 use kex_util::Backoff;
 
-use super::chain::{ChainKex, Stage};
 use super::ordering as ord;
+use super::raw::RawKex;
 
 /// Width of a word's `X` field, and what one epoch adds to the word.
 const X_BITS: u32 = 16;
@@ -62,44 +64,19 @@ fn x_of(word: u64) -> isize {
 /// Words in a pair of 64-byte lines, on whose boundary a chain starts.
 const PAIR: usize = 16;
 
-/// One Figure-2 stage: admits `j` of the at-most-`j+1` processes its
-/// caller lets through. It keeps no pid: the epoch stands for `Q`.
+/// One Figure-2 stage, `(j + 1, j)`-exclusion: admits `j` of the
+/// at-most-`j+1` processes its caller lets through. It keeps no pid:
+/// the epoch stands for `Q`.
 #[derive(Debug, Default)]
-pub struct CcStage {
+pub(super) struct CcStage {
     /// `X + BIAS`, initially `j + BIAS`, below the epoch.
     word: AtomicU64,
 }
 
-impl Stage for CcStage {
-    const MAX_UNIVERSE: usize = BIAS as usize;
-
-    /// One allocation, whole pairs of lines from a boundary found rather
-    /// than asked of the allocator (its aligned path more than doubled a
-    /// tree's build): stage `i` is word `at + i`, `X` the word after.
-    type Stages = (Box<[CcStage]>, usize);
-
-    fn build(js: impl ExactSizeIterator<Item = usize>, _universe: usize, x: u64) -> Self::Stages {
-        let len = (js.len() + 1).next_multiple_of(PAIR) + PAIR;
-        let mut words: Box<[_]> = (0..len).map(|_| CcStage::default()).collect();
-        let at = words.as_ptr().addr().wrapping_neg() % (8 * PAIR) / size_of::<CcStage>();
-        let init = js.map(|j| BIAS + j as u64).chain([x]);
-        for (w, v) in words[at..].iter_mut().zip(init) {
-            *w.word.get_mut() = v;
-        }
-        (words, at)
-    }
-
-    fn slice(stages: &Self::Stages, len: usize) -> &[Self] {
-        &stages.0[stages.1..][..len]
-    }
-
-    fn x(stages: &Self::Stages, len: usize) -> &AtomicU64 {
-        &stages.0[stages.1 + len].word
-    }
-
-    /// Statements 2–5 of Figure 2.
+impl CcStage {
+    /// Statements 2–5 of Figure 2: returns with one of the `j` slots.
     #[inline]
-    fn acquire(&self, _p: usize) {
+    fn acquire(&self) {
         if x_of(self.word.fetch_sub(1, ord::SEQ_CST)) <= 0 {
             // No slot: move the epoch, as writing `Q` did, and in the
             // same step re-check `X` (a release may have raced us)...
@@ -121,11 +98,13 @@ impl Stage for CcStage {
 
     /// Statements 6–7 of Figure 2: the slot back and the wake-up.
     #[inline]
-    fn release(&self, _p: usize) {
+    fn release(&self) {
         self.word.fetch_add(EPOCH + 1, ord::SEQ_CST);
     }
 
-    /// A link of the same SeqCst RMW chain as statements 2 and 6.
+    /// Statement 2 as footnote 2 writes it: take a slot only if one is
+    /// free, and do not write otherwise. A link of the same SeqCst RMW
+    /// chain as statements 2 and 6.
     #[inline]
     fn try_acquire(&self) -> bool {
         self.word
@@ -133,13 +112,15 @@ impl Stage for CcStage {
             .is_ok()
     }
 
+    /// Slots not taken; negative while a process waits.
     fn free(&self) -> isize {
         x_of(self.word.load(ord::SEQ_CST))
     }
 }
 
 /// Theorem 1's inductive chain: `(N, k)`-exclusion as Figure-2 stages
-/// `j = N-1 .. k`, acquired top (widest) first.
+/// `j = N-1 .. k`, acquired top (widest) first. It is both the paper's
+/// baseline construction and the `(2k, k)` block of the better ones.
 ///
 /// Worst-case RMR cost is `4(N-k)` (linear in `N`; the paper's `7(N-k)`
 /// with two pairs of statements fused); prefer [`crate::native::TreeKex`]
@@ -154,13 +135,132 @@ impl Stage for CcStage {
 /// assert_eq!(guard.pid(), 0);
 /// drop(guard); // releases the slot
 /// ```
-pub type CcChainKex = ChainKex<CcStage>;
+#[derive(Debug)]
+pub struct CcChainKex {
+    /// One allocation, whole pairs of lines from a boundary found rather
+    /// than asked of the allocator (its aligned path more than doubled a
+    /// tree's build): stage `i`, admitting `j = m-1-i`, is word `at + i`,
+    /// and `X` the word after the last.
+    words: Box<[CcStage]>,
+    at: usize,
+    len: usize,
+    n: usize,
+    k: usize,
+}
+
+impl CcChainKex {
+    /// Build the `(n, k)` chain.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= k < n <= 32768`, the most the `X` field can
+    /// count.
+    pub fn new(n: usize, k: usize) -> Self {
+        Self::with_universe(n, n, k)
+    }
+
+    /// An `(m, k)` block: at most `m` of the `universe` processes contend
+    /// in it at a time (e.g. `m = 2k` blocks in a tree), but process ids
+    /// range over `0..universe`. A node's final block also keeps Figure
+    /// 4's `X`, initially `k`, in the word after its last stage.
+    pub(super) fn with_universe(universe: usize, m: usize, k: usize) -> Self {
+        let max = BIAS as usize;
+        assert!(
+            k >= 1 && k < m && m <= universe && universe <= max,
+            "a chain requires 1 <= k < m <= universe <= {max}"
+        );
+        let len = m - k;
+        let mut words: Box<[_]> = (0..(len + 1).next_multiple_of(PAIR) + PAIR)
+            .map(|_| CcStage::default())
+            .collect();
+        let at = words.as_ptr().addr().wrapping_neg() % (8 * PAIR) / size_of::<CcStage>();
+        let init = (k..m).rev().map(|j| BIAS + j as u64).chain([k as u64]);
+        for (w, v) in words[at..].iter_mut().zip(init) {
+            *w.word.get_mut() = v;
+        }
+        CcChainKex {
+            words,
+            at,
+            len,
+            n: universe,
+            k,
+        }
+    }
+
+    pub(super) fn stages(&self) -> &[CcStage] {
+        &self.words[self.at..][..self.len]
+    }
+
+    /// Figure 4's `X` when this chain is a node's final block: the word
+    /// after the last stage, which the chain itself never touches.
+    pub(super) fn x(&self) -> &AtomicU64 {
+        &self.words[self.at + self.len].word
+    }
+
+    /// [`RawKex::acquire`] that never waits: `true` with a slot held
+    /// (leave through [`RawKex::release`]), `false` — with the chain as
+    /// it was found — when some stage has no slot free right now, be it
+    /// held by a live process or consumed by a crashed one.
+    ///
+    /// Each stage is taken by the paper's footnote-2 conditional
+    /// decrement (`x > 0 → x - 1`, otherwise no write at all), so to the
+    /// stage a successful taker is a process whose `fetch_and_increment`
+    /// found a slot; one refused further down leaves the stages it did
+    /// take the way any holder leaves them.
+    pub fn try_acquire(&self, p: usize) -> bool {
+        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
+        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
+        for (i, stage) in self.stages().iter().enumerate() {
+            if !stage.try_acquire() {
+                // Refused: give back the stages already taken, last
+                // first, the way a holder leaves them — a blocking
+                // process may have queued behind a slot held on the way
+                // here, and is owed the wake-up.
+                self.stages()[..i].iter().rev().for_each(CcStage::release);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Processes holding a slot or waiting at the final stage, read off
+    /// that stage's counter: live holders, crashed holders (for ever),
+    /// and at most one waiter. A monitoring gauge, stale by the time it
+    /// returns.
+    pub fn occupancy(&self) -> usize {
+        let last = self.stages().last().expect("k < m: at least one stage");
+        (self.k as isize - last.free()).max(0) as usize
+    }
+}
+
+impl RawKex for CcChainKex {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    fn acquire(&self, p: usize) {
+        assert!(p < self.n, "pid {p} out of range 0..{}", self.n);
+        let _obs = crate::obs::span(crate::obs::Section::Entry, p);
+        for stage in self.stages() {
+            stage.acquire();
+        }
+    }
+
+    fn release(&self, p: usize) {
+        let _obs = crate::obs::span(crate::obs::Section::Exit, p);
+        for stage in self.stages().iter().rev() {
+            stage.release();
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::native::testutil::{occupancy_stress, OccupancyReport};
-    use crate::native::{Block, RawKex};
 
     #[test]
     fn never_more_than_k_inside() {
@@ -217,8 +317,22 @@ mod tests {
             word: AtomicU64::new(u64::MAX << X_BITS | BIAS),
         };
         assert_eq!((stage.free(), stage.try_acquire()), (0, false));
-        stage.release(0);
+        stage.release();
         assert_eq!(stage.word.load(ord::SEQ_CST), BIAS + 1, "X + 1, epoch 0");
+    }
+
+    #[test]
+    #[cfg(not(feature = "obs"))] // the instrumented atomics are wider
+    fn a_cc_chains_stage_words_are_consecutive_from_a_128_byte_boundary() {
+        let kex = crate::native::CcChainKex::new(20, 4);
+        let at: Vec<usize> = kex
+            .stages()
+            .iter()
+            .map(|s| std::ptr::from_ref(s) as usize)
+            .collect();
+        assert_eq!(at.len(), 16);
+        assert_eq!(at[0] % 128, 0);
+        assert!(at.iter().enumerate().all(|(i, &a)| a == at[0] + 8 * i));
     }
 
     #[test]

@@ -5,26 +5,26 @@
 //! | type | paper artifact |
 //! |---|---|
 //! | [`CcChainKex`]  | Figure 2 chain — Theorem 1 |
-//! | [`DsmChainKex`] | Figure 6 chain — Theorem 5 (all spinning on per-process, padded locations) |
-//! | [`TreeKex`]     | Figure 3(a) tree — Theorems 2/6 |
-//! | [`FastPathKex`] | Figure 4 fast path over the tree — Theorems 3/7 |
-//! | [`GracefulKex`] | Figure 4 over itself, population shrinking by `k` — Theorems 4/8 (the same node: [`Fig4Kex`]) |
+//! | [`TreeKex`]     | Figure 3(a) tree of Figure-2 chains — Theorem 2 |
+//! | [`FastPathKex`] | Figure 4 fast path over the tree — Theorem 3 |
 //! | [`QueueKex`]    | Figure 1 baseline (mutex-guarded queue) |
 //! | [`SemaphoreKex`]| OS counting-semaphore baseline |
 //! | [`TasRenaming`] | Figure 7 long-lived renaming |
-//! | [`KAssignment`] | k-assignment — Theorems 9/10 |
+//! | [`KAssignment`] | k-assignment — Theorem 9 |
 //! | [`Resilient`]   | the §1 resilient-object methodology |
 //!
-//! That is the paper's stack plus the two k-exclusion baselines. The
-//! §5 k = 1 reference locks (MCS \[12\], Yang–Anderson \[14\]) exist only
-//! as simulator protocols, [`mod@crate::sim::mcs`] and
-//! [`mod@crate::sim::yang_anderson`], where their remote references are
-//! counted exactly.
+//! That is what the store runs, `Resilient` → `KAssignment` →
+//! `FastPathKex` → `CcChainKex`, plus the two k-exclusion baselines.
+//! The rest of the paper's constructions — Figure 6 and the DSM
+//! compositions (Theorems 5–8, 10), the nested Figure-4 node (Theorems
+//! 4/8) and the §5 k = 1 reference locks (MCS \[12\], Yang–Anderson
+//! \[14\]) — are claims about remote references on a cost model, and
+//! exist only as simulator protocols in [`crate::sim`], where those are
+//! counted exactly and explored exhaustively.
 //!
-//! The compositions are static: [`TreeKex`] and [`Fig4Kex`] are generic
-//! over one [`Block`] type ([`CcChainKex`] by default, [`DsmChainKex`]
-//! for the DSM theorems) and [`KAssignment`] over its [`RawKex`], all
-//! held by value.
+//! The compositions are static: [`TreeKex`] and [`FastPathKex`] hold
+//! their [`CcChainKex`] blocks by value, and [`KAssignment`] its
+//! [`RawKex`].
 //!
 //! All algorithms name their memory orderings through the audited
 //! constants in the private `ordering` module: acquire/release/relaxed
@@ -40,11 +40,9 @@
 //! real-thread stress tests here.
 
 mod assignment;
-mod chain;
 mod fast_path;
 mod fig1;
 mod fig2;
-mod fig6;
 mod ordering;
 mod raw;
 mod renaming;
@@ -55,11 +53,10 @@ pub(crate) mod testutil;
 mod tree;
 
 pub use assignment::{KAssignment, NameGuard};
-pub use fast_path::{FastPathKex, Fig4Kex, GracefulKex};
+pub use fast_path::FastPathKex;
 pub use fig1::QueueKex;
 pub use fig2::CcChainKex;
-pub use fig6::DsmChainKex;
-pub use raw::{Block, KexGuard, RawKex};
+pub use raw::{KexGuard, RawKex};
 pub use renaming::TasRenaming;
 pub use resilient::{Resilient, ResilientGuard};
 pub use semaphore::SemaphoreKex;

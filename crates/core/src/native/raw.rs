@@ -1,5 +1,4 @@
-//! The native k-exclusion interface: [`RawKex`], its RAII guard, and the
-//! [`Block`] constructor the compositions are built from.
+//! The native k-exclusion interface: [`RawKex`] and its RAII guard.
 //!
 //! Native implementations run over the `kex_util::sync::atomic` facade
 //! (std atomics normally, loom model-checked atomics under `cfg(loom)`)
@@ -15,8 +14,6 @@
 //! (one pid per client per shard). Passing the same id to two
 //! concurrently running threads is a logic error and voids every
 //! guarantee.
-
-use kex_util::sync::atomic::AtomicU64;
 
 /// A k-exclusion algorithm over processes `0..n()`.
 ///
@@ -56,41 +53,6 @@ pub trait RawKex: Send + Sync {
             cs: Some(crate::obs::span(crate::obs::Section::Cs, p)),
         }
     }
-}
-
-/// The paper's building block: an `(m, k)`-exclusion over a larger pid
-/// universe. [`crate::native::TreeKex`] and the Figure-4 compositions
-/// are built from one block type, chosen statically.
-pub trait Block: RawKex + Sized {
-    /// Build an `(m, k)` block: at most `m` of the `universe` processes
-    /// contend in it at a time (e.g. `m = 2k` blocks in a tree), but
-    /// process ids range over `0..universe`.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= k < m <= universe`.
-    fn with_universe(universe: usize, m: usize, k: usize) -> Self;
-
-    /// [`RawKex::acquire`] that never waits: `true` with a slot held
-    /// (leave through [`RawKex::release`]), `false` — with the block as
-    /// it was found — when some stage has no slot free right now, be it
-    /// held by a live process or consumed by a crashed one.
-    ///
-    /// Each stage is taken by the paper's footnote-2 conditional
-    /// decrement (`x > 0 → x - 1`, otherwise no write at all), so to the
-    /// stage a successful taker is a process whose `fetch_and_increment`
-    /// found a slot; one refused further down leaves the stages it did
-    /// take the way any holder leaves them.
-    fn try_acquire(&self, p: usize) -> bool;
-
-    /// Processes holding a slot or waiting at the final stage, read off
-    /// that stage's counter: live holders, crashed holders (for ever),
-    /// and at most one waiter. A monitoring gauge, stale by the time it
-    /// returns.
-    fn occupancy(&self) -> usize;
-
-    /// Figure 4's `X` when this block is a node's final block: a word
-    /// kept after the last stage, initially `k`, the block never touches.
-    fn x(&self) -> &AtomicU64;
 }
 
 /// Releases the underlying [`RawKex`] slot when dropped.

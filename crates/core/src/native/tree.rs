@@ -1,10 +1,8 @@
 //! Native Figure-3(a) tree composition: `(N, k)`-exclusion from
-//! `(2k, k)` building blocks, cost logarithmic in `N/k`
-//! (Theorems 2 and 6).
+//! `(2k, k)` Figure-2 chains, cost logarithmic in `N/k` (Theorem 2).
 
 use super::fig2::CcChainKex;
-use super::fig6::DsmChainKex;
-use super::raw::{Block, RawKex};
+use super::raw::RawKex;
 
 /// The tree combinator: processes are partitioned into groups of `2k` at
 /// the leaves; each block admits `k`, two sibling blocks' winners meet in
@@ -14,37 +12,22 @@ use super::raw::{Block, RawKex};
 /// use kex_core::native::{RawKex, TreeKex};
 ///
 /// // 32 threads, k = 4: a 3-level tree instead of a 28-stage chain.
-/// let kex = TreeKex::cc(32, 4);
+/// let kex = TreeKex::new(32, 4);
 /// assert_eq!(kex.depth(), 3);
 /// let _guard = kex.enter(17);
 /// ```
 #[derive(Debug)]
-pub struct TreeKex<B = CcChainKex> {
+pub struct TreeKex {
     /// `levels[0]` = leaves; the last level is the single root block.
     /// With `n <= 2k` that is one level of one `(n, k)` block.
-    levels: Vec<Vec<B>>,
+    levels: Vec<Vec<CcChainKex>>,
     group: usize,
     n: usize,
     k: usize,
 }
 
-impl TreeKex<CcChainKex> {
-    /// Tree of Figure-2 (cache-coherent) chain blocks — Theorem 2.
-    pub fn cc(n: usize, k: usize) -> Self {
-        Self::new(n, k)
-    }
-}
-
-impl TreeKex<DsmChainKex> {
-    /// Tree of Figure-6 (DSM, bounded local-spin) chain blocks —
-    /// Theorem 6.
-    pub fn dsm(n: usize, k: usize) -> Self {
-        Self::new(n, k)
-    }
-}
-
-impl<B: Block> TreeKex<B> {
-    /// Tree over blocks of type `B`.
+impl TreeKex {
+    /// Tree of Figure-2 chain blocks — Theorem 2.
     ///
     /// # Panics
     /// Panics unless `1 <= k < n`.
@@ -58,7 +41,7 @@ impl<B: Block> TreeKex<B> {
         loop {
             levels.push(
                 (0..count)
-                    .map(|_| B::with_universe(n, group.min(n), k))
+                    .map(|_| CcChainKex::with_universe(n, group.min(n), k))
                     .collect(),
             );
             if count == 1 {
@@ -80,12 +63,12 @@ impl<B: Block> TreeKex<B> {
     }
 
     #[inline]
-    fn block_at(&self, level: usize, p: usize) -> &B {
+    fn block_at(&self, level: usize, p: usize) -> &CcChainKex {
         &self.levels[level][(p / self.group) >> level]
     }
 }
 
-impl<B: Block> RawKex for TreeKex<B> {
+impl RawKex for TreeKex {
     fn n(&self) -> usize {
         self.n
     }
@@ -117,9 +100,9 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn cc_tree_never_exceeds_k() {
+    fn tree_never_exceeds_k() {
         for (n, k) in [(8, 2), (12, 3), (16, 2)] {
-            let kex = TreeKex::cc(n, k);
+            let kex = TreeKex::new(n, k);
             let report = occupancy_stress(&kex, 150);
             assert!(report.max_seen <= k, "(n={n},k={k}): {}", report.max_seen);
             assert_eq!(report.total_entries, n as u64 * 150);
@@ -127,24 +110,16 @@ mod tests {
     }
 
     #[test]
-    fn dsm_tree_never_exceeds_k() {
-        let kex = TreeKex::dsm(12, 3);
-        let report = occupancy_stress(&kex, 150);
-        assert!(report.max_seen <= 3);
-        assert_eq!(report.total_entries, 12 * 150);
-    }
-
-    #[test]
     fn depth_is_logarithmic() {
-        assert_eq!(TreeKex::cc(4, 2).depth(), 1);
-        assert_eq!(TreeKex::cc(8, 2).depth(), 2);
-        assert_eq!(TreeKex::cc(16, 2).depth(), 3);
-        assert_eq!(TreeKex::cc(32, 2).depth(), 4);
+        assert_eq!(TreeKex::new(4, 2).depth(), 1);
+        assert_eq!(TreeKex::new(8, 2).depth(), 2);
+        assert_eq!(TreeKex::new(16, 2).depth(), 3);
+        assert_eq!(TreeKex::new(32, 2).depth(), 4);
     }
 
     #[test]
     fn k_holders_rendezvous_through_the_tree() {
-        let kex = TreeKex::cc(12, 3);
+        let kex = TreeKex::new(12, 3);
         assert_eq!(max_concurrency(&kex, 3, Duration::from_secs(2)), 3);
     }
 }

@@ -43,8 +43,8 @@
 use std::sync::Arc;
 
 use kex_core::native::{
-    Block, CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, QueueKex, RawKex,
-    Resilient, SemaphoreKex, TasRenaming, TreeKex,
+    CcChainKex, FastPathKex, KAssignment, QueueKex, RawKex, Resilient, SemaphoreKex, TasRenaming,
+    TreeKex,
 };
 use kex_loom::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use kex_loom::{thread, Builder};
@@ -170,25 +170,13 @@ fn fig2_release_then_arrival_wakes_the_older_waiter_once() {
 }
 
 #[test]
-fn fig6_dsm_chain_n2_k1() {
-    check_occupancy(
-        "fig6 (2,1)",
-        Builder::new().max_preemptions(3),
-        || DsmChainKex::new(2, 1),
-        &[0, 1],
-        &[],
-        1,
-    );
-}
-
-#[test]
 fn tree_two_levels_n3_k1() {
     // n=3, k=1 composes two levels of Figure-2 blocks — the smallest
     // genuinely hierarchical instance.
     check_occupancy(
         "tree cc (3,1)",
         Builder::new().max_preemptions(2),
-        || TreeKex::cc(3, 1),
+        || TreeKex::new(3, 1),
         &[0, 1, 2],
         &[],
         1,
@@ -203,18 +191,6 @@ fn fast_path_n3_k1() {
         "fast path (3,1)",
         Builder::new().max_preemptions(2),
         || FastPathKex::new(3, 1),
-        &[0, 1, 2],
-        &[],
-        1,
-    );
-}
-
-#[test]
-fn graceful_n3_k1() {
-    check_occupancy(
-        "graceful (3,1)",
-        Builder::new().max_preemptions(2),
-        || GracefulKex::new(3, 1),
         &[0, 1, 2],
         &[],
         1,
@@ -267,18 +243,6 @@ fn fig2_crash_in_cs_n3_k2() {
 }
 
 #[test]
-fn fig6_crash_in_cs_n3_k2() {
-    check_occupancy(
-        "fig6 crash (3,2)",
-        Builder::new().max_preemptions(2),
-        || DsmChainKex::new(3, 2),
-        &[0, 1, 2],
-        &[0],
-        1,
-    );
-}
-
-#[test]
 fn fast_path_crash_in_cs_n3_k2() {
     check_occupancy(
         "fast path crash (3,2)",
@@ -314,8 +278,8 @@ fn fast_path_crash_in_cs_n3_k2() {
 /// every caller of a `(4, 2)` chain, and a blocker whose wake-up the
 /// try left out is woken anyway by the next holder to leave, because
 /// whoever made the try fail is a live holder or about to become one.
-/// `a_refused_try_leaves_every_stage_as_it_found_it` in `fig2.rs` and
-/// `fig6.rs` pins both on the counters themselves.
+/// `a_refused_try_leaves_every_stage_as_it_found_it` in `fig2.rs` pins
+/// both on the counters themselves.
 fn check_try_against_blocking(
     name: &'static str,
     make: fn() -> FastPathKex,
@@ -673,22 +637,6 @@ fn fig2_two_cycles_spin_sees_second_wakeup() {
 }
 
 #[test]
-fn fig6_two_cycles_last_cursor_advances() {
-    // Relaxed sites: `mine.last` load/store are RELAXED (owner-private
-    // cursor) and the `p[next]` spin is ACQUIRE. Two cycles make the
-    // cursor actually advance through the wheel, so a stale `last`
-    // read would hand the process a spin location nobody will set.
-    check_occupancy(
-        "fig6 2-cycle (2,1)",
-        Builder::new().max_preemptions(3),
-        || DsmChainKex::new(2, 1),
-        &[0, 1],
-        &[],
-        2,
-    );
-}
-
-#[test]
 fn fast_path_two_cycles_slow_flag_round_trip() {
     // Relaxed sites: the X credit counter RMWs are ACQ_REL (same-location
     // chain) and `slow_flag` is RELAXED (arbitration is advisory; safety
@@ -714,22 +662,6 @@ fn fig1_two_cycles_waiting_flag_reuse() {
         "fig1 2-cycle (3,2)",
         Builder::new().max_preemptions(2),
         || QueueKex::new(3, 2),
-        &[0, 1, 2],
-        &[],
-        2,
-    );
-}
-
-#[test]
-fn graceful_two_cycles_nested_slow_flag_round_trip() {
-    // The same Figure-4 node as the fast-path model above, but with the
-    // nested slow path: (3,1) is one node over a (2,1) base block, so a
-    // process that misses the fast slot goes through the `Nested` arm
-    // and, a cycle later, must read back the flag it then clears.
-    check_occupancy(
-        "graceful 2-cycle (3,1)",
-        Builder::new().max_preemptions(2),
-        || GracefulKex::new(3, 1),
         &[0, 1, 2],
         &[],
         2,

@@ -186,11 +186,6 @@ const IR_MAP: &[IrMapRow] = &[
         Algorithm::CcChain,
         &[("word", "x"), ("word:spin", "q")],
     ),
-    (
-        "fig6.rs",
-        Algorithm::DsmChain,
-        &[("x", "x"), ("q", "q"), ("r", "r"), ("p", "p")],
-    ),
     ("fast_path.rs", Algorithm::CcFastPath, &[("x", "x")]),
     ("renaming.rs", Algorithm::AssignmentCc, &[("bits", "x")]),
     ("fig1.rs", Algorithm::QueueFig1, &[]),

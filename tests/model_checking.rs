@@ -105,6 +105,12 @@ fn matrix_no_failures() {
         case(Algorithm::CcChain, 3, 2, None, 0, true),
         case(Algorithm::CcGraceful, 3, 1, None, 0, true),
         case(Algorithm::DsmChain, 2, 1, None, 0, true),
+        // The DSM tree, and Figure 4 over Figure-6 blocks: its graceful
+        // node at (3, 1) has a one-block slow path, the cheapest
+        // exhaustive run of the DSM node. `DsmFastPath` at the same size
+        // is left out: over four times as long.
+        case(Algorithm::DsmTree, 3, 1, Some(1), 0, true),
+        case(Algorithm::DsmGraceful, 3, 1, Some(1), 0, true),
         case(Algorithm::DsmUnboundedChain, 2, 1, Some(3), 0, false),
         case(Algorithm::AssignmentCc, 3, 2, None, 0, true),
     ];

@@ -7,21 +7,15 @@ use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
 
 use kex::core::native::{
-    CcChainKex, DsmChainKex, FastPathKex, GracefulKex, KAssignment, QueueKex, RawKex, Resilient,
-    SemaphoreKex, TreeKex,
+    CcChainKex, FastPathKex, KAssignment, QueueKex, RawKex, Resilient, SemaphoreKex, TreeKex,
 };
 use kex::waitfree::{SlotCounter, Snapshot, WfQueue};
 
 fn all_algorithms(n: usize, k: usize) -> Vec<(&'static str, Box<dyn RawKex>)> {
     vec![
         ("cc-chain", Box::new(CcChainKex::new(n, k))),
-        ("dsm-chain", Box::new(DsmChainKex::new(n, k))),
-        ("cc-tree", Box::new(TreeKex::cc(n, k))),
-        ("dsm-tree", Box::new(TreeKex::dsm(n, k))),
+        ("cc-tree", Box::new(TreeKex::new(n, k))),
         ("cc-fastpath", Box::new(FastPathKex::new(n, k))),
-        ("dsm-fastpath", Box::new(FastPathKex::new_dsm(n, k))),
-        ("cc-graceful", Box::new(GracefulKex::new(n, k))),
-        ("dsm-graceful", Box::new(GracefulKex::new_dsm(n, k))),
         ("fig1-queue", Box::new(QueueKex::new(n, k))),
         ("semaphore", Box::new(SemaphoreKex::new(n, k))),
     ]
@@ -172,21 +166,17 @@ fn names_stay_unique_over<K: RawKex>(kex: K) {
 #[test]
 fn assignment_names_are_unique_across_algorithm_choices() {
     names_stay_unique_over(CcChainKex::new(6, 2));
-    names_stay_unique_over(TreeKex::dsm(6, 2));
-    names_stay_unique_over(GracefulKex::new(6, 2));
+    names_stay_unique_over(TreeKex::new(6, 2));
+    names_stay_unique_over(QueueKex::new(6, 2));
 }
 
 #[test]
 fn native_shapes_match_the_simulator_constructions() {
-    use kex::core::sim::{graceful_depth, tree_depth};
+    use kex::core::sim::tree_depth;
     for k in 1..=4 {
         for n in k + 1..=6 * k + 3 {
-            let at = format!("(n={n}, k={k})");
-            let (graceful, tree) = (graceful_depth(n, k) as usize, tree_depth(n, k) as usize);
-            assert_eq!(GracefulKex::new(n, k).level_count(), graceful, "{at}");
-            assert_eq!(GracefulKex::new_dsm(n, k).level_count(), graceful, "{at}");
-            assert_eq!(TreeKex::cc(n, k).depth(), tree, "{at}");
-            assert_eq!(TreeKex::dsm(n, k).depth(), tree, "{at}");
+            let tree = tree_depth(n, k) as usize;
+            assert_eq!(TreeKex::new(n, k).depth(), tree, "(n={n}, k={k})");
         }
     }
 }
