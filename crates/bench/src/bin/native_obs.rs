@@ -4,11 +4,11 @@
 //!
 //! Where `table1`/`bounds` count exact RMRs on the discrete-event
 //! simulator, this binary runs the real `std::thread` implementations
-//! and lets the facade's instrumented backend estimate CC/DSM remote
+//! and lets the facade's instrumented backend estimate CC remote
 //! references per entry+exit pair. The two views should agree in shape:
 //! every algorithm's mean CC estimate must sit at or below the paper's
 //! worst-case formula. (The native layer is the cache-coherent stack;
-//! the DSM theorems are the simulator's alone.)
+//! DSM costs are the simulator's alone, E1–E5.)
 //!
 //! Run: `cargo run --release -p kex-bench --features obs --bin native_obs`
 //!
@@ -19,11 +19,10 @@
 //! Exits nonzero if any algorithm exceeds its bound, a bound goes
 //! unexercised, or the occupancy gauge ever exceeds `k`, so CI can gate
 //! on it. (Which atomic sites exist is kex-lint's static question, not
-//! this run's: the JSON keeps per-site tallies, but a site no case
-//! executes is still in the inventory.) A bound counts as *exercised*
-//! only if the case's threads actually overlapped (occupancy above 1 or
-//! a spin in an entry section): a mean under a worst-case bound from a
-//! run in which nothing overlapped checked nothing, and fails the run.
+//! this run's.) A bound counts as *exercised* only if the case's threads
+//! actually overlapped (occupancy above 1 or a spin in an entry
+//! section): a mean under a worst-case bound from a run in which nothing
+//! overlapped checked nothing, and fails the run.
 //!
 //! ## Estimator caveats (see `docs/OBSERVABILITY.md`)
 //!
@@ -43,9 +42,6 @@ use kex_core::native::{
 use kex_core::sim::Algorithm;
 use kex_obs::json::Json;
 use kex_obs::Section;
-
-/// The native layer's sources, as the site registry's paths contain it.
-const NATIVE_PREFIX: &str = "crates/core/src/native/";
 
 /// One algorithm under measurement: a per-process entry/exit routine
 /// plus the theorem bound it must respect.
@@ -150,10 +146,10 @@ struct CaseResult {
 
 /// Run one case: `n` threads, `cycles` acquisitions each, then snapshot
 /// and reduce. Counters are reset before the run; each case builds fresh
-/// atomics, so holder masks and DSM homes start clean. No thread starts
-/// its cycles before all have arrived, so the ones running then start
-/// together: spawned one by one, each could finish its few cycles before
-/// the next runs, and no bound would be exercised. The gate spins rather
+/// atomics, so holder masks start clean. No thread starts its cycles
+/// before all have arrived, so the ones running then start together:
+/// spawned one by one, each could finish its few cycles before the next
+/// runs, and no bound would be exercised. The gate spins rather
 /// than blocks or yields — threads start on the spawner's cpu, and only
 /// busy ones make the scheduler spread them.
 fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
@@ -179,9 +175,7 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
     let entry = snap.section_totals(Section::Entry);
     let exit = snap.section_totals(Section::Exit);
     let cc_total = entry.cc_remote + exit.cc_remote;
-    let dsm_total = entry.dsm_remote + exit.dsm_remote;
     let cc_mean = cc_total as f64 / pairs as f64;
-    let dsm_mean = dsm_total as f64 / pairs as f64;
     let within_bound = case.bound.is_none_or(|b| cc_mean <= b as f64);
 
     let occupancy_max = snap.occupancy.max;
@@ -201,30 +195,6 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
         buckets: entry_hist.into_iter().collect(),
     };
 
-    // Per-site traffic: every native-layer location the instrumented
-    // backend recorded for this case. (The registry records paths as
-    // the compiler saw them; cut them down to the repo-relative form.)
-    let mut native_sites: Vec<(&str, &kex_obs::SiteSnapshot)> = snap
-        .sites
-        .iter()
-        .filter_map(|s| {
-            let at = s.location.find(NATIVE_PREFIX)?;
-            Some((&s.location[at..], s))
-        })
-        .collect();
-    native_sites.sort_by_key(|&(loc, _)| loc);
-    let site_docs: Vec<Json> = native_sites
-        .iter()
-        .map(|&(loc, s)| {
-            Json::obj(vec![
-                ("location", loc.into()),
-                ("loads", s.loads.into()),
-                ("stores", s.stores.into()),
-                ("rmws", s.rmws.into()),
-            ])
-        })
-        .collect();
-
     let json = Json::obj(vec![
         ("name", case.name.into()),
         ("theorem", case.theorem.into()),
@@ -234,13 +204,6 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
             Json::obj(vec![
                 ("total_remote", cc_total.into()),
                 ("mean_remote_per_pair", cc_mean.into()),
-            ]),
-        ),
-        (
-            "dsm",
-            Json::obj(vec![
-                ("total_remote", dsm_total.into()),
-                ("mean_remote_per_pair", dsm_mean.into()),
             ]),
         ),
         (
@@ -266,14 +229,12 @@ fn run_case(case: &Case, n: usize, k: usize, cycles: u64) -> CaseResult {
         ("bound_per_pair", case.bound.map_or(Json::Null, Json::U64)),
         ("within_bound", within_bound.into()),
         ("overlapped", overlapped.into()),
-        ("sites", Json::arr(site_docs)),
     ]);
 
     println!(
-        "{:<16} | cc {:>8.2} dsm {:>8.2} | bound {:>5} ({:<6}) {:<19} | occ {}/{} {}",
+        "{:<16} | cc {:>8.2} | bound {:>5} ({:<6}) {:<19} | occ {}/{} {}",
         case.name,
         cc_mean,
-        dsm_mean,
         case.bound.map_or_else(|| "-".to_owned(), |b| b.to_string()),
         case.theorem,
         if case.bound.is_none() {
@@ -318,8 +279,8 @@ fn main() {
     for &(n, k) in configs {
         println!("=== native estimates: N = {n}, k = {k}, {cycles} cycles/thread ===");
         println!(
-            "{:<16} | {:>11} {:>12} | {:>20} {:<19} | occupancy",
-            "algorithm", "cc mean", "dsm mean", "bound (theorem)", ""
+            "{:<16} | {:>11} | {:>20} {:<19} | occupancy",
+            "algorithm", "cc mean", "bound (theorem)", ""
         );
         let mut algo_docs = Vec::new();
         for case in cases(n, k) {
@@ -341,7 +302,7 @@ fn main() {
         ]));
     }
 
-    sink.put("schema", "kex-bench/native_obs/v3".into());
+    sink.put("schema", "kex-bench/native_obs/v4".into());
     sink.put("quick", quick.into());
     sink.put(
         "note",

@@ -158,11 +158,7 @@ impl FastPathKex {
                 slow: TreeKex::new(n, k),
                 block: CcChainKex::with_universe(n, 2 * k, k),
                 slow_flag: (0..n)
-                    .map(|owner| {
-                        let flag = CachePadded::new(AtomicUsize::new(0));
-                        kex_util::sync::assign_home(&*flag, owner);
-                        flag
-                    })
+                    .map(|_| CachePadded::new(AtomicUsize::new(0)))
                     .collect(),
             }
         };

@@ -51,13 +51,7 @@ impl QueueKex {
                 queue: VecDeque::with_capacity(n),
             }),
             waiting: (0..n)
-                .map(|owner| {
-                    let flag = CachePadded::new(AtomicBool::new(false));
-                    // DSM accounting: each spin flag lives in its waiter's
-                    // memory partition.
-                    kex_util::sync::assign_home(&*flag, owner);
-                    flag
-                })
+                .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect(),
             n,
             k,

@@ -2,15 +2,13 @@
 //! values from the instrumented atomics backend.
 //!
 //! With one thread there is exactly one interleaving, so every counter
-//! is deterministic and the test can pin the estimator's CC/DSM
-//! semantics op by op (mirroring `kex_sim::memmodel`):
+//! is deterministic and the test can pin the estimator's CC semantics
+//! op by op (mirroring `kex_sim::memmodel`):
 //!
 //! * CC read: local iff the reader already holds the line; a miss
 //!   inserts the reader into the holder set.
 //! * CC write/RMW: local iff the writer is the *sole* holder; otherwise
 //!   remote, and the writer becomes sole holder.
-//! * DSM: static owner; every access to an unowned or foreign-owned
-//!   location is remote.
 //!
 //! Runs only with `--features obs`; it is an integration test so it gets
 //! its own process and its own (otherwise untouched) global registry.
@@ -56,12 +54,11 @@ fn cc_chain_2_1_exact_counts() {
     let snap = kex_obs::snapshot();
     let entry = snap.section_totals(Section::Entry);
     // Statement 2: one fetch&add on the word. First touch of the line:
-    // CC remote (pid 0 becomes sole holder); no DSM owner, so DSM remote.
+    // CC remote (pid 0 becomes sole holder).
     assert_eq!(entry.rmws, 1, "acquire = exactly one RMW on the word");
     assert_eq!(entry.loads, 0, "slot was free: no re-check, no spin");
     assert_eq!(entry.stores, 0);
     assert_eq!(entry.cc_remote, 1);
-    assert_eq!(entry.dsm_remote, 1);
     assert_eq!(entry.spans, 1, "one completed Entry span");
     assert_eq!(entry.spins, 0);
 
@@ -69,12 +66,11 @@ fn cc_chain_2_1_exact_counts() {
     let snap = kex_obs::snapshot();
     let exit = snap.section_totals(Section::Exit);
     // Statements 6-7: one fetch&add, slot and epoch together — pid 0
-    // is sole holder, so CC *local*, but DSM remote (unowned).
+    // is sole holder, so CC *local*.
     assert_eq!(exit.rmws, 1);
     assert_eq!(exit.stores, 0);
     assert_eq!(exit.loads, 0);
     assert_eq!(exit.cc_remote, 0, "the word is cached since the acquire");
-    assert_eq!(exit.dsm_remote, 1, "every access is DSM-remote (no homes)");
     assert_eq!(exit.spans, 1);
 
     // Everything was inside a span: the untracked bucket stayed empty.
@@ -86,19 +82,6 @@ fn cc_chain_2_1_exact_counts() {
     let pid0 = snap.pid(0).expect("pid 0 recorded");
     assert_eq!(pid0.sections[Section::Entry as usize].ops(), 1);
     assert_eq!(pid0.sections[Section::Exit as usize].ops(), 1);
-    // The event ring replays the same story in order.
-    let kinds: Vec<&str> = pid0.events.iter().map(|e| e.kind).collect();
-    assert_eq!(
-        kinds,
-        [
-            "span-open",  // Entry
-            "rmw",        // word.fetch_sub(1)
-            "span-close", // Entry
-            "span-open",  // Exit
-            "rmw",        // word.fetch_add(EPOCH + 1)
-            "span-close", // Exit
-        ]
-    );
 }
 
 /// The CC estimator is stateful across acquisitions: the second
@@ -116,7 +99,6 @@ fn second_acquisition_hits_warm_cache() {
     let entry = snap.section_totals(Section::Entry);
     assert_eq!(entry.rmws, 1);
     assert_eq!(entry.cc_remote, 0, "line still held from the first pass");
-    assert_eq!(entry.dsm_remote, 1, "DSM has no cache: remote every time");
     kex.release(0);
 }
 

@@ -697,7 +697,7 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
 pub struct Site {
     /// Repo-relative path.
     pub file: String,
-    /// 1-based line of the method token (matches `#[track_caller]`).
+    /// 1-based line of the method token: the line a finding is reported at.
     pub line: usize,
     /// The atomic method (`load`, `store`, `fetch_add`, ...).
     pub op: String,
@@ -1617,7 +1617,7 @@ mod tests {
         assert_eq!(
             (sites[1].var.as_str(), sites[1].op.as_str(), sites[1].line),
             ("q", "compare_exchange", 5),
-            "multi-line receivers anchor to the method-token line (track_caller's view)"
+            "multi-line receivers anchor to the method-token line, the line a finding is reported at"
         );
         assert_eq!(sites[1].consts, ["ACQ_REL", "ACQUIRE"]);
         // A call nested in another's arguments is a site of its own, and

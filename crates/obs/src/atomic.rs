@@ -1,19 +1,15 @@
 //! Instrumented drop-in replacements for `std::sync::atomic` types.
 //!
-//! Each type wraps the real std atomic plus a private `Meta` block holding the
-//! cost-model state the `kex-sim` memory model tracks per variable:
-//!
-//! * a **CC holder bitmask** — which processes hold a valid cached copy.
-//!   A read is local iff the reader's bit is set (else it is counted
-//!   remote and the bit is ORed in); a write or RMW is local iff the
-//!   writer is the *sole* holder (else it is counted remote and the mask
-//!   collapses to the writer alone). These are exactly
-//!   `classify_read`/`classify_write` from `kex-sim`, evaluated at
-//!   runtime against real interleavings instead of simulated ones.
-//! * a **DSM home** — the static owner assigned via [`assign_home`].
-//!   Accesses are local iff the current pid owns the variable; unowned
-//!   variables are remote to everyone, matching the simulator's
-//!   treatment of global variables.
+//! Each type wraps the real std atomic plus a private `Meta` word: the
+//! **CC holder bitmask** the `kex-sim` memory model tracks per variable
+//! — which processes hold a valid cached copy. A read is local iff the
+//! reader's bit is set (else it is counted remote and the bit is ORed
+//! in); a write or RMW is local iff the writer is the *sole* holder
+//! (else it is counted remote and the mask collapses to the writer
+//! alone). These are exactly `classify_read`/`classify_write` from
+//! `kex-sim`, evaluated at runtime against real interleavings instead
+//! of simulated ones. (A CC host cannot reproduce the DSM model; DSM
+//! costs are the simulator's.)
 //!
 //! The real operation always executes with the caller's requested
 //! `Ordering`, unchanged; bookkeeping is `Relaxed` and synchronizes
@@ -28,52 +24,28 @@
 
 pub use std::sync::atomic::Ordering;
 
-use std::panic::Location;
 use std::sync::atomic::Ordering::Relaxed;
 
 use crate::counters::{self, OpKind};
-use crate::sites;
-use crate::MAX_PIDS;
-
-/// Sentinel for "no DSM home assigned".
-const NO_HOME: u32 = u32::MAX;
 
 /// Per-variable cost-model state carried alongside every instrumented
-/// atomic.
+/// atomic: the bitmask of pids holding a valid cached copy.
 #[derive(Debug)]
 struct Meta {
-    /// CC model: bitmask of pids holding a valid cached copy.
     holders: std::sync::atomic::AtomicU64,
-    /// DSM model: owning pid, or [`NO_HOME`].
-    home: std::sync::atomic::AtomicU32,
 }
 
 impl Meta {
     const fn new() -> Self {
         Meta {
             holders: std::sync::atomic::AtomicU64::new(0),
-            home: std::sync::atomic::AtomicU32::new(NO_HOME),
         }
     }
 
-    fn set_home(&self, pid: usize) {
-        let home = if pid < MAX_PIDS { pid as u32 } else { NO_HOME };
-        self.home.store(home, Relaxed);
-    }
-
+    /// Classifies and records a read.
     #[inline]
-    fn dsm_remote(&self, pid: Option<usize>) -> bool {
-        match pid {
-            Some(p) => self.home.load(Relaxed) != p as u32,
-            None => true,
-        }
-    }
-
-    /// Classifies and records a read at `loc`.
-    #[inline]
-    fn on_read(&self, loc: &'static Location<'static>) {
-        let pid = counters::current_pid();
-        let cc_remote = match pid {
+    fn on_read(&self) {
+        let cc_remote = match counters::current_pid() {
             Some(p) => {
                 let bit = 1u64 << p;
                 if self.holders.load(Relaxed) & bit != 0 {
@@ -85,19 +57,13 @@ impl Meta {
             }
             None => true,
         };
-        counters::record_op(
-            OpKind::Load,
-            cc_remote,
-            self.dsm_remote(pid),
-            sites::site_id(loc),
-        );
+        counters::record_op(OpKind::Load, cc_remote);
     }
 
-    /// Classifies and records a write or RMW at `loc`.
+    /// Classifies and records a write or RMW.
     #[inline]
-    fn on_write(&self, kind: OpKind, loc: &'static Location<'static>) {
-        let pid = counters::current_pid();
-        let cc_remote = match pid {
+    fn on_write(&self, kind: OpKind) {
+        let cc_remote = match counters::current_pid() {
             Some(p) => {
                 let bit = 1u64 << p;
                 self.holders.swap(bit, Relaxed) != bit
@@ -108,37 +74,18 @@ impl Meta {
                 true
             }
         };
-        counters::record_op(kind, cc_remote, self.dsm_remote(pid), sites::site_id(loc));
+        counters::record_op(kind, cc_remote);
     }
 
-    /// Classifies and records a `fetch_update` at `loc`: one RMW if it
-    /// wrote, one read if its closure declined (nothing is written).
+    /// Classifies and records a `fetch_update`: one RMW if it wrote, one
+    /// read if its closure declined (nothing is written).
     #[inline]
-    fn on_update<T>(&self, outcome: &Result<T, T>, loc: &'static Location<'static>) {
+    fn on_update<T>(&self, outcome: &Result<T, T>) {
         match outcome {
-            Ok(_) => self.on_write(OpKind::Rmw, loc),
-            Err(_) => self.on_read(loc),
+            Ok(_) => self.on_write(OpKind::Rmw),
+            Err(_) => self.on_read(),
         }
     }
-}
-
-/// Declares the DSM home of an instrumented variable.
-///
-/// The native algorithms call `kex_util::sync::assign_home` from their
-/// constructors on every per-process slot (spin flags, queue nodes,
-/// handshake words); the facade routes the call here when the `obs`
-/// backend is active and to a no-op otherwise. Variables never assigned
-/// a home are *global*: remote to every process under DSM, exactly like
-/// unowned variables in the simulator.
-pub fn assign_home<T: HasHome + ?Sized>(var: &T, home: usize) {
-    var.set_home(home);
-}
-
-/// Implemented by every instrumented atomic so [`assign_home`] can set
-/// the DSM owner without knowing the concrete type.
-pub trait HasHome {
-    /// Sets the owning pid for the DSM cost model.
-    fn set_home(&self, pid: usize);
 }
 
 macro_rules! instrumented_common {
@@ -151,7 +98,7 @@ macro_rules! instrumented_common {
         }
 
         impl $name {
-            /// Creates a new atomic holding `v` (no home, cached nowhere).
+            /// Creates a new atomic holding `v` (cached nowhere).
             pub const fn new(v: $ty) -> Self {
                 $name {
                     inner: std::sync::atomic::$name::new(v),
@@ -171,32 +118,28 @@ macro_rules! instrumented_common {
             }
 
             /// Loads the value; counted as a read.
-            #[track_caller]
             #[inline]
             pub fn load(&self, order: Ordering) -> $ty {
-                self.meta.on_read(Location::caller());
+                self.meta.on_read();
                 self.inner.load(order)
             }
 
             /// Stores `v`; counted as a write.
-            #[track_caller]
             #[inline]
             pub fn store(&self, v: $ty, order: Ordering) {
-                self.meta.on_write(OpKind::Store, Location::caller());
+                self.meta.on_write(OpKind::Store);
                 self.inner.store(v, order)
             }
 
             /// Swaps in `v`; counted as an RMW.
-            #[track_caller]
             #[inline]
             pub fn swap(&self, v: $ty, order: Ordering) -> $ty {
-                self.meta.on_write(OpKind::Rmw, Location::caller());
+                self.meta.on_write(OpKind::Rmw);
                 self.inner.swap(v, order)
             }
 
             /// Compare-and-exchange; counted as one RMW whether it
             /// succeeds or fails (a failed CAS still owns the line).
-            #[track_caller]
             #[inline]
             pub fn compare_exchange(
                 &self,
@@ -205,12 +148,11 @@ macro_rules! instrumented_common {
                 success: Ordering,
                 failure: Ordering,
             ) -> Result<$ty, $ty> {
-                self.meta.on_write(OpKind::Rmw, Location::caller());
+                self.meta.on_write(OpKind::Rmw);
                 self.inner.compare_exchange(current, new, success, failure)
             }
 
             /// Weak compare-and-exchange; counted as one RMW.
-            #[track_caller]
             #[inline]
             pub fn compare_exchange_weak(
                 &self,
@@ -219,7 +161,7 @@ macro_rules! instrumented_common {
                 success: Ordering,
                 failure: Ordering,
             ) -> Result<$ty, $ty> {
-                self.meta.on_write(OpKind::Rmw, Location::caller());
+                self.meta.on_write(OpKind::Rmw);
                 self.inner
                     .compare_exchange_weak(current, new, success, failure)
             }
@@ -228,7 +170,6 @@ macro_rules! instrumented_common {
             /// underlying CAS loop may retry (an estimator
             /// simplification, documented in the crate docs) — or as
             /// one read when `f` declines, which writes nothing.
-            #[track_caller]
             #[inline]
             pub fn fetch_update<F>(
                 &self,
@@ -240,14 +181,8 @@ macro_rules! instrumented_common {
                 F: FnMut($ty) -> Option<$ty>,
             {
                 let outcome = self.inner.fetch_update(set_order, fetch_order, f);
-                self.meta.on_update(&outcome, Location::caller());
+                self.meta.on_update(&outcome);
                 outcome
-            }
-        }
-
-        impl HasHome for $name {
-            fn set_home(&self, pid: usize) {
-                self.meta.set_home(pid);
             }
         }
 
@@ -276,10 +211,9 @@ macro_rules! instrumented_int_ops {
         impl $name {
             $(
                 #[doc = concat!("`", stringify!($op), "`; counted as an RMW.")]
-                #[track_caller]
                 #[inline]
                 pub fn $op(&self, v: $ty, order: Ordering) -> $ty {
-                    self.meta.on_write(OpKind::Rmw, Location::caller());
+                    self.meta.on_write(OpKind::Rmw);
                     self.inner.$op(v, order)
                 }
             )*
@@ -335,7 +269,7 @@ pub struct AtomicPtr<T> {
 }
 
 impl<T> AtomicPtr<T> {
-    /// Creates a new atomic pointer (no home, cached nowhere).
+    /// Creates a new atomic pointer (cached nowhere).
     pub const fn new(p: *mut T) -> Self {
         AtomicPtr {
             inner: std::sync::atomic::AtomicPtr::new(p),
@@ -355,31 +289,27 @@ impl<T> AtomicPtr<T> {
     }
 
     /// Loads the pointer; counted as a read.
-    #[track_caller]
     #[inline]
     pub fn load(&self, order: Ordering) -> *mut T {
-        self.meta.on_read(Location::caller());
+        self.meta.on_read();
         self.inner.load(order)
     }
 
     /// Stores `p`; counted as a write.
-    #[track_caller]
     #[inline]
     pub fn store(&self, p: *mut T, order: Ordering) {
-        self.meta.on_write(OpKind::Store, Location::caller());
+        self.meta.on_write(OpKind::Store);
         self.inner.store(p, order)
     }
 
     /// Swaps in `p`; counted as an RMW.
-    #[track_caller]
     #[inline]
     pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-        self.meta.on_write(OpKind::Rmw, Location::caller());
+        self.meta.on_write(OpKind::Rmw);
         self.inner.swap(p, order)
     }
 
     /// Compare-and-exchange; counted as one RMW either way.
-    #[track_caller]
     #[inline]
     pub fn compare_exchange(
         &self,
@@ -388,12 +318,11 @@ impl<T> AtomicPtr<T> {
         success: Ordering,
         failure: Ordering,
     ) -> Result<*mut T, *mut T> {
-        self.meta.on_write(OpKind::Rmw, Location::caller());
+        self.meta.on_write(OpKind::Rmw);
         self.inner.compare_exchange(current, new, success, failure)
     }
 
     /// Weak compare-and-exchange; counted as one RMW.
-    #[track_caller]
     #[inline]
     pub fn compare_exchange_weak(
         &self,
@@ -402,14 +331,13 @@ impl<T> AtomicPtr<T> {
         success: Ordering,
         failure: Ordering,
     ) -> Result<*mut T, *mut T> {
-        self.meta.on_write(OpKind::Rmw, Location::caller());
+        self.meta.on_write(OpKind::Rmw);
         self.inner
             .compare_exchange_weak(current, new, success, failure)
     }
 
     /// Fetch-and-update; counted as one RMW, or as one read when `f`
     /// declines.
-    #[track_caller]
     #[inline]
     pub fn fetch_update<F>(
         &self,
@@ -421,14 +349,8 @@ impl<T> AtomicPtr<T> {
         F: FnMut(*mut T) -> Option<*mut T>,
     {
         let outcome = self.inner.fetch_update(set_order, fetch_order, f);
-        self.meta.on_update(&outcome, Location::caller());
+        self.meta.on_update(&outcome);
         outcome
-    }
-}
-
-impl<T> HasHome for AtomicPtr<T> {
-    fn set_home(&self, pid: usize) {
-        self.meta.set_home(pid);
     }
 }
 
@@ -495,35 +417,6 @@ mod tests {
         // local, final store remote => 2 CC-remote.
         assert_eq!(e1.cc_remote, 2);
         assert_eq!(e2.cc_remote, 1);
-        // No home assigned: everything is DSM-remote.
-        assert_eq!(e1.dsm_remote, 5);
-        assert_eq!(e2.dsm_remote, 2);
-    }
-
-    #[test]
-    fn dsm_home_makes_owner_local() {
-        let _g = crate::testlock::hold();
-        crate::reset();
-        let flag = AtomicBool::new(false);
-        assign_home(&flag, 4);
-        {
-            let _s = span(Section::Exit, 4);
-            flag.store(true, SeqCst);
-            flag.load(SeqCst);
-        }
-        {
-            let _s = span(Section::Exit, 5);
-            flag.load(SeqCst);
-        }
-        let snap = crate::snapshot();
-        assert_eq!(
-            snap.pid(4).unwrap().sections[Section::Exit as usize].dsm_remote,
-            0
-        );
-        assert_eq!(
-            snap.pid(5).unwrap().sections[Section::Exit as usize].dsm_remote,
-            1
-        );
     }
 
     #[test]

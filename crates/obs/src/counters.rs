@@ -3,10 +3,10 @@
 //! Layout: a static array of [`MAX_PIDS`](crate::MAX_PIDS) + 1
 //! cache-line-aligned per-process blocks (the extra slot is the shared
 //! *untracked* bucket for operations outside any span or by pids beyond
-//! the limit). Each block holds per-section counters, per-section
-//! latency histograms, and the process's event ring. In the intended
-//! regime — one thread per process id, as every harness in this repo
-//! runs — each block has a single logical writer, so the `Relaxed`
+//! the limit). Each block holds per-section counters and per-section
+//! latency histograms. In the intended regime — one thread per process
+//! id, as every harness in this repo runs — each block has a single
+//! logical writer, so the `Relaxed`
 //! fetch-adds are uncontended and never bounce cache lines between
 //! processes (the blocks are 128-byte aligned for exactly the reason
 //! `kex_util::CachePadded` exists).
@@ -23,7 +23,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use crate::hist::Hist;
-use crate::ring::{RawEvent, Ring};
 use crate::MAX_PIDS;
 
 /// Protocol section an operation is attributed to.
@@ -67,15 +66,11 @@ impl Section {
             Section::Store => "store",
         }
     }
-
-    pub(crate) fn from_u8(v: u8) -> Section {
-        Section::ALL[(v as usize).min(N_SECTIONS - 1)]
-    }
 }
 
-/// Kind of an instrumented atomic operation.
+/// Kind of an instrumented atomic operation; the discriminant indexes
+/// [`SectionCounters::ops`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub(crate) enum OpKind {
     Load = 0,
     Store = 1,
@@ -107,8 +102,6 @@ pub(crate) struct SectionCounters {
     pub ops: [AtomicU64; 3],
     /// Estimated remote references under the CC model.
     pub cc_remote: AtomicU64,
-    /// Estimated remote references under the DSM model.
-    pub dsm_remote: AtomicU64,
     /// Spin-loop hint iterations.
     pub spins: AtomicU64,
     /// Completed top-level spans of this section.
@@ -122,7 +115,6 @@ impl SectionCounters {
         SectionCounters {
             ops: [const { AtomicU64::new(0) }; 3],
             cc_remote: AtomicU64::new(0),
-            dsm_remote: AtomicU64::new(0),
             spins: AtomicU64::new(0),
             spans: AtomicU64::new(0),
             span_ns: AtomicU64::new(0),
@@ -134,7 +126,6 @@ impl SectionCounters {
             op.store(0, Relaxed);
         }
         self.cc_remote.store(0, Relaxed);
-        self.dsm_remote.store(0, Relaxed);
         self.spins.store(0, Relaxed);
         self.spans.store(0, Relaxed);
         self.span_ns.store(0, Relaxed);
@@ -147,7 +138,6 @@ impl SectionCounters {
 pub(crate) struct PerPid {
     pub sec: [SectionCounters; N_SECTIONS],
     pub hist: [Hist; N_SECTIONS],
-    pub ring: Ring,
 }
 
 impl PerPid {
@@ -155,7 +145,6 @@ impl PerPid {
         PerPid {
             sec: [const { SectionCounters::new() }; N_SECTIONS],
             hist: [const { Hist::new() }; N_SECTIONS],
-            ring: Ring::new(),
         }
     }
 }
@@ -194,21 +183,13 @@ pub(crate) fn current_pid() -> Option<usize> {
 
 /// Records one atomic operation against the current context.
 #[inline]
-pub(crate) fn record_op(kind: OpKind, cc_remote: bool, dsm_remote: bool, site: u16) {
+pub(crate) fn record_op(kind: OpKind, cc_remote: bool) {
     let ctx = CURRENT.with(|c| c.get());
-    let block = &REGISTRY[ctx.slot as usize];
-    let sc = &block.sec[ctx.section as usize];
+    let sc = &REGISTRY[ctx.slot as usize].sec[ctx.section as usize];
     sc.ops[kind as usize].fetch_add(1, Relaxed);
     if cc_remote {
         sc.cc_remote.fetch_add(1, Relaxed);
     }
-    if dsm_remote {
-        sc.dsm_remote.fetch_add(1, Relaxed);
-    }
-    crate::sites::record(site, kind, cc_remote, dsm_remote);
-    block
-        .ring
-        .push_op(ctx.section, kind as u8, cc_remote, dsm_remote, site);
 }
 
 /// Records one spin-loop iteration against the current context.
@@ -249,13 +230,9 @@ pub fn span(section: Section, pid: usize) -> SpanGuard {
     };
     let prev = CURRENT.with(|c| c.replace(me));
     let top_level = prev != me;
-    if top_level {
-        let block = &REGISTRY[me.slot as usize];
-        block.ring.push_span(me.section, true);
-        if section == Section::Cs {
-            let cur = OCCUPANCY.cur.fetch_add(1, Relaxed) + 1;
-            OCCUPANCY.max.fetch_max(cur, Relaxed);
-        }
+    if top_level && section == Section::Cs {
+        let cur = OCCUPANCY.cur.fetch_add(1, Relaxed) + 1;
+        OCCUPANCY.max.fetch_max(cur, Relaxed);
     }
     SpanGuard {
         prev,
@@ -277,7 +254,6 @@ impl Drop for SpanGuard {
         sc.spans.fetch_add(1, Relaxed);
         sc.span_ns.fetch_add(ns, Relaxed);
         block.hist[self.me.section as usize].record(ns);
-        block.ring.push_span(self.me.section, false);
         if self.me.section == Section::Cs as u8 {
             OCCUPANCY.cur.fetch_sub(1, Relaxed);
         }
@@ -288,7 +264,6 @@ impl Drop for SpanGuard {
 pub(crate) struct PidView {
     pub sec: [SectionView; N_SECTIONS],
     pub hist: [[u64; crate::hist::BUCKETS]; N_SECTIONS],
-    pub events: Vec<RawEvent>,
 }
 
 /// Loaded values of one [`SectionCounters`].
@@ -296,7 +271,6 @@ pub(crate) struct PidView {
 pub(crate) struct SectionView {
     pub ops: [u64; 3],
     pub cc_remote: u64,
-    pub dsm_remote: u64,
     pub spins: u64,
     pub spans: u64,
     pub span_ns: u64,
@@ -319,7 +293,6 @@ pub(crate) fn load_pid(slot: usize) -> PidView {
                 counters.ops[2].load(Relaxed),
             ],
             cc_remote: counters.cc_remote.load(Relaxed),
-            dsm_remote: counters.dsm_remote.load(Relaxed),
             spins: counters.spins.load(Relaxed),
             spans: counters.spans.load(Relaxed),
             span_ns: counters.span_ns.load(Relaxed),
@@ -329,11 +302,7 @@ pub(crate) fn load_pid(slot: usize) -> PidView {
     for (out, h) in hist.iter_mut().zip(&block.hist) {
         *out = h.load();
     }
-    PidView {
-        sec,
-        hist,
-        events: block.ring.load(),
-    }
+    PidView { sec, hist }
 }
 
 pub(crate) fn load_occupancy() -> (i64, i64) {
@@ -348,7 +317,6 @@ pub(crate) fn reset() {
         for h in &block.hist {
             h.reset();
         }
-        block.ring.reset();
     }
     // Keep `cur` (live spans must still balance); restart the high-water
     // mark from the present occupancy.
@@ -388,12 +356,6 @@ mod tests {
         // Entry histogram recorded exactly the one top-level span.
         let entry_hist: u64 = view.hist[Section::Entry as usize].iter().sum();
         assert_eq!(entry_hist, 1);
-        // Ring: entry open, cs open, cs close, entry close + spins absent
-        // (spins are counters, not events).
-        let spans: Vec<_> = view.events.iter().filter(|e| e.kind == 3).collect();
-        assert_eq!(spans.len(), 4);
-        assert!(spans[0].is_span_open() && spans[0].section == Section::Entry as u8);
-        assert!(!spans[3].is_span_open() && spans[3].section == Section::Entry as u8);
     }
 
     #[test]

@@ -264,14 +264,11 @@ impl std::error::Error for ParseError {}
 /// surrogate-pair decoding beyond the BMP is attempted — escapes decode
 /// to their code point, which round-trips everything [`Json`] emits).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(value)
@@ -285,7 +282,7 @@ pub fn read_file(path: &Path) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -297,8 +294,13 @@ impl Parser<'_> {
         }
     }
 
+    /// The byte at `pos`, if any.
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -308,7 +310,7 @@ impl Parser<'_> {
     }
 
     fn eat(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.bytes.get(self.pos) == Some(&b) {
+        if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -317,7 +319,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -326,7 +328,7 @@ impl Parser<'_> {
     }
 
     fn value(&mut self) -> Result<Json, ParseError> {
-        match self.bytes.get(self.pos) {
+        match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -334,7 +336,7 @@ impl Parser<'_> {
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(&b) => Err(self.err(format!("unexpected byte `{}`", b as char))),
+            Some(b) => Err(self.err(format!("unexpected byte `{}`", b as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
@@ -343,7 +345,7 @@ impl Parser<'_> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(Json::Arr(items));
         }
@@ -351,7 +353,7 @@ impl Parser<'_> {
             self.skip_ws();
             items.push(self.value()?);
             self.skip_ws();
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
@@ -366,7 +368,7 @@ impl Parser<'_> {
         self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Json::Obj(pairs));
         }
@@ -378,7 +380,7 @@ impl Parser<'_> {
             self.skip_ws();
             pairs.push((key, self.value()?));
             self.skip_ws();
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
@@ -393,7 +395,7 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -401,10 +403,7 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
+                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -417,9 +416,8 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
@@ -433,11 +431,13 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `pos` only ever advances
+                    // by ASCII bytes or by `len_utf8`, so it is on a char
+                    // boundary and the slice cannot panic.
+                    let c = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("a byte at `pos` starts a char");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -447,11 +447,11 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             match b {
                 b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
@@ -461,7 +461,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::U64(v));
@@ -526,6 +526,7 @@ mod tests {
             ("bound", Json::Null),
             ("xs", Json::arr(vec![Json::I64(-1), Json::U64(2)])),
             ("esc", "a\"b\\c\nd\u{1}".into()),
+            ("utf8", "N ≥ 2k · µ".into()),
             ("empty_obj", Json::obj(vec![])),
             ("empty_arr", Json::arr(vec![])),
         ]);
@@ -558,6 +559,7 @@ mod tests {
         assert_eq!(arr.as_arr().unwrap()[1].as_f64(), Some(2.5));
         assert_eq!(arr.as_arr().unwrap()[2].as_str(), Some("x"));
         assert_eq!(doc.get("t").unwrap().as_f64(), Some(7.0));
+        assert_eq!(parse(r#""\u00b5µ""#).unwrap().as_str(), Some("µµ"));
         assert_eq!(doc.get("missing"), None);
         assert_eq!(Json::Null.get("a"), None);
     }

@@ -5,17 +5,18 @@
 //! shared-memory accesses per critical-section acquisition under the
 //! cache-coherent (CC) and distributed-shared-memory (DSM) machine
 //! models. The statement-exact simulator (`kex-sim`) counts those
-//! references precisely, but only for protocol IR programs. This crate
-//! makes the *native* Rust implementations observable at runtime:
+//! references precisely, under both models, but only for protocol IR
+//! programs. This crate makes the *native* Rust implementations — the
+//! cache-coherent stack — observable at runtime:
 //!
 //! * [`atomic`] — drop-in instrumented replacements for
 //!   `std::sync::atomic` types. Every operation increments per-process,
-//!   per-section counters (op kind, call site, and **estimated** remote
-//!   references under both cost models) and then performs the real
-//!   hardware operation with the caller's ordering. The estimators
-//!   mirror `kex-sim`'s `classify_read`/`classify_write` rules exactly:
-//!   a per-variable holder bitmask for CC, a static owner for DSM (set
-//!   via [`atomic::assign_home`]).
+//!   per-section counters (op kind and **estimated** CC remote
+//!   references) and then performs the real hardware operation with the
+//!   caller's ordering. The estimator mirrors `kex-sim`'s
+//!   `classify_read`/`classify_write` CC rules exactly, with a
+//!   per-variable holder bitmask. DSM costs are the simulator's: a CC
+//!   host running native code cannot reproduce that model.
 //! * [`span`] — scoped section annotation. The native algorithms open a
 //!   span at each section boundary (entry section, exit section,
 //!   critical section); while the span is live, every instrumented
@@ -23,11 +24,9 @@
 //!   `(process, section)` pair. Spans nest; only the outermost span of a
 //!   section records latency and completion.
 //! * Per-process fixed-bucket latency **histograms** (power-of-two
-//!   nanosecond buckets, allocation-free), a critical-section
+//!   nanosecond buckets, allocation-free) and a critical-section
 //!   **occupancy gauge** (current / high-water, the native analogue of
-//!   the simulator's occupancy invariant), and a bounded per-process
-//!   **event ring** for post-mortem traces of stalls and crash-in-CS
-//!   scenarios.
+//!   the simulator's occupancy invariant).
 //! * [`snapshot()`] / [`reset()`] — a consistent-enough copy of every
 //!   counter, renderable to JSON ([`Snapshot::to_json`]) with the
 //!   dependency-free writer in [`json`]. `kex-bench`'s `native_obs`
@@ -52,7 +51,7 @@
 //! snapshotting thread is established by whatever synchronization the
 //! benchmark already performs (typically `JoinHandle::join`).
 //!
-//! ## Accuracy of the RMR estimators
+//! ## Accuracy of the RMR estimator
 //!
 //! The estimates are *estimates*: the holder-bitmask update itself races
 //! benignly with concurrent accesses to the same variable, `fetch_update`
@@ -69,14 +68,11 @@ pub mod atomic;
 mod counters;
 mod hist;
 pub mod json;
-mod ring;
-mod sites;
 mod snapshot;
 
 pub use counters::{span, Section, SpanGuard};
 pub use snapshot::{
-    snapshot, EventSnapshot, HistSnapshot, OccupancySnapshot, PidSnapshot, SectionTotals,
-    SiteSnapshot, Snapshot,
+    snapshot, HistSnapshot, OccupancySnapshot, PidSnapshot, SectionTotals, Snapshot,
 };
 
 /// Maximum number of distinct process ids tracked individually.
@@ -99,18 +95,17 @@ pub mod hint {
     }
 }
 
-/// Resets every counter, histogram, site tally, event ring, and the
-/// occupancy high-water mark to zero.
+/// Resets every counter, histogram, and the occupancy high-water mark
+/// to zero.
 ///
 /// Call this between benchmark phases **while no instrumented code is
 /// running**: resetting under concurrent activity is memory-safe but
-/// yields torn numbers. The CC holder masks and DSM homes live inside
-/// the instrumented atomics themselves and are *not* cleared — cache
-/// state survives a reset, exactly like real hardware surviving a
-/// counter reset.
+/// yields torn numbers. The CC holder masks live inside the
+/// instrumented atomics themselves and are *not* cleared — cache state
+/// survives a reset, exactly like real hardware surviving a counter
+/// reset.
 pub fn reset() {
     counters::reset();
-    sites::reset();
 }
 
 #[cfg(test)]

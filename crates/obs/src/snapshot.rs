@@ -9,7 +9,7 @@
 use crate::counters::{self, Section, SectionView, N_SECTIONS};
 use crate::hist::{Hist, BUCKETS};
 use crate::json::Json;
-use crate::{sites, MAX_PIDS};
+use crate::MAX_PIDS;
 
 /// A point-in-time copy of all observability state.
 #[derive(Debug, Clone)]
@@ -17,8 +17,6 @@ pub struct Snapshot {
     /// Per-process data, for every pid slot with any activity. The
     /// untracked bucket, if active, appears with `pid == None`.
     pub per_pid: Vec<PidSnapshot>,
-    /// Per-call-site tallies, heaviest site first.
-    pub sites: Vec<SiteSnapshot>,
     /// Critical-section occupancy gauge.
     pub occupancy: OccupancySnapshot,
 }
@@ -32,8 +30,6 @@ pub struct PidSnapshot {
     pub sections: [SectionTotals; N_SECTIONS],
     /// Per-section latency histograms, indexed by `Section as usize`.
     pub hists: [HistSnapshot; N_SECTIONS],
-    /// The retained tail of the process's event ring, oldest first.
-    pub events: Vec<EventSnapshot>,
 }
 
 /// Counter totals for one `(process, section)` pair — or a sum of such
@@ -48,8 +44,6 @@ pub struct SectionTotals {
     pub rmws: u64,
     /// Estimated remote references under the CC model.
     pub cc_remote: u64,
-    /// Estimated remote references under the DSM model.
-    pub dsm_remote: u64,
     /// Spin-loop hint iterations.
     pub spins: u64,
     /// Completed top-level spans.
@@ -69,7 +63,6 @@ impl SectionTotals {
         self.stores += other.stores;
         self.rmws += other.rmws;
         self.cc_remote += other.cc_remote;
-        self.dsm_remote += other.dsm_remote;
         self.spins += other.spins;
         self.spans += other.spans;
         self.span_ns += other.span_ns;
@@ -81,7 +74,6 @@ impl SectionTotals {
             stores: view.ops[1],
             rmws: view.ops[2],
             cc_remote: view.cc_remote,
-            dsm_remote: view.dsm_remote,
             spins: view.spins,
             spans: view.spans,
             span_ns: view.span_ns,
@@ -98,7 +90,6 @@ impl SectionTotals {
             ("stores", Json::U64(self.stores)),
             ("rmws", Json::U64(self.rmws)),
             ("cc_remote", Json::U64(self.cc_remote)),
-            ("dsm_remote", Json::U64(self.dsm_remote)),
             ("spins", Json::U64(self.spins)),
             ("spans", Json::U64(self.spans)),
             ("span_ns", Json::U64(self.span_ns)),
@@ -172,40 +163,6 @@ impl HistSnapshot {
     }
 }
 
-/// One decoded ring event.
-#[derive(Debug, Clone)]
-pub struct EventSnapshot {
-    /// Per-process sequence number (monotone within a pid).
-    pub seq: u64,
-    /// Section the event was attributed to.
-    pub section: Section,
-    /// `"load"`, `"store"`, `"rmw"`, `"span-open"` or `"span-close"`.
-    pub kind: &'static str,
-    /// Rendered `file:line` of the call site (ops only).
-    pub site: Option<String>,
-    /// CC-remote flag (ops only; always `false` for span markers).
-    pub cc_remote: bool,
-    /// DSM-remote flag (ops only).
-    pub dsm_remote: bool,
-}
-
-/// Per-call-site tallies.
-#[derive(Debug, Clone)]
-pub struct SiteSnapshot {
-    /// Rendered `file:line` (or `"<overflow>"`).
-    pub location: String,
-    /// Atomic loads at this site.
-    pub loads: u64,
-    /// Atomic stores at this site.
-    pub stores: u64,
-    /// Atomic RMWs at this site.
-    pub rmws: u64,
-    /// Estimated CC-remote references at this site.
-    pub cc_remote: u64,
-    /// Estimated DSM-remote references at this site.
-    pub dsm_remote: u64,
-}
-
 /// Occupancy gauge values.
 #[derive(Debug, Clone, Copy)]
 pub struct OccupancySnapshot {
@@ -267,38 +224,6 @@ impl Snapshot {
                             .map_or(Json::Str("untracked".into()), |v| Json::U64(v as u64)),
                     ),
                     ("sections", Json::Obj(sections)),
-                    (
-                        "last_events",
-                        Json::arr(
-                            p.events
-                                .iter()
-                                .map(|e| {
-                                    Json::obj(vec![
-                                        ("seq", Json::U64(e.seq)),
-                                        ("section", e.section.label().into()),
-                                        ("kind", e.kind.into()),
-                                        ("site", e.site.clone().map_or(Json::Null, Json::Str)),
-                                        ("cc_remote", Json::Bool(e.cc_remote)),
-                                        ("dsm_remote", Json::Bool(e.dsm_remote)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let sites = self
-            .sites
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    ("location", s.location.clone().into()),
-                    ("loads", Json::U64(s.loads)),
-                    ("stores", Json::U64(s.stores)),
-                    ("rmws", Json::U64(s.rmws)),
-                    ("cc_remote", Json::U64(s.cc_remote)),
-                    ("dsm_remote", Json::U64(s.dsm_remote)),
                 ])
             })
             .collect();
@@ -311,7 +236,6 @@ impl Snapshot {
                 ]),
             ),
             ("per_pid", Json::arr(per_pid)),
-            ("sites", Json::arr(sites)),
         ])
     }
 }
@@ -325,8 +249,7 @@ pub fn snapshot() -> Snapshot {
         let active = view
             .sec
             .iter()
-            .any(|s| s.total_ops() + s.spins + s.spans > 0)
-            || !view.events.is_empty();
+            .any(|s| s.total_ops() + s.spins + s.spans > 0);
         if !active {
             continue;
         }
@@ -336,50 +259,15 @@ pub fn snapshot() -> Snapshot {
             sections[i] = SectionTotals::from_view(&view.sec[i]);
             hists[i] = HistSnapshot::from_counts(&view.hist[i]);
         }
-        let events = view
-            .events
-            .iter()
-            .map(|e| EventSnapshot {
-                seq: e.seq,
-                section: Section::from_u8(e.section),
-                kind: match e.kind {
-                    0 => "load",
-                    1 => "store",
-                    2 => "rmw",
-                    _ if e.is_span_open() => "span-open",
-                    _ => "span-close",
-                },
-                site: if e.kind < 3 {
-                    crate::sites::site_name(e.site)
-                } else {
-                    None
-                },
-                cc_remote: e.kind < 3 && e.cc_remote,
-                dsm_remote: e.kind < 3 && e.dsm_remote,
-            })
-            .collect();
         per_pid.push(PidSnapshot {
             pid: (slot < MAX_PIDS).then_some(slot),
             sections,
             hists,
-            events,
         });
     }
-    let sites = sites::load()
-        .into_iter()
-        .map(|s| SiteSnapshot {
-            location: s.location,
-            loads: s.loads,
-            stores: s.stores,
-            rmws: s.rmws,
-            cc_remote: s.cc_remote,
-            dsm_remote: s.dsm_remote,
-        })
-        .collect();
     let (current, max) = counters::load_occupancy();
     Snapshot {
         per_pid,
-        sites,
         occupancy: OccupancySnapshot { current, max },
     }
 }
@@ -403,10 +291,6 @@ mod tests {
         assert_eq!(snap.section_totals(Section::Entry).spans, 1);
         let json = snap.to_json().to_string();
         assert!(json.contains("\"rmws\":1"));
-        assert!(
-            json.contains("snapshot.rs"),
-            "site location present: {json}"
-        );
         assert!(json.contains("\"occupancy\""));
     }
 

@@ -12,9 +12,9 @@
 //! 2. **obs** — building with `--features obs` (and not loom) swaps
 //!    [`atomic`] and [`hint`] to the `kex-obs` instrumented
 //!    implementations: every operation is counted per process and
-//!    section, with estimated remote references under the CC and DSM
-//!    cost models (see `docs/OBSERVABILITY.md`). `Mutex`/`Condvar`/
-//!    [`thread`] stay std-backed.
+//!    section, with estimated remote references under the CC cost
+//!    model (see `docs/OBSERVABILITY.md`; DSM costs are the
+//!    simulator's). `Mutex`/`Condvar`/[`thread`] stay std-backed.
 //! 3. **std** — the default. The re-exports *are* the `std` types
 //!    (same `TypeId`, same layout, zero added fields or operations);
 //!    `crates/util/tests/zero_cost.rs` pins this down.
@@ -27,9 +27,6 @@
 //!   [`crate::Backoff`]), never `std::hint::spin_loop` — under loom the
 //!   shim is the yield point that makes spin loops explorable, and
 //!   under obs it is where spin iterations are counted;
-//! * per-process variables (spin flags, queue nodes, handshake words)
-//!   are declared with [`assign_home`] at construction so the DSM cost
-//!   model knows their owner; the call is a no-op except under obs;
 //! * there is no timed wait: the model has no clock, and the paper's
 //!   protocols are timeout-free.
 //!
@@ -77,23 +74,6 @@ pub mod hint {
     #[cfg(all(not(loom), not(feature = "obs")))]
     pub use std::hint::spin_loop;
 }
-
-/// Declares `var` (a facade atomic) to be *local to* process `home`
-/// under the DSM cost model.
-///
-/// The paper's DSM accounting assigns every shared variable to exactly
-/// one processor's memory partition; constructors of the native
-/// algorithms call this on each per-process slot. Only the obs backend
-/// does anything with the declaration — under std and loom it
-/// compiles to nothing.
-#[cfg(all(not(loom), feature = "obs"))]
-pub use kex_obs::atomic::assign_home;
-
-/// No-op DSM home declaration (std and loom backends); see the obs
-/// backend's documentation for what it declares when active.
-#[cfg(any(loom, not(feature = "obs")))]
-#[inline(always)]
-pub fn assign_home<T: ?Sized>(_var: &T, _home: usize) {}
 
 /// Thread spawn/join/yield, `std::thread` or model-checked.
 pub mod thread {

@@ -4,13 +4,11 @@
 //! with `--features obs` off (and outside loom), the facade's atomic
 //! re-exports *are* `std::sync::atomic` — the same `TypeId`, therefore
 //! the same layout and the same codegen for every operation. There is
-//! no wrapper to optimize away because there is no wrapper. The
-//! `assign_home` hook is an empty `#[inline(always)]` function of a
-//! generic reference, which the optimizer erases.
+//! no wrapper to optimize away because there is no wrapper.
 //!
 //! With the feature on, the inverse is pinned: the instrumented types
-//! are distinct, strictly larger (they carry the holder mask and DSM
-//! home), and actually count — so the feature cannot silently decay
+//! are distinct, carry exactly one word beside the value (the CC holder
+//! mask), and actually count — so the feature cannot silently decay
 //! into a no-op either.
 
 #![cfg(not(loom))]
@@ -70,7 +68,6 @@ fn disabled_spin_hint_is_std() {
     // nothing to count, nothing counted.
     sync::hint::spin_loop();
     let x = sync::atomic::AtomicUsize::new(0);
-    sync::assign_home(&x, 3);
     assert_eq!(x.load(sync::atomic::Ordering::SeqCst), 0);
 }
 
@@ -84,16 +81,16 @@ fn instrumented_backend_is_distinct_and_counts() {
         TypeId::of::<std::sync::atomic::AtomicUsize>(),
         "obs backend must not alias std's type",
     );
-    assert!(
-        size_of::<sync::atomic::AtomicUsize>() > size_of::<std::sync::atomic::AtomicUsize>(),
-        "instrumented atomics carry cost-model metadata",
+    assert_eq!(
+        size_of::<sync::atomic::AtomicUsize>(),
+        2 * size_of::<usize>(),
+        "an instrumented atomic is the value plus the CC holder mask, nothing more",
     );
 
     let before = kex_obs::snapshot()
         .section_totals(kex_obs::Section::Entry)
         .rmws;
     let x = sync::atomic::AtomicUsize::new(0);
-    sync::assign_home(&x, 0);
     {
         let _span = kex_obs::span(kex_obs::Section::Entry, 0);
         x.fetch_add(1, SeqCst);

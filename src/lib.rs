@@ -31,8 +31,8 @@ pub use kex_core as core;
 pub use kex_sim as sim;
 pub use kex_waitfree as waitfree;
 
-/// Runtime observability (`kex-obs`): spans, counters, RMR estimators,
-/// and the JSON snapshot. Only present with `--features obs`, which also
+/// Runtime observability (`kex-obs`): spans, counters, the CC RMR
+/// estimator, and the JSON snapshot. Only present with `--features obs`, which also
 /// routes every algorithm's atomics through the instrumented backend;
 /// see `docs/OBSERVABILITY.md`.
 #[cfg(feature = "obs")]
