@@ -19,12 +19,12 @@ use super::renaming::TasRenaming;
 /// let guard = pool.enter(3);
 /// assert!(guard.name() < 4); // unique among current holders
 /// ```
-pub struct KAssignment<K: RawKex = FastPathKex> {
-    kex: K,
+pub struct KAssignment {
+    kex: FastPathKex,
     names: TasRenaming,
 }
 
-impl<K: RawKex> std::fmt::Debug for KAssignment<K> {
+impl std::fmt::Debug for KAssignment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KAssignment")
             .field("n", &self.kex.n())
@@ -37,7 +37,10 @@ impl KAssignment {
     /// k-assignment over the Theorem-3 cache-coherent fast-path
     /// k-exclusion (Theorem 9).
     pub fn new(n: usize, k: usize) -> Self {
-        Self::over(FastPathKex::new(n, k))
+        KAssignment {
+            kex: FastPathKex::new(n, k),
+            names: TasRenaming::new(k),
+        }
     }
 
     /// [`KAssignment::enter`] that never waits: `None` when
@@ -53,19 +56,6 @@ impl KAssignment {
     pub fn occupancy(&self) -> usize {
         self.kex.occupancy()
     }
-}
-
-impl<K: RawKex> KAssignment<K> {
-    /// k-assignment over any `(N, k)`-exclusion algorithm — names stay
-    /// unique whichever one admits, e.g.
-    /// `KAssignment::over(TreeKex::new(n, k))`.
-    pub fn over(kex: K) -> Self {
-        let k = kex.k();
-        KAssignment {
-            kex,
-            names: TasRenaming::new(k),
-        }
-    }
 
     /// The process universe size.
     pub fn n(&self) -> usize {
@@ -79,7 +69,7 @@ impl<K: RawKex> KAssignment<K> {
 
     /// Enter: acquires a k-exclusion slot, then a unique name. The guard
     /// releases both (name first, as in Figure 7) on drop.
-    pub fn enter(&self, p: usize) -> NameGuard<'_, K> {
+    pub fn enter(&self, p: usize) -> NameGuard<'_> {
         // One Entry span covering both the k-exclusion acquisition and the
         // renaming loop: the inner kex's own span nests transparently, so
         // the Figure-7 test-and-sets are attributed to this entry section.
@@ -90,7 +80,7 @@ impl<K: RawKex> KAssignment<K> {
 
     /// The second half of entering: `p` holds a slot, so one of the `k`
     /// names is free.
-    fn named(&self, p: usize, entry: crate::obs::SpanGuard) -> NameGuard<'_, K> {
+    fn named(&self, p: usize, entry: crate::obs::SpanGuard) -> NameGuard<'_> {
         let name = self.names.acquire_name();
         drop(entry);
         NameGuard {
@@ -105,8 +95,8 @@ impl<K: RawKex> KAssignment<K> {
 /// Holds one of the `k` slots and its unique name.
 #[must_use = "dropping the guard immediately releases the name and slot"]
 #[derive(Debug)]
-pub struct NameGuard<'a, K: RawKex = FastPathKex> {
-    owner: &'a KAssignment<K>,
+pub struct NameGuard<'a> {
+    owner: &'a KAssignment,
     p: usize,
     name: usize,
     /// Critical-section observability span; closed before the releases so
@@ -114,7 +104,7 @@ pub struct NameGuard<'a, K: RawKex = FastPathKex> {
     cs: Option<crate::obs::SpanGuard>,
 }
 
-impl<K: RawKex> NameGuard<'_, K> {
+impl NameGuard<'_> {
     /// The unique name in `0..k` held by this guard.
     pub fn name(&self) -> usize {
         self.name
@@ -126,7 +116,7 @@ impl<K: RawKex> NameGuard<'_, K> {
     }
 }
 
-impl<K: RawKex> Drop for NameGuard<'_, K> {
+impl Drop for NameGuard<'_> {
     fn drop(&mut self) {
         // Close the Cs span first so the occupancy gauge never counts
         // an exiting process. (`= None`, not `drop(..take())`: the
@@ -144,7 +134,8 @@ impl<K: RawKex> Drop for NameGuard<'_, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kex_util::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use kex_util::ord;
+    use kex_util::sync::atomic::AtomicUsize;
     use std::collections::HashSet;
     use std::sync::Mutex;
 
@@ -160,8 +151,8 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..200 {
                         let guard = assign.enter(p);
-                        let now = inside.fetch_add(1, SeqCst) + 1;
-                        max_inside.fetch_max(now, SeqCst);
+                        let now = inside.fetch_add(1, ord::handshake::SEQ_CST) + 1;
+                        max_inside.fetch_max(now, ord::handshake::SEQ_CST);
                         {
                             let mut h = held.lock().unwrap();
                             assert!(guard.name() < 3);
@@ -178,12 +169,12 @@ mod tests {
                             let mut h = held.lock().unwrap();
                             h.remove(&guard.name());
                         }
-                        inside.fetch_sub(1, SeqCst);
+                        inside.fetch_sub(1, ord::handshake::SEQ_CST);
                     }
                 });
             }
         });
-        assert!(max_inside.load(SeqCst) <= 3);
+        assert!(max_inside.load(ord::handshake::SEQ_CST) <= 3);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Native Figure-4 fast path over the tree slow path (Theorem 3).
 
+use kex_util::ord;
 use kex_util::sync::atomic::{AtomicU64, AtomicUsize};
 
 use kex_util::CachePadded;
 
 use super::fig2::CcChainKex;
-use super::ordering as ord;
 use super::raw::RawKex;
 use super::tree::TreeKex;
 
@@ -18,7 +18,7 @@ use super::tree::TreeKex;
 /// `(2k, k)` block, which provides its own synchronization).
 #[inline]
 fn try_grab(x: &AtomicU64) -> bool {
-    x.fetch_update(ord::ACQ_REL, ord::ACQUIRE, |v| {
+    x.fetch_update(ord::counter::ACQ_REL, ord::spin::ACQUIRE, |v| {
         if v > 0 {
             Some(v - 1)
         } else {
@@ -78,9 +78,9 @@ impl Node {
                 // Statements 1–5 of Figure 4. `slow_flag[p]` is
                 // owner-private (atomic only for `Sync`), so Relaxed.
                 if try_grab(block.x()) {
-                    slow_flag[p].store(0, ord::RELAXED);
+                    slow_flag[p].store(0, ord::private::RELAXED);
                 } else {
-                    slow_flag[p].store(1, ord::RELAXED);
+                    slow_flag[p].store(1, ord::private::RELAXED);
                     slow.acquire(p);
                 }
                 block.acquire(p);
@@ -105,10 +105,10 @@ impl Node {
                     return false;
                 }
                 if block.try_acquire(p) {
-                    slow_flag[p].store(0, ord::RELAXED);
+                    slow_flag[p].store(0, ord::private::RELAXED);
                     return true;
                 }
-                x.fetch_add(1, ord::ACQ_REL);
+                x.fetch_add(1, ord::counter::ACQ_REL);
                 false
             }
         }
@@ -130,13 +130,13 @@ impl Node {
             } => {
                 // Statements 6–9 of Figure 4.
                 block.release(p);
-                if slow_flag[p].load(ord::RELAXED) != 0 {
+                if slow_flag[p].load(ord::private::RELAXED) != 0 {
                     slow.release(p);
                 } else {
                     // Release half pairs with the acquire in `try_grab`,
                     // handing our critical section to the next grabber.
                     let x = block.x();
-                    x.fetch_add(1, ord::ACQ_REL);
+                    x.fetch_add(1, ord::counter::ACQ_REL);
                 }
             }
         }
@@ -247,7 +247,7 @@ mod tests {
         // held by 1 and, through the slow path, by 2.
         let kex = FastPathKex::new(5, 2);
         let x = |kex: &FastPathKex| match &kex.node {
-            Node::Split { block, .. } => block.x().load(ord::SEQ_CST),
+            Node::Split { block, .. } => block.x().load(ord::handshake::SEQ_CST),
             Node::Block(_) => unreachable!("5 > 2k"),
         };
         kex.acquire(0);

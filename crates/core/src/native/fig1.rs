@@ -9,13 +9,13 @@
 //! reintroduces a single serialization point and a single point of
 //! failure. Benchmarks use it as the Table-1 \[9\]/\[10\] stand-in.
 
+use kex_util::ord;
 use kex_util::sync::atomic::AtomicBool;
 use std::collections::VecDeque;
 
 use kex_util::sync::Mutex;
 use kex_util::{Backoff, CachePadded};
 
-use super::ordering as ord;
 use super::raw::RawKex;
 
 /// Figure-1 queue-based `(N, k)`-exclusion with a mutex standing in for
@@ -80,7 +80,7 @@ impl RawKex for QueueKex {
                 st.queue.push_back(p);
                 // Ordered against the dequeuer's clear by the mutex
                 // (both writes happen under `inner`), so Relaxed.
-                self.waiting[p].store(true, ord::RELAXED);
+                self.waiting[p].store(true, ord::private::RELAXED);
                 true
             } else {
                 false
@@ -91,7 +91,7 @@ impl RawKex for QueueKex {
             let backoff = Backoff::new();
             // Pairs with the dequeuer's release store below: the wake
             // carries the releaser's critical-section writes.
-            while self.waiting[p].load(ord::ACQUIRE) {
+            while self.waiting[p].load(ord::spin::ACQUIRE) {
                 backoff.snooze();
             }
         }
@@ -102,7 +102,7 @@ impl RawKex for QueueKex {
         // Statement 3 (atomic): Dequeue(Q); f&i(X, 1).
         let mut st = self.inner.lock();
         if let Some(q) = st.queue.pop_front() {
-            self.waiting[q].store(false, ord::RELEASE);
+            self.waiting[q].store(false, ord::publish::RELEASE);
         }
         st.x += 1;
     }

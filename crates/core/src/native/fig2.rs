@@ -44,11 +44,11 @@
 //! a wait, `O(k^3)` a `(2k, k)` passage (ALGORITHMS.md §3,
 //! EXPERIMENTS.md E19).
 
+use kex_util::ord;
 use kex_util::sync::atomic::AtomicU64;
 
 use kex_util::Backoff;
 
-use super::ordering as ord;
 use super::raw::RawKex;
 
 /// Width of a word's `X` field, and what one epoch adds to the word.
@@ -77,10 +77,10 @@ impl CcStage {
     /// Statements 2–5 of Figure 2: returns with one of the `j` slots.
     #[inline]
     fn acquire(&self) {
-        if x_of(self.word.fetch_sub(1, ord::SEQ_CST)) <= 0 {
+        if x_of(self.word.fetch_sub(1, ord::handshake::SEQ_CST)) <= 0 {
             // No slot: move the epoch, as writing `Q` did, and in the
             // same step re-check `X` (a release may have raced us)...
-            let queued = self.word.fetch_add(EPOCH, ord::SEQ_CST);
+            let queued = self.word.fetch_add(EPOCH, ord::handshake::SEQ_CST);
             if x_of(queued) < 0 {
                 // ...and spin until *anyone* moves it again, a release
                 // or a newer waiter. Both are SeqCst RMWs (hence also
@@ -89,7 +89,7 @@ impl CcStage {
                 // and every earlier releaser's critical section.
                 let mine = queued.wrapping_add(EPOCH) >> X_BITS;
                 let backoff = Backoff::new();
-                while self.word.load(ord::ACQUIRE) >> X_BITS == mine {
+                while self.word.load(ord::spin::ACQUIRE) >> X_BITS == mine {
                     backoff.snooze();
                 }
             }
@@ -99,7 +99,7 @@ impl CcStage {
     /// Statements 6–7 of Figure 2: the slot back and the wake-up.
     #[inline]
     fn release(&self) {
-        self.word.fetch_add(EPOCH + 1, ord::SEQ_CST);
+        self.word.fetch_add(EPOCH + 1, ord::handshake::SEQ_CST);
     }
 
     /// Statement 2 as footnote 2 writes it: take a slot only if one is
@@ -108,13 +108,15 @@ impl CcStage {
     #[inline]
     fn try_acquire(&self) -> bool {
         self.word
-            .fetch_update(ord::SEQ_CST, ord::SEQ_CST, |w| (x_of(w) > 0).then(|| w - 1))
+            .fetch_update(ord::handshake::SEQ_CST, ord::handshake::SEQ_CST, |w| {
+                (x_of(w) > 0).then(|| w - 1)
+            })
             .is_ok()
     }
 
     /// Slots not taken; negative while a process waits.
     fn free(&self) -> isize {
-        x_of(self.word.load(ord::SEQ_CST))
+        x_of(self.word.load(ord::handshake::SEQ_CST))
     }
 }
 
@@ -294,7 +296,7 @@ mod tests {
         kex.acquire(0);
         kex.acquire(1);
         let credits = |kex: &CcChainKex| kex.stages().iter().map(|s| s.free()).collect::<Vec<_>>();
-        let epoch = |kex: &CcChainKex| kex.stages()[0].word.load(ord::SEQ_CST) >> X_BITS;
+        let epoch = |kex: &CcChainKex| kex.stages()[0].word.load(ord::handshake::SEQ_CST) >> X_BITS;
         assert_eq!((credits(&kex), epoch(&kex)), (vec![1, 0], 0));
         assert!(!kex.try_acquire(2));
         // It left the stage it did take as a holder does: the epoch
@@ -318,7 +320,11 @@ mod tests {
         };
         assert_eq!((stage.free(), stage.try_acquire()), (0, false));
         stage.release();
-        assert_eq!(stage.word.load(ord::SEQ_CST), BIAS + 1, "X + 1, epoch 0");
+        assert_eq!(
+            stage.word.load(ord::handshake::SEQ_CST),
+            BIAS + 1,
+            "X + 1, epoch 0"
+        );
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //!
 //! The compositions are static: [`TreeKex`] and [`FastPathKex`] hold
 //! their [`CcChainKex`] blocks by value, and [`KAssignment`] its
-//! [`RawKex`].
+//! [`FastPathKex`].
 //!
-//! All algorithms name their memory orderings through the audited
-//! constants in the private `ordering` module: acquire/release/relaxed
-//! where a site-local pairing argument proves them sufficient, `SeqCst`
-//! where the paper's cross-variable reasoning genuinely needs the
-//! single total order (see `docs/MEMORY_ORDERING.md` for the
-//! site-by-site audit). Atomics are imported through the loom-swappable
+//! Every atomic access names its memory ordering by the role it plays,
+//! as a [`kex_util::ord`] constant: acquire/release/relaxed where a
+//! site-local pairing argument proves them sufficient, `SeqCst` where
+//! the paper's cross-variable reasoning genuinely needs the single
+//! total order (see `docs/MEMORY_ORDERING.md` for the site-by-site
+//! audit). Atomics are imported through the loom-swappable
 //! facade in [`kex_util::sync`] — never `std::sync::atomic` directly. Their
 //! interleaving-level correctness is established three ways: exhaustively
 //! on the statement-exact simulator versions in [`crate::sim`],
@@ -43,7 +43,6 @@ mod assignment;
 mod fast_path;
 mod fig1;
 mod fig2;
-mod ordering;
 mod raw;
 mod renaming;
 mod resilient;

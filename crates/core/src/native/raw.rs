@@ -2,7 +2,7 @@
 //!
 //! Native implementations run over the `kex_util::sync::atomic` facade
 //! (std atomics normally, loom model-checked atomics under `cfg(loom)`)
-//! with the audited orderings of the private `ordering` module:
+//! with the audited orderings of [`kex_util::ord`]:
 //! acquire/release/relaxed where a site-local pairing argument proves
 //! them sufficient, `SeqCst` where the paper's sequentially consistent
 //! reasoning genuinely spans variables (the simulator versions in
@@ -88,10 +88,8 @@ impl Drop for KexGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    // Facade types, not `std::sync::atomic`: the literal `Ordering::SeqCst`
-    // arguments below are fine under the ordering-policy lint, which exempts
-    // `#[cfg(test)]` code (test scaffolding is not an audited hot path).
-    use kex_util::sync::atomic::{AtomicUsize, Ordering};
+    use kex_util::ord;
+    use kex_util::sync::atomic::AtomicUsize;
 
     struct CountingKex {
         inside: AtomicUsize,
@@ -106,10 +104,10 @@ mod tests {
             4
         }
         fn acquire(&self, _p: usize) {
-            self.inside.fetch_add(1, Ordering::SeqCst);
+            self.inside.fetch_add(1, ord::handshake::SEQ_CST);
         }
         fn release(&self, _p: usize) {
-            self.released.fetch_add(1, Ordering::SeqCst);
+            self.released.fetch_add(1, ord::handshake::SEQ_CST);
         }
     }
 
@@ -122,9 +120,9 @@ mod tests {
         {
             let g = kex.enter(2);
             assert_eq!(g.pid(), 2);
-            assert_eq!(kex.inside.load(Ordering::SeqCst), 1);
-            assert_eq!(kex.released.load(Ordering::SeqCst), 0);
+            assert_eq!(kex.inside.load(ord::handshake::SEQ_CST), 1);
+            assert_eq!(kex.released.load(ord::handshake::SEQ_CST), 0);
         }
-        assert_eq!(kex.released.load(Ordering::SeqCst), 1);
+        assert_eq!(kex.released.load(ord::handshake::SEQ_CST), 1);
     }
 }

@@ -8,11 +8,10 @@
 //! contributes over prior one-shot renaming). A probe reads a bit before
 //! it `test_and_set`s it: a crashed holder's bit is never written again.
 
+use kex_util::ord;
 use kex_util::sync::atomic::AtomicBool;
 
 use kex_util::CachePadded;
-
-use super::ordering as ord;
 
 /// The Figure-7 name allocator: `k-1` test-and-set bits for a name space
 /// of exactly `k` (name `k-1` needs no bit; at most one process can be
@@ -61,8 +60,8 @@ impl TasRenaming {
         // chains, direct or via a later entrant's swap that this probe
         // reads — hence ACQUIRE on the read (docs/MEMORY_ORDERING.md).
         for (name, bit) in self.bits.iter().enumerate() {
-            let seen_set = bit.load(ord::ACQUIRE);
-            if !seen_set && !bit.swap(true, ord::ACQ_REL) {
+            let seen_set = bit.load(ord::spin::ACQUIRE);
+            if !seen_set && !bit.swap(true, ord::counter::ACQ_REL) {
                 return name;
             }
         }
@@ -81,7 +80,7 @@ impl TasRenaming {
         // Statement 3: clear the bit (name k-1 has none). Release pairs
         // with the acquire half of the swap above.
         if name < self.k - 1 {
-            self.bits[name].store(false, ord::RELEASE);
+            self.bits[name].store(false, ord::publish::RELEASE);
         }
     }
 }
@@ -162,7 +161,7 @@ mod tests {
         fn step(&mut self, r: &TasRenaming) -> Option<usize> {
             let name = (self.start + self.probed) % r.bits.len();
             let bit = &r.bits[name];
-            if !bit.load(ord::ACQUIRE) && !bit.swap(true, ord::ACQ_REL) {
+            if !bit.load(ord::spin::ACQUIRE) && !bit.swap(true, ord::counter::ACQ_REL) {
                 return Some(name);
             }
             self.probed += 1;

@@ -21,7 +21,8 @@ use super::assignment::{KAssignment, NameGuard};
 ///
 /// ```rust
 /// use kex_core::native::Resilient;
-/// use std::sync::atomic::{AtomicU64, Ordering};
+/// use kex_util::ord;
+/// use std::sync::atomic::AtomicU64;
 ///
 /// // A trivial "k-process object": one counter cell per name.
 /// struct Cells(Vec<AtomicU64>);
@@ -29,7 +30,7 @@ use super::assignment::{KAssignment, NameGuard};
 /// let obj = Cells((0..3).map(|_| AtomicU64::new(0)).collect());
 /// let shared = Resilient::new(8, 3, obj); // 8 threads, tolerate 2 crashes
 /// shared.with(5, |cells, name| {
-///     cells.0[name].fetch_add(1, Ordering::Relaxed);
+///     cells.0[name].fetch_add(1, ord::private::RELAXED);
 /// });
 /// ```
 pub struct Resilient<O> {
@@ -201,7 +202,8 @@ impl<O: Sync> Resilient<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kex_util::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use kex_util::ord;
+    use kex_util::sync::atomic::AtomicUsize;
 
     /// A deliberately non-thread-safe-looking "k-process object": a set of
     /// per-name scratch cells. If two concurrent operations ever receive
@@ -219,12 +221,12 @@ mod tests {
 
         fn exercise(&self, name: usize) {
             // Mark the cell claimed; detect any concurrent claimant.
-            let prev = self.cells[name].fetch_add(1, SeqCst);
+            let prev = self.cells[name].fetch_add(1, ord::handshake::SEQ_CST);
             assert_eq!(prev, 0, "name {name} used by two operations at once");
             for _ in 0..20 {
                 kex_util::sync::hint::spin_loop();
             }
-            self.cells[name].fetch_sub(1, SeqCst);
+            self.cells[name].fetch_sub(1, ord::handshake::SEQ_CST);
         }
     }
 
@@ -256,9 +258,9 @@ mod tests {
                 let (r, crashed, done) = (&r, &crashed, &done);
                 s.spawn(move || {
                     r.with(p, |_, _| {
-                        crashed.fetch_add(1, SeqCst);
+                        crashed.fetch_add(1, ord::handshake::SEQ_CST);
                         // "Crash": hold the slot until everyone else is done.
-                        while done.load(SeqCst) < 4 {
+                        while done.load(ord::handshake::SEQ_CST) < 4 {
                             kex_util::sync::thread::yield_now();
                         }
                     });
@@ -267,17 +269,17 @@ mod tests {
             for p in 2..6 {
                 let (r, crashed, done) = (&r, &crashed, &done);
                 s.spawn(move || {
-                    while crashed.load(SeqCst) < 2 {
+                    while crashed.load(ord::handshake::SEQ_CST) < 2 {
                         kex_util::sync::thread::yield_now();
                     }
                     for _ in 0..100 {
                         r.with(p, |obj, name| obj.exercise(name));
                     }
-                    done.fetch_add(1, SeqCst);
+                    done.fetch_add(1, ord::handshake::SEQ_CST);
                 });
             }
         });
-        assert_eq!(done.load(SeqCst), 4);
+        assert_eq!(done.load(ord::handshake::SEQ_CST), 4);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Shared helpers for native stress tests: occupancy tracking with real
 //! threads.
 
-use kex_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use kex_util::ord;
+use kex_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::time::{Duration, Instant};
 
 use super::raw::RawKex;
@@ -27,23 +28,23 @@ pub(crate) fn occupancy_stress<K: RawKex>(kex: &K, cycles: u64) -> OccupancyRepo
             s.spawn(move || {
                 for i in 0..cycles {
                     kex.acquire(p);
-                    let now = inside.fetch_add(1, SeqCst) + 1;
-                    max.fetch_max(now, SeqCst);
-                    total.fetch_add(1, SeqCst);
+                    let now = inside.fetch_add(1, ord::handshake::SEQ_CST) + 1;
+                    max.fetch_max(now, ord::handshake::SEQ_CST);
+                    total.fetch_add(1, ord::handshake::SEQ_CST);
                     // Vary the hold time so occupancies overlap.
                     let spin = (p * 7 + i as usize * 13) % 64;
                     for _ in 0..spin {
                         kex_util::sync::hint::spin_loop();
                     }
-                    inside.fetch_sub(1, SeqCst);
+                    inside.fetch_sub(1, ord::handshake::SEQ_CST);
                     kex.release(p);
                 }
             });
         }
     });
     OccupancyReport {
-        max_seen: max.load(SeqCst),
-        total_entries: total.load(SeqCst),
+        max_seen: max.load(ord::handshake::SEQ_CST),
+        total_entries: total.load(ord::handshake::SEQ_CST),
     }
 }
 
@@ -64,20 +65,20 @@ pub(crate) fn max_concurrency<K: RawKex>(kex: &K, want: usize, timeout: Duration
             let (inside, max, done) = (&inside, &max, &done);
             s.spawn(move || {
                 kex.acquire(p);
-                let now = inside.fetch_add(1, SeqCst) + 1;
-                max.fetch_max(now, SeqCst);
+                let now = inside.fetch_add(1, ord::handshake::SEQ_CST) + 1;
+                max.fetch_max(now, ord::handshake::SEQ_CST);
                 if now >= want {
-                    done.store(true, SeqCst);
+                    done.store(true, ord::handshake::SEQ_CST);
                 }
-                while !done.load(SeqCst) && Instant::now() < deadline {
+                while !done.load(ord::handshake::SEQ_CST) && Instant::now() < deadline {
                     kex_util::sync::hint::spin_loop();
                 }
-                inside.fetch_sub(1, SeqCst);
+                inside.fetch_sub(1, ord::handshake::SEQ_CST);
                 kex.release(p);
             });
         }
     });
-    max.load(SeqCst)
+    max.load(ord::handshake::SEQ_CST)
 }
 
 /// Stress with a subset of processes "crashing" inside their critical
@@ -98,28 +99,28 @@ pub(crate) fn crash_stress<K: RawKex>(kex: &K, crashed: &[usize], cycles: u64) -
             s.spawn(move || {
                 if is_crashed {
                     kex.acquire(p);
-                    crashed_in.fetch_add(1, SeqCst);
+                    crashed_in.fetch_add(1, ord::handshake::SEQ_CST);
                     // Hold the slot until every survivor is done — the
                     // thread has effectively failed inside its CS.
-                    while finished.load(SeqCst) < survivors {
+                    while finished.load(ord::handshake::SEQ_CST) < survivors {
                         kex_util::sync::thread::yield_now();
                     }
                     kex.release(p); // only to let the scope join cleanly
                 } else {
                     // Give the crashing threads a head start so they are
                     // really inside when the survivors contend.
-                    while crashed_in.load(SeqCst) < crashed.len() {
+                    while crashed_in.load(ord::handshake::SEQ_CST) < crashed.len() {
                         kex_util::sync::thread::yield_now();
                     }
                     for _ in 0..cycles {
                         kex.acquire(p);
-                        total.fetch_add(1, SeqCst);
+                        total.fetch_add(1, ord::handshake::SEQ_CST);
                         kex.release(p);
                     }
-                    finished.fetch_add(1, SeqCst);
+                    finished.fetch_add(1, ord::handshake::SEQ_CST);
                 }
             });
         }
     });
-    total.load(SeqCst)
+    total.load(ord::handshake::SEQ_CST)
 }

@@ -611,8 +611,8 @@ fn obs_spans_do_not_perturb_schedules() {
 
 // --- relaxed-ordering sites: multi-cycle models ---------------------------
 //
-// `native::ordering` weakens selected hot-path sites from SeqCst to
-// acquire/release/relaxed (see `docs/MEMORY_ORDERING.md`). The vendored
+// Selected hot-path sites are weaker than SeqCst, each under the
+// `kex_util::ord` role that admits it (see `docs/MEMORY_ORDERING.md`). The vendored
 // checker explores each site under the ordering it declares, so a
 // *wrong ordering* fails the model that leans on it (and TSan runs the
 // contend smoke under `-Z sanitizer=thread`). What these models add is

@@ -15,11 +15,11 @@ use kex_lint::{audit, load_audit_doc, render_json, render_text, Workspace};
 const USAGE: &str = "usage: lint [--json] [--assert] [--root PATH]\n\
                      \n\
                      Token-level conformance lints over the workspace sources: ordering-policy\n\
-                     checker (ord::* constants; the scanned atomic sites matched, per file and\n\
-                     in source order, to the docs/MEMORY_ORDERING.md audit table's rows),\n\
-                     facade-bypass detector, busy-wait backoff lint, and the ordering-obligation\n\
-                     pass (per-site roles and the kex-analyze protocol IR's derived\n\
-                     release/acquire minimums).";
+                     checker (ord::<role>::<CONST> constants; the scanned atomic sites matched,\n\
+                     per file and in source order, to the docs/MEMORY_ORDERING.md audit table's\n\
+                     rows), facade-bypass detector, busy-wait backoff lint, and the\n\
+                     ordering-obligation pass (each role's op kind and the kex-analyze protocol\n\
+                     IR's derived release/acquire minimums).";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");

@@ -4,8 +4,8 @@
 //! rustc cannot enforce:
 //!
 //! 1. **Ordering policy** — every atomic call site in
-//!    `crates/core/src/native/` names its memory ordering through the
-//!    audited constants in `kex_core::native::ordering` (never a literal
+//!    `crates/core/src/native/` names its memory ordering by role, as a
+//!    `kex_util::ord::<role>::<CONST>` constant (never a literal
 //!    `Ordering::*`), and every site has a justification row in
 //!    `docs/MEMORY_ORDERING.md`.
 //! 2. **Facade discipline** — library code reaches atomics, spin hints
@@ -22,20 +22,22 @@
 //! workspace's own sources that machine-checks all three. The source
 //! scan *is* the site inventory: [`extract_sites`] lists every audited
 //! atomic call with the ordering its constant resolves to, the `role`
-//! (spin / publish / handshake / counter / private) its audit row
-//! states and the kex-analyze IR variable its receiver models, and
-//! nothing stores a copy of that list. The audit table's rows are
+//! (spin / publish / handshake / counter / private) its token names and
+//! the kex-analyze IR variable its receiver models, and nothing stores
+//! a copy of that list. The audit table's rows are
 //! matched to it by position — per file, in source order — so the table
 //! cites no line numbers. The inventory is complete by construction:
 //! every `ord::*` token in a native site file must be a top-level
 //! argument of a call the scan extracts, so an ordering cannot reach an
 //! atomic through a method the scan does not know or through a `let`
-//! binding. On top of the
-//! inventory sits the **ordering-obligation pass**: the ordering the
-//! source passes must both fit the policy of the role the row states and
-//! satisfy the per-variable minimum the kex-analyze IR derives — so
-//! relaxing a publish or handshake participant is a hard error even
-//! with the *Implemented* keyword of its table row rewritten to match.
+//! binding. A role module exports only the orderings its role admits,
+//! so rustc rejects an ordering outside the role (and the ordering pass
+//! reports a constant `kex_util::ord` does not define). On top of the
+//! inventory sits the **ordering-obligation pass**: the site's op must
+//! be one its role is for, and its ordering must satisfy the
+//! per-variable minimum the kex-analyze IR derives — so relaxing a
+//! publish or handshake participant is a hard error even with the
+//! *Implemented* keyword of its table row rewritten to match.
 //!
 //! The scanner is deliberately *token-level*, not a Rust parser: it
 //! masks comments, strings and char literals (preserving byte offsets
@@ -90,9 +92,9 @@ pub const NATIVE_PREFIX: &str = "crates/core/src/native/";
 /// The audit table: one justification row per inventory site.
 pub const AUDIT_DOC: &str = "docs/MEMORY_ORDERING.md";
 
-/// The one file allowed to spell `Ordering::*` literals: it *defines*
-/// the audited constants.
-const ORDERING_MODULE: &str = "crates/core/src/native/ordering.rs";
+/// The role modules every audited layer names its orderings from:
+/// `kex_util::ord`, which *defines* the constants.
+const ORD_MODULE: &str = "crates/util/src/ord.rs";
 
 /// The wait-free layer, covered by the literal-`Ordering::*` ban (its
 /// sites are not in the inventory — the layer is uniformly SeqCst by
@@ -100,19 +102,11 @@ const ORDERING_MODULE: &str = "crates/core/src/native/ordering.rs";
 /// so the naming discipline applies there too).
 const WAITFREE_PREFIX: &str = "crates/waitfree/src/";
 
-/// The waitfree counterpart of `native::ordering`: defines that
-/// crate's named ordering constant, so it may spell `Ordering::*`.
-const WAITFREE_ORDERING_MODULE: &str = "crates/waitfree/src/ordering.rs";
-
 /// The store service layer, covered by the same literal-`Ordering::*`
 /// ban (SeqCst on the cells admitted writers race; the single-writer
 /// journal lanes and tallies relaxed as `docs/MEMORY_ORDERING.md`'s
 /// "store layer" section argues).
 const STORE_PREFIX: &str = "crates/store/src/";
-
-/// The store counterpart of `native::ordering`: defines that crate's
-/// named ordering constants, so it may spell `Ordering::*`.
-const STORE_ORDERING_MODULE: &str = "crates/store/src/ordering.rs";
 
 /// Native files exempt from the site passes: test scaffolding compiled
 /// only under `cfg(test)` (via the `mod` declaration, not an in-file
@@ -177,7 +171,7 @@ type IrMapRow = (
 /// the receiver-name → IR-variable aliases. Every native site file is
 /// here; a file absent from it would have no statement-level IR
 /// counterpart and its sites' `ir` would stay `None`, judged by their
-/// rows' roles alone. A `receiver:role` alias wins over the plain one:
+/// roles alone. A `receiver:role` alias wins over the plain one:
 /// fig2's stage keeps the IR's `x` and `q` in one word, which is `q`
 /// where it is spun on and `x` at every other site.
 const IR_MAP: &[IrMapRow] = &[
@@ -195,18 +189,6 @@ const IR_MAP: &[IrMapRow] = &[
 // Ordering roles
 // ---------------------------------------------------------------------------
 
-/// The roles an audit row's *Verified by* cell can state
-/// (`obligation: <role>`), each by what the site's ordering *does*:
-/// `spin` (the acquire side of a handoff, read in a wait loop),
-/// `publish` (the release side of a handoff write), `handshake` (a
-/// Dekker-style store/load or RMW pair that needs the single SC total
-/// order), `counter` (an RMW whose own read-modify-write atomicity
-/// carries the protocol) and `private` (single-owner or
-/// freshness-insensitive accesses; also a site with no row to say).
-/// The row is the independent statement: the source's op and ordering
-/// are judged against it, never the other way round.
-const ROLES: &[&str] = &["spin", "publish", "handshake", "counter", "private"];
-
 /// Collapses the atomic-method vocabulary into load / store / rmw.
 fn op_kind(op: &str) -> &'static str {
     match op {
@@ -216,15 +198,16 @@ fn op_kind(op: &str) -> &'static str {
     }
 }
 
-/// Admissible (op kind, claimed orderings) per role. `private` is
-/// unconstrained — the obligation layer has nothing to say about
-/// single-owner accesses — and returns `None`.
-fn role_policy(role: &str) -> Option<(&'static str, &'static [&'static str])> {
+/// The op kind a role (the `kex_util::ord` module a site's token
+/// names) is for: `spin` reads, `publish` writes, `counter` is an RMW.
+/// A `handshake` may be any op and `private` says nothing, so neither
+/// constrains it. Which orderings a role admits is rustc's to check:
+/// the role module exports no other.
+fn role_op_kind(role: &str) -> Option<&'static str> {
     match role {
-        "spin" => Some(("load", &["Acquire", "SeqCst"])),
-        "publish" => Some(("store", &["Release", "SeqCst"])),
-        "handshake" => Some(("any", &["SeqCst"])),
-        "counter" => Some(("rmw", &["AcqRel", "SeqCst"])),
+        "spin" => Some("load"),
+        "publish" => Some("store"),
+        "counter" => Some("rmw"),
         _ => None,
     }
 }
@@ -242,7 +225,7 @@ pub enum Pass {
     Facade,
     /// Busy-wait backoff lint.
     Spin,
-    /// Ordering-obligation checker (roles and IR-derived minimums).
+    /// Ordering-obligation checker (role op kinds and IR-derived minimums).
     Obligation,
 }
 
@@ -703,41 +686,37 @@ pub struct Site {
     pub op: String,
     /// The receiver's final field/binding name (`q`, `slots`, ...).
     pub var: String,
-    /// `ord::*` constants among the call's own arguments, in textual
-    /// order; the first is the site's primary (success) ordering.
+    /// `ord::<role>::<CONST>` paths (after `ord::`) among the call's own
+    /// arguments, in textual order; the first is the site's primary
+    /// (success) ordering.
     pub consts: Vec<String>,
-    /// The ordering the primary constant resolves to (`"?"` if
-    /// `ordering.rs` defines no such constant).
+    /// The ordering the primary constant resolves to: its own, or for a
+    /// constant its role does not export, the same name's in the role
+    /// that does (`"?"` if none does).
     pub ordering: String,
-    /// The site's ordering role, one of `ROLES`: what its audit row
-    /// states, `private` where no row was matched to it.
-    pub role: &'static str,
+    /// The role the primary constant names: the `kex_util::ord` module
+    /// it is taken from.
+    pub role: String,
     /// IR variable this receiver models, if `IR_MAP` links the file
     /// to an analyzer-IR algorithm.
     pub ir: Option<&'static str>,
 }
 
 fn is_native_site_file(path: &str) -> bool {
-    path.starts_with(NATIVE_PREFIX)
-        && path != ORDERING_MODULE
-        && !NATIVE_TEST_SUPPORT.contains(&path)
+    path.starts_with(NATIVE_PREFIX) && !NATIVE_TEST_SUPPORT.contains(&path)
 }
 
 /// Files subject to the literal-`Ordering::*` ban: the native site
-/// files plus the wait-free and store layers (minus their own constant
-/// modules).
+/// files plus the wait-free and store layers.
 fn is_ordering_policy_file(path: &str) -> bool {
-    is_native_site_file(path)
-        || (path.starts_with(WAITFREE_PREFIX) && path != WAITFREE_ORDERING_MODULE)
-        || (path.starts_with(STORE_PREFIX) && path != STORE_ORDERING_MODULE)
+    is_native_site_file(path) || path.starts_with(WAITFREE_PREFIX) || path.starts_with(STORE_PREFIX)
 }
 
 /// The site inventory: every non-test atomic call under
 /// `crates/core/src/native/` that names an `ord::*` constant, per file
-/// in source order, each with the role its row of `doc` (the text of
-/// [`AUDIT_DOC`]) states.
-pub fn extract_sites(ws: &Workspace, doc: Option<&str>) -> Vec<Site> {
-    match_sites(ws, doc).0
+/// in source order.
+pub fn extract_sites(ws: &Workspace) -> Vec<Site> {
+    match_sites(ws, None).0
 }
 
 /// The inventory, and what the scan and matching the audit table to it
@@ -745,7 +724,7 @@ pub fn extract_sites(ws: &Workspace, doc: Option<&str>) -> Vec<Site> {
 /// site.
 fn match_sites(ws: &Workspace, doc: Option<&str>) -> (Vec<Site>, Vec<Finding>) {
     let consts = ws
-        .get(ORDERING_MODULE)
+        .get(ORD_MODULE)
         .map(|f| parse_ordering_consts(f).0)
         .unwrap_or_default();
     let mut sites = Vec::new();
@@ -781,16 +760,18 @@ fn match_sites(ws: &Workspace, doc: Option<&str>) -> (Vec<Site>, Vec<Finding>) {
             let Some(&(_, primary)) = site_consts.first() else {
                 continue; // not an atomic-ordering call (e.g. slice ops)
             };
-            let ordering = consts.get(primary).map_or("?", String::as_str);
             claimed.extend(site_consts.iter().map(|&(at, _)| at));
             sites.push(Site {
                 file: file.path.clone(),
                 line: file.line_of(dot + 1),
                 op: method.to_string(),
                 var: receiver_name(mb, dot),
-                ordering: ordering.to_string(),
+                ordering: resolve(&consts, primary).to_string(),
                 consts: site_consts.iter().map(|&(_, c)| c.to_string()).collect(),
-                role: "private",
+                role: primary
+                    .rsplit_once("::")
+                    .map_or("", |(role, _)| role)
+                    .to_string(),
                 ir: None,
             });
         }
@@ -813,7 +794,7 @@ fn match_sites(ws: &Workspace, doc: Option<&str>) -> (Vec<Site>, Vec<Finding>) {
     // Stable: sites sharing a line keep their source order.
     sites.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     if let Some(doc) = doc {
-        check_audit_table(doc, &mut sites, &mut findings);
+        check_audit_table(doc, &sites, &mut findings);
     }
     for site in &mut sites {
         let short = site.file.trim_start_matches(NATIVE_PREFIX);
@@ -852,16 +833,21 @@ fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// The constant named by an `ord::NAME` token starting at byte `at`
-/// (not one ending a longer path such as `x::ord::NAME`).
+/// The path after `ord::` (`spin::ACQUIRE`) of an `ord::*` token
+/// starting at byte `at` (not one ending a longer path such as
+/// `x::ord::spin::ACQUIRE`).
 fn ord_token(text: &str, at: usize) -> Option<&str> {
     let tb = text.as_bytes();
     if !tb[at..].starts_with(b"ord::") || (at > 0 && (is_ident(tb[at - 1]) || tb[at - 1] == b':')) {
         return None;
     }
     let start = at + "ord::".len();
-    let len = tb[start..].iter().take_while(|&&b| is_ident(b)).count();
-    (len > 0).then(|| &text[start..start + len])
+    let len = tb[start..]
+        .iter()
+        .take_while(|&&b| is_ident(b) || b == b':')
+        .count();
+    let path = text[start..start + len].trim_end_matches(':');
+    (!path.is_empty()).then_some(path)
 }
 
 /// The `ord::*` constants at the top level of the argument list
@@ -919,18 +905,20 @@ fn receiver_name(mb: &[u8], dot: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Ordering constants (crates/core/src/native/ordering.rs)
+// Ordering constants (crates/util/src/ord.rs)
 // ---------------------------------------------------------------------------
 
-/// The constant table parsed out of `ordering.rs`: constant name →
+/// The constant table parsed out of `kex_util::ord`: `role::NAME` →
 /// `Ordering` variant.
 pub type OrderingConsts = BTreeMap<String, String>;
 
-/// Parses the constant table, reporting any constant that does not
-/// resolve to a known `Ordering` variant.
+/// Parses the constant table, each constant under the role module it
+/// sits in, reporting any that does not resolve to a known `Ordering`
+/// variant.
 pub fn parse_ordering_consts(file: &SourceFile) -> (OrderingConsts, Vec<Finding>) {
     let mut consts = OrderingConsts::new();
     let mut findings = Vec::new();
+    let mut role = "";
     let mut offset = 0usize;
     for (idx, line) in file.masked.lines().enumerate() {
         let lineno = idx + 1;
@@ -940,13 +928,20 @@ pub fn parse_ordering_consts(file: &SourceFile) -> (OrderingConsts, Vec<Finding>
         if file.in_test(start) {
             continue;
         }
+        if let Some(at) = trimmed.find("mod ") {
+            let rest = &trimmed[at + "mod ".len()..];
+            role = &rest[..rest.bytes().take_while(|&b| is_ident(b)).count()];
+        }
         let Some(const_at) = trimmed.find("const ") else {
             continue;
         };
         let Some(colon) = trimmed[const_at..].find(':') else {
             continue;
         };
-        let name = trimmed[const_at + "const ".len()..const_at + colon].trim();
+        let name = format!(
+            "{role}::{}",
+            trimmed[const_at + "const ".len()..const_at + colon].trim()
+        );
         let Some(var_at) = trimmed.find("Ordering::") else {
             continue;
         };
@@ -963,9 +958,23 @@ pub fn parse_ordering_consts(file: &SourceFile) -> (OrderingConsts, Vec<Finding>
             ));
             continue;
         }
-        consts.insert(name.to_string(), variant);
+        consts.insert(name, variant);
     }
     (consts, findings)
+}
+
+/// The ordering an `ord::` path resolves to: its own constant's, or,
+/// for a constant its role does not export (rustc's error, and the
+/// ordering pass's), what the same name is in the role that does — so
+/// the IR check still judges the ordering the edit meant. `"?"` if no
+/// role defines the name.
+fn resolve<'a>(consts: &'a OrderingConsts, path: &str) -> &'a str {
+    let name = path.rsplit("::").next();
+    let named = || consts.iter().find(|(p, _)| p.rsplit("::").next() == name);
+    consts
+        .get(path)
+        .or_else(|| named().map(|(_, v)| v))
+        .map_or("?", String::as_str)
 }
 
 // ---------------------------------------------------------------------------
@@ -981,8 +990,6 @@ struct DocRow {
     /// The atomic method named in the *Op* cell.
     op: String,
     keyword: String,
-    /// The role the *Verified by* cell opens with (`obligation: <role>`).
-    role: &'static str,
     doc_line: usize,
 }
 
@@ -1016,30 +1023,14 @@ fn parse_doc_rows(doc: &str) -> (Vec<DocRow>, Vec<Finding>) {
             .filter_map(|k| implemented.find(k).map(|at| (at, *k)))
             .min()
             .map(|(_, k)| k.to_string());
-        let stated = cells
-            .get(5)
-            .and_then(|c| c.trim().strip_prefix("obligation: "));
-        let role = ROLES
-            .iter()
-            .find(|role| stated.is_some_and(|s| s.starts_with(**role)));
-        match (keyword, role) {
-            (Some(keyword), Some(role)) => rows.push(DocRow {
+        match keyword {
+            Some(keyword) => rows.push(DocRow {
                 file: format!("{NATIVE_PREFIX}{name}"),
                 op: op.to_string(),
                 keyword,
-                role,
                 doc_line: idx + 1,
             }),
-            (Some(_), None) => findings.push(finding(
-                Pass::Ordering,
-                AUDIT_DOC,
-                idx + 1,
-                format!(
-                    "audit row for `{name}` states no role: its *Verified by* cell must open with `obligation: <{}>`",
-                    ROLES.join("|")
-                ),
-            )),
-            (None, _) => findings.push(finding(
+            None => findings.push(finding(
                 Pass::Ordering,
                 AUDIT_DOC,
                 idx + 1,
@@ -1077,9 +1068,8 @@ fn line_reference(line: &str) -> Option<&str> {
     None
 }
 
-/// Reconciles the audit table with the scanned sites, by position, and
-/// gives each site the role its row states.
-fn check_audit_table(doc: &str, sites: &mut [Site], findings: &mut Vec<Finding>) {
+/// Reconciles the audit table with the scanned sites, by position.
+fn check_audit_table(doc: &str, sites: &[Site], findings: &mut Vec<Finding>) {
     for (idx, line) in doc.lines().enumerate() {
         if let Some(reference) = line_reference(line) {
             findings.push(finding(
@@ -1102,7 +1092,7 @@ fn check_audit_table(doc: &str, sites: &mut [Site], findings: &mut Vec<Finding>)
         .collect();
     for file in &files {
         let mut file_rows = rows.iter().filter(|r| r.file == *file);
-        let mut file_sites = sites.iter_mut().filter(|s| s.file == *file);
+        let mut file_sites = sites.iter().filter(|s| s.file == *file);
         loop {
             match (file_sites.next(), file_rows.next()) {
                 (None, None) => break,
@@ -1135,20 +1125,18 @@ fn check_audit_table(doc: &str, sites: &mut [Site], findings: &mut Vec<Finding>)
                     ));
                     break;
                 }
-                (Some(site), Some(row)) => {
-                    site.role = row.role;
-                    if row.keyword != site.ordering {
-                        findings.push(finding(
-                            Pass::Ordering,
-                            &site.file,
-                            site.line,
-                            format!(
-                                "audit table ({AUDIT_DOC}:{}) says `{}` but `ord::{}` resolves to `{}`",
-                                row.doc_line, row.keyword, site.consts[0], site.ordering
-                            ),
-                        ));
-                    }
+                (Some(site), Some(row)) if row.keyword != site.ordering => {
+                    findings.push(finding(
+                        Pass::Ordering,
+                        &site.file,
+                        site.line,
+                        format!(
+                            "audit table ({AUDIT_DOC}:{}) says `{}` but `ord::{}` resolves to `{}`",
+                            row.doc_line, row.keyword, site.consts[0], site.ordering
+                        ),
+                    ));
                 }
+                (Some(_), Some(_)) => {}
             }
         }
     }
@@ -1164,20 +1152,20 @@ fn check_audit_table(doc: &str, sites: &mut [Site], findings: &mut Vec<Finding>)
 pub fn ordering_pass(ws: &Workspace, doc: Option<&str>) -> Vec<Finding> {
     let mut findings = Vec::new();
 
-    // 1a. No literal Ordering:: outside the ordering-constant modules
-    // (test code exempt). Covers the native hot paths and the
-    // wait-free and store layers.
+    // 1a. No literal Ordering:: in the native hot paths and the
+    // wait-free and store layers (test code exempt).
     for file in &ws.files {
         if !is_ordering_policy_file(&file.path) {
             continue;
         }
-        let hint = if file.path.starts_with(WAITFREE_PREFIX) {
-            "literal `Ordering::*` in the audited wait-free layer — name the constant from `waitfree::ordering` instead"
+        let layer = if file.path.starts_with(WAITFREE_PREFIX) {
+            "wait-free"
         } else if file.path.starts_with(STORE_PREFIX) {
-            "literal `Ordering::*` in the audited store layer — name the constant from `kex_store`'s `ordering` module instead"
+            "store"
         } else {
-            "literal `Ordering::*` in the audited native layer — name an `ord::*` constant from `native::ordering` instead"
+            "native"
         };
+        let hint = format!("literal `Ordering::*` in the audited {layer} layer — name its role's `kex_util::ord::<role>::<CONST>` instead");
         let mut i = 0;
         while let Some(rel) = file.masked[i..].find("Ordering::") {
             let at = i + rel;
@@ -1189,15 +1177,15 @@ pub fn ordering_pass(ws: &Workspace, doc: Option<&str>) -> Vec<Finding> {
             if file.allowed(line, Pass::Ordering) {
                 continue;
             }
-            findings.push(finding(Pass::Ordering, &file.path, line, hint));
+            findings.push(finding(Pass::Ordering, &file.path, line, &hint));
         }
     }
 
     // 1b. Constant-table invariants.
-    let Some(ordering_file) = ws.get(ORDERING_MODULE) else {
+    let Some(ordering_file) = ws.get(ORD_MODULE) else {
         findings.push(finding(
             Pass::Ordering,
-            ORDERING_MODULE,
+            ORD_MODULE,
             0,
             "ordering-constant module not found",
         ));
@@ -1208,7 +1196,8 @@ pub fn ordering_pass(ws: &Workspace, doc: Option<&str>) -> Vec<Finding> {
 
     let (sites, table_findings) = match_sites(ws, doc);
 
-    // 1c. Every constant a site names must exist.
+    // 1c. Every constant a site names must exist: rustc's error, for a
+    // tree the lint reads without building it.
     for site in &sites {
         for c in &site.consts {
             if !consts.contains_key(c) {
@@ -1216,14 +1205,14 @@ pub fn ordering_pass(ws: &Workspace, doc: Option<&str>) -> Vec<Finding> {
                     Pass::Ordering,
                     &site.file,
                     site.line,
-                    format!("site names unknown constant `ord::{c}`"),
+                    format!("site names unknown constant `ord::{c}`: `kex_util::ord` has no such role, or the role does not admit that ordering"),
                 ));
             }
         }
     }
 
     // 1d. Audit-table reconciliation, both directions (`match_sites`
-    // did it while giving the sites their roles).
+    // did it).
     if doc.is_none() {
         findings.push(finding(
             Pass::Ordering,
@@ -1344,11 +1333,10 @@ pub fn spin_pass(ws: &Workspace) -> Vec<Finding> {
 
 /// Pass 4: ordering-obligation checker.
 ///
-/// Validates each inventory site's claimed ordering against two
-/// independent derivations:
+/// Validates each inventory site against two derivations:
 ///
-/// * the **role policy** — the op shape and ordering the source has
-///   must be admissible for the `role` the site's audit row states;
+/// * the **role policy** — the site's op must be one its token's role
+///   is for (which orderings the role admits, rustc checks);
 /// * the **IR obligations** — for sites linked to an analyzer-IR
 ///   variable, the variable must exist in that algorithm's IR, and the
 ///   claim must satisfy the minimum ordering `kex-analyze` derives from
@@ -1365,33 +1353,17 @@ pub fn obligation_pass(sites: &[Site], cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut derived: BTreeMap<&str, (BTreeSet<String>, Vec<Obligation>)> = BTreeMap::new();
     for site in sites {
-        // 4a. Role policy: op shape and claimed ordering must be
-        // admissible for the site's role.
-        if let Some((kind, admissible)) = role_policy(site.role) {
-            if kind != "any" && op_kind(&site.op) != kind {
-                findings.push(finding(
-                    Pass::Obligation,
-                    &site.file,
-                    site.line,
-                    format!(
-                        "role `{}` is a {kind} role but the site's op is `{}`",
-                        site.role, site.op,
-                    ),
-                ));
-            }
-            if !admissible.contains(&site.ordering.as_str()) {
-                findings.push(finding(
-                    Pass::Obligation,
-                    &site.file,
-                    site.line,
-                    format!(
-                        "role `{}` admits only {} but the site claims `{}`",
-                        site.role,
-                        admissible.join("/"),
-                        site.ordering,
-                    ),
-                ));
-            }
+        // 4a. Role policy: the op must be one the site's role is for.
+        if let Some(kind) = role_op_kind(&site.role).filter(|&k| k != op_kind(&site.op)) {
+            findings.push(finding(
+                Pass::Obligation,
+                &site.file,
+                site.line,
+                format!(
+                    "role `{}` is a {kind} role but the site's op is `{}`",
+                    site.role, site.op,
+                ),
+            ));
         }
 
         // 4b. IR cross-check: the linked variable must exist, and the
@@ -1492,7 +1464,7 @@ pub fn load_audit_doc(root: &Path) -> Option<String> {
 /// Runs every pass over a loaded workspace; `doc` is the text of
 /// [`AUDIT_DOC`].
 pub fn audit(ws: &Workspace, doc: Option<&str>, cfg: &Config) -> Report {
-    let sites = extract_sites(ws, doc);
+    let sites = extract_sites(ws);
     let mut findings = ordering_pass(ws, doc);
     findings.extend(facade_pass(ws));
     findings.extend(spin_pass(ws));
@@ -1581,12 +1553,12 @@ mod tests {
 
     #[test]
     fn test_regions_cover_gated_items_only() {
-        let src = "fn hot() { x.load(ord::ACQUIRE); }\n\
+        let src = "fn hot() { x.load(ord::spin::ACQUIRE); }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                       fn t() { y.load(ord::SEQ_CST); }\n\
+                       fn t() { y.load(ord::handshake::SEQ_CST); }\n\
                    }\n\
-                   fn also_hot() { z.load(ord::SEQ_CST); }\n";
+                   fn also_hot() { z.load(ord::handshake::SEQ_CST); }\n";
         let f = SourceFile::new("t.rs", src);
         assert!(!f.in_test(src.find("x.load").unwrap()));
         assert!(f.in_test(src.find("y.load").unwrap()));
@@ -1596,35 +1568,35 @@ mod tests {
     #[test]
     fn site_extraction_walks_receivers_and_orderings() {
         let src = "fn f(&self) {\n\
-                   \x20   self.slots[self.pid].r[next].fetch_add(1, ord::SEQ_CST);\n\
+                   \x20   self.slots[self.pid].r[next].fetch_add(1, ord::handshake::SEQ_CST);\n\
                    \x20   self\n\
                    \x20       .q\n\
-                   \x20       .compare_exchange(a, b, ord::ACQ_REL, ord::ACQUIRE)\n\
+                   \x20       .compare_exchange(a, b, ord::counter::ACQ_REL, ord::spin::ACQUIRE)\n\
                    \x20       .ok();\n\
                    \x20   plain.swap(1, 2);\n\
-                   \x20   a.store(b.load(ord::ACQUIRE), ord::RELEASE);\n\
+                   \x20   a.store(b.load(ord::spin::ACQUIRE), ord::publish::RELEASE);\n\
                    }\n";
         let ws = Workspace {
             files: vec![SourceFile::new("crates/core/src/native/x.rs", src)],
         };
-        let sites = extract_sites(&ws, None);
+        let sites = extract_sites(&ws);
         assert_eq!(sites.len(), 4, "non-atomic swap must not be a site");
         assert_eq!(
             (sites[0].var.as_str(), sites[0].op.as_str(), sites[0].line),
             ("r", "fetch_add", 2)
         );
-        assert_eq!(sites[0].consts, ["SEQ_CST"]);
+        assert_eq!(sites[0].consts, ["handshake::SEQ_CST"]);
         assert_eq!(
             (sites[1].var.as_str(), sites[1].op.as_str(), sites[1].line),
             ("q", "compare_exchange", 5),
             "multi-line receivers anchor to the method-token line, the line a finding is reported at"
         );
-        assert_eq!(sites[1].consts, ["ACQ_REL", "ACQUIRE"]);
+        assert_eq!(sites[1].consts, ["counter::ACQ_REL", "spin::ACQUIRE"]);
         // A call nested in another's arguments is a site of its own, and
         // each takes only its own top-level constants.
         for (site, var, op, consts) in [
-            (&sites[2], "a", "store", ["RELEASE"]),
-            (&sites[3], "b", "load", ["ACQUIRE"]),
+            (&sites[2], "a", "store", ["publish::RELEASE"]),
+            (&sites[3], "b", "load", ["spin::ACQUIRE"]),
         ] {
             assert_eq!(
                 (site.var.as_str(), site.op.as_str(), site.line),
@@ -1637,9 +1609,9 @@ mod tests {
     #[test]
     fn allow_directives_bind_to_their_line() {
         let src = "fn f() {\n\
-                   \x20   while x.load(ord::SEQ_CST) != 0 { // kex-lint: allow(spin): bounded scan\n\
+                   \x20   while x.load(ord::handshake::SEQ_CST) != 0 { // kex-lint: allow(spin): bounded scan\n\
                    \x20   }\n\
-                   \x20   while y.load(ord::SEQ_CST) != 0 {\n\
+                   \x20   while y.load(ord::handshake::SEQ_CST) != 0 {\n\
                    \x20   }\n\
                    }\n";
         let ws = Workspace {
@@ -1657,7 +1629,7 @@ mod tests {
     fn spin_pass_accepts_facade_backoff() {
         let src = "fn f() {\n\
                    \x20   let backoff = Backoff::new();\n\
-                   \x20   while x.load(ord::ACQUIRE) == p {\n\
+                   \x20   while x.load(ord::spin::ACQUIRE) == p {\n\
                    \x20       backoff.snooze();\n\
                    \x20   }\n\
                    \x20   for i in 0..n {}\n\

@@ -4,9 +4,10 @@
 //! The k-assignment wrapper guarantees that at most one live process
 //! holds each name at a time, so a name is a natural single-writer lane:
 //! the holder journals `begin → (object op) → commit` into its lane with
-//! plain stores — payload `RELAXED`, then `meta` and `head` `RELEASE` for
-//! `ACQUIRE` readers — and no synchronization among writers beyond the
-//! name's hand-off edge (docs/MEMORY_ORDERING.md, "store layer").
+//! plain stores — payload `private::RELAXED`, then `meta` and `head`
+//! `publish::RELEASE` for `spin::ACQUIRE` readers — and no
+//! synchronization among writers beyond the name's hand-off edge
+//! (docs/MEMORY_ORDERING.md, "store layer").
 //! Because a crashed process consumes its name forever (the paper's
 //! failure model), the lane it leaves behind is *attributable*: an entry
 //! that is begun but never committed sits at the lane head and names
@@ -18,10 +19,9 @@
 //! abort), so the in-flight entry (if any) always lives at
 //! `head % depth`.
 
+use kex_util::ord;
 use kex_util::sync::atomic::AtomicU64;
 use kex_util::CachePadded;
-
-use crate::ordering::{ACQUIRE, RELAXED, RELEASE};
 
 /// State of a journal slot, packed into the low bits of its meta word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,28 +136,30 @@ impl LaneJournal {
     /// Caller contract (what the k-assignment buys): the caller holds
     /// `name` right now, making it the lane's only writer.
     pub fn begin(&self, name: usize, kind: OpKind, key: u64, value: u64) -> u64 {
-        let lsn = self.lanes[name].head.load(ACQUIRE);
+        let lsn = self.lanes[name].head.load(ord::spin::ACQUIRE);
         let slot = self.slot(name, lsn);
-        slot.key.store(key, RELAXED);
-        slot.val.store(value, RELAXED);
+        slot.key.store(key, ord::private::RELAXED);
+        slot.val.store(value, ord::private::RELAXED);
         let kind = match kind {
             OpKind::Put => 0u64,
         };
         // Publishing the meta word last, with release, makes the (key,
         // value) pair visible before any observer can classify it.
-        slot.meta
-            .store(lsn << META_BITS | kind << 2 | STATE_IN_FLIGHT, RELEASE);
+        slot.meta.store(
+            lsn << META_BITS | kind << 2 | STATE_IN_FLIGHT,
+            ord::publish::RELEASE,
+        );
         lsn
     }
 
     fn finish(&self, name: usize, lsn: u64, state: u64) {
         let slot = self.slot(name, lsn);
-        let meta = slot.meta.load(ACQUIRE);
+        let meta = slot.meta.load(ord::spin::ACQUIRE);
         debug_assert_eq!(meta >> META_BITS, lsn, "finish of a non-head entry");
-        slot.meta.store(meta & !0b11 | state, RELEASE);
+        slot.meta.store(meta & !0b11 | state, ord::publish::RELEASE);
         // Advancing the head only now keeps the in-flight entry (if the
         // writer dies first) pinned at `head % depth`.
-        self.lanes[name].head.store(lsn + 1, RELEASE);
+        self.lanes[name].head.store(lsn + 1, ord::publish::RELEASE);
     }
 
     /// Mark `name`'s entry `lsn` committed and advance the lane head.
@@ -173,7 +175,7 @@ impl LaneJournal {
 
     fn decode(&self, name: usize, lsn: u64) -> Option<Entry> {
         let slot = self.slot(name, lsn);
-        let meta = slot.meta.load(ACQUIRE);
+        let meta = slot.meta.load(ord::spin::ACQUIRE);
         if meta & 0b11 == STATE_EMPTY || meta >> META_BITS != lsn {
             return None;
         }
@@ -185,8 +187,8 @@ impl LaneJournal {
                 STATE_COMMITTED => OpState::Committed,
                 _ => OpState::Aborted,
             },
-            key: slot.key.load(ACQUIRE),
-            value: slot.val.load(ACQUIRE),
+            key: slot.key.load(ord::spin::ACQUIRE),
+            value: slot.val.load(ord::spin::ACQUIRE),
         })
     }
 
@@ -198,7 +200,7 @@ impl LaneJournal {
     /// entry, an accurate answer and, unless `depth` or more entries
     /// finish meanwhile (`meta` is not re-read), not a torn one.
     pub fn in_flight(&self, name: usize) -> Option<Entry> {
-        let head = self.lanes[name].head.load(ACQUIRE);
+        let head = self.lanes[name].head.load(ord::spin::ACQUIRE);
         self.decode(name, head)
             .filter(|e| e.state == OpState::InFlight)
     }
@@ -213,7 +215,7 @@ impl LaneJournal {
     /// Entries *finished* on `name`'s lane so far — committed or
     /// aborted: the head advances on both.
     pub fn committed(&self, name: usize) -> u64 {
-        self.lanes[name].head.load(ACQUIRE)
+        self.lanes[name].head.load(ord::spin::ACQUIRE)
     }
 
     /// The retained tail of `name`'s lane, oldest first (completed
@@ -222,7 +224,7 @@ impl LaneJournal {
         // Candidate lsns span one ring plus the (possibly in-flight)
         // head entry; `decode` rejects slots whose stored lsn does not
         // match, so overwritten history simply drops out.
-        let head = self.lanes[name].head.load(ACQUIRE);
+        let head = self.lanes[name].head.load(ord::spin::ACQUIRE);
         let first = head.saturating_sub(self.depth as u64);
         (first..=head)
             .filter_map(|lsn| self.decode(name, lsn))

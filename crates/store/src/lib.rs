@@ -33,11 +33,12 @@
 //! The shard objects are **k-process** implementations per the paper's
 //! contract; [`KvCells`] (an atomic-register open-addressed table) is
 //! the stock one. Every atomic in this crate goes through the
-//! [`kex_util::sync`] facade and names its ordering through the audited
-//! constants in `ordering`: `SeqCst` on the cells admitted writers race,
-//! `Release`/`Acquire` on the single-writer journal lanes and `Relaxed`
-//! on the per-process tallies, as `docs/MEMORY_ORDERING.md`'s "store
-//! layer" section argues.
+//! [`kex_util::sync`] facade and names its ordering by role through
+//! [`kex_util::ord`]: `handshake::SEQ_CST` on the cells admitted writers
+//! race, `publish::RELEASE` / `spin::ACQUIRE` on the single-writer
+//! journal lanes and `private::RELAXED` on the journal payload and the
+//! per-process tallies, as `docs/MEMORY_ORDERING.md`'s "store layer"
+//! section argues.
 //!
 //! Resilience composition across shards: each shard tolerates
 //! `k_s - 1` crashed holders independently, so the store as a whole
@@ -57,7 +58,6 @@
 mod hash;
 mod journal;
 mod object;
-mod ordering;
 mod shard;
 mod store;
 mod traits;

@@ -14,11 +14,11 @@
 //! ([`crate::Shard::get`]), and the histories that allows are checked
 //! in `tests/linearizable.rs` and `tests/loom_store.rs`.
 
+use kex_util::ord;
 use kex_util::sync::atomic::{AtomicU64, AtomicUsize};
 use kex_util::CachePadded;
 
 use crate::hash::slot_of;
-use crate::ordering::SEQ_CST;
 use crate::traits::PutError;
 
 /// Largest storable key: keys are packed as a 32-bit tag (`key + 1`,
@@ -110,7 +110,7 @@ impl ShardObject for KvCells {
         let tag = key + 1;
         let start = slot_of(key, cap);
         for i in 0..cap {
-            let cur = self.slots[(start + i) & (cap - 1)].load(SEQ_CST);
+            let cur = self.slots[(start + i) & (cap - 1)].load(ord::handshake::SEQ_CST);
             if cur == 0 {
                 // First empty slot in probe order: the key was not
                 // present when we looked (slots never empty out, so no
@@ -131,24 +131,29 @@ impl ShardObject for KvCells {
         let start = slot_of(key, cap);
         for i in 0..cap {
             let slot = &self.slots[(start + i) & (cap - 1)];
-            let cur = slot.load(SEQ_CST);
+            let cur = slot.load(ord::handshake::SEQ_CST);
             if cur >> 32 == tag {
                 // Our key's slot: a full-word store replaces the value
                 // and necessarily rewrites the same tag — concurrent
                 // same-key writers cannot tear it, last write wins.
-                slot.store(packed, SEQ_CST);
+                slot.store(packed, ord::handshake::SEQ_CST);
                 return Ok(());
             }
             if cur == 0 {
-                match slot.compare_exchange(0, packed, SEQ_CST, SEQ_CST) {
+                match slot.compare_exchange(
+                    0,
+                    packed,
+                    ord::handshake::SEQ_CST,
+                    ord::handshake::SEQ_CST,
+                ) {
                     Ok(_) => {
-                        self.len.fetch_add(1, SEQ_CST);
+                        self.len.fetch_add(1, ord::handshake::SEQ_CST);
                         return Ok(());
                     }
                     Err(found) if found >> 32 == tag => {
                         // Lost the claim to a racing writer of the
                         // *same* key: converge on its slot.
-                        slot.store(packed, SEQ_CST);
+                        slot.store(packed, ord::handshake::SEQ_CST);
                         return Ok(());
                     }
                     // Claimed by a different key: keep probing.
@@ -162,7 +167,7 @@ impl ShardObject for KvCells {
 
     fn scan(&self, f: &mut dyn FnMut(u64, u64)) {
         for slot in &self.slots {
-            let cur = slot.load(SEQ_CST);
+            let cur = slot.load(ord::handshake::SEQ_CST);
             if cur != 0 {
                 f((cur >> 32) - 1, cur & MAX_VALUE);
             }
@@ -170,7 +175,7 @@ impl ShardObject for KvCells {
     }
 
     fn len_unguarded(&self) -> usize {
-        self.len.load(SEQ_CST)
+        self.len.load(ord::handshake::SEQ_CST)
     }
 
     /// The probe's start cell: with a table larger than the cache, the

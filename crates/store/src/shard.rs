@@ -10,12 +10,12 @@
 //! entry is exactly the crashed process's last operation.
 
 use kex_core::native::Resilient;
+use kex_util::ord;
 use kex_util::sync::atomic::AtomicU64;
 use kex_util::CachePadded;
 
 use crate::journal::{LaneJournal, OpKind};
 use crate::object::ShardObject;
-use crate::ordering::RELAXED;
 use crate::traits::PutError;
 
 /// A single shard; created and routed to by [`crate::Store`].
@@ -39,7 +39,7 @@ struct Tally {
 
 /// Owner-private increment: a plain register needs no RMW.
 fn bump(cell: &AtomicU64) {
-    cell.store(cell.load(RELAXED) + 1, RELAXED);
+    cell.store(cell.load(ord::private::RELAXED) + 1, ord::private::RELAXED);
 }
 
 /// A journaled op between its `begin` and its finish. Dropping it
@@ -203,8 +203,16 @@ impl<O: ShardObject> Shard<O> {
         ShardStats {
             k: self.res.k(),
             keys: self.keys(),
-            ops: self.tallies.iter().map(|t| t.ops.load(RELAXED)).sum(),
-            sheds: self.tallies.iter().map(|t| t.sheds.load(RELAXED)).sum(),
+            ops: self
+                .tallies
+                .iter()
+                .map(|t| t.ops.load(ord::private::RELAXED))
+                .sum(),
+            sheds: self
+                .tallies
+                .iter()
+                .map(|t| t.sheds.load(ord::private::RELAXED))
+                .sum(),
             occupancy: self.res.occupancy(),
             in_flight_lanes: self.journal.in_flight_lanes(),
         }

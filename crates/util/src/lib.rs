@@ -15,6 +15,8 @@
 //!   `std`-backed normally, `kex-loom`-backed under
 //!   `RUSTFLAGS="--cfg loom"`, `kex-obs`-instrumented under
 //!   `--features obs` (loom wins when both apply).
+//! * [`ord`] — the memory orderings every audited atomic access names,
+//!   one module per role, each exporting only what its role admits.
 //! * [`prefetch`] — a cache hint for the line holding a value: one
 //!   `prefetcht0` on x86_64, nothing elsewhere. Its block is the
 //!   crate's only `unsafe` (CI counts), there only because the
@@ -30,6 +32,7 @@
 
 #[doc(hidden)]
 pub mod lincheck;
+pub mod ord;
 pub mod rng;
 pub mod sync;
 

@@ -6,9 +6,8 @@
 //! returns the stored winner. This module wraps that idiom with a safe
 //! API and documents the protocol obligations.
 
+use kex_util::ord;
 use kex_util::sync::atomic::AtomicPtr;
-
-use crate::ordering::SEQ_CST;
 
 /// A single-shot, wait-free, `n`-process consensus object deciding a
 /// non-null raw pointer.
@@ -37,10 +36,12 @@ impl<T> PtrConsensus<T> {
     /// Wait-free: one CAS and at most one load.
     pub fn decide(&self, value: *mut T) -> *mut T {
         debug_assert!(!value.is_null(), "consensus proposals must be non-null");
-        match self
-            .cell
-            .compare_exchange(std::ptr::null_mut(), value, SEQ_CST, SEQ_CST)
-        {
+        match self.cell.compare_exchange(
+            std::ptr::null_mut(),
+            value,
+            ord::handshake::SEQ_CST,
+            ord::handshake::SEQ_CST,
+        ) {
             Ok(_) => value,
             Err(winner) => winner,
         }
@@ -48,7 +49,7 @@ impl<T> PtrConsensus<T> {
 
     /// The decided value, or null if undecided.
     pub fn peek(&self) -> *mut T {
-        self.cell.load(SEQ_CST)
+        self.cell.load(ord::handshake::SEQ_CST)
     }
 }
 

@@ -12,9 +12,8 @@
 //!   comparison; still wait-free (hardware RMW) but every `add` contends
 //!   on one cache line.
 
+use kex_util::ord;
 use kex_util::sync::atomic::AtomicI64;
-
-use crate::ordering::SEQ_CST;
 
 use kex_util::CachePadded;
 
@@ -49,14 +48,17 @@ impl SlotCounter {
     /// # Panics
     /// Panics if `me >= k`.
     pub fn add(&self, me: usize, delta: i64) {
-        self.slots[me].fetch_add(delta, SEQ_CST);
+        self.slots[me].fetch_add(delta, ord::handshake::SEQ_CST);
     }
 
     /// Read the counter: the sum of all slots. Linearizable when
     /// concurrent adds only move slots in one direction; otherwise a
     /// consistent "regular" read.
     pub fn read(&self) -> i64 {
-        self.slots.iter().map(|s| s.load(SEQ_CST)).sum()
+        self.slots
+            .iter()
+            .map(|s| s.load(ord::handshake::SEQ_CST))
+            .sum()
     }
 }
 
@@ -74,12 +76,12 @@ impl FetchAddCounter {
 
     /// Add `delta`; returns the previous value.
     pub fn add(&self, delta: i64) -> i64 {
-        self.value.fetch_add(delta, SEQ_CST)
+        self.value.fetch_add(delta, ord::handshake::SEQ_CST)
     }
 
     /// Read the current value.
     pub fn read(&self) -> i64 {
-        self.value.load(SEQ_CST)
+        self.value.load(ord::handshake::SEQ_CST)
     }
 }
 

@@ -31,7 +31,6 @@
 
 pub mod consensus;
 pub mod counter;
-mod ordering;
 pub mod queue;
 pub mod register;
 pub mod seq;

@@ -48,7 +48,8 @@ impl<T: Clone + Default + Send + Sync> Snapshot<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kex_util::sync::atomic::{AtomicBool, Ordering};
+    use kex_util::ord;
+    use kex_util::sync::atomic::AtomicBool;
 
     #[test]
     fn scan_sees_updates() {
@@ -75,14 +76,14 @@ mod tests {
                         s.update(me, i);
                     }
                     if me == 0 {
-                        stop.store(true, Ordering::SeqCst);
+                        stop.store(true, ord::handshake::SEQ_CST);
                     }
                 });
             }
             let (s, stop) = (&s, &stop);
             sc.spawn(move || {
                 let mut last = vec![0u64; k + 1];
-                while !stop.load(Ordering::SeqCst) {
+                while !stop.load(ord::handshake::SEQ_CST) {
                     let now = s.scan(k);
                     for i in 0..k {
                         assert!(

@@ -68,10 +68,10 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 
+use kex_util::ord;
 use kex_util::sync::atomic::{AtomicPtr, AtomicUsize};
 
 use crate::consensus::PtrConsensus;
-use crate::ordering::SEQ_CST;
 use crate::seq::Sequential;
 
 /// Every this-many log positions a checkpoint is published. Two under
@@ -256,9 +256,12 @@ impl<S: Sequential> Universal<S> {
         let name = &self.names[me];
         // The claim, from an idle word only: `local` is ours from here to
         // the idle word stored at the end.
-        let idle = name.resume.load(SEQ_CST);
+        let idle = name.resume.load(ord::handshake::SEQ_CST);
         let (pending, prev_pos) = (idle | PENDING, idle >> TAG_BITS);
-        let swap = |old, new| name.resume.compare_exchange(old, new, SEQ_CST, SEQ_CST);
+        let swap = |old, new| {
+            name.resume
+                .compare_exchange(old, new, ord::handshake::SEQ_CST, ord::handshake::SEQ_CST)
+        };
         let claimed = idle & TAG == IDLE && swap(idle, pending).is_ok();
         assert!(claimed, "name {me} is in use");
         // SAFETY: `local` by the claim. Every node dereferenced below is
@@ -273,29 +276,32 @@ impl<S: Sequential> Universal<S> {
                 .pop()
                 .unwrap_or_else(|| Self::alloc(None, POOLED));
             *mine = Self::node(Some(op), 0);
-            let prev = name.announce.load(SEQ_CST);
-            name.announce.store(mine, SEQ_CST);
+            let prev = name.announce.load(ord::handshake::SEQ_CST);
+            name.announce.store(mine, ord::handshake::SEQ_CST);
             if prev != self.sentinel {
                 local.retired.push_back((prev_pos, prev));
             }
             // Our previous op is where we resume if truncation has not
             // passed it — read after we published ourselves, so whoever
             // missed us freed below a floor no higher than this one.
-            let own =
-                |local: &Local<S>| local.state.is_some() && prev_pos >= self.floor.load(SEQ_CST);
+            let own = |local: &Local<S>| {
+                local.state.is_some() && prev_pos >= self.floor.load(ord::handshake::SEQ_CST)
+            };
             let committed = prev_pos << TAG_BITS | COMMITTED;
             let (mut cur, mut pos) = (prev, prev_pos);
             if !(own(local) && swap(pending, committed).is_ok()) {
                 // Turned down, or fallen behind: hold the suffix while we
                 // look (again). Only once committed may helpers thread
                 // `mine`: above the point we picked.
-                name.resume.store(prev_pos << TAG_BITS | FIRM, SEQ_CST);
+                name.resume
+                    .store(prev_pos << TAG_BITS | FIRM, ord::handshake::SEQ_CST);
                 if !own(local) {
-                    cur = self.newest.load(SEQ_CST);
+                    cur = self.newest.load(ord::handshake::SEQ_CST);
                     pos = self.seq(cur);
                     local.state = (*(*cur).state.get()).as_deref().cloned();
                 }
-                name.resume.store(pos << TAG_BITS | COMMITTED, SEQ_CST);
+                name.resume
+                    .store(pos << TAG_BITS | COMMITTED, ord::handshake::SEQ_CST);
             }
             let mut state = local.state.take().unwrap_or_default();
 
@@ -307,7 +313,7 @@ impl<S: Sequential> Universal<S> {
                 self.assert_live(cur);
                 pos += 1;
                 if self.seq(next) == 0 {
-                    (*next).seq.store(pos, SEQ_CST);
+                    (*next).seq.store(pos, ord::handshake::SEQ_CST);
                 }
                 let resp = state.apply((*next).op.as_ref().expect("only the sentinel has no op"));
                 if next == mine {
@@ -321,10 +327,12 @@ impl<S: Sequential> Universal<S> {
             }
             local.state = Some(state);
             self.reclaim(me, local);
-            if !name.hazard.load(SEQ_CST).is_null() {
-                name.hazard.store(std::ptr::null_mut(), SEQ_CST);
+            if !name.hazard.load(ord::handshake::SEQ_CST).is_null() {
+                name.hazard
+                    .store(std::ptr::null_mut(), ord::handshake::SEQ_CST);
             }
-            name.resume.store(pos << TAG_BITS | IDLE, SEQ_CST);
+            name.resume
+                .store(pos << TAG_BITS | IDLE, ord::handshake::SEQ_CST);
             resp
         }
     }
@@ -332,7 +340,7 @@ impl<S: Sequential> Universal<S> {
     /// `node`'s position, 0 if it is not threaded yet; `node` must be the
     /// caller's own, in its span, or in its hazard slot.
     unsafe fn seq(&self, node: *mut Node<S>) -> usize {
-        let seq = (*node).seq.load(SEQ_CST);
+        let seq = (*node).seq.load(ord::handshake::SEQ_CST);
         self.assert_live(node);
         seq
     }
@@ -344,7 +352,10 @@ impl<S: Sequential> Universal<S> {
         #[cfg(loom)]
         assert!(!self.freed.lock().unwrap().contains(&node), "freed node");
         #[cfg(not(loom))]
-        debug_assert!((*node).seq.load(SEQ_CST) != POOLED, "recycled node");
+        debug_assert!(
+            (*node).seq.load(ord::handshake::SEQ_CST) != POOLED,
+            "recycled node"
+        );
     }
 
     /// Loads `source` into `name`'s hazard slot; `None` if `source` has
@@ -352,9 +363,9 @@ impl<S: Sequential> Universal<S> {
     /// slot was published, and its owner scans the slots after unlinking
     /// and before freeing: it stays until the slot moves on.
     fn protect(&self, name: &Name<S>, source: &AtomicPtr<Node<S>>) -> Option<*mut Node<S>> {
-        let node = source.load(SEQ_CST);
-        name.hazard.store(node, SEQ_CST);
-        (source.load(SEQ_CST) == node).then_some(node)
+        let node = source.load(ord::handshake::SEQ_CST);
+        name.hazard.store(node, ord::handshake::SEQ_CST);
+        (source.load(ord::handshake::SEQ_CST) == node).then_some(node)
     }
 
     /// What to propose for log position `pos`: the announced node of the
@@ -367,7 +378,9 @@ impl<S: Sequential> Universal<S> {
         let turn = pos % self.k();
         let them = &self.names[turn];
         let theirs = (turn != me).then(|| self.protect(&self.names[me], &them.announce));
-        let helpable = |node| self.seq(node) == 0 && them.resume.load(SEQ_CST) & TAG == COMMITTED;
+        let helpable = |node| {
+            self.seq(node) == 0 && them.resume.load(ord::handshake::SEQ_CST) & TAG == COMMITTED
+        };
         theirs.flatten().filter(|&n| helpable(n)).unwrap_or(mine)
     }
 
@@ -387,9 +400,14 @@ impl<S: Sequential> Universal<S> {
             }
             // Nobody reads it before `mine` is the newest checkpoint.
             (*(*mine).state.get()).get_or_insert_with(|| Box::new(state.clone()));
-            let swap = self.newest.compare_exchange(old, mine, SEQ_CST, SEQ_CST);
+            let swap = self.newest.compare_exchange(
+                old,
+                mine,
+                ord::handshake::SEQ_CST,
+                ord::handshake::SEQ_CST,
+            );
             if swap.is_ok() {
-                self.floor.fetch_max(pos, SEQ_CST);
+                self.floor.fetch_max(pos, ord::handshake::SEQ_CST);
                 return;
             }
         }
@@ -409,7 +427,7 @@ impl<S: Sequential> Universal<S> {
     /// Like every `unsafe fn` here, called under the claim on name `me`.
     unsafe fn reclaim(&self, me: usize, local: &mut Local<S>) {
         let retired = &mut local.retired;
-        let floor = self.floor.load(SEQ_CST);
+        let floor = self.floor.load(ord::handshake::SEQ_CST);
         let candidates = retired.iter().take(RECLAIM_BUDGET);
         let n = candidates.take_while(|(pos, _)| *pos < floor).count();
         if n == 0 {
@@ -418,16 +436,19 @@ impl<S: Sequential> Universal<S> {
         let mut held = 0u32; // bit i: candidate i is pinned by somebody
         for x in (0..self.k()).filter(|&x| x != me) {
             let them = &self.names[x];
-            let hazard = them.hazard.load(SEQ_CST);
+            let hazard = them.hazard.load(ord::handshake::SEQ_CST);
             // What `x` may still read. Pending, it is turned down; where
             // that fails it has moved on, and we go by where to (an op
             // pending by then claimed after we read the floor).
-            let mut resume = them.resume.load(SEQ_CST);
+            let mut resume = them.resume.load(ord::handshake::SEQ_CST);
             let revoked = resume ^ PENDING ^ REVOKED;
             if resume & TAG == PENDING {
-                let turned_down = them
-                    .resume
-                    .compare_exchange(resume, revoked, SEQ_CST, SEQ_CST);
+                let turned_down = them.resume.compare_exchange(
+                    resume,
+                    revoked,
+                    ord::handshake::SEQ_CST,
+                    ord::handshake::SEQ_CST,
+                );
                 resume = turned_down.map_or_else(|now| now, |_| revoked);
             }
             // Firm, all from its position on; committed, only up to its
@@ -469,7 +490,10 @@ impl<S: Sequential> Universal<S> {
     /// name `me`, done for good, has unlinked and not freed (models only).
     #[cfg(loom)]
     pub fn freed_and_retained(&self, me: usize) -> (usize, usize) {
-        assert!(self.names[me].resume.load(SEQ_CST) & TAG == IDLE, "running");
+        assert!(
+            self.names[me].resume.load(ord::handshake::SEQ_CST) & TAG == IDLE,
+            "running"
+        );
         // SAFETY: idle, and the models ask after the name's last op.
         let retained = unsafe { (*self.names[me].local.get()).retired.len() };
         (self.freed.lock().unwrap().len(), retained)
@@ -562,7 +586,7 @@ mod tests {
         for _ in 0..3 * CHECKPOINT_EVERY {
             step(rng.gen_range(0..2), &mut rng);
         }
-        let floor = object.floor.load(SEQ_CST);
+        let floor = object.floor.load(ord::handshake::SEQ_CST);
         assert!(
             floor > 2 * CHECKPOINT_EVERY,
             "no checkpoints: floor {floor}"

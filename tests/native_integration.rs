@@ -143,10 +143,10 @@ fn resilient_counter_under_churning_identities() {
     assert_eq!(counter.object_unguarded().read(), 5 * 4 * 500);
 }
 
-/// Theorems 9/10 hold over *any* `(N, k)`-exclusion: names stay unique
-/// among concurrent holders whichever algorithm admits them.
-fn names_stay_unique_over<K: RawKex>(kex: K) {
-    let assign = KAssignment::over(kex);
+/// Theorem 9: names stay unique among concurrent holders, whether the
+/// fast path's node splits (`n > 2k`) or is a single block.
+fn names_stay_unique(n: usize, k: usize) {
+    let assign = KAssignment::new(n, k);
     let held = Mutex::new(HashSet::new());
     std::thread::scope(|s| {
         for p in 0..assign.n() {
@@ -165,9 +165,8 @@ fn names_stay_unique_over<K: RawKex>(kex: K) {
 
 #[test]
 fn assignment_names_are_unique_across_algorithm_choices() {
-    names_stay_unique_over(CcChainKex::new(6, 2));
-    names_stay_unique_over(TreeKex::new(6, 2));
-    names_stay_unique_over(QueueKex::new(6, 2));
+    names_stay_unique(6, 2); // split node: fast path over a tree
+    names_stay_unique(4, 2); // a single (2k, k) block
 }
 
 #[test]
