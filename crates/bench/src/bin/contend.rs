@@ -6,16 +6,13 @@
 //! oversubscribed} threads doing closed-loop acquire→CS→release cycles
 //! and reports throughput, sampled latency percentiles, and per-thread
 //! fairness. Always writes a JSON document (default
-//! `BENCH_contend.json`, git-ignored; CI uploads it as an artifact) via
-//! the shared report writer.
+//! `BENCH_contend.json`, git-ignored) via the shared report writer, and
+//! exits non-zero if any cell makes no progress.
 //!
 //! ```text
-//! contend [--smoke] [--json <path>] [--duration-ms <n>]
+//! contend [--json <path>] [--duration-ms <n>]
 //!         [--threads <a,b,c>] [--algo <name,...>]
 //! ```
-//!
-//! * `--smoke` — CI mode: 2 threads, short window; exits non-zero if
-//!   any row makes no progress.
 //!
 //! Methodology caveats live in `EXPERIMENTS.md` E12.
 
@@ -27,7 +24,6 @@ use kex_obs::json::Json;
 
 #[derive(Debug)]
 struct Options {
-    smoke: bool,
     duration: Duration,
     threads: Vec<usize>,
     algos: Option<Vec<String>>,
@@ -35,7 +31,6 @@ struct Options {
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        smoke: false,
         duration: Duration::from_millis(300),
         // 1, 2, 4, k, 2k, oversubscribed (the host is allowed to have
         // fewer cores than 16 — oversubscription is part of the design).
@@ -45,7 +40,6 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => opts.smoke = true,
             "--json" => {
                 args.next(); // consumed by JsonSink::from_args
             }
@@ -79,10 +73,6 @@ fn parse_args() -> Options {
             other => usage(&format!("unknown argument `{other}`")),
         }
     }
-    if opts.smoke {
-        opts.threads = vec![2];
-        opts.duration = Duration::from_millis(60);
-    }
     opts.threads.sort_unstable();
     opts.threads.dedup();
     opts
@@ -91,7 +81,7 @@ fn parse_args() -> Options {
 fn usage(msg: &str) -> ! {
     eprintln!("contend: {msg}");
     eprintln!(
-        "usage: contend [--smoke] [--json <path>] [--duration-ms <n>] \
+        "usage: contend [--json <path>] [--duration-ms <n>] \
          [--threads <a,b,c>] [--algo <names>]"
     );
     std::process::exit(2);
@@ -140,7 +130,7 @@ fn main() {
     let mut algo_docs = Vec::new();
     // Median of several measured windows per cell: on a small host the
     // scheduler adds several percent of run-to-run noise.
-    let windows: usize = if opts.smoke { 1 } else { 3 };
+    let windows: usize = 3;
     for case in &cases {
         let mut runs = Vec::new();
         for &threads in &opts.threads {
@@ -196,8 +186,5 @@ fn main() {
     if failures > 0 {
         eprintln!("contend: {failures} run(s) made no progress");
         std::process::exit(1);
-    }
-    if opts.smoke {
-        println!("SMOKE OK: every algorithm made progress at T=2");
     }
 }

@@ -46,7 +46,7 @@ impl JsonSink {
 
     /// Like [`JsonSink::from_args`], but falls back to `default_path`
     /// when the command line gave no `--json` — for binaries that always
-    /// write their document (e.g. `native_obs`).
+    /// write their document (`contend`).
     pub fn from_args_or_default(default_path: &str) -> Self {
         let mut sink = Self::from_args();
         if sink.path.is_none() {

@@ -31,7 +31,7 @@
 //! word is one of their releases. Entry is the decrement, the bump
 //! (which leaves the line with the waiter) and one re-read after that
 //! release; exit is one `fetch_add`: **4 remote references per stage**,
-//! `4(N-k)` a chain, under the paper's 7 (`native_obs` checks it).
+//! `4(N-k)` a chain, under the paper's 7 (`tests/obs_bounds.rs` checks it).
 //!
 //! # One allocation per chain
 //!

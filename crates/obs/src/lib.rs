@@ -29,8 +29,8 @@
 //!   the simulator's occupancy invariant).
 //! * [`snapshot()`] / [`reset()`] — a consistent-enough copy of every
 //!   counter, renderable to JSON ([`Snapshot::to_json`]) with the
-//!   dependency-free writer in [`json`]. `kex-bench`'s `native_obs`
-//!   reduces it to its per-algorithm document.
+//!   dependency-free writer in [`json`]. `kex-core`'s `obs_bounds` test
+//!   reduces it to a per-algorithm mean against the theorem bounds.
 //!
 //! ## This crate is a *backend*, not a public dependency
 //!

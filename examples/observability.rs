@@ -5,9 +5,9 @@
 //! section, with estimated remote-memory references under the paper's
 //! cache-coherent model (DSM costs are the simulator's) — then prints
 //! the per-section totals, checks the measured CC estimate against
-//! Theorem 3's bound, and dumps
-//! the full JSON snapshot (the raw form of what `kex-bench --bin
-//! native_obs` reduces per algorithm).
+//! Theorem 3's bound, and dumps the full JSON snapshot. The same check
+//! over every bounded native algorithm, on two configurations, is the
+//! test `crates/core/tests/obs_bounds.rs`.
 //!
 //! Run: `cargo run --release --features obs --example observability`
 
@@ -76,6 +76,6 @@ fn main() {
     );
     assert!(snap.occupancy.max as usize <= K);
 
-    println!("\nfull snapshot as JSON (what native_obs exports):");
+    println!("\nfull snapshot as JSON:");
     println!("{}", snap.to_json().to_string_pretty());
 }
