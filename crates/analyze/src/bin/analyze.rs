@@ -1,30 +1,26 @@
 //! Static verdict report for every catalog algorithm.
 //!
 //! ```text
-//! cargo run -p kex-analyze --bin analyze            # text report
-//! cargo run -p kex-analyze --bin analyze -- --json  # JSON (schema in EXPERIMENTS.md)
-//! cargo run -p kex-analyze --bin analyze -- --assert
-//!     # exit non-zero unless the expected verdict matrix holds (CI mode)
+//! cargo run -p kex-analyze --bin analyze                 # text report
 //! cargo run -p kex-analyze --bin analyze -- --n 16 --k 4
+//! cargo run -p kex-analyze --bin analyze -- --obligations
 //! ```
+//!
+//! The report's gates are the crate's tests (`cargo test -p kex-analyze`).
 
 use std::process::ExitCode;
 
-use kex_analyze::obligations::{
-    expected_obligation_failures, render_obligations_json, render_obligations_text,
-};
-use kex_analyze::{analyze_all, expected_matrix_failures, render_json, render_text, Config};
+use kex_analyze::obligations::render_obligations_text;
+use kex_analyze::{analyze_all, render_text, Config};
 
-const USAGE: &str =
-    "usage: analyze [--json] [--assert] [--obligations] [--n N] [--k K] [--max-locs M]\n\
+const USAGE: &str = "usage: analyze [--obligations] [--n N] [--k K] [--max-locs M]\n\
                      \n\
                      Statically audits every algorithm variant: local-spin (CC and DSM),\n\
                      atomic-section size, bounded spin space, name space, and RMR bounds\n\
                      cross-checked against the paper's Table 1.\n\
                      \n\
                      --obligations prints the per-variable ordering obligations derived\n\
-                     from the IR (with --json: schema kex-analyze/obligations/v1) instead\n\
-                     of the verdict report. --assert additionally pins the obligations.";
+                     from the IR instead of the verdict report.";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -33,8 +29,6 @@ fn usage() -> ! {
 
 fn main() -> ExitCode {
     let mut cfg = Config::default();
-    let mut json = false;
-    let mut assert_matrix = false;
     let mut obligations = false;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,8 +41,6 @@ fn main() -> ExitCode {
     };
     while i < args.len() {
         match args[i].as_str() {
-            "--json" => json = true,
-            "--assert" => assert_matrix = true,
             "--obligations" => obligations = true,
             "--n" => cfg.n = num(&mut i),
             "--k" => cfg.k = num(&mut i),
@@ -70,60 +62,19 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if obligations {
-        let render = if json {
-            render_obligations_json(&cfg)
-        } else {
-            render_obligations_text(&cfg)
-        };
-        match render {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("analyze: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let report = if obligations {
+        render_obligations_text(&cfg).map(|s| s + "\n")
     } else {
-        let verdicts = match analyze_all(&cfg) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("analyze: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-
-        if json {
-            println!("{}", render_json(&verdicts, &cfg));
-        } else {
-            print!("{}", render_text(&verdicts, &cfg));
+        analyze_all(&cfg).map(|v| render_text(&v, &cfg))
+    };
+    match report {
+        Ok(s) => {
+            print!("{s}");
+            ExitCode::SUCCESS
         }
-
-        if assert_matrix {
-            let fails = expected_matrix_failures(&verdicts);
-            if !fails.is_empty() {
-                eprintln!("analyze: expected verdict matrix violated:");
-                for f in &fails {
-                    eprintln!("  {f}");
-                }
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "analyze: expected verdict matrix holds ({} algorithms)",
-                verdicts.len()
-            );
+        Err(e) => {
+            eprintln!("analyze: {e}");
+            ExitCode::FAILURE
         }
     }
-
-    if assert_matrix {
-        let fails = expected_obligation_failures(&cfg);
-        if !fails.is_empty() {
-            eprintln!("analyze: pinned ordering obligations violated:");
-            for f in &fails {
-                eprintln!("  {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!("analyze: pinned ordering obligations hold");
-    }
-    ExitCode::SUCCESS
 }

@@ -29,9 +29,9 @@
 //!
 //! Entry points: [`analyze_protocol`] for a single built protocol,
 //! [`analyze_algorithm`] / [`analyze_all`] for the
-//! [`Algorithm`] catalog, [`render_text`] / [`render_json`] for
-//! reports, and [`expected_matrix_failures`] for the pinned verdict
-//! matrix the test suite (and CI's `--assert` mode) enforces.
+//! [`Algorithm`] catalog, [`render_text`] for the report the `analyze`
+//! binary prints, and [`expected_matrix_failures`] for the pinned
+//! verdict matrix the test `expected_verdict_matrix_holds` enforces.
 
 pub mod obligations;
 
@@ -39,7 +39,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use kex_core::sim::build::Algorithm;
-use kex_obs::json::Json;
 use kex_sim::memmodel::MemoryModel;
 use kex_sim::protocol::Protocol;
 use kex_sim::summary::{
@@ -782,15 +781,19 @@ pub fn ir_var_basenames(algo: Algorithm, cfg: &Config) -> std::collections::BTre
     proto
         .vars()
         .iter()
-        .map(|(_, spec)| {
-            let base = spec.name.rsplit('.').next().unwrap_or(&spec.name);
-            base.chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect::<String>()
-                .to_ascii_lowercase()
-        })
+        .map(|(_, spec)| basename(&spec.name))
         .filter(|s| !s.is_empty())
         .collect()
+}
+
+/// `"fig2[3].X"` → `"x"`: the last dotted component, up to its first
+/// index, lower-cased.
+fn basename(name: &str) -> String {
+    let base = name.rsplit('.').next().unwrap_or(name);
+    base.chars()
+        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+        .collect::<String>()
+        .to_ascii_lowercase()
 }
 
 // ---------------------------------------------------------------------------
@@ -801,8 +804,8 @@ pub fn ir_var_basenames(algo: Algorithm, cfg: &Config) -> std::collections::BTre
 /// algorithms; returns a human-readable list of deviations (empty =
 /// everything as the paper claims).
 ///
-/// This is the contract the tier-1 test and CI's `--assert` mode
-/// enforce — see `docs/ANALYZER.md` for the table in prose.
+/// This is the contract the test `expected_verdict_matrix_holds`
+/// enforces — see `docs/ANALYZER.md` for the table in prose.
 pub fn expected_matrix_failures(verdicts: &[AlgoVerdict]) -> Vec<String> {
     use Algorithm::*;
     let mut fails = Vec::new();
@@ -1044,106 +1047,6 @@ pub fn render_text(verdicts: &[AlgoVerdict], cfg: &Config) -> String {
     out
 }
 
-/// Render the verdicts as JSON (schema documented in `EXPERIMENTS.md`).
-pub fn render_json(verdicts: &[AlgoVerdict], cfg: &Config) -> String {
-    let opt = |v: Option<usize>| v.map_or(Json::Null, Json::from);
-    let cost = |c: Cost| match c {
-        Cost::Finite(v) => Json::U64(v),
-        Cost::Unbounded => "unbounded".into(),
-    };
-    let flags = |flags: &[Flag]| {
-        let flag = |f: &Flag| {
-            Json::obj(vec![
-                ("node", f.node.as_str().into()),
-                ("section", f.section.to_string().into()),
-                ("pc", u64::from(f.pc).into()),
-                ("label", f.label.as_str().into()),
-                ("detail", f.detail.as_str().into()),
-            ])
-        };
-        Json::arr(flags.iter().map(flag).collect())
-    };
-    let spin = |clean: bool, flagged: &[Flag]| {
-        Json::obj(vec![("clean", clean.into()), ("flags", flags(flagged))])
-    };
-    let algorithm = |v: &AlgoVerdict| {
-        let r = &v.report;
-        let node = |s: &NodeSpace| {
-            Json::obj(vec![
-                ("node", s.node.as_str().into()),
-                ("exclusion", opt(s.exclusion)),
-                ("spin_locations", s.spin_locations.into()),
-                ("bound", opt(s.bound)),
-                ("within", s.within_bound().into()),
-                ("declared", space_label(s.declared).into()),
-            ])
-        };
-        let nodes = r
-            .space
-            .iter()
-            .filter(|s| s.spin_locations > 0 || s.exclusion.is_some());
-        let table1 = |t: &Table1Check| {
-            Json::obj(vec![
-                ("formula", t.formula.into()),
-                ("value", t.value.into()),
-                ("model", t.model.label().into()),
-                ("matches", t.matches.into()),
-            ])
-        };
-        let local_spin = vec![
-            (
-                "cc",
-                spin(r.local_spin_clean(MemoryModel::CacheCoherent), &r.spin_cc),
-            ),
-            (
-                "dsm",
-                spin(r.local_spin_clean(MemoryModel::Dsm), &r.spin_dsm),
-            ),
-        ];
-        let atomic_sections = vec![
-            ("bound", ATOMIC_BOUND.into()),
-            ("clean", r.atomic_clean().into()),
-            ("flags", flags(&r.atomic)),
-        ];
-        let space = vec![
-            ("class", space_label(r.space_class).into()),
-            ("ok", r.space_ok().into()),
-            ("nodes", Json::arr(nodes.map(node).collect())),
-        ];
-        let names = vec![
-            ("assigns", r.assigns_names.into()),
-            ("space", r.name_space.into()),
-            ("exact", r.names_exact().into()),
-        ];
-        let rmr = vec![("cc", cost(r.rmr_cc)), ("dsm", cost(r.rmr_dsm))];
-        Json::obj(vec![
-            ("id", format!("{:?}", v.algo).into()),
-            ("label", v.algo.label().into()),
-            ("target_model", v.algo.model().label().into()),
-            ("local_spin", Json::obj(local_spin)),
-            ("atomic_sections", Json::obj(atomic_sections)),
-            ("space", Json::obj(space)),
-            ("names", Json::obj(names)),
-            ("rmr", Json::obj(rmr)),
-            ("table1", v.table1.as_ref().map_or(Json::Null, table1)),
-        ])
-    };
-    let config = vec![
-        ("n", cfg.n.into()),
-        ("k", cfg.k.into()),
-        ("max_locs", cfg.max_locs.into()),
-    ];
-    Json::obj(vec![
-        ("schema", 1u64.into()),
-        ("config", Json::obj(config)),
-        (
-            "algorithms",
-            Json::arr(verdicts.iter().map(algorithm).collect()),
-        ),
-    ])
-    .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1152,18 +1055,25 @@ mod tests {
         analyze_all(&Config::default()).expect("every catalog variant must be describable")
     }
 
-    /// The tier-1 pin: the full expected verdict matrix for all 13
-    /// catalog variants at the default (N=8, k=2).
+    /// The pin: the full expected verdict matrix for all 13 catalog
+    /// variants, at the default (N=8, k=2) and at (16, 4).
     #[test]
     fn expected_verdict_matrix_holds() {
-        let v = verdicts();
-        assert_eq!(v.len(), Algorithm::ALL.len());
-        let fails = expected_matrix_failures(&v);
-        assert!(
-            fails.is_empty(),
-            "verdict matrix deviations:\n  {}",
-            fails.join("\n  ")
-        );
+        for (n, k) in [(8, 2), (16, 4)] {
+            let cfg = Config {
+                n,
+                k,
+                ..Config::default()
+            };
+            let v = analyze_all(&cfg).expect("every catalog variant must be describable");
+            assert_eq!(v.len(), Algorithm::ALL.len());
+            let fails = expected_matrix_failures(&v);
+            assert!(
+                fails.is_empty(),
+                "verdict matrix deviations at (N, k) = ({n}, {k}):\n  {}",
+                fails.join("\n  ")
+            );
+        }
     }
 
     #[test]
@@ -1183,6 +1093,11 @@ mod tests {
         );
         assert_eq!(rmr(Algorithm::DsmChain, MemoryModel::Dsm), Cost::Finite(84));
         assert_eq!(rmr(Algorithm::DsmTree, MemoryModel::Dsm), Cost::Finite(56));
+        // Exactly the four tabulated variants carry a formula check,
+        // and each one matches.
+        let tabulated: Vec<_> = v.iter().filter_map(|x| x.table1.as_ref()).collect();
+        assert_eq!(tabulated.len(), 4, "{tabulated:?}");
+        assert!(tabulated.iter().all(|t| t.matches), "{tabulated:?}");
     }
 
     #[test]
@@ -1298,31 +1213,5 @@ mod tests {
         let err = analyze_protocol(&b.finish(root, 1)).unwrap_err();
         assert_eq!(err.node, "opaque");
         assert!(err.detail.contains("not describable"));
-    }
-
-    #[test]
-    fn json_report_is_well_formed_enough_to_pin() {
-        let doc = kex_obs::json::parse(&render_json(&verdicts(), &Config::default()))
-            .expect("the report is JSON");
-        assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
-        let algos = doc.get("algorithms").and_then(Json::as_arr).expect("array");
-        fn id(algo: &Json) -> Option<&str> {
-            algo.get("id").and_then(Json::as_str)
-        }
-        assert!(algos.iter().any(|a| id(a) == Some("GlobalSpin")));
-        let chain = algos
-            .iter()
-            .find(|a| id(a) == Some("CcChain"))
-            .expect("cc-chain is in the catalog");
-        let rmr_cc = chain.get("rmr").and_then(|r| r.get("cc"));
-        assert_eq!(rmr_cc.and_then(Json::as_u64), Some(42));
-        let tabulated = algos
-            .iter()
-            .filter(|a| a.get("table1").is_some_and(|t| t.get("formula").is_some()));
-        assert_eq!(
-            tabulated.count(),
-            4,
-            "exactly the four tabulated variants carry a formula check"
-        );
     }
 }

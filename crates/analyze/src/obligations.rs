@@ -31,14 +31,13 @@
 //! by a counter role and a gate role cannot soundly be forced to the
 //! stronger one (the fast-path `x` is the motivating case).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use kex_core::sim::build::Algorithm;
-use kex_obs::json::Json;
 use kex_sim::summary::{AccessKind, BackKind, StmtDesc, SuccDesc};
 use kex_sim::types::Section;
 
-use crate::{walk, Config, IrError};
+use crate::{basename, walk, Config, IrError};
 
 /// The minimum ordering an obligation demands of a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -171,7 +170,7 @@ fn reachable_after<'a>(stmts: &'a [StmtDesc], s: &StmtDesc) -> Vec<&'a StmtDesc>
     stmts.iter().filter(|t| seen[t.pc as usize]).collect()
 }
 
-fn collect_section(stmts: &[StmtDesc], facts: &mut HashMap<usize, Facts>) {
+fn collect_section(stmts: &[StmtDesc], facts: &mut BTreeMap<usize, Facts>) {
     for s in stmts {
         let spin = is_spin(s);
         for a in &s.accesses {
@@ -234,23 +233,19 @@ fn collect_section(stmts: &[StmtDesc], facts: &mut HashMap<usize, Facts>) {
 }
 
 /// Derive the ordering obligations of `algo`'s shared variables at the
-/// given sizing, keyed by lower-cased basename.
+/// given sizing, keyed by lower-cased basename and sorted by (basename,
+/// kind). Variables are visited in index order, so where two sharers of
+/// a basename tie on strength the lower-indexed one's reason is kept
+/// and the result is the same on every run.
 pub fn derive_obligations(algo: Algorithm, cfg: &Config) -> Result<Vec<Obligation>, IrError> {
     let proto = algo.build(cfg.n, cfg.k, cfg.max_locs);
-    let basenames: HashMap<usize, String> = proto
+    let basenames: BTreeMap<usize, String> = proto
         .vars()
         .iter()
-        .map(|(id, spec)| {
-            let base = spec.name.rsplit('.').next().unwrap_or(&spec.name);
-            let base: String = base
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            (id.index(), base.to_ascii_lowercase())
-        })
+        .map(|(id, spec)| (id.index(), basename(&spec.name)))
         .collect();
 
-    let mut facts: HashMap<usize, Facts> = HashMap::new();
+    let mut facts: BTreeMap<usize, Facts> = BTreeMap::new();
     for p in 0..cfg.n {
         let w = walk(&proto, p)?;
         for (_, desc) in w.iter() {
@@ -266,7 +261,7 @@ pub fn derive_obligations(algo: Algorithm, cfg: &Config) -> Result<Vec<Obligatio
         req: Req,
         why: &'static str,
     }
-    let mut per_var: HashMap<usize, Vec<VarReq>> = HashMap::new();
+    let mut per_var: BTreeMap<usize, Vec<VarReq>> = BTreeMap::new();
     for (vi, f) in &facts {
         let mut reqs: Vec<VarReq> = Vec::new();
         let mut push = |kind: AccessKind, req: Req, why: &'static str| {
@@ -344,7 +339,7 @@ pub fn derive_obligations(algo: Algorithm, cfg: &Config) -> Result<Vec<Obligatio
 
     // Aggregate to basenames: per (basename, kind), the *minimum* over
     // the variables that actually perform that kind.
-    let mut agg: HashMap<(String, u8), (Req, String)> = HashMap::new();
+    let mut agg: BTreeMap<(String, u8), (Req, String)> = BTreeMap::new();
     let kind_tag = |k: AccessKind| match k {
         AccessKind::Read => 0u8,
         AccessKind::Write => 1,
@@ -358,7 +353,7 @@ pub fn derive_obligations(algo: Algorithm, cfg: &Config) -> Result<Vec<Obligatio
             continue;
         }
         // This variable's max per kind.
-        let mut mine: HashMap<u8, (Req, &'static str)> = HashMap::new();
+        let mut mine: BTreeMap<u8, (Req, &'static str)> = BTreeMap::new();
         for r in reqs {
             let e = mine.entry(kind_tag(r.kind)).or_insert((r.req, r.why));
             if r.req > e.0 {
@@ -376,7 +371,7 @@ pub fn derive_obligations(algo: Algorithm, cfg: &Config) -> Result<Vec<Obligatio
         }
     }
 
-    let mut out: Vec<Obligation> = agg
+    let out = agg
         .into_iter()
         .map(|((var, kt), (req, why))| Obligation {
             var,
@@ -389,7 +384,6 @@ pub fn derive_obligations(algo: Algorithm, cfg: &Config) -> Result<Vec<Obligatio
             why,
         })
         .collect();
-    out.sort_by(|a, b| (&a.var, kind_tag(a.kind)).cmp(&(&b.var, kind_tag(b.kind))));
     Ok(out)
 }
 
@@ -422,62 +416,6 @@ pub fn kind_name(kind: AccessKind) -> &'static str {
     }
 }
 
-/// Pinned obligations the `--assert` mode (and the tier-1 suite)
-/// enforces: if IR drift ever weakens one of these, the rung loses its
-/// teeth silently — so the expectation is written down here, once.
-const PINNED: &[(Algorithm, &str, AccessKind, Req)] = &[
-    (Algorithm::CcChain, "x", AccessKind::Rmw, Req::SeqCst),
-    (Algorithm::CcChain, "x", AccessKind::Read, Req::SeqCst),
-    (Algorithm::CcChain, "q", AccessKind::Write, Req::SeqCst),
-    (Algorithm::CcChain, "q", AccessKind::Read, Req::Acquire),
-    (Algorithm::DsmChain, "x", AccessKind::Rmw, Req::SeqCst),
-    (Algorithm::DsmChain, "q", AccessKind::Rmw, Req::SeqCst),
-    (Algorithm::DsmChain, "r", AccessKind::Rmw, Req::SeqCst),
-    (Algorithm::DsmChain, "p", AccessKind::Write, Req::SeqCst),
-    (Algorithm::DsmChain, "p", AccessKind::Read, Req::Acquire),
-    (Algorithm::CcFastPath, "x", AccessKind::Rmw, Req::AcqRel),
-    (Algorithm::AssignmentCc, "x", AccessKind::Rmw, Req::AcqRel),
-    (
-        Algorithm::AssignmentCc,
-        "x",
-        AccessKind::Write,
-        Req::Release,
-    ),
-];
-
-/// Check every algorithm derives obligations and the pinned ones hold;
-/// returns human-readable deviations (empty = all as expected).
-pub fn expected_obligation_failures(cfg: &Config) -> Vec<String> {
-    let mut fails = Vec::new();
-    let mut derived: HashMap<Algorithm, Vec<Obligation>> = HashMap::new();
-    for a in Algorithm::ALL {
-        match derive_obligations(a, cfg) {
-            Ok(o) => {
-                derived.insert(a, o);
-            }
-            Err(e) => fails.push(format!("{a:?}: obligation derivation failed: {e}")),
-        }
-    }
-    for (a, var, kind, req) in PINNED {
-        let Some(obls) = derived.get(a) else { continue };
-        match obligation_for(obls, var, *kind) {
-            Some(o) if o.req == *req => {}
-            Some(o) => fails.push(format!(
-                "{a:?}: {var} {} expected {} obligation, derived {}",
-                kind_name(*kind),
-                req.keyword(),
-                o.req.keyword()
-            )),
-            None => fails.push(format!(
-                "{a:?}: {var} {} expected {} obligation, derived none",
-                kind_name(*kind),
-                req.keyword()
-            )),
-        }
-    }
-    fails
-}
-
 /// Text report of every algorithm's derived obligations.
 pub fn render_obligations_text(cfg: &Config) -> Result<String, IrError> {
     use std::fmt::Write as _;
@@ -504,79 +442,69 @@ pub fn render_obligations_text(cfg: &Config) -> Result<String, IrError> {
     Ok(out)
 }
 
-/// JSON report (schema `kex-analyze/obligations/v1`), the artifact the
-/// loom CI job uploads.
-pub fn render_obligations_json(cfg: &Config) -> Result<String, IrError> {
-    let obligation = |o: &Obligation| {
-        Json::obj(vec![
-            ("var", o.var.as_str().into()),
-            ("op", kind_name(o.kind).into()),
-            ("req", o.req.keyword().into()),
-            ("why", o.why.as_str().into()),
-        ])
-    };
-    let mut algorithms = Vec::new();
-    for algo in Algorithm::ALL {
-        let obligations = derive_obligations(algo, cfg)?;
-        algorithms.push(Json::obj(vec![
-            ("algo", algo.label().into()),
-            (
-                "obligations",
-                Json::arr(obligations.iter().map(obligation).collect()),
-            ),
-        ]));
-    }
-    Ok(Json::obj(vec![
-        ("schema", "kex-analyze/obligations/v1".into()),
-        ("n", cfg.n.into()),
-        ("k", cfg.k.into()),
-        ("algorithms", Json::arr(algorithms)),
-    ])
-    .to_string_pretty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn derived(algo: Algorithm) -> Vec<Obligation> {
-        derive_obligations(algo, &Config::default()).expect("IR walks")
-    }
-
-    fn req(obls: &[Obligation], var: &str, kind: AccessKind) -> Req {
-        obligation_for(obls, var, kind)
-            .unwrap_or_else(|| panic!("no obligation for {var}/{kind:?} in {obls:#?}"))
-            .req
+    /// Asserts each `(var, kind, req)` obligation of `algo` at the
+    /// default (N=8, k=2) and at (16, 4).
+    fn assert_pins(algo: Algorithm, pins: &[(&str, AccessKind, Req)]) {
+        for (n, k) in [(8, 2), (16, 4)] {
+            let cfg = Config {
+                n,
+                k,
+                ..Config::default()
+            };
+            let obls = derive_obligations(algo, &cfg).expect("IR walks");
+            for &(var, kind, req) in pins {
+                assert_eq!(
+                    obligation_for(&obls, var, kind).map(|o| o.req),
+                    Some(req),
+                    "{algo:?}: {var} {} at (N, k) = ({n}, {k}) in {obls:#?}",
+                    kind_name(kind)
+                );
+            }
+        }
     }
 
     #[test]
     fn fig2_gate_and_spin() {
-        let o = derived(Algorithm::CcChain);
-        // x is RMW'd and plainly read: full handshake.
-        assert_eq!(req(&o, "x", AccessKind::Rmw), Req::SeqCst);
-        assert_eq!(req(&o, "x", AccessKind::Read), Req::SeqCst);
-        // q is written before the read of x (Dekker) and spun on.
-        assert_eq!(req(&o, "q", AccessKind::Write), Req::SeqCst);
-        assert_eq!(req(&o, "q", AccessKind::Read), Req::Acquire);
+        assert_pins(
+            Algorithm::CcChain,
+            &[
+                // x is RMW'd and plainly read: full handshake.
+                ("x", AccessKind::Rmw, Req::SeqCst),
+                ("x", AccessKind::Read, Req::SeqCst),
+                // q is written before the read of x (Dekker) and spun on.
+                ("q", AccessKind::Write, Req::SeqCst),
+                ("q", AccessKind::Read, Req::Acquire),
+            ],
+        );
     }
 
     #[test]
     fn fig6_gates_and_spin_words() {
-        let o = derived(Algorithm::DsmChain);
-        for var in ["x", "q", "r"] {
-            assert_eq!(req(&o, var, AccessKind::Rmw), Req::SeqCst, "{var}");
-        }
-        // p: spin word, published with a Dekker-paired write.
-        assert_eq!(req(&o, "p", AccessKind::Write), Req::SeqCst);
-        assert_eq!(req(&o, "p", AccessKind::Read), Req::Acquire);
+        assert_pins(
+            Algorithm::DsmChain,
+            &[
+                ("x", AccessKind::Rmw, Req::SeqCst),
+                ("q", AccessKind::Rmw, Req::SeqCst),
+                ("r", AccessKind::Rmw, Req::SeqCst),
+                // p: spin word, published with a Dekker-paired write.
+                ("p", AccessKind::Write, Req::SeqCst),
+                ("p", AccessKind::Read, Req::Acquire),
+            ],
+        );
     }
 
     #[test]
     fn fastpath_counter_is_weakest_sharer() {
         // The fast-path root's x is a pure counter; the fig2 stages it
         // calls have a gate named x. The basename takes the weaker.
-        let o = derived(Algorithm::CcFastPath);
-        assert_eq!(req(&o, "x", AccessKind::Rmw), Req::AcqRel);
+        assert_pins(
+            Algorithm::CcFastPath,
+            &[("x", AccessKind::Rmw, Req::AcqRel)],
+        );
     }
 
     #[test]
@@ -584,9 +512,13 @@ mod tests {
         // `rename.X` (basename `x`) is the test-and-set name array: a
         // counter with a reset store; the fig2 stage gates sharing the
         // basename keep the RMW at the weaker AcqRel.
-        let o = derived(Algorithm::AssignmentCc);
-        assert_eq!(req(&o, "x", AccessKind::Rmw), Req::AcqRel);
-        assert_eq!(req(&o, "x", AccessKind::Write), Req::Release);
+        assert_pins(
+            Algorithm::AssignmentCc,
+            &[
+                ("x", AccessKind::Rmw, Req::AcqRel),
+                ("x", AccessKind::Write, Req::Release),
+            ],
+        );
     }
 
     #[test]
@@ -604,6 +536,23 @@ mod tests {
     fn all_algorithms_derive() {
         for a in Algorithm::ALL {
             derive_obligations(a, &Config::default()).unwrap_or_else(|e| panic!("{a:?}: {e}"));
+        }
+    }
+
+    /// Sharers of a basename that tie on strength (`DsmChain`'s `r`
+    /// rmw) resolve to the same reason on every derivation.
+    #[test]
+    fn derivation_is_deterministic() {
+        let cfg = Config::default();
+        for a in Algorithm::ALL {
+            let first = derive_obligations(a, &cfg).expect("IR walks");
+            for _ in 1..16 {
+                assert_eq!(
+                    derive_obligations(a, &cfg).expect("IR walks"),
+                    first,
+                    "{a:?}"
+                );
+            }
         }
     }
 }

@@ -7,8 +7,11 @@
 //! not back to 0 at the end, or — for a bounded case — a run in which
 //! no two threads overlapped (occupancy never above 1 and no spin in an
 //! entry section): a mean under a worst-case bound from such a run
-//! checked nothing. The means are compared against *worst-case* bounds,
-//! so the margin is large at low contention. `QueueKex` and
+//! checked nothing. So that two do overlap, a holder keeps its slot
+//! until a second one is inside too, for at most `WAIT`, until two
+//! have met once in the run or one has waited in vain. The means are
+//! compared against *worst-case* bounds, so the margin is large at low
+//! contention. `QueueKex` and
 //! `SemaphoreKex` serialize on an OS mutex the facade cannot see: they
 //! carry no bound and are checked for occupancy only.
 //!
@@ -19,7 +22,8 @@
 
 #![cfg(all(feature = "obs", not(loom)))]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use kex_core::native::{
     CcChainKex, FastPathKex, KAssignment, QueueKex, RawKex, SemaphoreKex, TreeKex,
@@ -28,6 +32,15 @@ use kex_core::sim::Algorithm;
 use kex_obs::Section;
 
 const CYCLES: u64 = 200;
+
+/// How long a lone holder waits for a second one.
+const WAIT: Duration = Duration::from_millis(50);
+
+/// Holders inside, and whether waiting for a second one is over, in
+/// the current run. Plain `std` atomics, which the facade does not
+/// count.
+static INSIDE: AtomicUsize = AtomicUsize::new(0);
+static DONE: AtomicBool = AtomicBool::new(false);
 
 /// One algorithm under measurement: its CC bound per pair, if the paper
 /// gives one, and one acquire → dwell → release cycle for process `p`.
@@ -43,11 +56,24 @@ fn case(name: &'static str, bound: Option<u64>, cycle: impl Fn(usize) + Sync + '
 }
 
 /// Holds the slot long enough for holders to overlap (the spins are
-/// counted, in the Cs section, without touching shared memory).
+/// counted, in the Cs section, without touching shared memory). Until
+/// waiting is over, a holder first waits, uncounted, for a second one
+/// to arrive.
 fn dwell<G>(guard: G) {
+    if INSIDE.fetch_add(1, Ordering::SeqCst) > 0 {
+        DONE.store(true, Ordering::SeqCst);
+    }
+    let until = Instant::now() + WAIT;
+    while !DONE.load(Ordering::SeqCst) {
+        if Instant::now() >= until {
+            DONE.store(true, Ordering::SeqCst);
+        }
+        std::hint::spin_loop();
+    }
     for _ in 0..32 {
         kex_util::sync::hint::spin_loop();
     }
+    INSIDE.fetch_sub(1, Ordering::SeqCst);
     drop(guard);
 }
 
@@ -83,6 +109,7 @@ fn cases(n: usize, k: usize) -> Vec<Case> {
 /// cpu, and only busy ones make the scheduler spread them.
 fn run(case: &Case, n: usize, k: usize) -> Option<String> {
     kex_obs::reset();
+    DONE.store(false, Ordering::SeqCst);
     let arrived = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for p in 0..n {

@@ -50,6 +50,12 @@
 //! comment, e.g. `// kex-lint: allow(spin): <reason>`; the directive
 //! shares the line with the flagged construct (or, for a spin loop,
 //! sits anywhere inside it).
+//!
+//! The gate is the conformance test `repo_is_clean`, which audits the
+//! checkout it is built in and prints [`render_text`]'s report to
+//! stderr:
+//! `cargo test -p kex-lint --test conformance repo_is_clean -- --nocapture`.
+//! To audit another tree, run that command inside its checkout.
 
 #![warn(missing_docs)]
 
@@ -61,11 +67,6 @@ use std::path::Path;
 
 use kex_analyze::Config;
 use kex_core::sim::build::Algorithm;
-use kex_obs::json::Json;
-
-/// Schema identifier of the JSON findings report (v2: four passes, no
-/// `counts.drift`).
-pub const FINDINGS_SCHEMA: &str = "kex-lint/findings/v2";
 
 /// Repo-relative directory roots loaded into a [`Workspace`].
 ///
@@ -1448,11 +1449,6 @@ impl Report {
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
     }
-
-    /// Findings from one pass.
-    pub fn by_pass(&self, pass: Pass) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(move |f| f.pass == pass)
-    }
 }
 
 /// Reads the audit table from a repo root (`None` if it is missing,
@@ -1493,35 +1489,6 @@ pub fn render_text(report: &Report) -> String {
         }
     }
     out
-}
-
-/// JSON report (schema [`FINDINGS_SCHEMA`]).
-pub fn render_json(report: &Report) -> String {
-    let findings = report
-        .findings
-        .iter()
-        .map(|f| {
-            Json::obj(vec![
-                ("pass", f.pass.name().into()),
-                ("file", f.file.as_str().into()),
-                ("line", f.line.into()),
-                ("message", f.message.as_str().into()),
-            ])
-        })
-        .collect();
-    let counts: Vec<(&str, Json)> = [Pass::Ordering, Pass::Facade, Pass::Spin, Pass::Obligation]
-        .iter()
-        .map(|p| (p.name(), Json::U64(report.by_pass(*p).count() as u64)))
-        .collect();
-    Json::obj(vec![
-        ("schema", FINDINGS_SCHEMA.into()),
-        ("files_scanned", report.files.into()),
-        ("atomic_sites", report.sites.into()),
-        ("clean", report.clean().into()),
-        ("counts", Json::obj(counts)),
-        ("findings", Json::arr(findings)),
-    ])
-    .to_string_pretty()
 }
 
 #[cfg(test)]

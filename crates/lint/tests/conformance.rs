@@ -10,7 +10,7 @@
 //! * **seeded defects** — for each lint pass, a small fixture workspace
 //!   with one defect must produce a finding naming the exact file and
 //!   line. This proves every pass actually fires; without it a refactor
-//!   could quietly turn the whole lint into a no-op that still exits 0.
+//!   could quietly turn the whole lint into a no-op that still reports clean.
 //!   The fixtures are self-contained, so editing the native, wait-free
 //!   or store sources never requires an edit here.
 
@@ -19,7 +19,8 @@ use std::path::Path;
 use kex_analyze::Config;
 use kex_lint::{
     audit, extract_sites, facade_pass, load_audit_doc, obligation_pass, ordering_pass,
-    parse_ordering_consts, spin_pass, Finding, Pass, Site, SourceFile, Workspace, AUDIT_DOC,
+    parse_ordering_consts, render_text, spin_pass, Finding, Pass, Site, SourceFile, Workspace,
+    AUDIT_DOC,
 };
 
 const ORD_RS: &str = "crates/util/src/ord.rs";
@@ -146,10 +147,13 @@ fn real_tree() -> (Workspace, Option<String>) {
     )
 }
 
+/// The gate: the audit of this checkout has no finding. Its text
+/// report goes to stderr (`--nocapture` shows it).
 #[test]
 fn repo_is_clean() {
     let (ws, doc) = real_tree();
     let report = audit(&ws, doc.as_deref(), &Config::default());
+    eprint!("{}", render_text(&report));
     assert!(
         report.clean(),
         "expected a clean audit; got:\n{}",
