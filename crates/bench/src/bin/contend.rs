@@ -4,23 +4,19 @@
 //! algorithms and baselines, the paper's (N, 1) instance, the wrapped
 //! stack and the bare payload objects — this spawns T ∈ {1, 2, 4, k, 2k,
 //! oversubscribed} threads doing closed-loop acquire→CS→release cycles
-//! and reports throughput, sampled latency percentiles, and per-thread
-//! fairness. Always writes a JSON document (default
-//! `BENCH_contend.json`, git-ignored) via the shared report writer, and
-//! exits non-zero if any cell makes no progress.
+//! and prints throughput, sampled latency percentiles, and per-thread
+//! fairness, one line per cell. Exits non-zero if any cell makes no
+//! progress.
 //!
 //! ```text
-//! contend [--json <path>] [--duration-ms <n>]
-//!         [--threads <a,b,c>] [--algo <name,...>]
+//! contend [--duration-ms <n>] [--threads <a,b,c>] [--algo <name,...>]
 //! ```
 //!
 //! Methodology caveats live in `EXPERIMENTS.md` E12.
 
 use std::time::Duration;
 
-use kex_bench::contend::{algorithms, run_contended, Algo, RunConfig, RunStats, K};
-use kex_bench::JsonSink;
-use kex_obs::json::Json;
+use kex_bench::contend::{algorithms, run_contended, Algo, RunConfig, K};
 
 #[derive(Debug)]
 struct Options {
@@ -40,9 +36,6 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => {
-                args.next(); // consumed by JsonSink::from_args
-            }
             "--duration-ms" => {
                 let ms = args
                     .next()
@@ -69,7 +62,6 @@ fn parse_args() -> Options {
                 let list = args.next().unwrap_or_else(|| usage("--algo needs a list"));
                 opts.algos = Some(list.split(',').map(|s| s.trim().to_string()).collect());
             }
-            other if other.starts_with("--json=") => {}
             other => usage(&format!("unknown argument `{other}`")),
         }
     }
@@ -80,32 +72,12 @@ fn parse_args() -> Options {
 
 fn usage(msg: &str) -> ! {
     eprintln!("contend: {msg}");
-    eprintln!(
-        "usage: contend [--json <path>] [--duration-ms <n>] \
-         [--threads <a,b,c>] [--algo <names>]"
-    );
+    eprintln!("usage: contend [--duration-ms <n>] [--threads <a,b,c>] [--algo <names>]");
     std::process::exit(2);
-}
-
-fn stats_json(s: &RunStats) -> Json {
-    Json::obj(vec![
-        ("threads", s.threads.into()),
-        ("total_ops", s.total_ops.into()),
-        ("elapsed_ms", (s.elapsed.as_secs_f64() * 1e3).into()),
-        ("ops_per_sec", s.ops_per_sec().into()),
-        ("p50_ns", s.p50_ns.into()),
-        ("p90_ns", s.p90_ns.into()),
-        ("p99_ns", s.p99_ns.into()),
-        ("p999_ns", s.p999_ns.into()),
-        ("latency_samples", s.samples.into()),
-        ("min_thread_ops", s.min_thread_ops.into()),
-        ("max_thread_ops", s.max_thread_ops.into()),
-    ])
 }
 
 fn main() {
     let opts = parse_args();
-    let mut sink = JsonSink::from_args_or_default("BENCH_contend.json");
     let cfg = RunConfig::with_duration(opts.duration);
     let cases: Vec<Algo> = algorithms()
         .into_iter()
@@ -127,12 +99,10 @@ fn main() {
     );
 
     let mut failures = 0u32;
-    let mut algo_docs = Vec::new();
     // Median of several measured windows per cell: on a small host the
     // scheduler adds several percent of run-to-run noise.
     let windows: usize = 3;
     for case in &cases {
-        let mut runs = Vec::new();
         for &threads in &opts.threads {
             let mut samples: Vec<_> = (0..windows)
                 .map(|_| run_contended(threads, &cfg, (case.make)(threads)))
@@ -155,33 +125,8 @@ fn main() {
                 eprintln!("  FAIL: {} T={threads} made no progress", case.name);
                 failures += 1;
             }
-            runs.push(stats_json(&stats));
         }
-        algo_docs.push(Json::obj(vec![
-            ("name", case.name.into()),
-            ("k", case.k.into()),
-            ("runs", Json::arr(runs)),
-        ]));
     }
-
-    sink.put("schema", "kex-bench/contend/v2".into());
-    sink.put(
-        "cpus",
-        std::thread::available_parallelism()
-            .map_or(0usize, |n| n.get())
-            .into(),
-    );
-    sink.put("k", K.into());
-    sink.put("duration_ms", (opts.duration.as_millis() as u64).into());
-    sink.put("warmup_ms", (cfg.warmup.as_millis() as u64).into());
-    sink.put("latency_sample_every", cfg.sample_every.into());
-    sink.put("windows_per_cell", windows.into());
-    sink.put(
-        "thread_counts",
-        Json::arr(opts.threads.iter().map(|&t| t.into()).collect()),
-    );
-    sink.put("algorithms", Json::arr(algo_docs));
-    sink.finish();
 
     if failures > 0 {
         eprintln!("contend: {failures} run(s) made no progress");

@@ -30,14 +30,12 @@ pub const K: usize = 4;
 /// One closed-loop operation, called with the thread index as pid.
 pub type Op = Box<dyn Fn(usize) + Sync>;
 
-/// One row of the grid: name, its `k`, and an operation factory (a
-/// fresh instance per measured window, so no state leaks across runs).
+/// One row of the grid: name and an operation factory (a fresh
+/// instance per measured window, so no state leaks across runs).
 #[derive(Debug)]
 pub struct Algo {
-    /// Row name (`--algo` filter, JSON `name`).
+    /// Row name (the `--algo` filter).
     pub name: &'static str,
-    /// Slots the row admits at once.
-    pub k: usize,
     /// Builds the operation for a run of `threads` threads.
     pub make: fn(threads: usize) -> Op,
 }
@@ -64,39 +62,32 @@ pub fn algorithms() -> Vec<Algo> {
     vec![
         Algo {
             name: "fig2",
-            k: K,
             make: |t| kex_op(CcChainKex::new(universe(t, K), K)),
         },
         Algo {
             name: "tree",
-            k: K,
             make: |t| kex_op(TreeKex::new(universe(t, K), K)),
         },
         Algo {
             name: "fast_path",
-            k: K,
             make: |t| kex_op(FastPathKex::new(universe(t, K), K)),
         },
         Algo {
             name: "fig1",
-            k: K,
             make: |t| kex_op(QueueKex::new(universe(t, K), K)),
         },
         Algo {
             name: "semaphore",
-            k: K,
             make: |t| kex_op(SemaphoreKex::new(universe(t, K), K)),
         },
         // The paper's own (N, 1) instance; §5 sets it against MCS and
-        // Yang–Anderson in remote references (`bounds mcs`).
+        // Yang–Anderson in remote references (E10's `e10_k1_vs_mcs`).
         Algo {
             name: "fast_path_k1",
-            k: 1,
             make: |t| kex_op(FastPathKex::new(universe(t, 1), 1)),
         },
         Algo {
             name: "assignment",
-            k: K,
             make: |t| {
                 let pool = KAssignment::new(universe(t, K), K);
                 Box::new(move |p| {
@@ -107,7 +98,6 @@ pub fn algorithms() -> Vec<Algo> {
         },
         Algo {
             name: "resilient_counter",
-            k: K,
             make: |t| {
                 let obj = Resilient::new(universe(t, K), K, SlotCounter::new(K));
                 Box::new(move |p| {
@@ -117,7 +107,6 @@ pub fn algorithms() -> Vec<Algo> {
         },
         Algo {
             name: "resilient_queue",
-            k: K,
             make: |t| {
                 let obj = Resilient::new(universe(t, K), K, WfQueue::<u64>::new(K));
                 Box::new(move |p| {
@@ -132,7 +121,6 @@ pub fn algorithms() -> Vec<Algo> {
         // per op — why a dense name space 0..k matters.
         Algo {
             name: "slot_counter",
-            k: K,
             make: |t| {
                 let counter = SlotCounter::new(t.max(K));
                 Box::new(move |p| counter.add(p, 1))
@@ -140,7 +128,6 @@ pub fn algorithms() -> Vec<Algo> {
         },
         Algo {
             name: "fetch_add_counter",
-            k: K,
             make: |_| {
                 let counter = FetchAddCounter::new();
                 Box::new(move |_| {
@@ -150,7 +137,6 @@ pub fn algorithms() -> Vec<Algo> {
         },
         Algo {
             name: "universal_counter",
-            k: K,
             make: |t| {
                 let counter = Universal::<SeqCounter>::new(t.max(K));
                 Box::new(move |p| {
@@ -161,7 +147,6 @@ pub fn algorithms() -> Vec<Algo> {
         // The universal construction again, at a snapshot specification.
         Algo {
             name: "snapshot_update",
-            k: K,
             make: |t| {
                 let snap = Snapshot::<u64>::new(t.max(K));
                 Box::new(move |p| {

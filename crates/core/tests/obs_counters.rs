@@ -18,6 +18,19 @@
 use kex_core::native::{CcChainKex, FastPathKex, KAssignment, RawKex, Resilient, TasRenaming};
 use kex_obs::Section;
 
+/// `(RMWs, stores, loads)` of one call of each ladder rung at T = 1 — the
+/// benchmark's count pass (`benchmark/src/counts.rs`) at its sizing,
+/// `N = 16`, `k = 4`. The wrapper adds no atomic of its own, so the
+/// last three rows are one k-assignment enter and drop: the kex pair
+/// plus one name bit read, set and cleared.
+const LADDER: [(&str, (u64, u64, u64)); 5] = [
+    ("kex pair (FastPathKex)", (10, 1, 1)),
+    ("TasRenaming acquire_name + release_name", (1, 1, 1)),
+    ("KAssignment enter + drop", (11, 2, 2)),
+    ("Resilient::with", (11, 2, 2)),
+    ("Resilient::try_with", (11, 2, 2)),
+];
+
 /// `(RMWs, stores, loads)` of pid 0 since the last `reset()`, over all
 /// sections.
 fn pid0_counts() -> (u64, u64, u64) {
@@ -30,6 +43,20 @@ fn pid0_counts() -> (u64, u64, u64) {
     })
 }
 
+/// `(RMWs, stores, loads)` of `op`, over every pid and the untracked
+/// bucket (the renaming opens no span of its own).
+fn counted(op: impl FnOnce()) -> (u64, u64, u64) {
+    kex_obs::reset();
+    op();
+    kex_obs::snapshot()
+        .per_pid
+        .iter()
+        .flat_map(|pid| pid.sections.iter())
+        .fold((0, 0, 0), |acc, s| {
+            (acc.0 + s.rmws, acc.1 + s.stores, acc.2 + s.loads)
+        })
+}
+
 /// The whole file is one `#[test]`: the registry is process-global and
 /// the libtest harness runs `#[test]` fns concurrently, so independent
 /// tests would race each other's `reset()`.
@@ -39,7 +66,7 @@ fn scripted_single_thread_schedule_has_exact_counts() {
     second_acquisition_hits_warm_cache();
     guard_drives_occupancy_gauge_and_cs_span();
     fast_path_16_4_uncontended_pair_is_12_ops_10_rmws();
-    resilient_with_is_assignment_enter_and_drop();
+    ladder_rungs_have_exact_counts();
     a_refused_try_enter_writes_nothing();
     a_probe_of_a_dead_name_writes_nothing();
 }
@@ -149,25 +176,39 @@ fn fast_path_16_4_uncontended_pair_is_12_ops_10_rmws() {
     assert!(snap.untracked().is_none());
 }
 
-/// The wrapper adds no atomic of its own: a guarded op is the
-/// k-assignment's enter and drop — the kex pair above plus one name bit
-/// read, set and cleared (`assignment.*_per_op` 15 / 11 in the
-/// benchmark's count pass, and `resilient.*_per_op` the same).
-fn resilient_with_is_assignment_enter_and_drop() {
+/// Each [`LADDER`] rung, called once on an instance that has served one
+/// call before (as in the count pass, where the first of 10 000 calls
+/// is the only cold one). Every rung that moved is reported, not only
+/// the first.
+fn ladder_rungs_have_exact_counts() {
+    let kex = FastPathKex::new(16, 4);
+    let names = TasRenaming::new(4);
     let assign = KAssignment::new(16, 4);
-    kex_obs::reset();
-    drop(assign.enter(0));
-    let bare = pid0_counts();
-    assert_eq!(bare, (11, 2, 2));
-
     let wrapped = Resilient::new(16, 4, ());
-    kex_obs::reset();
-    wrapped.with(0, |_, _| ());
-    assert_eq!(pid0_counts(), bare, "Resilient::with adds an atomic");
-
-    kex_obs::reset();
-    assert!(wrapped.try_with(0, |_, _| ()).is_some());
-    assert_eq!(pid0_counts().0, bare.0, "try_with adds an RMW");
+    let rungs: [&dyn Fn(); 5] = [
+        &|| {
+            kex.acquire(0);
+            kex.release(0);
+        },
+        &|| names.release_name(names.acquire_name()),
+        &|| drop(assign.enter(0)),
+        &|| wrapped.with(0, |_, _| ()),
+        &|| assert!(wrapped.try_with(0, |_, _| ()).is_some()),
+    ];
+    let moved: Vec<String> = LADDER
+        .iter()
+        .zip(rungs)
+        .filter_map(|(&(rung, pinned), call)| {
+            call();
+            let got = counted(call);
+            (got != pinned).then(|| format!("{rung}: {got:?}, pinned {pinned:?}"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "(rmws, stores, loads) moved:\n  {}",
+        moved.join("\n  ")
+    );
 }
 
 /// `X` is the shedding gate: with all `k` slots consumed (here by

@@ -1,7 +1,7 @@
-//! Exact atomic-op counts of a shard op under the instrumented backend
-//! (`--features obs`): what a `Shard` adds on top of the k-assignment
-//! it is built on, what a read that goes around it costs, and what a
-//! shed costs.
+//! Exact atomic-op counts of the store layer's ladder rungs under the
+//! instrumented backend (`--features obs`): the journal, the object,
+//! what a `Shard` adds on top of the k-assignment it is built on, what
+//! a read that goes around it costs, what a shed costs, and the store.
 //!
 //! One thread, so one interleaving and deterministic counters; one
 //! `#[test]`, because the registry is process-global (see
@@ -9,18 +9,47 @@
 
 #![cfg(all(feature = "obs", not(loom)))]
 
-use kex_core::native::KAssignment;
-use kex_store::{KvCells, LaneJournal, OpKind, Shard, ShardObject};
+use kex_store::{
+    KvCells, KvStore, LaneJournal, OpKind, Shard, ShardObject, StoreConfig, StoreRead, StoreWrite,
+};
 
 const N: usize = 16;
 const K: usize = 4;
 
-/// `(RMWs, stores, loads)` since the last `reset()`, over every pid,
-/// section and the untracked bucket (the tally cells are bumped outside
-/// any span).
-fn counts() -> (u64, u64, u64) {
-    let snap = kex_obs::snapshot();
-    snap.per_pid
+/// `(RMWs, stores, loads)` of one call of each ladder rung at T = 1 — the
+/// benchmark's count pass (`benchmark/src/counts.rs`) at its sizing, on
+/// a key already present (a put overwrites; claiming a cell for a new
+/// key is the object's own CAS). 11 RMWs are the k-assignment's enter
+/// and drop (`crates/core/tests/obs_counters.rs`): a guarded op adds
+/// none, a read around the wrapper performs none, and a shed — one load
+/// of `X` — writes only the shedder's own `sheds` cell (read, then
+/// stored), a line no other process writes.
+const LADDER: [(&str, (u64, u64, u64)); 10] = [
+    // The head read, two payload words, `meta` twice (read back in
+    // between) and the head: loads and stores on words the name owns.
+    ("LaneJournal begin + commit", (0, 5, 2)),
+    ("KvCells get", (0, 0, 1)),
+    ("KvCells overwrite", (0, 1, 1)),
+    // The probe, and the caller's own `ops` cell read and stored.
+    ("Shard::get", (0, 1, 2)),
+    // Admission (11, 2, 2) + journal + overwrite + `ops`.
+    ("Shard::put", (11, 9, 6)),
+    // Admission + probe + `ops`.
+    ("Shard::try_get", (11, 3, 4)),
+    ("Shard::try_get shed", (0, 1, 2)),
+    ("Shard::try_put shed", (0, 1, 2)),
+    // Routing is arithmetic: a store op is its shard's.
+    ("Store::get", (0, 1, 2)),
+    ("Store::put", (11, 9, 6)),
+];
+
+/// `(RMWs, stores, loads)` of `op`, over every pid, section and the
+/// untracked bucket (the tally cells are bumped outside any span).
+fn counted(op: impl FnOnce()) -> (u64, u64, u64) {
+    kex_obs::reset();
+    op();
+    kex_obs::snapshot()
+        .per_pid
         .iter()
         .flat_map(|pid| pid.sections.iter())
         .fold((0, 0, 0), |acc, s| {
@@ -30,61 +59,49 @@ fn counts() -> (u64, u64, u64) {
 
 #[test]
 fn a_guarded_op_adds_no_rmw_a_read_performs_none_and_a_shed_writes_only_its_own_tally() {
-    let assign = KAssignment::new(N, K);
-    kex_obs::reset();
-    drop(assign.enter(0));
-    let (admission_rmws, ..) = counts();
-    assert_eq!(admission_rmws, 11);
-
-    // A journal entry is loads and stores on words the name owns: the
-    // head read, two payload words, `meta` twice (read back in between)
-    // and the head.
     let journal = LaneJournal::new(K, 8);
-    kex_obs::reset();
-    let lsn = journal.begin(0, OpKind::Put, 7, 70);
-    journal.commit(0, lsn);
-    let (rmws, stores, loads) = counts();
-    assert_eq!(rmws, 0, "a journal entry performs an RMW");
-    assert!(stores + loads <= 7, "{stores} stores + {loads} loads");
-
-    // So is the object's read: loads down the probe run.
     let cells = KvCells::new(64);
-    cells.put(0, 7, 70).unwrap();
-    kex_obs::reset();
-    assert_eq!(cells.get_unguarded(7), Some(70));
-    let (rmws, stores, probe_loads) = counts();
-    assert_eq!((rmws, stores), (0, 0), "KvCells' read writes");
-
-    // A put, and the read that asks for admission, pay the
-    // k-assignment and nothing more; `ops` is the caller's own cell.
-    // (Claiming a cell for a new key is the object's own CAS, so the
-    // put that is measured overwrites.)
     let shard = Shard::new(N, K, 8, KvCells::new(64));
-    shard.put(0, 7, 69).unwrap();
-    kex_obs::reset();
+    let full = Shard::new(N, K, 8, KvCells::new(64));
+    let store = KvStore::new(StoreConfig::new(4, N, K));
+    cells.put(0, 7, 70).unwrap();
     shard.put(0, 7, 70).unwrap();
-    assert_eq!(counts().0, admission_rmws, "Shard::put adds an RMW");
-    kex_obs::reset();
-    assert_eq!(shard.try_get(0, 7), Some(Some(70)));
-    assert_eq!(counts().0, admission_rmws, "a served try_get adds an RMW");
-
-    // `get` goes around the wrapper: the probe, and the caller's own
-    // `ops` cell read and stored.
-    kex_obs::reset();
-    assert_eq!(shard.get(0, 7), Some(70));
-    assert_eq!(counts(), (0, 1, probe_loads + 1), "Shard::get");
-
-    // A full shard sheds off one load of `X`; the only write is the
-    // shedder's own `sheds` cell (read, then stored), a line no other
-    // process writes.
+    full.put(0, 7, 70).unwrap();
+    store.put(0, 7, 70).unwrap();
     for p in 1..=K {
-        shard.crash_in_cs(p, 7, 71);
+        full.crash_in_cs(p, 7, 71);
     }
-    kex_obs::reset();
-    assert_eq!(shard.try_get(0, 7), None);
-    assert_eq!(counts(), (0, 1, 2));
-    kex_obs::reset();
-    assert_eq!(shard.try_put(0, 7, 72), None);
-    assert_eq!(counts(), (0, 1, 2));
-    assert_eq!(shard.stats().sheds, 2);
+    let rungs: [&dyn Fn(); 10] = [
+        &|| {
+            let lsn = journal.begin(0, OpKind::Put, 7, 70);
+            journal.commit(0, lsn);
+        },
+        &|| assert_eq!(cells.get(0, 7), Some(70)),
+        &|| cells.put(0, 7, 70).unwrap(),
+        &|| assert_eq!(shard.get(0, 7), Some(70)),
+        &|| shard.put(0, 7, 70).unwrap(),
+        &|| assert_eq!(shard.try_get(0, 7), Some(Some(70))),
+        &|| assert_eq!(full.try_get(0, 7), None),
+        &|| assert_eq!(full.try_put(0, 7, 72), None),
+        &|| assert_eq!(store.get(0, 7), Some(70)),
+        &|| store.put(0, 7, 70).unwrap(),
+    ];
+    // Each rung is called once before it is counted (the count pass
+    // makes 10 000 calls: only the first is cold), and every rung that
+    // moved is reported, not only the first.
+    let moved: Vec<String> = LADDER
+        .iter()
+        .zip(rungs)
+        .filter_map(|(&(rung, pinned), call)| {
+            call();
+            let got = counted(call);
+            (got != pinned).then(|| format!("{rung}: {got:?}, pinned {pinned:?}"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "(rmws, stores, loads) moved:\n  {}",
+        moved.join("\n  ")
+    );
+    assert_eq!(full.stats().sheds, 4);
 }

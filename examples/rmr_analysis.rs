@@ -3,8 +3,9 @@
 //! measured worst-case RMRs per entry+exit pair at low and high
 //! contention under each algorithm's target memory model.
 //!
-//! (The full experiment suite lives in the `kex-bench` crate:
-//! `cargo run -p kex-bench --bin table1`.)
+//! (The full Table 1, asserted against each theorem bound, is the
+//! `e1_table1_*` tests: `cargo test --release --test sim_integration
+//! e1_ -- --nocapture`.)
 //!
 //! Run: `cargo run --release --example rmr_analysis`
 
