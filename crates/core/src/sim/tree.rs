@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn arity_depth_tradeoff() {
         // Higher arity -> shallower tree; (arity-1)k cost per level is
-        // checked empirically in the `bounds -- arity` experiment.
+        // checked empirically by the root test `e10_tree_arity`.
         use super::tree_depth_with_arity;
         assert_eq!(tree_depth_with_arity(32, 2, 2), 4);
         assert_eq!(tree_depth_with_arity(32, 2, 4), 2);

@@ -47,7 +47,7 @@
 //! Per-level spin flags `P[level][p]` are homed at `p`, so all waiting is
 //! local under both machine models. The exhaustive checker verifies
 //! mutual exclusion and starvation-freedom for small `N`; the
-//! `bounds -- mcs` experiment includes it in the k = 1 comparison.
+//! root test `e10_k1_vs_mcs` includes it in the k = 1 comparison.
 
 use kex_sim::mem::MemCtx;
 use kex_sim::node::Node;

@@ -98,21 +98,21 @@ fn check_process(report: &ExploreReport, p: Pid) -> Option<Starvation> {
         .collect();
 
     let sccs = tarjan_scc(report, &keep);
+    // Which SCC each kept state is in: one array, not one per SCC.
+    let mut scc_of = vec![u32::MAX; report.states];
+    for (id, scc) in sccs.iter().enumerate() {
+        for &s in scc {
+            scc_of[s as usize] = id as u32;
+        }
+    }
 
-    for scc in &sccs {
+    for (id, scc) in sccs.iter().enumerate() {
         // Nontrivial: contains at least one internal step edge.
         let mut internal_steppers = 0u64;
         let mut has_internal_edge = false;
-        let in_scc = {
-            let mut v = vec![false; report.states];
-            for &s in scc {
-                v[s as usize] = true;
-            }
-            v
-        };
         for &s in scc {
             for &(label, t) in &report.edges[s as usize] {
-                if in_scc[t as usize] {
+                if scc_of[t as usize] == id as u32 {
                     if let Label::Step(q) = label {
                         has_internal_edge = true;
                         internal_steppers |= 1 << q;

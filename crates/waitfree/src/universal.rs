@@ -6,8 +6,12 @@
 //! consensus per log cell, and responses are computed by
 //! deterministically replaying the log. Helping makes it wait-free: the
 //! successor of log position `p` is preferentially the announced node of
-//! name `(p + 1) mod k`, so a node is threaded within `k + 1` positions
-//! of its announcement whether or not its owner is running.
+//! name `(p + 1) mod k` once that name has *asked* for help (Kogan and
+//! Petrank's slow path), so a node is threaded within `k + 1` positions
+//! of the ask whether or not its owner is running. An op asks once its
+//! pass has walked `CHECKPOINT_EVERY + k` positions short of its node;
+//! `reclaim` asks for a name it finds committed with its node unthreaded.
+//! Until then a decide at its turn reads one rarely written word.
 //!
 //! This is exactly the kind of **wait-free k-process object** the paper's
 //! methodology presumes (§1): wrap a `Universal<S>` for `k` processes in
@@ -34,21 +38,25 @@
 //! An idle name (or one crashed *between* operations, `Resilient`'s
 //! failure model) pins nothing but its own last node and what it had
 //! yet to free. Neither does an operation that has not committed yet:
-//! it is *pending*, and whoever frees past it turns it down instead —
-//! it then starts over *firm*, holding the suffix while it looks, as
-//! does one that must pick a checkpoint. The one dereference outside a
-//! span — the `seq` of another name's announced node or of the
-//! checkpoint being replaced — goes through a per-name hazard slot that
-//! is published, re-validated against its source, and scanned by the
-//! node's owner before it frees.
+//! it is *pending*, and whoever frees past its position turns it down
+//! instead — it then resumes from a checkpoint, as does one that the
+//! checkpoints have passed: it picks and copies one under its hazard
+//! slot, then holds the suffix (*firm*) only to check that the floor has
+//! not passed its pick. The one dereference outside a span — the `seq`
+//! of another name's announced node, of the checkpoint being replaced,
+//! or of the one picked to resume from — goes through a per-name hazard
+//! slot that is published, re-validated against its source, and scanned
+//! by the node's owner before it frees.
 //!
 //! ## Costs and caveats
 //!
 //! * `apply` is one pass of `O(distance to own node + k)` steps — `O(k)`
 //!   for a name that keeps running, about `CHECKPOINT_EVERY + k` after
 //!   a pause — plus a constant-bounded reclaim, and never waits on
-//!   another name. It pays one `S::clone` per checkpoint it publishes or
-//!   resumes from.
+//!   another name. At most `CHECKPOINT_EVERY + k` of those steps are
+//!   unhelped: then the op asks, and its node lies at most `k + 1`
+//!   positions past where the log ended at the ask. It pays one
+//!   `S::clone` per checkpoint it publishes or resumes from.
 //! * Warm, `apply` does not call the allocator: a node `reclaim` frees
 //!   goes on its name's owner-private list of spares (`CHECKPOINT_EVERY`
 //!   at most, the rest to the allocator) and is that name's next node.
@@ -57,10 +65,12 @@
 //!   What that hides from miri and ASan, a `POOLED` poison in `seq` shows
 //!   to every walk in debug builds. A checkpoint still boxes a clone.
 //! * Memory is `O(k · CHECKPOINT_EVERY)` nodes plus what stalled names
-//!   pin. A name stalled *mid-operation* pins its span. That is the
-//!   suffix of the log only in the few instructions of a firm start: a
-//!   name's first operation, one after the checkpoints have passed it,
-//!   or one turned down while pending.
+//!   pin. A name stalled *mid-operation* pins its span, which the first
+//!   `reclaim` to meet it closes by asking for it. That is the
+//!   suffix of the log only in the few instructions of a firm start (a
+//!   name's first operation, or one after the checkpoints have passed
+//!   it, the only kind turned down while pending), and for as long as
+//!   a second copy takes if the floor passed the first pick.
 //! * A panic inside `S::apply` leaves its name claimed for good (the next
 //!   `apply` under it panics); every replayer of that operation panics too.
 
@@ -94,8 +104,9 @@ const TAG: usize = (1 << TAG_BITS) - 1;
 /// Between ops; the position is that of `announce`.
 const IDLE: usize = 0;
 /// An op means to resume at the position (that of its previous op), has
-/// read nothing yet and is not helped: whoever frees past it turns it
-/// down instead of honouring it.
+/// read nothing outside its hazard slot and is not helped: whoever frees
+/// past the position turns it down instead of honouring it; below it,
+/// it pins nothing.
 const PENDING: usize = 1;
 /// A `PENDING` turned down: pins nothing, and cannot commit.
 const REVOKED: usize = 2;
@@ -175,11 +186,17 @@ pub struct Universal<S: Sequential> {
     /// Position of a checkpoint that has been installed: never above
     /// that of `newest`, and nothing at or above it is ever freed.
     floor: AtomicUsize,
+    /// Bit `x`: name `x` has asked for help. Like `newest` and `floor`,
+    /// written far less often than once an op.
+    asks: AtomicUsize,
     sentinel: *mut Node<S>,
     /// Under the model checker freed nodes are parked here until `drop`,
     /// so that touching one fails an assertion and is no worse than that.
     #[cfg(loom)]
     freed: std::sync::Mutex<Vec<*mut Node<S>>>,
+    /// Decides that proposed another name's node (models only).
+    #[cfg(loom)]
+    helped: std::sync::Mutex<usize>,
 }
 
 // SAFETY: the shared words are atomics. A `Local` is touched only by the
@@ -219,9 +236,12 @@ impl<S: Sequential> Universal<S> {
             names: (0..k).map(name).collect(),
             newest: AtomicPtr::new(sentinel),
             floor: AtomicUsize::new(1),
+            asks: AtomicUsize::new(0),
             sentinel,
             #[cfg(loom)]
             freed: Default::default(),
+            #[cfg(loom)]
+            helped: Default::default(),
         }
     }
 
@@ -284,27 +304,39 @@ impl<S: Sequential> Universal<S> {
             // Our previous op is where we resume if truncation has not
             // passed it — read after we published ourselves, so whoever
             // missed us freed below a floor no higher than this one.
-            let own = |local: &Local<S>| {
-                local.state.is_some() && prev_pos >= self.floor.load(ord::handshake::SEQ_CST)
-            };
+            let own = local.state.is_some() && prev_pos >= self.floor.load(ord::handshake::SEQ_CST);
             let committed = prev_pos << TAG_BITS | COMMITTED;
             let (mut cur, mut pos) = (prev, prev_pos);
-            if !(own(local) && swap(pending, committed).is_ok()) {
-                // Turned down, or fallen behind: hold the suffix while we
-                // look (again). Only once committed may helpers thread
-                // `mine`: above the point we picked.
+            if !(own && swap(pending, committed).is_ok()) {
+                // Fallen behind (turned down, the floor passed us too): we
+                // resume from a checkpoint, picked and copied under the
+                // hazard slot before we hold the suffix. Firm, we only
+                // check that the floor has not passed it, else pick again.
+                // Only once committed may helpers thread `mine`: above the
+                // point we picked.
+                let copy = |node: *mut Node<S>| (*(*node).state.get()).as_deref().cloned();
+                let pick = self
+                    .protect(name, &self.newest)
+                    .map(|node| (node, copy(node)));
                 name.resume
                     .store(prev_pos << TAG_BITS | FIRM, ord::handshake::SEQ_CST);
-                if !own(local) {
-                    cur = self.newest.load(ord::handshake::SEQ_CST);
-                    pos = self.seq(cur);
-                    local.state = (*(*cur).state.get()).as_deref().cloned();
-                }
+                let floor = self.floor.load(ord::handshake::SEQ_CST);
+                let (node, state) = pick
+                    .filter(|(node, _)| self.seq(*node) >= floor)
+                    .unwrap_or_else(|| {
+                        let node = self.newest.load(ord::handshake::SEQ_CST);
+                        (node, copy(node))
+                    });
+                (cur, pos, local.state) = (node, self.seq(node), state);
                 name.resume
                     .store(pos << TAG_BITS | COMMITTED, ord::handshake::SEQ_CST);
             }
             let mut state = local.state.take().unwrap_or_default();
 
+            // Unhelped past the longest catch-up of an op that is not
+            // starved, we ask (under loom at once: both kinds of turn).
+            let k = self.k();
+            let ask_at = pos + if cfg!(loom) { 1 } else { CHECKPOINT_EVERY + k };
             let resp = loop {
                 let mut next = (*cur).next.peek();
                 if next.is_null() {
@@ -320,6 +352,9 @@ impl<S: Sequential> Universal<S> {
                     break resp;
                 }
                 cur = next;
+                if pos == ask_at {
+                    self.ask(me);
+                }
             };
 
             if pos % CHECKPOINT_EVERY == 0 {
@@ -330,6 +365,10 @@ impl<S: Sequential> Universal<S> {
             if !name.hazard.load(ord::handshake::SEQ_CST).is_null() {
                 name.hazard
                     .store(std::ptr::null_mut(), ord::handshake::SEQ_CST);
+            }
+            let bit = Self::bit(me).unwrap_or(0);
+            if self.asks.load(ord::handshake::SEQ_CST) & bit != 0 {
+                self.asks.fetch_and(!bit, ord::handshake::SEQ_CST);
             }
             name.resume
                 .store(pos << TAG_BITS | IDLE, ord::handshake::SEQ_CST);
@@ -368,20 +407,46 @@ impl<S: Sequential> Universal<S> {
         (source.load(ord::handshake::SEQ_CST) == node).then_some(node)
     }
 
+    /// Name `x`'s bit in `asks`; none past its width.
+    fn bit(x: usize) -> Option<usize> {
+        u32::try_from(x).ok().and_then(|x| 1usize.checked_shl(x))
+    }
+
+    /// Whether name `x` has asked for help, itself or through `reclaim`
+    /// (a hint: a stale ask costs one look at `x`). A name without a bit
+    /// always has.
+    fn asked(&self, x: usize) -> bool {
+        Self::bit(x).is_none_or(|bit| self.asks.load(ord::handshake::SEQ_CST) & bit != 0)
+    }
+
+    /// Asks for help on behalf of name `x`, until the end of its op.
+    fn ask(&self, x: usize) {
+        if !self.asked(x) {
+            self.asks.fetch_or(1 << x, ord::handshake::SEQ_CST);
+        }
+    }
+
     /// What to propose for log position `pos`: the announced node of the
-    /// name whose turn it is if that node is committed and unthreaded
-    /// (`resume` read last: an unthreaded node of a committed name has
-    /// been committed itself), else our own. A turn lost to a concurrent
-    /// announcement is skipped — the helping bound only counts deciders
-    /// that read after it.
+    /// name whose turn it is if that name has asked and the node is
+    /// committed and unthreaded (`resume` read last: an unthreaded node
+    /// of a committed name has been committed itself), else our own. A
+    /// turn lost to a concurrent announcement or ask is skipped — the
+    /// helping bound only counts deciders that read after it.
     unsafe fn preferred(&self, me: usize, pos: usize, mine: *mut Node<S>) -> *mut Node<S> {
         let turn = pos % self.k();
+        if turn == me || !self.asked(turn) {
+            return mine;
+        }
         let them = &self.names[turn];
-        let theirs = (turn != me).then(|| self.protect(&self.names[me], &them.announce));
         let helpable = |node| {
             self.seq(node) == 0 && them.resume.load(ord::handshake::SEQ_CST) & TAG == COMMITTED
         };
-        theirs.flatten().filter(|&n| helpable(n)).unwrap_or(mine)
+        let theirs = self
+            .protect(&self.names[me], &them.announce)
+            .filter(|&n| helpable(n));
+        #[cfg(loom)]
+        let _ = theirs.map(|_| *self.helped.lock().unwrap() += 1);
+        theirs.unwrap_or(mine)
     }
 
     /// Makes `mine`, `name`'s node at `pos` with `state` after it, the
@@ -421,7 +486,9 @@ impl<S: Sequential> Universal<S> {
     /// Why looking once is enough: an op that has claimed its name when
     /// we read its `resume` shows us its span (or, its node replaced by
     /// a later op's, a wider one). One that claims later reads, after
-    /// claiming, a floor at least ours, and resumes at or above it.
+    /// claiming, a floor at least ours, and resumes at or above it. So
+    /// does one pending at or above our floor: from there, or from a
+    /// checkpoint it checks, once firm, against a floor at least ours.
     ///
     /// # Safety
     /// Like every `unsafe fn` here, called under the claim on name `me`.
@@ -437,12 +504,13 @@ impl<S: Sequential> Universal<S> {
         for x in (0..self.k()).filter(|&x| x != me) {
             let them = &self.names[x];
             let hazard = them.hazard.load(ord::handshake::SEQ_CST);
-            // What `x` may still read. Pending, it is turned down; where
+            // What `x` may still read. Pending at or above the floor,
+            // nothing below it; pending below, it is turned down; where
             // that fails it has moved on, and we go by where to (an op
             // pending by then claimed after we read the floor).
             let mut resume = them.resume.load(ord::handshake::SEQ_CST);
             let revoked = resume ^ PENDING ^ REVOKED;
-            if resume & TAG == PENDING {
+            if resume & TAG == PENDING && resume >> TAG_BITS < floor {
                 let turned_down = them.resume.compare_exchange(
                     resume,
                     revoked,
@@ -452,12 +520,16 @@ impl<S: Sequential> Universal<S> {
                 resume = turned_down.map_or_else(|now| now, |_| revoked);
             }
             // Firm, all from its position on; committed, only up to its
-            // announced node once that is threaded; else nothing.
+            // announced node once that is threaded (we ask for it: if it
+            // has stalled, only helpers will); else nothing.
             let from = resume >> TAG_BITS;
             let mut to = if resume & TAG >= FIRM { usize::MAX } else { 0 };
             if resume & TAG == COMMITTED {
                 let theirs = self.protect(&self.names[me], &them.announce);
                 let threaded = theirs.map_or(0, |node| self.seq(node));
+                if threaded == 0 {
+                    self.ask(x);
+                }
                 to = if threaded == 0 { usize::MAX } else { threaded };
             }
             for (i, (pos, node)) in retired.iter().take(n).enumerate() {
@@ -497,6 +569,12 @@ impl<S: Sequential> Universal<S> {
         // SAFETY: idle, and the models ask after the name's last op.
         let retained = unsafe { (*self.names[me].local.get()).retired.len() };
         (self.freed.lock().unwrap().len(), retained)
+    }
+
+    /// How many decides have proposed another name's node (models only).
+    #[cfg(loom)]
+    pub fn helped(&self) -> usize {
+        *self.helped.lock().unwrap()
     }
 }
 

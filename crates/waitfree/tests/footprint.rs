@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{
-    AtomicBool, AtomicIsize, AtomicUsize,
+    AtomicIsize, AtomicUsize,
     Ordering::{Relaxed, SeqCst},
 };
 
@@ -30,7 +30,7 @@ static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 thread_local! {
     /// Whether this thread's allocator calls are counted now.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
-    /// Whether this thread parks in [`StallsInClone::clone`].
+    /// Whether this thread parks in [`Stalls`].
     static PARKS: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -142,32 +142,53 @@ fn a_warm_op_allocates_nothing<S: Sequential>(
     assert_eq!(live(), 0, "drop leaks");
 }
 
-static PARKED: AtomicBool = AtomicBool::new(false);
-static RELEASED: AtomicBool = AtomicBool::new(false);
+/// How many times a flagged thread has parked, and how many of those
+/// parks are let go.
+static PARKED: AtomicUsize = AtomicUsize::new(0);
+static RELEASED: AtomicUsize = AtomicUsize::new(0);
 
-/// A queue that a thread which asked to stops in the middle of copying:
-/// the one call `apply` makes while it holds the log's suffix, looking
-/// for a checkpoint to resume from.
+/// The value whose enqueue [`Stalls`] parks in.
+const MARK: u64 = u64::MAX;
+
+/// A queue in which a flagged thread stops: in the middle of copying a
+/// checkpoint to resume from — the one call `apply` can make while it
+/// holds the log's suffix, if the floor passed its first pick — or of
+/// applying the enqueue of [`MARK`], mid-pass.
 #[derive(Default)]
-struct StallsInClone(SeqQueue<u64>);
+struct Stalls(SeqQueue<u64>);
 
-impl Clone for StallsInClone {
-    fn clone(&self) -> Self {
-        if PARKS.get() {
-            PARKED.store(true, SeqCst);
-            while !RELEASED.load(SeqCst) {
-                std::thread::yield_now();
-            }
+/// Parks a flagged thread until [`RELEASED`] counts this park.
+fn park() {
+    if PARKS.get() {
+        let park = PARKED.fetch_add(1, SeqCst) + 1;
+        while RELEASED.load(SeqCst) < park {
+            std::thread::yield_now();
         }
-        StallsInClone(self.0.clone())
     }
 }
 
-impl Sequential for StallsInClone {
+/// Waits until the flagged thread has parked `parks` times in all.
+fn parked(parks: usize) {
+    while PARKED.load(SeqCst) < parks {
+        std::thread::yield_now();
+    }
+}
+
+impl Clone for Stalls {
+    fn clone(&self) -> Self {
+        park();
+        Stalls(self.0.clone())
+    }
+}
+
+impl Sequential for Stalls {
     type Op = QueueOp<u64>;
     type Resp = Option<u64>;
 
     fn apply(&mut self, op: &Self::Op) -> Self::Resp {
+        if *op == QueueOp::Enqueue(MARK) {
+            park();
+        }
         self.0.apply(op)
     }
 }
@@ -218,7 +239,9 @@ fn construction_is_three_allocations_and_a_long_life_is_flat() {
     // (e) The spares are capped. Name 1 stalls firm on its first op, so
     // name 0 can free nothing for ten checkpoint intervals; let go, it
     // frees four nodes an op and needs one. Kept, they would all stay.
-    let queue: Universal<StallsInClone> = Universal::new(2);
+    // Firm only once the floor has passed its first pick: it first
+    // parks copying that, pending, while name 0 runs an interval on.
+    let queue: Universal<Stalls> = Universal::new(2);
     pairs(&queue, 0, CHECKPOINT_EVERY as u64);
     counting(false, || {
         std::thread::scope(|s| {
@@ -226,15 +249,16 @@ fn construction_is_three_allocations_and_a_long_life_is_flat() {
                 PARKS.set(true);
                 counting(true, || queue.apply(1, QueueOp::Dequeue))
             });
-            while !PARKED.load(SeqCst) {
-                std::thread::yield_now();
-            }
+            parked(1);
+            counting(true, || pairs(&queue, 0, CHECKPOINT_EVERY as u64));
+            RELEASED.store(1, SeqCst);
+            parked(2);
             let pinned = counting(true, || {
                 let before = live();
                 pairs(&queue, 0, 5 * CHECKPOINT_EVERY as u64);
                 live() - before
             });
-            RELEASED.store(true, SeqCst);
+            RELEASED.store(usize::MAX, SeqCst);
             assert_eq!(stalled.join().expect("stalled name finished"), None);
             assert!(
                 pinned > 10 * 40 * CHECKPOINT_EVERY as isize,
@@ -244,6 +268,38 @@ fn construction_is_three_allocations_and_a_long_life_is_flat() {
     });
     pairs(&queue, 0, 5 * CHECKPOINT_EVERY as u64);
     assert!(live() < FLAT, "{} live bytes after a stall", live());
+    drop(queue);
+    assert_eq!(live(), 0, "drop leaks");
+
+    // (f) A name stalls mid-pass, committed and its node unthreaded:
+    // name 1 parks replaying name 0's marked op, before it has walked
+    // far enough to ask for help. Name 0's `reclaim` asks on its
+    // behalf, so name 0 threads the stalled node and frees past it.
+    // Unasked, the node would stay unthreaded and pin the whole suffix.
+    PARKED.store(0, SeqCst);
+    RELEASED.store(0, SeqCst);
+    let queue: Universal<Stalls> = Universal::new(2);
+    pairs(&queue, 1, 1);
+    queue.apply(0, QueueOp::Enqueue(MARK));
+    counting(false, || {
+        std::thread::scope(|s| {
+            let stalled = s.spawn(|| {
+                PARKS.set(true);
+                counting(true, || queue.apply(1, QueueOp::Dequeue))
+            });
+            parked(1);
+            counting(true, || {
+                pairs(&queue, 0, 500 * CHECKPOINT_EVERY as u64 / SCALE)
+            });
+            let pinned = live();
+            RELEASED.store(usize::MAX, SeqCst);
+            stalled.join().expect("stalled name finished");
+            assert!(
+                pinned < FLAT,
+                "{pinned} live bytes behind a name stalled mid-pass"
+            );
+        })
+    });
     drop(queue);
     assert_eq!(live(), 0, "drop leaks");
 }

@@ -101,11 +101,14 @@ fn assert_one_order(history: History) {
 /// it; `x` comes back, runs on past two checkpoints and reclaims that
 /// node. Only the hazard slot keeps the helper off freed memory (checked
 /// at every dereference), and every response must fit one sequential
-/// order.
+/// order. A decide looks at another name's node only if that name has
+/// asked for help, so some schedule must also propose one.
 #[test]
 fn helper_holding_an_announced_node_while_its_owner_reclaims() {
     const OWNER_OPS: usize = 2 * CHECKPOINT_EVERY + 1;
-    let stats = Builder::new().max_preemptions(2).check(|| {
+    let helped = Arc::new(AtomicUsize::new(0));
+    let helped_in_model = Arc::clone(&helped);
+    let stats = Builder::new().max_preemptions(2).check(move || {
         let counter = Arc::new((Universal::new(2), Clock::new()));
         let mut all = increments(&counter, 0, 1);
         all.extend(increments(&counter, 1, 1));
@@ -120,11 +123,14 @@ fn helper_holding_an_announced_node_while_its_owner_reclaims() {
         assert_one_order(all);
         // The race is only in the model if the owner does free.
         assert!(counter.0.freed_and_retained(0).0 > 0, "nothing freed");
+        helped_in_model.fetch_add(counter.0.helped(), Relaxed);
     });
+    let helped = helped.load(Relaxed);
     eprintln!(
-        "helper vs reclaiming owner: {} executions, {} schedule points",
+        "helper vs reclaiming owner: {} executions, {} schedule points, {helped} helped decides",
         stats.executions, stats.schedule_points
     );
+    assert!(helped > 0, "no schedule helps");
 }
 
 /// A name that has run before starts an op alongside the other name's
@@ -138,6 +144,8 @@ fn stalled_name_finishes_and_pins_only_its_span() {
     const SURVIVOR_OPS: usize = 2 * CHECKPOINT_EVERY + 2;
     let most_kept = Arc::new(AtomicUsize::new(0));
     let kept_by_survivor = Arc::clone(&most_kept);
+    let helped = Arc::new(AtomicUsize::new(0));
+    let helped_in_model = Arc::clone(&helped);
     let stats = Builder::new().max_preemptions(2).check(move || {
         let counter = Arc::new((Universal::new(2), Clock::new()));
         let gate = Arc::new(Gate::default());
@@ -167,10 +175,11 @@ fn stalled_name_finishes_and_pins_only_its_span() {
         all.push(stalled.join().unwrap());
         all.extend(survivor.join().unwrap());
         assert_one_order(all);
+        helped_in_model.fetch_add(counter.0.helped(), Relaxed);
     });
-    let most_kept = most_kept.load(Relaxed);
+    let (most_kept, helped) = (most_kept.load(Relaxed), helped.load(Relaxed));
     eprintln!(
-        "stalled name vs survivor: {} executions, {} schedule points, survivor keeps {most_kept} at most",
+        "stalled name vs survivor: {} executions, {} schedule points, survivor keeps {most_kept} at most, {helped} helped decides",
         stats.executions, stats.schedule_points
     );
     // The survivor's first node if it lies in the stalled span, and the
