@@ -30,11 +30,12 @@
 //! the state and publishes the node as the newest *checkpoint*, where a
 //! name that never ran or that the checkpoints have passed resumes.
 //!
-//! Nodes are freed during operation, at most `RECLAIM_BUDGET` (4) per op
-//! and each by the name that allocated it, once they lie below the
-//! newest checkpoint and outside every *span* another name can still
-//! read: `[the position it committed to resume at, the position of its
-//! announced node]`, open-ended until helpers have threaded that node.
+//! Nodes are freed during operation, each by the name that allocated
+//! it, up to `RECLAIM_BUDGET` (64, a checkpoint interval) per op, so one
+//! scan per floor raise, once they lie below the newest checkpoint and
+//! outside every *span* another name can still read: `[the position it
+//! committed to resume at, the position of its announced node]`,
+//! open-ended until helpers have threaded that node.
 //! An idle name (or one crashed *between* operations, `Resilient`'s
 //! failure model) pins nothing but its own last node and what it had
 //! yet to free. Neither does an operation that has not committed yet:
@@ -60,10 +61,13 @@
 //! * Warm, `apply` does not call the allocator: a node `reclaim` frees
 //!   goes on its name's owner-private list of spares (`CHECKPOINT_EVERY`
 //!   at most, the rest to the allocator) and is that name's next node.
-//!   Reuse is `free`, then `malloc` handing back the same address, which
-//!   the span and hazard protocol has to survive anyway: no new argument.
-//!   What that hides from miri and ASan, a `POOLED` poison in `seq` shows
-//!   to every walk in debug builds. A checkpoint still boxes a clone.
+//!   That is a pointer move, neither reading nor writing the node, whose
+//!   line another core may hold; what it owns (its op, a checkpoint's
+//!   state) is dropped when `apply` overwrites it for reuse. Reuse is
+//!   `free`, then `malloc` handing back the same address, which the span
+//!   and hazard protocol has to survive anyway: no new argument. What
+//!   that hides from miri and ASan, a `POOLED` poison in `seq` shows to
+//!   every walk in debug builds. A checkpoint still boxes a clone.
 //! * Memory is `O(k · CHECKPOINT_EVERY)` nodes plus what stalled names
 //!   pin. A name stalled *mid-operation* pins its span, which the first
 //!   `reclaim` to meet it closes by asking for it. That is the
@@ -89,8 +93,12 @@ use crate::seq::Sequential;
 #[doc(hidden)]
 pub const CHECKPOINT_EVERY: usize = if cfg!(loom) { 2 } else { 64 };
 
-/// Most retired nodes one `apply` examines for freeing.
-const RECLAIM_BUDGET: usize = 4;
+/// Most retired nodes one `apply` examines for freeing: a checkpoint
+/// interval, so that the first scan after the floor rises frees all it
+/// has passed (64 also under `cfg(loom)`, where checkpoints come at 2).
+/// `reclaim` keeps a bit per candidate in a `u64`.
+const RECLAIM_BUDGET: usize = 64;
+const _: () = assert!(RECLAIM_BUDGET <= u64::BITS as usize);
 
 /// Most freed nodes a name keeps for its next ops.
 const SPARE_CAP: usize = CHECKPOINT_EVERY;
@@ -290,7 +298,8 @@ impl<S: Sequential> Universal<S> {
         // a time and stops at `mine`. `reclaim` has the other side of it.
         unsafe {
             let local = &mut *name.local.get();
-            // A spare is a node `reclaim` found out of everybody's reach.
+            // A spare is a node `reclaim` found out of everybody's reach;
+            // overwriting it drops its last op and checkpoint state.
             let mine = local
                 .spare
                 .pop()
@@ -480,8 +489,9 @@ impl<S: Sequential> Universal<S> {
 
     /// Frees those of the first [`RECLAIM_BUDGET`] of `retired` (name
     /// `me`'s) that lie below the floor and that no other name can
-    /// reach — into `spare` while there is room, emptied and poisoned —
-    /// the rest of them go to the back of the queue.
+    /// reach — into `spare` while there is room, by moving the pointer
+    /// (in debug builds poisoned) — the rest of them go to the back of
+    /// the queue.
     ///
     /// Why looking once is enough: an op that has claimed its name when
     /// we read its `resume` shows us its span (or, its node replaced by
@@ -500,7 +510,7 @@ impl<S: Sequential> Universal<S> {
         if n == 0 {
             return;
         }
-        let mut held = 0u32; // bit i: candidate i is pinned by somebody
+        let mut held = 0u64; // bit i: candidate i is pinned by somebody
         for x in (0..self.k()).filter(|&x| x != me) {
             let them = &self.names[x];
             let hazard = them.hazard.load(ord::handshake::SEQ_CST);
@@ -533,7 +543,7 @@ impl<S: Sequential> Universal<S> {
                 to = if threaded == 0 { usize::MAX } else { threaded };
             }
             for (i, (pos, node)) in retired.iter().take(n).enumerate() {
-                held |= u32::from(*node == hazard || (from..=to).contains(pos)) << i;
+                held |= u64::from(*node == hazard || (from..=to).contains(pos)) << i;
             }
         }
         for i in 0..n {
@@ -546,9 +556,11 @@ impl<S: Sequential> Universal<S> {
                 #[cfg(not(loom))]
                 drop(Box::from_raw(node));
             } else {
-                // What the node owned is dropped now; the node is what
-                // `free` then `malloc` might have handed us back anyway.
-                *node = Self::node(None, POOLED);
+                // Untouched: its line may be another core's. What it owns
+                // is dropped when `apply` overwrites it.
+                if cfg!(debug_assertions) {
+                    std::ptr::addr_of_mut!((*node).seq).write(AtomicUsize::new(POOLED));
+                }
                 local.spare.push(node);
             }
         }
@@ -669,11 +681,12 @@ mod tests {
             floor > 2 * CHECKPOINT_EVERY,
             "no checkpoints: floor {floor}"
         );
+        // A name keeps only what lies at or above the floor it last saw.
         for name in 0..2 {
             let kept = unsafe { (*object.names[name].local.get()).retired.len() };
             assert!(
-                kept <= CHECKPOINT_EVERY + RECLAIM_BUDGET,
-                "name {name} frees nothing during operation: keeps {kept}"
+                kept < CHECKPOINT_EVERY,
+                "name {name} frees too little during operation: keeps {kept}"
             );
         }
         // Both resume from the checkpoint: one has a stale state, one none.
@@ -707,6 +720,26 @@ mod tests {
             true => SnapshotOp::Update(rng.gen_range(0..K), value(rng)),
             false => SnapshotOp::Scan,
         });
+    }
+
+    /// Two names taking turns on one thread: each op, the first past a
+    /// checkpoint included, leaves its name nothing retired below the
+    /// floor — one scan frees all that the floor has passed.
+    #[test]
+    fn one_scan_frees_all_that_the_floor_has_passed() {
+        let c: Universal<SeqCounter> = Universal::new(2);
+        for i in 0..3 * CHECKPOINT_EVERY {
+            let me = i % 2;
+            c.apply(me, CounterOp::Add(1));
+            let floor = c.floor.load(ord::handshake::SEQ_CST);
+            let retired = unsafe { &(*c.names[me].local.get()).retired };
+            let below = retired.iter().filter(|(pos, _)| *pos < floor).count();
+            assert_eq!(
+                below, 0,
+                "op {i}: name {me} keeps {below} below floor {floor}"
+            );
+        }
+        assert!(c.floor.load(ord::handshake::SEQ_CST) > 2 * CHECKPOINT_EVERY);
     }
 
     /// Ops per thread in the concurrent tests: enough for several

@@ -216,7 +216,7 @@ fn construction_is_three_allocations_and_a_long_life_is_flat() {
 
     // (c) Two names on a thread each, a third that never announces
     // anything. What a descheduled thread pinned is let go once it runs
-    // again, a few nodes per op: the ops after the join see to that.
+    // again, up to an interval per op: the ops after the join see to that.
     let queue = Queue::new(3);
     counting(false, || {
         std::thread::scope(|s| {
@@ -238,7 +238,7 @@ fn construction_is_three_allocations_and_a_long_life_is_flat() {
 
     // (e) The spares are capped. Name 1 stalls firm on its first op, so
     // name 0 can free nothing for ten checkpoint intervals; let go, it
-    // frees four nodes an op and needs one. Kept, they would all stay.
+    // frees up to an interval an op and needs one. Kept, they would all stay.
     // Firm only once the floor has passed its first pick: it first
     // parks copying that, pending, while name 0 runs an interval on.
     let queue: Universal<Stalls> = Universal::new(2);

@@ -502,12 +502,24 @@ fn e8_infinity_column() {
         (Algorithm::GlobalSpin, 6),
         (Algorithm::DsmChain, 6),
     ];
-    for (algo, n) in rows {
-        let k = 2;
-        let cells = [2u32, 20, 200, 2000].map(|cs| {
-            let w = Workload::full(algo, n, k).dwell(1, cs).cycles(8);
-            measure(&w.model(MemoryModel::Dsm)).worst_pair
-        });
+    let k = 2;
+    // A thread per row (the cs = 2000 column dominates); rows stay in order.
+    let cells: Vec<_> = std::thread::scope(|scope| {
+        let row = |(algo, n)| {
+            scope.spawn(move || {
+                [2u32, 20, 200, 2000].map(|cs| {
+                    let w = Workload::full(algo, n, k).dwell(1, cs).cycles(8);
+                    measure(&w.model(MemoryModel::Dsm)).worst_pair
+                })
+            })
+        };
+        let running: Vec<_> = rows.into_iter().map(row).collect();
+        running
+            .into_iter()
+            .map(|h| h.join().expect("a row's simulation"))
+            .collect()
+    });
+    for ((algo, n), cells) in rows.into_iter().zip(cells) {
         if algo.paper_bound(n, k).is_some() {
             for cell in cells {
                 s.within_bound(algo, n, k, cell);
