@@ -1,6 +1,6 @@
 //! Source-level conformance lints for the kex workspace.
 //!
-//! The repository's correctness story leans on three *conventions* that
+//! The repository's correctness story leans on four *conventions* that
 //! rustc cannot enforce:
 //!
 //! 1. **Ordering policy** — every atomic call site in
@@ -17,9 +17,10 @@
 //!    `kex_util::Backoff` (which routes to the facade's spin hint), so
 //!    the loom build can bound them and the contended benchmarks measure
 //!    what production runs.
+//! 4. **Hint before admission** — a store put prefetches its cell first.
 //!
 //! `kex-lint` is a dependency-free, token-level analyzer over the
-//! workspace's own sources that machine-checks all three. The source
+//! workspace's own sources that machine-checks all four. The source
 //! scan *is* the site inventory: [`extract_sites`] lists every audited
 //! atomic call with the ordering its constant resolves to, the `role`
 //! (spin / publish / handshake / counter / private) its token names and
@@ -42,7 +43,7 @@
 //! The scanner is deliberately *token-level*, not a Rust parser: it
 //! masks comments, strings and char literals (preserving byte offsets
 //! and line numbers), tracks `#[cfg(test)]` brace regions, and pattern
-//! matches the remainder. That is exactly enough for the four passes and
+//! matches the remainder. That is exactly enough for the five passes and
 //! keeps the crate free of syn-style dependencies (the workspace builds
 //! fully offline).
 //!
@@ -228,6 +229,8 @@ pub enum Pass {
     Spin,
     /// Ordering-obligation checker (role op kinds and IR-derived minimums).
     Obligation,
+    /// A put's prefetch ahead of its admission.
+    Prefetch,
 }
 
 impl Pass {
@@ -239,6 +242,7 @@ impl Pass {
             Pass::Facade => "facade",
             Pass::Spin => "spin",
             Pass::Obligation => "obligation",
+            Pass::Prefetch => "prefetch",
         }
     }
 }
@@ -509,17 +513,7 @@ fn find_test_regions(masked: &str) -> Vec<(usize, usize)> {
     let mut i = 0;
     while let Some(rel) = masked[i..].find("#[") {
         let attr_start = i + rel;
-        let mut j = attr_start + 2;
-        let mut depth = 1usize;
-        while j < len && depth > 0 {
-            match mb[j] {
-                b'[' => depth += 1,
-                b']' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        let attr_end = j; // one past the closing `]`
+        let attr_end = close_of(mb, attr_start + 1).map_or(len, |c| c + 1);
         let attr = masked[attr_start + 2..attr_end.saturating_sub(1)].trim();
         i = attr_end;
         if !(attr.starts_with("cfg") && !attr.starts_with("cfg_attr") && has_word(attr, "test")) {
@@ -533,16 +527,7 @@ fn find_test_regions(masked: &str) -> Vec<(usize, usize)> {
                 k += 1;
             }
             if k + 1 < len && mb[k] == b'#' && mb[k + 1] == b'[' {
-                k += 2;
-                let mut d = 1usize;
-                while k < len && d > 0 {
-                    match mb[k] {
-                        b'[' => d += 1,
-                        b']' => d -= 1,
-                        _ => {}
-                    }
-                    k += 1;
-                }
+                k = close_of(mb, k + 1).map_or(len, |c| c + 1);
             } else {
                 break;
             }
@@ -563,19 +548,7 @@ fn find_test_regions(masked: &str) -> Vec<(usize, usize)> {
             k += 1;
         }
         let end = match body_open {
-            Some(open) => {
-                let mut d = 1usize;
-                let mut m = open + 1;
-                while m < len && d > 0 {
-                    match mb[m] {
-                        b'{' => d += 1,
-                        b'}' => d -= 1,
-                        _ => {}
-                    }
-                    m += 1;
-                }
-                m
-            }
+            Some(open) => close_of(mb, open).map_or(len, |c| c + 1),
             None => k.min(len),
         };
         regions.push((attr_start, end));
@@ -754,7 +727,7 @@ fn match_sites(ws: &Workspace, doc: Option<&str>) -> (Vec<Site>, Vec<Finding>) {
             if file.in_test(dot) {
                 continue;
             }
-            let Some(close) = match_paren(mb, j) else {
+            let Some(close) = close_of(mb, j) else {
                 continue;
             };
             let site_consts = ord_consts_in(&file.masked, j + 1, close);
@@ -811,21 +784,24 @@ fn match_sites(ws: &Workspace, doc: Option<&str>) -> (Vec<Site>, Vec<Finding>) {
     (sites, findings)
 }
 
-fn match_paren(mb: &[u8], open: usize) -> Option<usize> {
+/// The index of the bracket closing the `(`, `[` or `{` at `open`;
+/// brackets of the other kinds are not counted.
+fn close_of(mb: &[u8], open: usize) -> Option<usize> {
+    let close = match mb[open] {
+        b'(' => b')',
+        b'[' => b']',
+        _ => b'}',
+    };
     let mut depth = 0usize;
-    let mut k = open;
-    while k < mb.len() {
-        match mb[k] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
+    for (k, &b) in mb.iter().enumerate().skip(open) {
+        if b == mb[open] {
+            depth += 1;
+        } else if b == close {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
             }
-            _ => {}
         }
-        k += 1;
     }
     None
 }
@@ -1144,7 +1120,7 @@ fn check_audit_table(doc: &str, sites: &[Site], findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// The four passes
+// The five passes
 // ---------------------------------------------------------------------------
 
 /// Pass 1: ordering policy. Literal `Ordering::*` bans, constant-table
@@ -1298,16 +1274,7 @@ pub fn spin_pass(ws: &Workspace) -> Vec<Finding> {
             if !cond.contains(".load(") {
                 continue;
             }
-            let mut d = 1usize;
-            let mut m = open + 1;
-            while m < mb.len() && d > 0 {
-                match mb[m] {
-                    b'{' => d += 1,
-                    b'}' => d -= 1,
-                    _ => {}
-                }
-                m += 1;
-            }
+            let m = close_of(mb, open).map_or(mb.len(), |c| c + 1);
             let body = &file.masked[open + 1..m.saturating_sub(1)];
             let line = file.line_of(at);
             let backs_off = ["snooze", "spin_loop", "yield_now", "park"]
@@ -1429,11 +1396,56 @@ pub fn obligation_pass(sites: &[Site], cfg: &Config) -> Vec<Finding> {
     findings
 }
 
+/// The top-level statements of the block opening at `open`, trimmed and
+/// without their `;`, its tail expression last.
+fn statements(text: &str, open: usize) -> Vec<&str> {
+    let (mut out, mut depth, mut start) = (Vec::new(), 0usize, open + 1);
+    for (i, b) in text.bytes().enumerate().skip(open) {
+        match b {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 || (b == b';' && depth == 1) {
+            out.push(text[start..i].trim());
+            start = i + 1;
+        }
+        if depth == 0 {
+            break;
+        }
+    }
+    out
+}
+
+/// Pass 5: `Shard::put` and `Shard::try_put` must each call
+/// `….prefetch(key);` as a top-level statement before the one that calls
+/// `with(` / `try_with(`: a hint inside the closure runs after admission.
+pub fn prefetch_pass(ws: &Workspace) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    if let Some(file) = ws.get("crates/store/src/shard.rs") {
+        for f in ["put", "try_put"] {
+            let at = file.masked.find(&format!("pub fn {f}(")).unwrap_or(0);
+            let stmts = statements(&file.masked, at + file.masked[at..].find('{').unwrap_or(0));
+            let hint = stmts
+                .iter()
+                .position(|s| s.ends_with(".prefetch(key)") && !s.contains('|'));
+            let entry = stmts
+                .iter()
+                .position(|s| s.contains(".with(") || s.contains(".try_with("));
+            if !matches!((hint, entry), (Some(h), Some(e)) if h < e) {
+                let msg = format!("`Shard::{f}` must call `….prefetch(key);` as a statement of its own before its `with(` / `try_with(`");
+                findings.push(finding(Pass::Prefetch, &file.path, file.line_of(at), msg));
+            }
+        }
+    }
+    findings
+}
+
 // ---------------------------------------------------------------------------
 // Orchestration & reports
 // ---------------------------------------------------------------------------
 
-/// A full audit run: all four passes plus scan statistics.
+/// A full audit run: every pass plus scan statistics.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Files scanned.
@@ -1465,6 +1477,7 @@ pub fn audit(ws: &Workspace, doc: Option<&str>, cfg: &Config) -> Report {
     findings.extend(facade_pass(ws));
     findings.extend(spin_pass(ws));
     findings.extend(obligation_pass(&sites, cfg));
+    findings.extend(prefetch_pass(ws));
     findings.sort_by(|a, b| (a.pass, &a.file, a.line).cmp(&(b.pass, &b.file, b.line)));
     Report {
         files: ws.files.len(),

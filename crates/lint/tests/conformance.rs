@@ -19,8 +19,8 @@ use std::path::Path;
 use kex_analyze::Config;
 use kex_lint::{
     audit, extract_sites, facade_pass, load_audit_doc, obligation_pass, ordering_pass,
-    parse_ordering_consts, render_text, spin_pass, Finding, Pass, Site, SourceFile, Workspace,
-    AUDIT_DOC,
+    parse_ordering_consts, prefetch_pass, render_text, spin_pass, Finding, Pass, Site, SourceFile,
+    Workspace, AUDIT_DOC,
 };
 
 const ORD_RS: &str = "crates/util/src/ord.rs";
@@ -682,4 +682,72 @@ fn raw_spin_loop_is_caught() {
         line_of(FIG2_SRC, "while self.word.load"),
         "without facade backoff",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Prefetch defects
+// ---------------------------------------------------------------------------
+
+const SHARD: &str = "crates/store/src/shard.rs";
+
+/// The store's two puts: the hint, then admission.
+const SHARD_SRC: &str = "impl<O: KvObject> Shard<O> {\n\
+    \x20   pub fn put(&self, p: usize, key: u64, value: u64) -> Result<(), PutError> {\n\
+    \x20       self.res.object_unguarded().prefetch(key);\n\
+    \x20       let journaled = |obj: &O, name| self.journaled_put(obj, name, key, value);\n\
+    \x20       let result = self.res.with(p, journaled);\n\
+    \x20       result\n\
+    \x20   }\n\
+    \x20   pub fn try_put(&self, p: usize, key: u64, value: u64) -> Option<Result<(), PutError>> {\n\
+    \x20       self.res.object_unguarded().prefetch(key);\n\
+    \x20       let journaled = |obj: &O, name| self.journaled_put(obj, name, key, value);\n\
+    \x20       self.tried(p, self.res.try_with(p, journaled))\n\
+    \x20   }\n\
+    }\n";
+
+#[test]
+fn a_put_that_does_not_hint_before_admission_is_caught() {
+    assert!(prefetch_pass(&workspace(&[(SHARD, SHARD_SRC)])).is_empty());
+    let hint = "        self.res.object_unguarded().prefetch(key);\n";
+    let entry = "        let result = self.res.with(p, journaled);\n";
+    let closure = "self.journaled_put(obj, name, key, value);";
+    let unhinted = SHARD_SRC.replacen(hint, "", 1);
+    let try_at = SHARD_SRC.find("    pub fn try_put").unwrap();
+    for (fun, defect, src) in [
+        ("put", "removed", unhinted.clone()),
+        (
+            "put",
+            "after `with(`",
+            unhinted.replacen(entry, &format!("{entry}{hint}"), 1),
+        ),
+        (
+            "put",
+            "inside the closure",
+            unhinted.replacen(
+                closure,
+                "{ obj.prefetch(key); self.journaled_put(obj, name, key, value) };",
+                1,
+            ),
+        ),
+        (
+            "try_put",
+            "removed",
+            format!(
+                "{}{}",
+                &SHARD_SRC[..try_at],
+                SHARD_SRC[try_at..].replacen(hint, "", 1)
+            ),
+        ),
+    ] {
+        let findings = prefetch_pass(&workspace(&[(SHARD, &src)]));
+        let line = line_of(&src, &format!("pub fn {fun}("));
+        let message = format!("`Shard::{fun}` must call `….prefetch(key);`");
+        assert_finding(&findings, Pass::Prefetch, SHARD, line, &message);
+        assert_eq!(
+            findings.len(),
+            1,
+            "{fun}, hint {defect}: {}",
+            listing(&findings)
+        );
+    }
 }

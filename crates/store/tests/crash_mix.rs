@@ -5,7 +5,8 @@
 //! non-blocking surface must shed while the other shards keep serving
 //! — and while its own keys can still be read.
 
-use std::sync::Barrier;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 use kex_store::{KvStore, StoreConfig, StoreRead, StoreScan, StoreWrite};
 
@@ -155,12 +156,19 @@ fn reads_outlive_the_crash_budget() {
     crashes[0] = K;
     assert_idle_shards_show(&store, &crashes, "with shard 0 dead");
 
-    for &(key, value) in &died_with {
-        assert_eq!(
-            store.get(0, key),
-            Some(value),
-            "key {key} on the dead shard"
-        );
+    // A read that asked for admission would wait here for good, so the
+    // reads run on a thread of their own and a stuck one fails the test.
+    let store = Arc::new(store);
+    let (reader, keys, (tx, rx)) = (Arc::clone(&store), died_with.clone(), mpsc::channel());
+    let reads = std::thread::spawn(move || {
+        tx.send(keys.iter().map(|&(key, _)| reader.get(0, key)).collect())
+    });
+    let got: Vec<_> = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a read on the dead shard waited for admission (or panicked)");
+    reads.join().unwrap().unwrap();
+    for (&(key, value), got) in died_with.iter().zip(got) {
+        assert_eq!(got, Some(value), "key {key} on the dead shard");
     }
     let mut pairs = Vec::new();
     store.for_each(0, &mut |key, value| pairs.push((key, value)));

@@ -18,9 +18,10 @@
 //! * [`ord`] — the memory orderings every audited atomic access names,
 //!   one module per role, each exporting only what its role admits.
 //! * [`prefetch`] — a cache hint for the line holding a value: one
-//!   `prefetcht0` on x86_64, nothing elsewhere. Its block is the
-//!   crate's only `unsafe` (CI counts), there only because the
-//!   intrinsic carries the `sse` target feature every x86_64 target has.
+//!   `prefetcht0` on x86_64, nothing elsewhere. The crate denies
+//!   `unsafe_code` and allows it on this one function, there only
+//!   because the intrinsic carries the `sse` target feature every
+//!   x86_64 target has.
 //! * [`rng`] — a small deterministic PRNG ([`rng::SmallRng`]) for
 //!   reproducible randomized schedules and tests.
 //! * [`Sequential`] — what a sequential specification is: the input of
@@ -29,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 #[doc(hidden)]
 pub mod lincheck;
@@ -113,6 +115,7 @@ impl<T> From<T> for CachePadded<T> {
 /// kex_util::prefetch(&());
 /// ```
 #[inline]
+#[allow(unsafe_code)]
 pub fn prefetch<T>(value: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the intrinsic is gated only on its `sse` target feature,

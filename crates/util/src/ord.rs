@@ -6,7 +6,11 @@
 //! role admits, so an ordering the role does not admit does not compile
 //! and a role change is an edit of the token. `kex-lint` reads a native
 //! site's role from its token; `docs/MEMORY_ORDERING.md` argues its
-//! ordering.
+//! ordering. There is no role-less constant:
+//!
+//! ```compile_fail,E0425
+//! let _ = kex_util::ord::SEQ_CST; // which role?
+//! ```
 //!
 //! Relaxation policy. An access is weaker than `SeqCst` only under one
 //! of three site-local arguments:

@@ -9,8 +9,7 @@
 //!   construction over any deterministic [`seq::Sequential`]
 //!   specification (CAS consensus + helping), each op resumed from its
 //!   caller's previous one and the log truncated behind checkpoints.
-//! * [`queue::WfQueue`] / [`queue::WfStack`] /
-//!   [`register::WfRegister`] / [`snapshot::Snapshot`] — typed
+//! * [`queue::WfQueue`] / [`snapshot::Snapshot`] — typed
 //!   instantiations.
 //! * [`counter::SlotCounter`] — per-name slotted counter, the
 //!   contention-free shape that a bounded name space makes possible.
@@ -32,14 +31,12 @@
 pub mod consensus;
 pub mod counter;
 pub mod queue;
-pub mod register;
 pub mod seq;
 pub mod snapshot;
 pub mod universal;
 
 pub use counter::{FetchAddCounter, SlotCounter};
-pub use queue::{WfQueue, WfStack};
-pub use register::WfRegister;
+pub use queue::WfQueue;
 pub use seq::Sequential;
 pub use snapshot::Snapshot;
 pub use universal::Universal;

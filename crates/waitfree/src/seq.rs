@@ -48,69 +48,6 @@ impl<T: Clone + Send + Sync> Sequential for SeqQueue<T> {
     }
 }
 
-/// Operations on a LIFO stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StackOp<T> {
-    /// Push a value.
-    Push(T),
-    /// Pop the most recent value, if any.
-    Pop,
-}
-
-/// A sequential stack specification.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SeqStack<T> {
-    items: Vec<T>,
-}
-
-impl<T> Default for SeqStack<T> {
-    fn default() -> Self {
-        SeqStack { items: Vec::new() }
-    }
-}
-
-impl<T: Clone + Send + Sync> Sequential for SeqStack<T> {
-    type Op = StackOp<T>;
-    type Resp = Option<T>;
-
-    fn apply(&mut self, op: &Self::Op) -> Self::Resp {
-        match op {
-            StackOp::Push(v) => {
-                self.items.push(v.clone());
-                None
-            }
-            StackOp::Pop => self.items.pop(),
-        }
-    }
-}
-
-/// Operations on a read/write register.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegisterOp<T> {
-    /// Read the current value.
-    Read,
-    /// Overwrite the value.
-    Write(T),
-}
-
-/// A sequential register specification (initially `T::default()`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct SeqRegister<T> {
-    value: T,
-}
-
-impl<T: Clone + Default + Send + Sync> Sequential for SeqRegister<T> {
-    type Op = RegisterOp<T>;
-    type Resp = T;
-
-    fn apply(&mut self, op: &Self::Op) -> Self::Resp {
-        match op {
-            RegisterOp::Read => self.value.clone(),
-            RegisterOp::Write(v) => std::mem::replace(&mut self.value, v.clone()),
-        }
-    }
-}
-
 /// Operations on a single-writer atomic snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotOp<T> {
@@ -195,24 +132,6 @@ mod tests {
         assert_eq!(q.apply(&QueueOp::Dequeue), Some(1));
         assert_eq!(q.apply(&QueueOp::Dequeue), Some(2));
         assert_eq!(q.apply(&QueueOp::Dequeue), None);
-    }
-
-    #[test]
-    fn stack_is_lifo() {
-        let mut s = SeqStack::default();
-        s.apply(&StackOp::Push("a"));
-        s.apply(&StackOp::Push("b"));
-        assert_eq!(s.apply(&StackOp::Pop), Some("b"));
-        assert_eq!(s.apply(&StackOp::Pop), Some("a"));
-        assert_eq!(s.apply(&StackOp::Pop), None);
-    }
-
-    #[test]
-    fn register_returns_previous_value_on_write() {
-        let mut r = SeqRegister::<i32>::default();
-        assert_eq!(r.apply(&RegisterOp::Read), 0);
-        assert_eq!(r.apply(&RegisterOp::Write(5)), 0);
-        assert_eq!(r.apply(&RegisterOp::Read), 5);
     }
 
     #[test]
