@@ -161,25 +161,20 @@ pub fn assignment(b: &mut ProtocolBuilder, k: usize, kex: NodeId) -> NodeId {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::sim::fig2::fig2_chain;
-    use crate::sim::fig6::fig6_chain;
+    use crate::sim::build::{assignment_cc, assignment_dsm, cc_chain};
     use kex_sim::prelude::*;
-    use std::sync::Arc;
 
-    fn cc_protocol(n: usize, k: usize) -> Arc<Protocol> {
-        let mut b = ProtocolBuilder::new(n);
-        let kex = fig2_chain(&mut b, n, k);
-        let root = assignment(&mut b, k, kex);
-        b.finish(root, k)
-    }
+    // Up to N = 2k the catalog's k-assignment is Figure 7 over one
+    // Figure-2 (or Figure-6) chain. The exhaustive verdicts on the CC
+    // (3, 2) instance, with and without a crash, are rows of the root
+    // `tests/model_checking.rs` matrix.
 
     #[test]
     fn names_are_unique_and_in_range_under_random_schedules() {
         // The Sim's built-in checker verifies name uniqueness and range in
         // every state because the root implements `acquired_name`.
         for seed in 0..15 {
-            let mut sim = Sim::new(cc_protocol(5, 3), MemoryModel::CacheCoherent)
+            let mut sim = Sim::new(assignment_cc(5, 3), MemoryModel::CacheCoherent)
                 .cycles(25)
                 .scheduler(RandomSched::new(seed))
                 .timing(Timing {
@@ -194,21 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_assignment_on_cc_chain() {
-        let report = explore(cc_protocol(3, 2), &ExploreConfig::default());
-        report.assert_ok();
-        check_starvation_freedom(&report).expect("cc assignment must be starvation-free");
-    }
-
-    #[test]
     fn exhaustive_assignment_on_dsm_chain() {
         // (3,2) over one cycle per process (the full fig6 assignment
         // space is too large to enumerate in a unit test; longer-horizon
         // coverage comes from the randomized suites).
-        let mut b = ProtocolBuilder::new(3);
-        let kex = fig6_chain(&mut b, 3, 2);
-        let root = assignment(&mut b, 2, kex);
-        let proto = b.finish(root, 2);
+        let proto = assignment_dsm(3, 2);
         let cfg = ExploreConfig {
             cycles: Some(1),
             ..ExploreConfig::default()
@@ -220,25 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn assignment_survives_a_crash_holding_a_name() {
-        // A process that crashes inside its CS holds its name forever;
-        // with k = 2 the other processes must still cycle through the
-        // remaining name. Exhaustive over every crash placement.
-        let cfg = ExploreConfig {
-            max_failures: 1,
-            ..ExploreConfig::default()
-        };
-        let report = explore(cc_protocol(3, 2), &cfg);
-        report.assert_ok();
-        check_starvation_freedom(&report).expect("assignment must tolerate k-1 = 1 crash failure");
-    }
-
-    #[test]
     fn name_k_minus_1_is_reachable_without_a_bit() {
         // Drive k processes into the CS simultaneously; the last one must
         // end up with name k-1 even though no bit exists for it.
         let k = 3;
-        let proto = cc_protocol(4, k);
+        let proto = assignment_cc(4, k);
         let mut w = World::new(
             proto,
             MemoryModel::CacheCoherent,
@@ -264,11 +235,7 @@ mod tests {
         // Theorems 9/10: the renaming adds at most ~k remote references
         // on top of the k-exclusion cost. Compare assignment vs bare kex.
         let (n, k) = (5, 3);
-        let bare: Arc<Protocol> = {
-            let mut b = ProtocolBuilder::new(n);
-            let kex = fig2_chain(&mut b, n, k);
-            b.finish(kex, k)
-        };
+        let bare = cc_chain(n, k);
         let mut worst_bare = 0;
         let mut worst_assign = 0;
         for seed in 0..10 {
@@ -280,7 +247,7 @@ mod tests {
             r.assert_safe();
             worst_bare = worst_bare.max(r.stats.worst_pair());
 
-            let mut sim = Sim::new(cc_protocol(n, k), MemoryModel::CacheCoherent)
+            let mut sim = Sim::new(assignment_cc(n, k), MemoryModel::CacheCoherent)
                 .cycles(20)
                 .scheduler(RandomSched::new(seed))
                 .build();

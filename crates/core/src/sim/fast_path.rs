@@ -221,26 +221,16 @@ pub fn graceful_depth(n: usize, k: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::fig2::fig2_chain;
+    use crate::sim::build::{cc_fast_path, cc_graceful};
     use kex_sim::prelude::*;
-    use std::sync::Arc;
 
-    fn fast_protocol(n: usize, k: usize) -> Arc<Protocol> {
-        let mut b = ProtocolBuilder::new(n);
-        let root = fast_path_over_tree(&mut b, n, k, &mut |b, m, k| fig2_chain(b, m, k));
-        b.finish(root, k)
-    }
-
-    fn graceful_protocol(n: usize, k: usize) -> Arc<Protocol> {
-        let mut b = ProtocolBuilder::new(n);
-        let root = graceful(&mut b, n, k, &mut |b, m, k| fig2_chain(b, m, k));
-        b.finish(root, k)
-    }
+    // The exhaustive verdict on graceful (3, 1) is a row of the root
+    // `tests/model_checking.rs` matrix.
 
     #[test]
     fn fast_path_is_safe_under_random_schedules() {
         for seed in 0..10 {
-            let mut sim = Sim::new(fast_protocol(8, 2), MemoryModel::CacheCoherent)
+            let mut sim = Sim::new(cc_fast_path(8, 2), MemoryModel::CacheCoherent)
                 .cycles(15)
                 .scheduler(RandomSched::new(seed))
                 .timing(Timing {
@@ -257,7 +247,7 @@ mod tests {
     #[test]
     fn graceful_is_safe_under_random_schedules() {
         for seed in 0..10 {
-            let mut sim = Sim::new(graceful_protocol(8, 2), MemoryModel::CacheCoherent)
+            let mut sim = Sim::new(cc_graceful(8, 2), MemoryModel::CacheCoherent)
                 .cycles(15)
                 .scheduler(RandomSched::new(seed))
                 .build();
@@ -274,7 +264,7 @@ mod tests {
         // worst pair cost with a single participant for growing N.
         let mut costs = Vec::new();
         for n in [8, 16, 32] {
-            let mut sim = Sim::new(fast_protocol(n, 2), MemoryModel::CacheCoherent)
+            let mut sim = Sim::new(cc_fast_path(n, 2), MemoryModel::CacheCoherent)
                 .cycles(10)
                 .participants([0])
                 .build();
@@ -293,10 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_slot_counter_never_escapes_its_range() {
-        // Footnote 2's range-safe fetch-and-increment: X must stay in
-        // 0..=k in every reachable state of every interleaving.
-        let proto = fast_protocol(3, 1);
+    fn exhaustive_fast_path_full_liveness() {
+        // (3,1) fast path over a tree (641 820 states), unrestricted:
+        // footnote 2's range-safe fetch-and-increment keeps X in 0..=k
+        // in every reachable state, and no process starves.
+        let proto = cc_fast_path(3, 1);
         let x = proto
             .vars()
             .iter()
@@ -311,23 +302,6 @@ mod tests {
                 Err(format!("fast-path X = {v} outside 0..1"))
             }
         });
-        report.assert_ok();
-    }
-
-    #[test]
-    fn exhaustive_graceful_full_liveness() {
-        // (3,1) graceful: every interleaving, every state, forever
-        // (~100k states) — the strongest automated check we have of the
-        // nested-fast-path construction.
-        let report = explore(graceful_protocol(3, 1), &ExploreConfig::default());
-        report.assert_ok();
-        check_starvation_freedom(&report).expect("graceful (3,1) must be starvation-free");
-    }
-
-    #[test]
-    fn exhaustive_fast_path_full_liveness() {
-        // (3,1) fast path over a tree (~640k states), unrestricted.
-        let report = explore(fast_protocol(3, 1), &ExploreConfig::default());
         report.assert_ok();
         check_starvation_freedom(&report).expect("fast path (3,1) must be starvation-free");
     }

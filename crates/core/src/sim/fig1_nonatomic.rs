@@ -27,8 +27,9 @@
 //! Two enqueuers can now interleave at 1b/1c and overwrite each other's
 //! slot; a lost waiter believes it is queued, `Element` says otherwise,
 //! and it walks straight into the critical section — **k-exclusion is
-//! violated**. The model-checking test below has the explorer find such
-//! an interleaving automatically, which is this repository's mechanized
+//! violated**. The root test `counterexamples_from_the_matrix_are_replayable`
+//! (`tests/model_checking.rs`) has the explorer find such an interleaving
+//! automatically and replays it, which is this repository's mechanized
 //! version of the paper's "first difficulty". (Given a crash between 1c
 //! and 1d the queue also wedges, the "second difficulty".)
 //!
@@ -201,66 +202,4 @@ impl Node for NonatomicQueueNode {
 pub fn fig1_nonatomic(b: &mut ProtocolBuilder, k: usize) -> NodeId {
     let node = NonatomicQueueNode::new(b, k);
     b.add(node)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kex_sim::prelude::*;
-    use std::sync::Arc;
-
-    fn protocol(n: usize, k: usize) -> Arc<Protocol> {
-        let mut b = ProtocolBuilder::new(n);
-        let root = fig1_nonatomic(&mut b, k);
-        b.finish(root, k)
-    }
-
-    #[test]
-    fn the_model_checker_finds_the_lost_wakeup_violation() {
-        // Three processes, k = 1: the explorer must find an interleaving
-        // in which the enqueue race admits two processes at once — the
-        // paper's argument for why Figure 1 needs its atomic sections.
-        let report = explore(protocol(3, 1), &ExploreConfig::default());
-        assert!(
-            matches!(
-                report.violation,
-                Some((_, Violation::TooManyInCritical { .. }))
-            ),
-            "expected a k-exclusion violation from the naive decomposition, got {:?}",
-            report.violation
-        );
-    }
-
-    #[test]
-    fn the_counterexample_replays_to_the_same_violation() {
-        // Extract the offending schedule and replay it step by step:
-        // the trace must reproduce the k-exclusion violation and pass
-        // through the racy enqueue statements.
-        let proto = protocol(3, 1);
-        let report = explore(proto.clone(), &ExploreConfig::default());
-        let schedule = report
-            .first_counterexample()
-            .expect("a violation was found");
-        let trace = kex_sim::replay::replay(proto, &schedule);
-        assert!(
-            trace.ends_in_violation(),
-            "replayed schedule must reproduce the violation:\n{trace}"
-        );
-        let text = trace.to_string();
-        assert!(
-            text.contains("fig1-nonatomic"),
-            "trace names the node:\n{text}"
-        );
-    }
-
-    #[test]
-    fn the_atomic_version_of_the_same_instance_is_clean() {
-        // Control: identical instance, Figure 1 with its atomic sections
-        // intact, passes the same exploration.
-        let mut b = ProtocolBuilder::new(3);
-        let root = crate::sim::fig1_queue::fig1_queue(&mut b, 1);
-        let proto = b.finish(root, 1);
-        let report = explore(proto, &ExploreConfig::default());
-        report.assert_ok();
-    }
 }

@@ -167,20 +167,19 @@ pub fn fig1_queue(b: &mut ProtocolBuilder, k: usize) -> kex_sim::types::NodeId {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::sim::build::queue_fig1;
     use kex_sim::prelude::*;
-    use std::sync::Arc;
 
-    fn protocol(n: usize, k: usize) -> Arc<Protocol> {
-        let mut b = ProtocolBuilder::new(n);
-        let root = fig1_queue(&mut b, k);
-        b.finish(root, k)
-    }
+    // The exhaustive verdicts — (3, 1) and (3, 2) safe and starvation-free,
+    // and (3, 2) surviving one crash at the cost of a slot — are rows of
+    // the root `tests/model_checking.rs` matrix. The paper's objection to
+    // this algorithm, that naive decompositions of its atomic sections
+    // break, is that file's replayable counterexample.
 
     #[test]
     fn safe_and_quiescent_without_failures() {
         for seed in 0..10 {
-            let mut sim = Sim::new(protocol(5, 2), MemoryModel::CacheCoherent)
+            let mut sim = Sim::new(queue_fig1(5, 2), MemoryModel::CacheCoherent)
                 .cycles(25)
                 .scheduler(RandomSched::new(seed))
                 .timing(Timing {
@@ -192,32 +191,5 @@ mod tests {
             report.assert_safe();
             assert_eq!(report.stop, StopReason::Quiescent, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn exhaustive_safety_and_liveness_without_failures() {
-        let report = explore(protocol(3, 1), &ExploreConfig::default());
-        report.assert_ok();
-        check_starvation_freedom(&report).expect("FIFO queue is starvation-free absent failures");
-    }
-
-    #[test]
-    fn a_crashed_waiter_permanently_consumes_one_slot() {
-        // With its atomic sections intact, Figure 1 *is* (k-1)-resilient:
-        // a dead waiter is dequeued by the next exiting process and
-        // silently swallows that grant — one of the k slots is lost
-        // forever, but the survivors keep cycling through the rest.
-        // Exhaustive over every crash placement at (3, 2).
-        let cfg = ExploreConfig {
-            max_failures: 1,
-            ..ExploreConfig::default()
-        };
-        let report = explore(protocol(3, 2), &cfg);
-        report.assert_ok();
-        check_starvation_freedom(&report)
-            .expect("atomic figure 1 tolerates k-1 = 1 failure (at the cost of a slot)");
-        // The paper's actual objection to this algorithm — that the
-        // atomic sections cannot be realistically implemented, and naive
-        // decompositions break — is demonstrated in `fig1_nonatomic`.
     }
 }

@@ -310,19 +310,12 @@ pub fn fig5_chain(b: &mut ProtocolBuilder, m: usize, k: usize, max_locs: usize) 
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::sim::build::dsm_unbounded_chain;
     use kex_sim::prelude::*;
-    use std::sync::Arc;
-
-    fn protocol(n: usize, k: usize, max_locs: usize) -> Arc<Protocol> {
-        let mut b = ProtocolBuilder::new(n);
-        let root = fig5_chain(&mut b, n, k, max_locs);
-        b.finish(root, k)
-    }
 
     #[test]
     fn safe_and_quiescent_under_round_robin() {
-        let mut sim = Sim::new(protocol(3, 1, 128), MemoryModel::Dsm)
+        let mut sim = Sim::new(dsm_unbounded_chain(3, 1, 128), MemoryModel::Dsm)
             .cycles(25)
             .build();
         let report = sim.run(1_000_000);
@@ -334,7 +327,7 @@ mod tests {
     #[test]
     fn safe_under_random_schedules() {
         for seed in 0..15 {
-            let mut sim = Sim::new(protocol(4, 2, 256), MemoryModel::Dsm)
+            let mut sim = Sim::new(dsm_unbounded_chain(4, 2, 256), MemoryModel::Dsm)
                 .cycles(25)
                 .scheduler(RandomSched::new(seed))
                 .timing(Timing {
@@ -349,22 +342,16 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_small_instances_bounded_cycles() {
+    fn exhaustive_three_two_over_two_cycles() {
         // Figure 5's state space is infinite (fresh locations forever), so
         // the explorer bounds each process to a few cycles: (3,2) over two
-        // cycles is ~220k states; (2,1) over three is small.
+        // cycles is ~220k states. (2,1) over three cycles is a row of the
+        // root `tests/model_checking.rs` matrix.
         let cfg = ExploreConfig {
             cycles: Some(2),
             ..ExploreConfig::default()
         };
-        let report = explore(protocol(3, 2, 16), &cfg);
-        report.assert_ok();
-
-        let cfg = ExploreConfig {
-            cycles: Some(3),
-            ..ExploreConfig::default()
-        };
-        let report = explore(protocol(2, 1, 16), &cfg);
+        let report = explore(dsm_unbounded_chain(3, 2, 16), &cfg);
         report.assert_ok();
     }
 
@@ -374,7 +361,7 @@ mod tests {
         // references while it waits. We run a schedule in which p1 is
         // parked waiting while p0 repeatedly wins, and assert p1's remote
         // count does not grow while it spins.
-        let proto = protocol(2, 1, 64);
+        let proto = dsm_unbounded_chain(2, 1, 64);
         let mut w = World::new(proto, MemoryModel::Dsm, Timing::default(), None);
         // Drive p0 into its CS.
         while !w.procs[0].phase.in_critical() {
@@ -406,7 +393,7 @@ mod tests {
     fn exhausting_the_location_supply_is_loud() {
         // Long critical sections force the loser onto the slow branch
         // every cycle, so its location counter must exhaust max_locs = 3.
-        let mut sim = Sim::new(protocol(2, 1, 3), MemoryModel::Dsm)
+        let mut sim = Sim::new(dsm_unbounded_chain(2, 1, 3), MemoryModel::Dsm)
             .cycles(50)
             .timing(Timing {
                 ncs_steps: 0,

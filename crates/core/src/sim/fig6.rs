@@ -415,19 +415,16 @@ pub fn fig6_chain(b: &mut ProtocolBuilder, m: usize, k: usize) -> NodeId {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::sim::build::dsm_chain;
     use kex_sim::prelude::*;
-    use std::sync::Arc;
 
-    fn protocol(n: usize, k: usize) -> Arc<Protocol> {
-        let mut b = ProtocolBuilder::new(n);
-        let root = fig6_chain(&mut b, n, k);
-        b.finish(root, k)
-    }
+    // The exhaustive verdicts on (2, 1) and on (3, 2) with one crash are
+    // rows of the root `tests/model_checking.rs` matrix, and Theorem 5's
+    // sampled bound is `e2_chains`.
 
     #[test]
     fn safe_and_quiescent_under_round_robin() {
-        let mut sim = Sim::new(protocol(3, 1), MemoryModel::Dsm)
+        let mut sim = Sim::new(dsm_chain(3, 1), MemoryModel::Dsm)
             .cycles(40)
             .build();
         let report = sim.run(2_000_000);
@@ -439,7 +436,7 @@ mod tests {
     #[test]
     fn safe_under_random_and_skewed_schedules() {
         for seed in 0..15 {
-            let mut sim = Sim::new(protocol(4, 2), MemoryModel::Dsm)
+            let mut sim = Sim::new(dsm_chain(4, 2), MemoryModel::Dsm)
                 .cycles(25)
                 .scheduler(RandomSched::new(seed))
                 .timing(Timing {
@@ -452,7 +449,7 @@ mod tests {
             assert_eq!(report.stop, StopReason::Quiescent, "seed {seed}");
         }
         for seed in 0..5 {
-            let mut sim = Sim::new(protocol(4, 2), MemoryModel::Dsm)
+            let mut sim = Sim::new(dsm_chain(4, 2), MemoryModel::Dsm)
                 .cycles(25)
                 .scheduler(SkewedSched::new(seed, 0.8))
                 .build();
@@ -463,75 +460,24 @@ mod tests {
     }
 
     #[test]
-    fn worst_case_pair_cost_is_within_theorem_5_bound() {
-        // Theorem 5: 14(N-k) remote references per entry+exit pair on DSM.
-        for (n, k) in [(3, 1), (4, 2), (5, 2)] {
-            let mut worst = 0;
-            for seed in 0..10 {
-                let mut sim = Sim::new(protocol(n, k), MemoryModel::Dsm)
-                    .cycles(30)
-                    .scheduler(RandomSched::new(seed))
-                    .build();
-                let report = sim.run(10_000_000);
-                report.assert_safe();
-                worst = worst.max(report.stats.worst_pair());
-            }
-            let bound = 14 * (n as u64 - k as u64);
-            assert!(
-                worst <= bound,
-                "(n={n},k={k}): measured {worst} > bound {bound}"
-            );
-        }
-    }
-
-    #[test]
-    fn exhaustive_check_small_instances() {
-        // Figure 6 is bounded-space, so (2,1) admits unbounded-cycle
-        // exploration: every reachable state of every interleaving,
-        // forever (~39k states). The larger (3,2) instance is explored
-        // over two full cycles per process (~950k states).
-        let report = explore(protocol(2, 1), &ExploreConfig::default());
-        report.assert_ok();
-        assert!(report.states > 1_000);
-
+    fn exhaustive_check_over_two_cycles() {
+        // Every interleaving of (3, 2) over two full cycles per process
+        // (943 526 states), twice the horizon of the matrix's crash row:
+        // k-exclusion holds.
         let cfg = ExploreConfig {
             cycles: Some(2),
             ..ExploreConfig::default()
         };
-        let report = explore(protocol(3, 2), &cfg);
+        let report = explore(dsm_chain(3, 2), &cfg);
         report.assert_ok();
         assert!(report.states > 100_000);
-    }
-
-    #[test]
-    fn exhaustive_starvation_freedom() {
-        let report = explore(protocol(2, 1), &ExploreConfig::default());
-        report.assert_ok();
-        check_starvation_freedom(&report).expect("fig6 chain must be starvation-free");
-    }
-
-    #[test]
-    fn exhaustive_resilience_to_k_minus_1_crashes() {
-        // One adversarial crash anywhere outside the NCS, one cycle per
-        // process: no survivor may be left spinning forever (the
-        // starvation analysis detects stuck spinners in bounded-cycle
-        // graphs too — they are live, engaged, never critical).
-        let cfg = ExploreConfig {
-            max_failures: 1,
-            cycles: Some(1),
-            ..ExploreConfig::default()
-        };
-        let report = explore(protocol(3, 2), &cfg);
-        report.assert_ok();
-        check_starvation_freedom(&report)
-            .expect("fig6 (3,2)-exclusion must tolerate one crash failure");
     }
 
     #[test]
     fn spin_location_search_terminates_quickly() {
         // The paper argues the statement-4/5 search loop terminates in at
         // most k+1 iterations. Track the worst search length observed.
-        let proto = protocol(4, 2);
+        let proto = dsm_chain(4, 2);
         let mut sim = Sim::new(proto, MemoryModel::Dsm)
             .cycles(200)
             .scheduler(RandomSched::new(7))
@@ -543,7 +489,7 @@ mod tests {
 
     #[test]
     fn handshake_counters_return_to_zero_at_quiescence() {
-        let proto = protocol(3, 1);
+        let proto = dsm_chain(3, 1);
         let vars = proto.vars();
         let mut r_vars = Vec::new();
         for (id, spec) in vars.iter() {

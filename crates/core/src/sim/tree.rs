@@ -178,16 +178,12 @@ pub fn tree_depth_with_arity(n: usize, k: usize, arity: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::build::{cc_tree, dsm_tree};
     use crate::sim::fig2::fig2_chain;
-    use crate::sim::fig6::fig6_chain;
     use kex_sim::prelude::*;
-    use std::sync::Arc;
 
-    fn cc_tree_protocol(n: usize, k: usize) -> Arc<Protocol> {
-        let mut b = ProtocolBuilder::new(n);
-        let root = tree(&mut b, n, k, &mut |b, m, k| fig2_chain(b, m, k));
-        b.finish(root, k)
-    }
+    // Theorem 2's sampled bound, and the tree's bound beating the flat
+    // chain's, are `e3_trees`.
 
     #[test]
     fn depth_matches_log_formula() {
@@ -201,7 +197,7 @@ mod tests {
     #[test]
     fn tree_is_safe_under_random_schedules() {
         for seed in 0..10 {
-            let mut sim = Sim::new(cc_tree_protocol(8, 2), MemoryModel::CacheCoherent)
+            let mut sim = Sim::new(cc_tree(8, 2), MemoryModel::CacheCoherent)
                 .cycles(15)
                 .scheduler(RandomSched::new(seed))
                 .timing(Timing {
@@ -217,9 +213,7 @@ mod tests {
 
     #[test]
     fn dsm_tree_is_safe_too() {
-        let mut b = ProtocolBuilder::new(8);
-        let root = tree(&mut b, 8, 2, &mut |b, m, k| fig6_chain(b, m, k));
-        let proto = b.finish(root, 2);
+        let proto = dsm_tree(8, 2);
         for seed in 0..5 {
             let mut sim = Sim::new(proto.clone(), MemoryModel::Dsm)
                 .cycles(10)
@@ -229,28 +223,6 @@ mod tests {
             report.assert_safe();
             assert_eq!(report.stop, StopReason::Quiescent, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn tree_cost_is_within_theorem_2_bound() {
-        // Theorem 2: 7k * log2(ceil(N/k)) per pair... more precisely
-        // depth * 7k where depth = tree_depth (the per-block chain costs
-        // 7k for a (2k,k) block).
-        let (n, k) = (16, 2);
-        let mut worst = 0;
-        for seed in 0..10 {
-            let mut sim = Sim::new(cc_tree_protocol(n, k), MemoryModel::CacheCoherent)
-                .cycles(15)
-                .scheduler(RandomSched::new(seed))
-                .build();
-            let report = sim.run(20_000_000);
-            report.assert_safe();
-            worst = worst.max(report.stats.worst_pair());
-        }
-        let bound = 7 * k as u64 * tree_depth(n, k) as u64;
-        assert!(worst <= bound, "measured {worst} > bound {bound}");
-        // And the tree beats the flat chain bound for the same (n, k):
-        assert!(bound < 7 * (n as u64 - k as u64));
     }
 
     #[test]
@@ -305,7 +277,7 @@ mod tests {
             participants: Some(vec![0, 2, 4]),
             ..ExploreConfig::default()
         };
-        let report = explore(cc_tree_protocol(6, 1), &cfg);
+        let report = explore(cc_tree(6, 1), &cfg);
         report.assert_ok();
         check_starvation_freedom(&report).expect("tree must be starvation-free");
     }

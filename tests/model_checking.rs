@@ -12,6 +12,10 @@ use kex::sim::replay::replay_with;
 /// `cycles: None` explores the infinite-horizon system; `Some(c)` bounds
 /// each process to `c` acquisitions (needed where the state space is
 /// unbounded or too large). Liveness is checked where meaningful.
+///
+/// This matrix is the one home of each catalog instance's exhaustive
+/// verdict: the `#[cfg(test)]` modules of `kex_core::sim` explore only
+/// instances it does not list, or invariants over a node's variables.
 struct Case {
     algo: Algorithm,
     n: usize,
@@ -19,6 +23,10 @@ struct Case {
     cycles: Option<u64>,
     failures: usize,
     liveness: bool,
+    /// The exact number of reachable states, pinned where a change to
+    /// the explorer's state space (cheaper states, symmetry reduction)
+    /// must show up as a moved count rather than a silent one.
+    states: Option<usize>,
 }
 
 const fn case(
@@ -36,6 +44,14 @@ const fn case(
         cycles,
         failures,
         liveness,
+        states: None,
+    }
+}
+
+impl Case {
+    const fn states(mut self, states: usize) -> Case {
+        self.states = Some(states);
+        self
     }
 }
 
@@ -47,6 +63,14 @@ fn run(case: &Case) {
         ..ExploreConfig::default()
     };
     let report = explore(proto.clone(), &cfg);
+    let row = format!(
+        "{} (n={}, k={}, cycles={:?}, f={})",
+        case.algo.label(),
+        case.n,
+        case.k,
+        case.cycles,
+        case.failures
+    );
     if !report.is_clean() {
         // Don't just dump the raw violation: replay the BFS
         // counterexample through the simulator and show the per-process
@@ -70,28 +94,15 @@ fn run(case: &Case) {
             })
             .unwrap_or_else(|| "no counterexample schedule recorded (truncated search?)".into());
         panic!(
-            "{} (n={}, k={}, cycles={:?}, f={}): states={} truncated={} violation={:?} invariant={:?}\n{diagnosis}",
-            case.algo.label(),
-            case.n,
-            case.k,
-            case.cycles,
-            case.failures,
-            report.states,
-            report.truncated,
-            report.violation,
-            report.invariant_failure,
+            "{row}: states={} truncated={} violation={:?} invariant={:?}\n{diagnosis}",
+            report.states, report.truncated, report.violation, report.invariant_failure,
         );
     }
+    if let Some(pinned) = case.states {
+        assert_eq!(report.states, pinned, "{row}: reachable states moved");
+    }
     if case.liveness {
-        check_starvation_freedom(&report).unwrap_or_else(|s| {
-            panic!(
-                "{} (n={}, k={}, f={}): {s}",
-                case.algo.label(),
-                case.n,
-                case.k,
-                case.failures
-            )
-        });
+        check_starvation_freedom(&report).unwrap_or_else(|s| panic!("{row}: {s}"));
     }
 }
 
@@ -101,7 +112,7 @@ fn matrix_no_failures() {
         case(Algorithm::QueueFig1, 3, 1, None, 0, true),
         case(Algorithm::QueueFig1, 3, 2, None, 0, true),
         case(Algorithm::GlobalSpin, 3, 2, None, 0, false), // not starvation-free
-        case(Algorithm::CcChain, 3, 1, None, 0, true),
+        case(Algorithm::CcChain, 3, 1, None, 0, true).states(19_422),
         case(Algorithm::CcChain, 3, 2, None, 0, true),
         case(Algorithm::CcGraceful, 3, 1, None, 0, true),
         case(Algorithm::DsmChain, 2, 1, None, 0, true),
@@ -110,9 +121,9 @@ fn matrix_no_failures() {
         // exhaustive run of the DSM node. `DsmFastPath` at the same size
         // is left out: over four times as long.
         case(Algorithm::DsmTree, 3, 1, Some(1), 0, true),
-        case(Algorithm::DsmGraceful, 3, 1, Some(1), 0, true),
+        case(Algorithm::DsmGraceful, 3, 1, Some(1), 0, true).states(445_732),
         case(Algorithm::DsmUnboundedChain, 2, 1, Some(3), 0, false),
-        case(Algorithm::AssignmentCc, 3, 2, None, 0, true),
+        case(Algorithm::AssignmentCc, 3, 2, None, 0, true).states(9_303),
     ];
     for c in &cases {
         run(c);
@@ -170,8 +181,12 @@ fn the_two_reference_negatives_still_hold() {
 
 #[test]
 fn counterexamples_from_the_matrix_are_replayable() {
-    // The broken Figure-1 decomposition again, this time asserting the
-    // whole tooling chain end to end from the umbrella crate.
+    // Figure 1 with its atomic brackets naively removed: with no
+    // failures at all, the explorer finds an enqueue race that admits
+    // two processes at once — the paper's argument for why the queue
+    // approach needs unrealistic hardware or a lock. The same instance
+    // with its atomic sections intact is the clean QueueFig1 (3, 1) row.
+    // This asserts the whole tooling chain end to end.
     use kex::core::sim::fig1_nonatomic;
     use kex::sim::prelude::*;
     let proto = {
@@ -180,10 +195,26 @@ fn counterexamples_from_the_matrix_are_replayable() {
         b.finish(root, 1)
     };
     let report = explore(proto.clone(), &ExploreConfig::default());
+    assert!(
+        matches!(
+            report.violation,
+            Some((_, Violation::TooManyInCritical { .. }))
+        ),
+        "expected a k-exclusion violation from the naive decomposition, got {:?}",
+        report.violation
+    );
     let schedule = report.first_counterexample().expect("violation expected");
     assert!(schedule.len() < 100, "BFS counterexamples should be short");
     let trace = kex::sim::replay::replay(proto.clone(), &schedule);
-    assert!(trace.ends_in_violation());
+    assert!(
+        trace.ends_in_violation(),
+        "replayed schedule must reproduce the violation:\n{trace}"
+    );
+    let text = trace.to_string();
+    assert!(
+        text.contains("fig1-nonatomic"),
+        "trace names the node:\n{text}"
+    );
     // The pretty-printer `run()` uses on failure must produce a usable
     // rendering of the same schedule.
     let lanes = replay_with(proto, &schedule, Timing::default(), None, None).render_lanes(3);

@@ -1,7 +1,8 @@
 //! The resiliency story (E7 in `EXPERIMENTS.md`), verified from both
-//! sides: `k-1` failures are survivable (for the paper's algorithms), the
-//! `k`-th is not (for anyone), and the Figure-1 queue baseline is not
-//! even implementable without its atomic sections.
+//! sides: `k-1` failures are survivable (for the paper's algorithms), and
+//! the `k`-th is not (for anyone). That the Figure-1 queue baseline is
+//! not even implementable without its atomic sections is
+//! `tests/model_checking.rs`'s replayable counterexample.
 //!
 //! Each `e7_*` test prints its table to stderr in one piece
 //! (`cargo test --release --test resilience -- --nocapture`) and fails,
@@ -173,9 +174,9 @@ fn e7(n: usize, k: usize, while_waiting: bool, algos: &[Algorithm]) {
         table += "all survive f <= k-1; at f = k Figure 1 (one stage) wedges, and a chain\n";
         table += "wedges only if all k victims hold a slot of its final stage (the one that\n";
         table += "admits k). Figure 1's actual defect — that its multi-word atomic sections\n";
-        table += "cannot be built from realistic primitives — is the test\n";
-        table += "`naive_fig1_decomposition_is_broken`: the model checker finds a k-exclusion\n";
-        table += "violation after the brackets are removed.\n";
+        table += "cannot be built from realistic primitives — is model_checking.rs's\n";
+        table += "`counterexamples_from_the_matrix_are_replayable`: the model checker finds a\n";
+        table += "k-exclusion violation after the brackets are removed.\n";
     } else {
         table += "\ncells: survivors-finished / survivors; '*' = run wedged (step budget hit)\n";
         table += &format!(
@@ -229,22 +230,4 @@ fn e7_crash_while_waiting_n10_k3() {
 #[test]
 fn e7_crash_while_waiting_n04_k2() {
     e7(4, 2, true, &WAITING);
-}
-
-#[test]
-fn naive_fig1_decomposition_is_broken() {
-    // Removing Figure 1's atomic brackets — i.e. trying to run it on
-    // realistic single-word primitives without further synchronization —
-    // lets the model checker find a k-exclusion violation with no
-    // failures at all. This is the paper's argument for why the queue
-    // approach needs either unrealistic hardware or a lock.
-    use kex::core::sim::fig1_nonatomic;
-    let mut b = ProtocolBuilder::new(3);
-    let root = fig1_nonatomic(&mut b, 1);
-    let proto = b.finish(root, 1);
-    let report = kex::sim::explore::explore(proto, &ExploreConfig::default());
-    assert!(
-        report.violation.is_some(),
-        "the naive decomposition should violate k-exclusion"
-    );
 }
