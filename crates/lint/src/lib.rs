@@ -17,7 +17,9 @@
 //!    `kex_util::Backoff` (which routes to the facade's spin hint), so
 //!    the loom build can bound them and the contended benchmarks measure
 //!    what production runs.
-//! 4. **Hint before admission** — a store put prefetches its cell first.
+//! 4. **Hint before the access it serves** — a store put prefetches its
+//!    cell before admission, and `Universal::apply` takes its name's next
+//!    node for writing before it goes idle.
 //!
 //! `kex-lint` is a dependency-free, token-level analyzer over the
 //! workspace's own sources that machine-checks all four. The source
@@ -229,7 +231,7 @@ pub enum Pass {
     Spin,
     /// Ordering-obligation checker (role op kinds and IR-derived minimums).
     Obligation,
-    /// A put's prefetch ahead of its admission.
+    /// A prefetch ahead of the access it serves.
     Prefetch,
 }
 
@@ -1397,17 +1399,27 @@ pub fn obligation_pass(sites: &[Site], cfg: &Config) -> Vec<Finding> {
 }
 
 /// The top-level statements of the block opening at `open`, trimmed and
-/// without their `;`, its tail expression last.
+/// without their `;`, its tail expression last. A statement that opens
+/// with `if`, `match`, `for`, `while` or `loop` ends at its last `}`.
 fn statements(text: &str, open: usize) -> Vec<&str> {
-    let (mut out, mut depth, mut start) = (Vec::new(), 0usize, open + 1);
-    for (i, b) in text.bytes().enumerate().skip(open) {
+    const BLOCK_LIKE: &[&str] = &["if", "match", "for", "while", "loop"];
+    let (mut out, mut depth, mut start) = (Vec::new(), 1usize, open + 1);
+    for (i, b) in text.bytes().enumerate().skip(open + 1) {
         match b {
             b'(' | b'[' | b'{' => depth += 1,
             b')' | b']' | b'}' => depth -= 1,
             _ => {}
         }
+        let stmt = text[start..i].trim();
+        let block_end = b == b'}'
+            && depth == 1
+            && BLOCK_LIKE.contains(&stmt.split_whitespace().next().unwrap_or(""))
+            && !text[i + 1..].trim_start().starts_with("else");
         if depth == 0 || (b == b';' && depth == 1) {
-            out.push(text[start..i].trim());
+            out.push(stmt);
+            start = i + 1;
+        } else if block_end {
+            out.push(text[start..=i].trim());
             start = i + 1;
         }
         if depth == 0 {
@@ -1417,25 +1429,60 @@ fn statements(text: &str, open: usize) -> Vec<&str> {
     out
 }
 
-/// Pass 5: `Shard::put` and `Shard::try_put` must each call
-/// `….prefetch(key);` as a top-level statement before the one that calls
-/// `with(` / `try_with(`: a hint inside the closure runs after admission.
+/// Whether a top-level statement of the block opening at `open` that
+/// `hint` accepts comes before the first that `entry` accepts.
+fn hint_comes_first(
+    text: &str,
+    open: usize,
+    hint: impl Fn(&str) -> bool,
+    entry: impl Fn(&str) -> bool,
+) -> bool {
+    let stmts = statements(text, open);
+    let hint = stmts.iter().position(|s| hint(s));
+    let entry = stmts.iter().position(|s| entry(s));
+    matches!((hint, entry), (Some(h), Some(e)) if h < e)
+}
+
+/// Pass 5: a prefetch is a top-level statement ahead of the access it
+/// serves; moved into a closure or past that access, it hides nothing
+/// and every other test stays green.
+///
+/// * `Shard::put` and `Shard::try_put` call `….prefetch(key);` before the
+///   statement that calls `with(` / `try_with(`: the hint overlaps the
+///   cell's miss with admission.
+/// * `Universal::apply` calls `kex_util::prefetch_write` on
+///   `next_spare()`, in its `unsafe` block, before the idle `resume`
+///   store: past it the name is no longer claimed.
 pub fn prefetch_pass(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     if let Some(file) = ws.get("crates/store/src/shard.rs") {
         for f in ["put", "try_put"] {
             let at = file.masked.find(&format!("pub fn {f}(")).unwrap_or(0);
-            let stmts = statements(&file.masked, at + file.masked[at..].find('{').unwrap_or(0));
-            let hint = stmts
-                .iter()
-                .position(|s| s.ends_with(".prefetch(key)") && !s.contains('|'));
-            let entry = stmts
-                .iter()
-                .position(|s| s.contains(".with(") || s.contains(".try_with("));
-            if !matches!((hint, entry), (Some(h), Some(e)) if h < e) {
+            let hinted = hint_comes_first(
+                &file.masked,
+                at + file.masked[at..].find('{').unwrap_or(0),
+                |s| s.ends_with(".prefetch(key)") && !s.contains('|'),
+                |s| s.contains(".with(") || s.contains(".try_with("),
+            );
+            if !hinted {
                 let msg = format!("`Shard::{f}` must call `….prefetch(key);` as a statement of its own before its `with(` / `try_with(`");
                 findings.push(finding(Pass::Prefetch, &file.path, file.line_of(at), msg));
             }
+        }
+    }
+    if let Some(file) = ws.get("crates/waitfree/src/universal.rs") {
+        let at = file.masked.find("pub fn apply(").unwrap_or(0);
+        let hinted = hint_comes_first(
+            &file.masked,
+            at + file.masked[at..]
+                .find("unsafe {")
+                .map_or(0, |u| u + "unsafe ".len()),
+            |s| s.contains("prefetch_write(") && s.contains("next_spare()") && !s.contains('|'),
+            |s| s.contains(".store(") && s.contains("| IDLE"),
+        );
+        if !hinted {
+            let msg = "`Universal::apply` must call `prefetch_write` on `next_spare()` as a statement of its own before its idle `resume` store";
+            findings.push(finding(Pass::Prefetch, &file.path, file.line_of(at), msg));
         }
     }
     findings

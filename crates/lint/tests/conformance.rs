@@ -751,3 +751,58 @@ fn a_put_that_does_not_hint_before_admission_is_caught() {
         );
     }
 }
+
+const UNIVERSAL: &str = "crates/waitfree/src/universal.rs";
+
+/// `Universal::apply` in brief: the next node's hint, then the idle store.
+const UNIVERSAL_SRC: &str = "impl<S: Sequential> Universal<S> {\n\
+    \x20   pub fn apply(&self, me: usize, op: S::Op) -> S::Resp {\n\
+    \x20       let name = &self.names[me];\n\
+    \x20       unsafe {\n\
+    \x20           let local = &mut *name.local.get();\n\
+    \x20           let mine = local.take_spare().unwrap_or_else(|| Self::alloc(None, POOLED));\n\
+    \x20           let (pos, resp) = self.pass(me, mine, op);\n\
+    \x20           self.reclaim(me, local);\n\
+    \x20           if let Some(next) = local.next_spare() {\n\
+    \x20               kex_util::prefetch_write(&*next);\n\
+    \x20           }\n\
+    \x20           name.resume\n\
+    \x20               .store(pos << TAG_BITS | IDLE, ord::handshake::SEQ_CST);\n\
+    \x20           resp\n\
+    \x20       }\n\
+    \x20   }\n\
+    }\n";
+
+#[test]
+fn an_op_that_does_not_hint_its_next_node_before_going_idle_is_caught() {
+    assert!(prefetch_pass(&workspace(&[(UNIVERSAL, UNIVERSAL_SRC)])).is_empty());
+    let hint = "            if let Some(next) = local.next_spare() {\n\
+        \x20               kex_util::prefetch_write(&*next);\n\
+        \x20           }\n";
+    let idle = "            name.resume\n\
+        \x20               .store(pos << TAG_BITS | IDLE, ord::handshake::SEQ_CST);\n";
+    let unhinted = UNIVERSAL_SRC.replacen(hint, "", 1);
+    for (defect, src) in [
+        ("deleted", unhinted.clone()),
+        (
+            "after the idle store",
+            unhinted.replacen(idle, &format!("{idle}{hint}"), 1),
+        ),
+        (
+            "inside a closure",
+            unhinted.replacen(
+                idle,
+                &format!(
+                    "            local.next_spare().map(|next| kex_util::prefetch_write(&*next));\n{idle}"
+                ),
+                1,
+            ),
+        ),
+    ] {
+        let findings = prefetch_pass(&workspace(&[(UNIVERSAL, &src)]));
+        let line = line_of(&src, "pub fn apply(");
+        let message = "`Universal::apply` must call `prefetch_write` on `next_spare()`";
+        assert_finding(&findings, Pass::Prefetch, UNIVERSAL, line, message);
+        assert_eq!(findings.len(), 1, "hint {defect}: {}", listing(&findings));
+    }
+}

@@ -18,10 +18,15 @@
 //! * [`ord`] — the memory orderings every audited atomic access names,
 //!   one module per role, each exporting only what its role admits.
 //! * [`prefetch`] — a cache hint for the line holding a value: one
-//!   `prefetcht0` on x86_64, nothing elsewhere. The crate denies
-//!   `unsafe_code` and allows it on this one function, there only
+//!   `prefetcht0` on x86_64, nothing elsewhere or under miri.
+//! * [`prefetch_write`] — the same hint with intent to write: one
+//!   `prefetchw` on x86_64 parts that have it. `Universal` calls it on
+//!   the node its name's next op fills, so a warm op's node write finds
+//!   its line already exclusive instead of invalidating the copy the
+//!   other name's walk left. The crate denies `unsafe_code` and allows
+//!   it on one private function that both hints call, there only
 //!   because the intrinsic carries the `sse` target feature every
-//!   x86_64 target has.
+//!   x86_64 target has and `prefetchw` is inline assembly.
 //! * [`rng`] — a small deterministic PRNG ([`rng::SmallRng`]) for
 //!   reproducible randomized schedules and tests.
 //! * [`Sequential`] — what a sequential specification is: the input of
@@ -106,7 +111,8 @@ impl<T> From<T> for CachePadded<T> {
 /// value's dangling address included) and is not an atomic access, so
 /// the `obs` backend counts nothing and the loom backend sees no step.
 /// On x86_64 it is one `prefetcht0`, which — unlike a load — a later
-/// locked instruction does not wait for; elsewhere it does nothing.
+/// locked instruction does not wait for; elsewhere, and under miri, it
+/// does nothing.
 ///
 /// ```
 /// let cells: Vec<u64> = (0..4096).collect();
@@ -115,18 +121,68 @@ impl<T> From<T> for CachePadded<T> {
 /// kex_util::prefetch(&());
 /// ```
 #[inline]
-#[allow(unsafe_code)]
 pub fn prefetch<T>(value: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: the intrinsic is gated only on its `sse` target feature,
-    // which every x86_64 target enables; a prefetch of any address
-    // neither faults nor writes.
+    hint::<false, T>(value);
+}
+
+/// Hints the CPU to take the cache line holding `value` for writing:
+/// into this core's cache, exclusive, so that a later write to it does
+/// not wait for another core's copy to be invalidated.
+///
+/// The same kind of hint as [`prefetch`] (no memory changed, no fault,
+/// no atomic access): on x86_64 it is one `prefetchw` where CPUID
+/// reports `PRFCHW` (read once) and a `prefetcht0` where it does not;
+/// elsewhere, and under miri, it does nothing.
+///
+/// ```
+/// let mut cells: Vec<u64> = (0..4096).collect();
+/// kex_util::prefetch_write(cells.last().unwrap());
+/// assert_eq!(cells[4095], 4095);
+/// cells[4095] = 0;
+/// kex_util::prefetch_write(&());
+/// ```
+#[inline]
+pub fn prefetch_write<T>(value: &T) {
+    hint::<true, T>(value);
+}
+
+/// Whether this x86_64 part has `prefetchw` (CPUID `0x8000_0001`,
+/// ECX bit 8): not every one does, and the opcode is only defined where
+/// the bit is set.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+fn prfchw() -> bool {
+    use std::arch::x86_64::__cpuid;
+    const LEAF: u32 = 0x8000_0001;
+    __cpuid(0x8000_0000).eax >= LEAF && __cpuid(LEAF).ecx & 1 << 8 != 0
+}
+
+/// The one `unsafe` site of the crate: both prefetch hints.
+#[inline(always)]
+#[allow(unsafe_code)]
+fn hint<const WRITE: bool, T>(value: &T) {
+    let at: *const T = value;
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: `prefetchw` runs only where CPUID says it exists, and
+    // `_mm_prefetch` is gated only on its `sse` target feature, which
+    // every x86_64 target enables. A prefetch of any address neither
+    // faults nor writes, and touches no register but its operand.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast());
+        static PRFCHW: std::sync::LazyLock<bool> = std::sync::LazyLock::new(prfchw);
+        if WRITE && *PRFCHW {
+            // Not `_MM_HINT_ET0`: without the `prfchw` target feature it
+            // compiles to `prefetcht0`.
+            std::arch::asm!(
+                "prefetchw byte ptr [{}]",
+                in(reg) at,
+                options(nostack, preserves_flags, readonly)
+            );
+        } else {
+            _mm_prefetch::<_MM_HINT_T0>(at.cast());
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = value;
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = at;
 }
 
 /// Last step of [`Backoff`]'s busy-spin phase (`2^SPIN_LIMIT` hints);

@@ -68,6 +68,12 @@
 //!   and hazard protocol has to survive anyway: no new argument. What
 //!   that hides from miri and ASan, a `POOLED` poison in `seq` shows to
 //!   every walk in debug builds. A checkpoint still boxes a clone.
+//! * The last thing an op does before it goes idle is a write-intent
+//!   prefetch (`kex_util::prefetch_write`, x86's `prefetchw`) of the
+//!   spare its name's next op fills. So a warm op's node write finds the
+//!   line already exclusive, instead of opening the op by invalidating
+//!   the copy another name's walk left, with the `announce` store behind
+//!   it waiting. A hint is not an access: no model or count sees it.
 //! * Memory is `O(k · CHECKPOINT_EVERY)` nodes plus what stalled names
 //!   pin. A name stalled *mid-operation* pins its span, which the first
 //!   `reclaim` to meet it closes by asking for it. That is the
@@ -166,6 +172,20 @@ struct Local<S: Sequential> {
     retired: VecDeque<(usize, *mut Node<S>)>,
     /// Freed nodes of this name, for its next ops; at most [`SPARE_CAP`].
     spare: Vec<*mut Node<S>>,
+}
+
+impl<S: Sequential> Local<S> {
+    /// The spare this name's next op fills, if it has one.
+    fn next_spare(&self) -> Option<*mut Node<S>> {
+        self.spare.last().copied()
+    }
+
+    /// Takes out the spare [`Local::next_spare`] names.
+    fn take_spare(&mut self) -> Option<*mut Node<S>> {
+        let next = self.next_spare()?;
+        self.spare.pop();
+        Some(next)
+    }
 }
 
 /// A linearizable, wait-free shared object for `k` processes, built from
@@ -301,8 +321,7 @@ impl<S: Sequential> Universal<S> {
             // A spare is a node `reclaim` found out of everybody's reach;
             // overwriting it drops its last op and checkpoint state.
             let mine = local
-                .spare
-                .pop()
+                .take_spare()
                 .unwrap_or_else(|| Self::alloc(None, POOLED));
             *mine = Self::node(Some(op), 0);
             let prev = name.announce.load(ord::handshake::SEQ_CST);
@@ -378,6 +397,11 @@ impl<S: Sequential> Universal<S> {
             let bit = Self::bit(me).unwrap_or(0);
             if self.asks.load(ord::handshake::SEQ_CST) & bit != 0 {
                 self.asks.fetch_and(!bit, ord::handshake::SEQ_CST);
+            }
+            // The node our next op overwrites, taken for writing while we
+            // are idle: its line is likely the other name's since its walk.
+            if let Some(next) = local.next_spare() {
+                kex_util::prefetch_write(&*next);
             }
             name.resume
                 .store(pos << TAG_BITS | IDLE, ord::handshake::SEQ_CST);
@@ -729,6 +753,27 @@ mod tests {
             );
         }
         assert!(c.floor.load(ord::handshake::SEQ_CST) > 2 * CHECKPOINT_EVERY);
+    }
+
+    /// Two names taking turns on one thread: the node the end-of-op
+    /// hint names is the node that name announces on its next op, unless
+    /// it had no spare and that op allocated.
+    #[test]
+    fn the_hinted_spare_is_the_next_node() {
+        let c: Universal<SeqCounter> = Universal::new(2);
+        let mut hinted = [None; 2];
+        let mut reused = 0;
+        for i in 0..4 * CHECKPOINT_EVERY {
+            let me = i % 2;
+            c.apply(me, CounterOp::Add(1));
+            let announced = c.names[me].announce.load(ord::handshake::SEQ_CST);
+            if let Some(node) = hinted[me] {
+                assert_eq!(announced, node, "op {i}: name {me} hinted another node");
+                reused += 1;
+            }
+            hinted[me] = unsafe { (*c.names[me].local.get()).next_spare() };
+        }
+        assert!(reused > CHECKPOINT_EVERY, "spares hardly reused: {reused}");
     }
 
     /// A node in another name's hazard slot survives every scan, and
